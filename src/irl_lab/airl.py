@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from ._fmt import atomic_write_text, csv_text
 from .mdp import RewardTable, TabularMdp, reward_from_dict, reward_to_dict
@@ -35,6 +34,14 @@ from .soft_rl import (
 
 VARIANTS = ("airl_state_only", "airl_state_action", "gan_gcl_trajectory")
 MODES = ("exact_occupancy", "sampled")
+
+
+def _sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)), accurate to 2.3e-16 absolute.
+
+    The tanh form cannot overflow, so it is silent on +-inf, NaN and large |x|.
+    """
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 class DivergenceError(RuntimeError):
@@ -266,7 +273,7 @@ def discriminator_prob(params: DiscriminatorParams, policy, s: int, a: int, sp: 
     """D(s, a, s') = exp(f) / (exp(f) + pi(a|s)), evaluated stably."""
     policy = np.asarray(policy, dtype=float)
     x = f_value(params, s, a, sp) - float(np.log(policy[s, a]))
-    return float(expit(x))
+    return float(_sigmoid(x))
 
 
 def discriminator_loss(params: DiscriminatorParams, policy, expert, negatives) -> float:
@@ -284,10 +291,12 @@ class DiscGrad(NamedTuple):
     h: np.ndarray
 
 
-def _loss_grad_f(f, log_pi, we, wn) -> np.ndarray:
-    """dL/df = -w_expert * (1 - D) + w_negatives * D per (s, a, s') cell."""
-    x = f - log_pi
-    return -we * expit(-x) + wn * expit(x)
+def _loss_grad_f(f, log_pi, we, w_total) -> np.ndarray:
+    """dL/df = -w_expert * (1 - D) + w_negatives * D per (s, a, s') cell.
+
+    Computed as D * w_total - w_expert, with w_total = w_expert + w_negatives.
+    """
+    return _sigmoid(f - log_pi) * w_total - we
 
 
 def _chain_to_tables(dl_df, state_only: bool, discount: float):
@@ -296,8 +305,9 @@ def _chain_to_tables(dl_df, state_only: bool, discount: float):
     g collects the cells sharing its index; h gets weight -1 at the current
     state and +discount at the successor.
     """
-    grad_g = dl_df.sum(axis=(1, 2)) if state_only else dl_df.sum(axis=2)
-    grad_h = discount * dl_df.sum(axis=(0, 1)) - dl_df.sum(axis=(1, 2))
+    per_state = dl_df.sum(axis=(1, 2))
+    grad_g = per_state if state_only else dl_df.sum(axis=2)
+    grad_h = discount * dl_df.sum(axis=(0, 1)) - per_state
     return grad_g, grad_h
 
 
@@ -308,7 +318,7 @@ def discriminator_grad(params: DiscriminatorParams, policy, expert, negatives) -
     we = _as_weights(expert, n_states, n_actions)
     wn = _as_weights(negatives, n_states, n_actions)
     dl_df = _loss_grad_f(
-        f_table(params, n_states, n_actions), np.log(policy)[:, :, None], we, wn
+        f_table(params, n_states, n_actions), np.log(policy)[:, :, None], we, we + wn
     )
     grad_g, grad_h = _chain_to_tables(dl_df, params.g.kind == "state_only", params.discount)
     return DiscGrad(g=grad_g, h=grad_h)
@@ -381,9 +391,10 @@ def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
             neg_w = pool_batches(list(replay)).to_weights(n_states, n_actions)
 
         log_pi = np.log(policy)[:, :, None]
+        total_w = expert_w + neg_w
         g_before = g.copy()
         for _ in range(config.disc_steps_per_iter):
-            dl_df = _loss_grad_f(_raw_f(g, h, state_only, gamma), log_pi, expert_w, neg_w)
+            dl_df = _loss_grad_f(_raw_f(g, h, state_only, gamma), log_pi, expert_w, total_w)
             grad_g, grad_h = _chain_to_tables(dl_df, state_only, gamma)
             g = g - step * grad_g
             h = h - step * grad_h
@@ -451,7 +462,7 @@ class TrajectoryScorer:
         return self.f_of(trajectory) - self.log_policy_prob(trajectory, policy)
 
     def prob(self, trajectory: Trajectory, policy) -> float:
-        return float(expit(self.log_odds(trajectory, policy)))
+        return float(_sigmoid(self.log_odds(trajectory, policy)))
 
 
 class GanGclResult(NamedTuple):
@@ -506,8 +517,8 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
             x_e = np.einsum("nsa,sa->n", counts_e, f_step) - log_pi_e
             x_n = np.einsum("nsa,sa->n", counts_n, f_step) - log_pi_n
             grad = (
-                -np.einsum("n,nsa->sa", expit(-x_e), counts_e) / len(counts_e)
-                + np.einsum("n,nsa->sa", expit(x_n), counts_n) / len(counts_n)
+                -np.einsum("n,nsa->sa", _sigmoid(-x_e), counts_e) / len(counts_e)
+                + np.einsum("n,nsa->sa", _sigmoid(x_n), counts_n) / len(counts_n)
             )
             f_step = f_step - step * grad
         if not np.all(np.isfinite(f_step)):

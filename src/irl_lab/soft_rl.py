@@ -9,9 +9,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .mdp import RewardTable, TabularMdp, expected_state_action
+
+
+def _soft_backup(q: np.ndarray, w: float) -> np.ndarray:
+    """Soft maximum over actions, w * logsumexp(q / w), per state.
+
+    Each row is shifted by its maximum before exponentiating, so no term
+    overflows and the largest one is exactly 1.
+    """
+    z = q / w
+    z_max = z.max(axis=1)
+    return w * (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,12 @@ def soft_value_iteration(
         if v.shape != (mdp.n_states,):
             raise ValueError("v_init must have one entry per state")
 
-    q = r_sa + mdp.discount * (mdp.transition @ v)
     residual = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         q = r_sa + mdp.discount * (mdp.transition @ v)
-        v_new = w * logsumexp(q / w, axis=1)
+        v_new = _soft_backup(q, w)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if residual <= tolerance:
@@ -238,7 +247,9 @@ def evaluate_return(
     r_sa = expected_state_action(reward, mdp.transition)
     per_state = (policy * r_sa).sum(axis=1)
     if include_entropy:
-        per_state = per_state - entropy_weight * xlogy(policy, policy).sum(axis=1)
+        # p * log p with 0 * log 0 taken as 0
+        log_p = np.log(policy, out=np.zeros_like(policy), where=policy > 0)
+        per_state = per_state - entropy_weight * (policy * log_p).sum(axis=1)
     step = np.einsum("sa,sap->sp", policy, mdp.transition)
     d = mdp.initial_dist.copy()
     total = 0.0

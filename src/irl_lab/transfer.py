@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, airl_train, f_table
 from .mdp import RewardTable, TabularMdp, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
+    _soft_backup,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -126,7 +126,7 @@ def reoptimize_with_curve(
     curve = []
     for sweep in range(1, max_iters + 1):
         q = r_sa + mdp.discount * (mdp.transition @ v)
-        v_new = w * logsumexp(q / w, axis=1)
+        v_new = _soft_backup(q, w)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         policy = np.exp((q - v[:, None]) / w)
@@ -150,7 +150,8 @@ def evaluate_on_new_dynamics(
     optimal = soft_value_iteration(test_mdp, entropy_weight=entropy_weight).policy
     return NewDynamicsEval(
         ground_truth_optimal=evaluate_return(test_mdp, optimal),
-        reoptimized_on_learned=evaluate_return(test_mdp, reopt_policy),
+        # the curve's last point is the true return of reopt_policy
+        reoptimized_on_learned=curve[-1][1],
         uniform_random=evaluate_return(test_mdp, uniform_policy(test_mdp)),
         curve=curve,
         policy=reopt_policy,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from irl_lab.airl import (
     LearnerConfig,
     TrajectoryScorer,
     TransitionBatch,
+    _sigmoid,
     airl_train,
     discriminator_grad,
     discriminator_loss,
@@ -158,6 +160,21 @@ class TestDiscriminatorProb:
             )
             d = discriminator_prob(params, policy, 0, 1, 1)
             assert 0.0 <= d <= 1.0 and np.isfinite(d)
+
+
+class TestSigmoid:
+    def test_matches_expit_including_extremes_without_warnings(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                            [np.inf, -np.inf, np.nan, -0.0, 745.2, -745.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(x)
+            want = expit(x)
+        npt.assert_array_equal(np.isnan(got), np.isnan(x))
+        finite = ~np.isnan(x)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-15
+        assert _sigmoid(np.inf) == 1.0 and _sigmoid(-np.inf) == 0.0
+        assert _sigmoid(0.0) == 0.5
 
 
 class TestDiscriminatorLoss:
@@ -367,6 +384,17 @@ class TestAirlTrain:
         with pytest.raises(DivergenceError, match="iteration 0") as err:
             airl_train(tiny_mdp, bad_demos, LearnerConfig(iterations=3))
         assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_nan_demos_diverge_without_runtime_warnings(self, tiny_mdp, variant):
+        # The discriminator step's sigmoid sees NaN logits here; it must stay
+        # silent so the only report is the DivergenceError.
+        bad_demos = np.full((3, 2, 3), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iteration 0"):
+                airl_train(tiny_mdp, bad_demos,
+                           LearnerConfig(variant=variant, iterations=3))
 
     def test_history_contract(self, tiny_mdp):
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)

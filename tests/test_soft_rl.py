@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import irl_lab
 from irl_lab.mdp import RewardTable, TabularMdp, random_mdp
 from irl_lab.soft_rl import (
     OccupancyMeasure,
+    _soft_backup,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -91,6 +99,41 @@ class TestSoftValueIteration:
             soft_value_iteration(tiny_mdp, max_iters=0)
 
 
+class TestSoftBackup:
+    @pytest.mark.parametrize("entropy_weight", [0.5, 1.0, 2.0])
+    def test_matches_scipy_logsumexp(self, entropy_weight):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(3)
+        tables = [
+            rng.normal(size=(16, 4)),
+            rng.normal(scale=1e3, size=(16, 4)),
+            1e3 + rng.normal(size=(16, 4)),
+            -1e3 + rng.normal(size=(16, 4)),
+            np.full((5, 4), 0.7),  # every action tied
+            np.repeat(rng.normal(size=(8, 1)), 3, axis=1),  # tied maxima
+            np.array([[2.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-1e3, 1e3, 1e3]]),
+            rng.normal(size=(6, 1)),  # a single action
+        ]
+        w = entropy_weight
+        for q in tables:
+            want = w * special.logsumexp(q / w, axis=1)
+            npt.assert_allclose(_soft_backup(q, w), want, rtol=1e-14, atol=1e-14)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # Importing the package must not pull in scipy (a start-up cost of
+    # hundreds of milliseconds); scipy is only a test-time oracle.
+    src_dir = str(Path(irl_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    code = ("import sys, irl_lab, irl_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 class TestOccupancy:
     def test_matches_loop_oracle(self):
         for mdp in small_random_mdps(seeds=range(8)):
@@ -172,6 +215,17 @@ class TestEvaluateReturn:
         b2 = evaluate_return(tiny_mdp, policy, include_entropy=True,
                              entropy_weight=2.0)
         npt.assert_allclose(b2 - plain, 2.0 * (b1 - plain), atol=1e-10)
+
+    def test_entropy_bonus_treats_zero_probability_as_zero(self, tiny_mdp):
+        policy = np.array([[1.0, 0.0], [0.25, 0.75], [0.0, 1.0]])
+        per_state = np.array([0.0, -(0.25 * np.log(0.25) + 0.75 * np.log(0.75)), 0.0])
+        weighted = RewardTable("state_only", per_state)
+        plain = evaluate_return(tiny_mdp, policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bonus = evaluate_return(tiny_mdp, policy, include_entropy=True)
+        npt.assert_allclose(bonus - plain, evaluate_return(tiny_mdp, policy, weighted),
+                            rtol=1e-12, atol=1e-15)
 
     def test_agrees_with_occupancy_contraction(self, bench_mdp):
         # undiscounted-normalization detail: evaluate_return discounts by

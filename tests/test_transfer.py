@@ -101,6 +101,13 @@ class TestEvaluateOnNewDynamics:
         assert ev.ground_truth_optimal >= ev.reoptimized_on_learned - tol
         assert ev.ground_truth_optimal >= ev.uniform_random - tol
 
+    def test_reoptimized_return_is_the_curve_endpoint(self, bench_mdp):
+        rng = np.random.default_rng(1)
+        candidate = RewardTable("state_action", rng.normal(size=(16, 4)))
+        ev = evaluate_on_new_dynamics(bench_mdp, candidate)
+        assert ev.reoptimized_on_learned == ev.curve[-1][1]
+        assert ev.reoptimized_on_learned == evaluate_return(bench_mdp, ev.policy)
+
     def test_ground_truth_self_consistency(self, bench_mdp):
         ev = evaluate_on_new_dynamics(bench_mdp, bench_mdp.reward)
         score = normalized_score({
