@@ -126,6 +126,13 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """Diagnostics of one outer iteration.
+
+    `vi_steps_cumulative` sums `SoftSolution.iterations_used` over the policy
+    steps so far: soft Bellman solver iterations (a backup plus a linear
+    solve), not value-iteration sweeps.
+    """
+
     iteration: int
     disc_loss: float
     true_return: float

@@ -1,8 +1,9 @@
 """Command-line interface: config-driven experiments and canned reproductions.
 
 Exit codes: 0 success, 1 reproduction threshold failure, 2 usage/config
-errors, 3 I/O failures, 4 numerical failures during training.  Set
-IRL_LAB_THREADS to fan the reproduction's seeds out over worker processes.
+errors, 3 I/O failures, 4 numerical failures (training diverged, or an MDP
+fails validation).  Set IRL_LAB_THREADS to fan the reproduction's seeds out
+over worker processes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .transfer import (
     disentanglement_probe,
     evaluate_on_new_dynamics,
     expert_demos,
+    normalized_score,
     run_recovery,
 )
 
@@ -61,6 +63,21 @@ _VARIANT_LABELS = {"airl_state_only": "state_only", "airl_state_action": "state_
 
 class ConfigError(ValueError):
     """Invalid experiment config or CLI inputs."""
+
+
+class InvalidMdpError(Exception):
+    """An MDP that breaks the invariants `validate_mdp` checks."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__(problems)
+        self.problems = problems
+
+
+def _validated(mdp: TabularMdp) -> TabularMdp:
+    problems = validate_mdp(mdp)
+    if problems:
+        raise InvalidMdpError(problems)
+    return mdp
 
 
 def _check_keys(doc, allowed: set[str], where: str, required: set[str] = frozenset()):
@@ -140,25 +157,28 @@ def _parse_mdp_block(doc) -> dict:
 
 
 def _build_mdp(spec: dict) -> TabularMdp:
+    """Load or generate the MDP a config names; raises InvalidMdpError if it is invalid."""
     if spec["source"] == "file":
-        return load_mdp(spec["path"])
+        return _validated(load_mdp(spec["path"]))
     kind = spec["kind"]
     if kind == "paper_tabular":
-        return paper_tabular_mdp(spec["seed"], discount=spec["discount"], horizon=spec["horizon"])
-    if kind == "counterexample":
-        return counterexample_mdp(spec["variant"], spec["discount"], spec["horizon"])
-    values = np.zeros(spec["states"])
-    if not 0 <= spec["reward_state"] < spec["states"]:
-        raise ConfigError("reward_state must index a state")
-    values[spec["reward_state"]] = 1.0
-    return random_mdp(
-        spec["states"],
-        spec["actions"],
-        RewardTable("state_only", values),
-        spec["seed"],
-        discount=spec["discount"],
-        horizon=spec["horizon"],
-    )
+        mdp = paper_tabular_mdp(spec["seed"], discount=spec["discount"], horizon=spec["horizon"])
+    elif kind == "counterexample":
+        mdp = counterexample_mdp(spec["variant"], spec["discount"], spec["horizon"])
+    else:
+        values = np.zeros(spec["states"])
+        if not 0 <= spec["reward_state"] < spec["states"]:
+            raise ConfigError("reward_state must index a state")
+        values[spec["reward_state"]] = 1.0
+        mdp = random_mdp(
+            spec["states"],
+            spec["actions"],
+            RewardTable("state_only", values),
+            spec["seed"],
+            discount=spec["discount"],
+            horizon=spec["horizon"],
+        )
+    return _validated(mdp)
 
 
 def _parse_formats(value) -> tuple[str, ...]:
@@ -343,7 +363,6 @@ def cmd_generate(args) -> int:
         )
     else:
         raise ConfigError("choose --paper-tabular, --counterexample or --states/--actions")
-    problems = validate_mdp(mdp)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json_text(mdp_to_dict(mdp)))
@@ -351,10 +370,7 @@ def cmd_generate(args) -> int:
     classes = " ".join("{" + ",".join(str(s) for s in c) + "}" for c in report.linked_classes)
     print(f"wrote {out} ({mdp.n_states} states, {mdp.n_actions} actions)")
     print(f"decomposable: {report.is_decomposable}; linked classes: {classes}")
-    if problems:
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
-        return EXIT_NUMERIC
+    _validated(mdp)  # the file is written either way, so it can be inspected
     print("validation: ok")
     return EXIT_OK
 
@@ -417,8 +433,6 @@ def cmd_transfer(args) -> int:
     if config.learner.variant == "gan_gcl_trajectory":
         raise ConfigError("transfer re-optimizes a reward table; use an airl_* variant")
     train_mdp = _build_mdp(config.mdp_spec)
-    recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
-
     if "test_seeds" in config.transfer:
         labels = [f"seed{seed}" for seed in config.transfer["test_seeds"]]
         test_mdps = [
@@ -435,10 +449,11 @@ def cmd_transfer(args) -> int:
         ]
     else:
         labels = [f"test{i}" for i in range(len(config.transfer["test_mdp_paths"]))]
-        test_mdps = [load_mdp(p) for p in config.transfer["test_mdp_paths"]]
+        test_mdps = [_validated(load_mdp(p)) for p in config.transfer["test_mdp_paths"]]
         for test in test_mdps:
             if (test.n_states, test.n_actions) != (train_mdp.n_states, train_mdp.n_actions):
                 raise ConfigError("test MDPs must share the train MDP's state/action counts")
+    recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
 
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -455,10 +470,9 @@ def cmd_transfer(args) -> int:
                 "reoptimized_on_learned": evaluation.reoptimized_on_learned,
                 "uniform_random": evaluation.uniform_random,
             }
-            score = (returns["reoptimized_on_learned"] - returns["uniform_random"]) / (
-                returns["ground_truth_optimal"] - returns["uniform_random"]
+            results.append(
+                {"test": label, "returns": returns, "normalized_score": normalized_score(returns)}
             )
-            results.append({"test": label, "returns": returns, "normalized_score": score})
             curves.append(evaluation.curve)
             if "csv" in config.formats:
                 tracker.write_text(outdir / f"curve_{label}.csv", _curve_text(evaluation.curve))
@@ -512,18 +526,17 @@ def _reproduce_one_seed(task: dict) -> dict:
         )
         recovery = run_recovery(train_mdp, variant, learner)
         evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
-        span = evaluation.ground_truth_optimal - evaluation.uniform_random
+        returns = {
+            "ground_truth_optimal": evaluation.ground_truth_optimal,
+            "reoptimized_on_learned": evaluation.reoptimized_on_learned,
+            "uniform_random": evaluation.uniform_random,
+        }
         out["variants"][variant] = {
             "recovery_error": recovery.recovery_error,
             "f_advantage_error": recovery.f_advantage_error,
             "learned_reward": reward_to_dict(recovery.params.g),
-            "returns": {
-                "ground_truth_optimal": evaluation.ground_truth_optimal,
-                "reoptimized_on_learned": evaluation.reoptimized_on_learned,
-                "uniform_random": evaluation.uniform_random,
-            },
-            "normalized_score": (evaluation.reoptimized_on_learned - evaluation.uniform_random)
-            / span,
+            "returns": returns,
+            "normalized_score": normalized_score(returns),
             "curve": [[int(k), float(r)] for k, r in evaluation.curve],
         }
     return out
@@ -667,7 +680,7 @@ def cmd_reproduce_tabular(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    mdp = load_mdp(args.mdp)
+    mdp = _validated(load_mdp(args.mdp))
     doc = json.loads(Path(args.reward).read_text())
     if "learned_reward" in doc:
         doc = doc["learned_reward"]
@@ -759,6 +772,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except InvalidMdpError as exc:
+        for problem in exc.problems:
+            print(f"invalid: {problem}", file=sys.stderr)
         return EXIT_NUMERIC
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Entropy-regularized planning on tabular MDPs.
 
-Soft value iteration, trajectory sampling, the discounted occupancy measure,
-and exact finite-horizon return evaluation.
+Soft policy iteration (a soft Bellman backup, then the exact soft value of
+that backup's softmax policy by one linear solve), trajectory sampling, the
+discounted occupancy measure, and exact finite-horizon return evaluation.
 """
 
 from __future__ import annotations
@@ -24,12 +25,22 @@ def _soft_backup(q: np.ndarray, w: float) -> np.ndarray:
     return w * (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1)))
 
 
+def _soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
+    """Max-ent policy exp((q - v) / w) of a backup, rows renormalized to 1."""
+    policy = np.exp((q - v[:, None]) / w)
+    policy /= policy.sum(axis=1, keepdims=True)
+    return policy
+
+
 @dataclass(frozen=True)
 class SoftSolution:
     """Fixed point of the soft Bellman backup and its max-ent optimal policy.
 
     Satisfies v = w * logsumexp(q / w) per state and policy = exp((q - v) / w),
-    where w is the entropy weight.
+    where w is the entropy weight.  `iterations_used` counts solver
+    iterations: soft Bellman backups, each but the last followed by one
+    linear solve.  `residual` is the sup-norm change the last backup made to
+    the value table.
     """
 
     q: np.ndarray
@@ -61,14 +72,25 @@ def soft_value_iteration(
     *,
     v_init: np.ndarray | None = None,
 ) -> SoftSolution:
-    """Iterate the soft Bellman backup to a fixed point.
+    """Solve the soft Bellman equation by soft policy iteration.
 
-    Q <- r(s,a) + discount * T @ V and V <- w * logsumexp(Q / w, actions),
-    stopping when the sup-norm change in V drops to `tolerance`.  The reward
-    defaults to the MDP's own table; transition-arity rewards are collapsed to
-    (s, a) by expectation under the dynamics.  Hitting `max_iters` without
-    converging is flagged on the solution, not fatal.  `v_init` warm-starts
-    the value table.
+    Each iteration is one backup, Q <- r(s,a) + discount * T @ V and
+    B(V) = w * logsumexp(Q / w, actions).  The solve stops once the sup-norm
+    change |B(V) - V| drops to `tolerance`.  Otherwise V is replaced by the
+    exact soft value of the backup's softmax policy pi, the solution of
+    (I - discount * P_pi) V = r_pi + w * H_pi with
+    P_pi[s, s'] = sum_a pi(a|s) T(s, a, s').  That policy-evaluation step is a
+    Newton step on the soft Bellman equation, so a solve takes a handful of
+    iterations where plain value iteration needs about
+    log(tolerance) / log(discount) sweeps.  `iterations_used` counts backups;
+    the returned q, v and policy come from the last one.
+
+    The reward defaults to the MDP's own table; transition-arity rewards are
+    collapsed to (s, a) by expectation under the dynamics.  Hitting
+    `max_iters` without converging is flagged on the solution, not fatal.
+    `v_init` warm-starts the value table.  The discount must lie in [0, 1):
+    without a contraction the linear system is singular or its solution is
+    not a fixed point worth reporting.
     """
     if reward is None:
         reward = mdp.reward
@@ -78,11 +100,14 @@ def soft_value_iteration(
         raise ValueError("max_iters must be at least 1")
     if entropy_weight <= 0:
         raise ValueError("entropy_weight must be positive")
+    if not 0.0 <= mdp.discount < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {mdp.discount!r}")
     r_sa = expected_state_action(reward, mdp.transition)
     if not np.all(np.isfinite(r_sa)):
         raise ValueError("reward contains non-finite entries")
 
     w = entropy_weight
+    gamma = mdp.discount
     if v_init is None:
         v = np.zeros(mdp.n_states)
     else:
@@ -90,23 +115,21 @@ def soft_value_iteration(
         if v.shape != (mdp.n_states,):
             raise ValueError("v_init must have one entry per state")
 
-    residual = np.inf
-    converged = False
-    iterations = 0
+    identity = np.eye(mdp.n_states)
     for iterations in range(1, max_iters + 1):
-        q = r_sa + mdp.discount * (mdp.transition @ v)
+        q = r_sa + gamma * (mdp.transition @ v)
         v_new = _soft_backup(q, w)
         residual = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if residual <= tolerance:
-            converged = True
+        converged = residual <= tolerance
+        if converged or iterations == max_iters:
             break
-    policy = np.exp((q - v[:, None]) / w)
-    policy /= policy.sum(axis=1, keepdims=True)
+        # r_pi + w * H_pi = sum_a pi * (q - w log pi) = v_new - gamma * P_pi @ v
+        p_pi = np.einsum("sa,sap->sp", _soft_policy(q, v_new, w), mdp.transition)
+        v = np.linalg.solve(identity - gamma * p_pi, v_new - gamma * (p_pi @ v))
     return SoftSolution(
         q=q,
-        v=v,
-        policy=policy,
+        v=v_new,
+        policy=_soft_policy(q, v_new, w),
         iterations_used=iterations,
         residual=residual,
         converged=converged,

@@ -18,6 +18,7 @@ from .mdp import RewardTable, TabularMdp, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
     _soft_backup,
+    _soft_policy,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -116,7 +117,9 @@ def reoptimize_with_curve(
     """Soft value iteration on `reward`, recording the true return per sweep.
 
     Returns (policy, curve) where curve lists (cumulative sweeps, ground-truth
-    return of the current softmax policy) up to convergence.
+    return of the current softmax policy) up to convergence.  The curve is
+    defined per sweep of plain value iteration, so this loop does not take
+    `soft_value_iteration`'s policy-evaluation steps.
     """
     r_sa = expected_state_action(reward, mdp.transition)
     if not np.all(np.isfinite(r_sa)):
@@ -129,8 +132,7 @@ def reoptimize_with_curve(
         v_new = _soft_backup(q, w)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
-        policy = np.exp((q - v[:, None]) / w)
-        policy /= policy.sum(axis=1, keepdims=True)
+        policy = _soft_policy(q, v, w)
         curve.append((sweep, evaluate_return(mdp, policy, mdp.reward)))
         if residual <= tolerance:
             break

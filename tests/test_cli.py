@@ -18,7 +18,7 @@ from irl_lab.cli import (
     EXIT_USAGE,
     main,
 )
-from irl_lab.mdp import load_mdp
+from irl_lab.mdp import RewardTable, load_mdp, random_mdp, save_mdp
 
 
 def run_cli(capsys, *args):
@@ -272,6 +272,17 @@ class TestTrain:
         assert "diverged" in stderr and "iteration 0" in stderr
         assert not out.exists() or not any(out.iterdir())
 
+    def test_invalid_mdp_maps_to_numeric_exit(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out),
+                           mdp={"source": "generate", "kind": "random", "states": 4,
+                                "actions": 2, "discount": 1.0})
+        code, _, stderr = run_cli(capsys, "train", "--config", cfg)
+        assert code == EXIT_NUMERIC
+        assert "invalid:" in stderr and "discount" in stderr
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
 
 class TestTransferCmd:
     def transfer_config(self, tmp_path, **extra):
@@ -316,6 +327,30 @@ class TestTransferCmd:
         )
         assert run_cli(capsys, "transfer", "--config", cfg)[0] == EXIT_OK
         assert (out / "curve_test0.csv").exists()
+
+    def test_invalid_test_file_is_numeric_error(self, tmp_path, capsys):
+        test_file = tmp_path / "undiscounted.json"
+        run_cli(capsys, "generate", "--states", "4", "--actions", "2",
+                "--discount", "1.0", "-o", str(test_file))
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out),
+                           transfer={"test_mdp_paths": [str(test_file)]})
+        code, _, stderr = run_cli(capsys, "transfer", "--config", cfg)
+        assert code == EXIT_NUMERIC
+        assert "invalid:" in stderr and "discount" in stderr
+        assert not out.exists()
+
+    def test_degenerate_reference_returns_are_usage_error(self, tmp_path, capsys):
+        # Under a zero reward the optimal and the uniform policy return the
+        # same, so the normalized score has no scale.
+        test_file = tmp_path / "flat.json"
+        save_mdp(random_mdp(4, 2, RewardTable("state_only", np.zeros(4)), 5), test_file)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out),
+                           transfer={"test_mdp_paths": [str(test_file)]})
+        code, _, stderr = run_cli(capsys, "transfer", "--config", cfg)
+        assert code == EXIT_USAGE and "degenerate" in stderr
+        assert not any(out.iterdir())
 
     def test_shape_mismatched_test_file_rejected(self, tmp_path, capsys):
         test_file = tmp_path / "wide.json"
@@ -458,6 +493,16 @@ class TestProbe:
         code, _, stderr = run_cli(capsys, "probe", "--mdp", str(mdp_file),
                                   "--reward", str(reward_file), "--n-dynamics", "1")
         assert code == EXIT_USAGE and "invalid reward file" in stderr
+
+    def test_invalid_mdp_file_is_numeric_error(self, tmp_path, capsys):
+        _, reward_file = self.make_inputs(tmp_path, capsys)
+        mdp_file = tmp_path / "undiscounted.json"
+        run_cli(capsys, "generate", "--paper-tabular", "--discount", "1.0",
+                "-o", str(mdp_file))
+        code, _, stderr = run_cli(capsys, "probe", "--mdp", str(mdp_file),
+                                  "--reward", str(reward_file), "--n-dynamics", "1")
+        assert code == EXIT_NUMERIC
+        assert "invalid:" in stderr and "discount" in stderr
 
     def test_missing_mdp_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "probe", "--mdp",

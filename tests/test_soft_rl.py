@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ import numpy.testing as npt
 import pytest
 
 import irl_lab
-from irl_lab.mdp import RewardTable, TabularMdp, random_mdp
+from irl_lab.mdp import (
+    RewardTable,
+    TabularMdp,
+    expected_state_action,
+    paper_tabular_mdp,
+    random_mdp,
+)
 from irl_lab.soft_rl import (
     OccupancyMeasure,
     _soft_backup,
@@ -97,6 +104,49 @@ class TestSoftValueIteration:
             soft_value_iteration(tiny_mdp, entropy_weight=0.0)
         with pytest.raises(ValueError):
             soft_value_iteration(tiny_mdp, max_iters=0)
+
+    @pytest.mark.parametrize("discount", [1.0, 1.5, -0.1, float("nan")])
+    def test_discount_outside_unit_interval_rejected(self, tiny_mdp, discount):
+        # Without a contraction the policy-evaluation system is singular
+        # (discount 1) or its solution is no fixed point (discount > 1).
+        with pytest.raises(ValueError, match="discount"):
+            soft_value_iteration(replace(tiny_mdp, discount=discount))
+
+    @pytest.mark.parametrize("discount", [0.9, 0.99])
+    def test_cold_solve_takes_few_iterations(self, discount):
+        # Value iteration needs ~180 sweeps at 0.9 and ~1,870 at 0.99.
+        for seed in range(5):
+            mdp = paper_tabular_mdp(seed, discount=discount)
+            sol = soft_value_iteration(mdp)
+            assert sol.converged
+            assert sol.iterations_used <= 10
+            r_sa = expected_state_action(mdp.reward, mdp.transition)
+            again = _soft_backup(r_sa + discount * (mdp.transition @ sol.v), 1.0)
+            assert np.max(np.abs(again - sol.v)) <= 1e-8
+
+    def test_matches_slow_recursion_near_discount_one(self):
+        for mdp in small_random_mdps():
+            mdp = replace(mdp, discount=0.99)
+            fast = soft_value_iteration(mdp)
+            q, v, policy = backward_soft_recursion(mdp, sweeps=4000)
+            npt.assert_allclose(fast.q, q, atol=1e-6)
+            npt.assert_allclose(fast.v, v, atol=1e-6)
+            npt.assert_allclose(fast.policy, policy, atol=1e-6)
+
+    def test_one_iteration_is_one_backup_from_zero(self, tiny_mdp):
+        sol = soft_value_iteration(tiny_mdp, max_iters=1)
+        assert not sol.converged
+        assert sol.iterations_used == 1
+        b0 = _soft_backup(expected_state_action(tiny_mdp.reward, tiny_mdp.transition), 1.0)
+        assert sol.residual == np.max(np.abs(b0))
+        npt.assert_array_equal(sol.v, b0)
+
+    @pytest.mark.parametrize("max_iters", [2, 3])
+    def test_unconverged_solution_comes_from_the_last_backup(self, bench_mdp, max_iters):
+        sol = soft_value_iteration(bench_mdp, max_iters=max_iters)
+        assert not sol.converged
+        npt.assert_allclose(sol.v, _soft_backup(sol.q, 1.0), rtol=0, atol=1e-12)
+        npt.assert_allclose(sol.policy, np.exp(sol.q - sol.v[:, None]), rtol=0, atol=1e-12)
 
 
 class TestSoftBackup:
