@@ -61,13 +61,11 @@ from .soft_rl import (
 from .transfer import (
     ProbeResult,
     RecoveryResult,
-    TransferResult,
     disentanglement_probe,
     evaluate_on_new_dynamics,
     expert_demos,
     normalized_score,
     run_recovery,
-    run_transfer,
 )
 
 __version__ = "0.1.0"

@@ -13,13 +13,14 @@ split (``gan_gcl_trajectory``) is included as a baseline.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._fmt import atomic_write_text, csv_text
+from ._fmt import csv_text
 from .mdp import RewardTable, TabularMdp, reward_from_dict, reward_to_dict
 from .shaping import centered_reward_error
 from .soft_rl import (
@@ -106,6 +107,10 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "disc_steps_per_iter", "replay_window",
+                     "n_policy_trajectories", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in MODES:
@@ -165,9 +170,6 @@ class TrainingHistory:
             for r in self.records
         ]
         return csv_text(_HISTORY_COLUMNS, rows)
-
-    def write_csv(self, path) -> None:
-        atomic_write_text(path, self.to_csv_text())
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,6 +9,7 @@ over worker processes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -42,7 +43,6 @@ from .transfer import (
     disentanglement_probe,
     evaluate_on_new_dynamics,
     expert_demos,
-    normalized_score,
     run_recovery,
 )
 
@@ -112,6 +112,12 @@ def _parse_learner(doc) -> LearnerConfig:
         raise ConfigError(f"invalid learner config: {exc}") from exc
 
 
+def _path(value, where: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def _parse_mdp_block(doc) -> dict:
     _check_keys(
         doc,
@@ -123,7 +129,7 @@ def _parse_mdp_block(doc) -> dict:
     source = doc["source"]
     if source == "file":
         _check_keys(doc, {"source", "path"}, "mdp (source=file)", required={"path"})
-        path = Path(doc["path"])
+        path = _path(doc["path"], "mdp path")
         if not path.exists():
             raise ConfigError(f"mdp file {str(path)!r} does not exist")
         return {"source": "file", "path": str(path)}
@@ -140,45 +146,51 @@ def _parse_mdp_block(doc) -> dict:
     else:
         raise ConfigError(f"unknown mdp kind {kind!r}")
     _check_keys(doc, allowed, f"mdp (kind={kind})", required={"kind"})
-    spec = {
-        "source": "generate",
-        "kind": kind,
-        "seed": int(doc.get("seed", 0)),
-        "discount": float(doc.get("discount", 0.9)),
-        "horizon": int(doc.get("horizon", 20)),
-        "variant": doc.get("variant", "original"),
-        "states": int(doc.get("states", 16)),
-        "actions": int(doc.get("actions", 4)),
-        "reward_state": int(doc.get("reward_state", 0)),
-    }
+    try:
+        spec = {
+            "source": "generate",
+            "kind": kind,
+            "seed": int(doc.get("seed", 0)),
+            "discount": float(doc.get("discount", 0.9)),
+            "horizon": int(doc.get("horizon", 20)),
+            "variant": doc.get("variant", "original"),
+            "states": int(doc.get("states", 16)),
+            "actions": int(doc.get("actions", 4)),
+            "reward_state": int(doc.get("reward_state", 0)),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid mdp config: {exc}") from exc
     if spec["variant"] not in ("original", "modified"):
         raise ConfigError(f"unknown counterexample variant {spec['variant']!r}")
     return spec
+
+
+def _generate_mdp(spec: dict) -> TabularMdp:
+    """The MDP a `source: generate` spec names, not yet validated."""
+    kind = spec["kind"]
+    if kind == "paper_tabular":
+        return paper_tabular_mdp(spec["seed"], discount=spec["discount"], horizon=spec["horizon"])
+    if kind == "counterexample":
+        return counterexample_mdp(spec["variant"], spec["discount"], spec["horizon"])
+    if not 0 <= spec["reward_state"] < spec["states"]:
+        raise ConfigError("reward_state must index a state")
+    values = np.zeros(spec["states"])
+    values[spec["reward_state"]] = 1.0
+    return random_mdp(
+        spec["states"],
+        spec["actions"],
+        RewardTable("state_only", values),
+        spec["seed"],
+        discount=spec["discount"],
+        horizon=spec["horizon"],
+    )
 
 
 def _build_mdp(spec: dict) -> TabularMdp:
     """Load or generate the MDP a config names; raises InvalidMdpError if it is invalid."""
     if spec["source"] == "file":
         return _validated(load_mdp(spec["path"]))
-    kind = spec["kind"]
-    if kind == "paper_tabular":
-        mdp = paper_tabular_mdp(spec["seed"], discount=spec["discount"], horizon=spec["horizon"])
-    elif kind == "counterexample":
-        mdp = counterexample_mdp(spec["variant"], spec["discount"], spec["horizon"])
-    else:
-        values = np.zeros(spec["states"])
-        if not 0 <= spec["reward_state"] < spec["states"]:
-            raise ConfigError("reward_state must index a state")
-        values[spec["reward_state"]] = 1.0
-        mdp = random_mdp(
-            spec["states"],
-            spec["actions"],
-            RewardTable("state_only", values),
-            spec["seed"],
-            discount=spec["discount"],
-            horizon=spec["horizon"],
-        )
-    return _validated(mdp)
+    return _validated(_generate_mdp(spec))
 
 
 def _parse_formats(value) -> tuple[str, ...]:
@@ -200,16 +212,21 @@ def _parse_transfer_block(doc) -> dict:
     paths = doc.get("test_mdp_paths")
     if (seeds is None) == (paths is None):
         raise ConfigError("transfer needs exactly one of 'test_seeds' or 'test_mdp_paths'")
-    out = {"n_dynamics": int(doc.get("n_dynamics", 0))}
-    if seeds is not None:
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("test_seeds must be a non-empty list of integers")
-        out["test_seeds"] = [int(s) for s in seeds]
-    else:
+    if seeds is not None and (not isinstance(seeds, list) or not seeds):
+        raise ConfigError("test_seeds must be a non-empty list of integers")
+    try:
+        out = {"n_dynamics": int(doc.get("n_dynamics", 0))}
+        if seeds is not None:
+            out["test_seeds"] = [int(s) for s in seeds]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid transfer config: {exc}") from exc
+    if out["n_dynamics"] < 0:
+        raise ConfigError("n_dynamics must be non-negative")
+    if paths is not None:
         if not isinstance(paths, list) or not paths:
             raise ConfigError("test_mdp_paths must be a non-empty list of paths")
         for p in paths:
-            if not Path(p).exists():
+            if not _path(p, "test mdp path").exists():
                 raise ConfigError(f"test mdp file {str(p)!r} does not exist")
         out["test_mdp_paths"] = [str(p) for p in paths]
     return out
@@ -242,7 +259,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         mdp_spec=_parse_mdp_block(doc["mdp"]),
         learner=_parse_learner(doc.get("learner", {})),
         transfer=_parse_transfer_block(doc["transfer"]) if "transfer" in doc else None,
-        output_dir=Path(doc.get("output_dir", "out")),
+        output_dir=_path(doc.get("output_dir", "out"), "output_dir"),
         formats=_parse_formats(doc.get("formats")),
     )
 
@@ -259,23 +276,23 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
-class _OutputTracker:
-    """Remembers written files so a failed command can clean up after itself."""
+@contextlib.contextmanager
+def _outputs(outdir: Path):
+    """Make `outdir` and yield write(name, text); on failure, remove what was written."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
 
-    def __init__(self):
-        self.paths: list[Path] = []
+    def write(name: str, text: str) -> None:
+        atomic_write_text(outdir / name, text)
+        written.append(outdir / name)
 
-    def write_text(self, path, text):
-        path = Path(path)
-        atomic_write_text(path, text)
-        self.paths.append(path)
-
-    def discard_all(self):
-        for path in self.paths:
-            try:
+    try:
+        yield write
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
+        raise
 
 
 def _heatmap_text(values: np.ndarray, n_actions: int) -> str:
@@ -343,26 +360,26 @@ def _conventions(mdp: TabularMdp) -> dict:
 
 def cmd_generate(args) -> int:
     if args.paper_tabular:
-        mdp = paper_tabular_mdp(args.seed, discount=args.discount, horizon=args.horizon)
+        kind = "paper_tabular"
     elif args.counterexample is not None:
-        mdp = counterexample_mdp(args.counterexample, args.discount, args.horizon)
+        kind = "counterexample"
     elif args.states is not None or args.actions is not None:
         if args.states is None or args.actions is None:
             raise ConfigError("--states and --actions must be given together")
-        values = np.zeros(args.states)
-        if not 0 <= args.reward_state < args.states:
-            raise ConfigError("--reward-state must index a state")
-        values[args.reward_state] = 1.0
-        mdp = random_mdp(
-            args.states,
-            args.actions,
-            RewardTable("state_only", values),
-            args.seed,
-            discount=args.discount,
-            horizon=args.horizon,
-        )
+        kind = "random"
     else:
         raise ConfigError("choose --paper-tabular, --counterexample or --states/--actions")
+    mdp = _generate_mdp({
+        "source": "generate",
+        "kind": kind,
+        "seed": args.seed,
+        "discount": args.discount,
+        "horizon": args.horizon,
+        "variant": args.counterexample,
+        "states": args.states,
+        "actions": args.actions,
+        "reward_state": args.reward_state,
+    })
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json_text(mdp_to_dict(mdp)))
@@ -402,25 +419,17 @@ def cmd_train(args) -> int:
     mdp = _build_mdp(config.mdp_spec)
     learned, history, extras = _train_once(mdp, config.learner)
 
-    outdir = config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker()
-    try:
+    with _outputs(config.output_dir) as write:
         if "csv" in config.formats:
-            tracker.write_text(outdir / "history.csv", history.to_csv_text())
-            tracker.write_text(
-                outdir / "heatmap.csv", _heatmap_text(learned.values, mdp.n_actions)
-            )
+            write("history.csv", history.to_csv_text())
+            write("heatmap.csv", _heatmap_text(learned.values, mdp.n_actions))
         if "json" in config.formats:
-            tracker.write_text(outdir / "history.json", json_text(history.to_json_dict()))
+            write("history.json", json_text(history.to_json_dict()))
         doc = {"learned_reward": reward_to_dict(learned)}
         doc.update({k: v for k, v in extras.items() if k != "params"})
         if "params" in extras:
             doc["discriminator"] = extras["params"]
-        tracker.write_text(outdir / "learned_reward.json", json_text(doc))
-    except BaseException:
-        tracker.discard_all()
-        raise
+        write("learned_reward.json", json_text(doc))
     print(f"trained {config.learner.variant} for {config.learner.iterations} iterations")
     print(f"recovery_error: {extras['recovery_error']:.6g}")
     return EXIT_OK
@@ -455,29 +464,21 @@ def cmd_transfer(args) -> int:
                 raise ConfigError("test MDPs must share the train MDP's state/action counts")
     recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
 
-    outdir = config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker()
-    try:
+    with _outputs(config.output_dir) as write:
         results = []
         curves = []
         for label, test_mdp in zip(labels, test_mdps):
             evaluation = evaluate_on_new_dynamics(
                 test_mdp, recovery.params.g, entropy_weight=config.learner.entropy_weight
             )
-            returns = {
-                "ground_truth_optimal": evaluation.ground_truth_optimal,
-                "reoptimized_on_learned": evaluation.reoptimized_on_learned,
-                "uniform_random": evaluation.uniform_random,
-            }
             results.append(
-                {"test": label, "returns": returns, "normalized_score": normalized_score(returns)}
+                {"test": label, "returns": evaluation.returns, "normalized_score": evaluation.score}
             )
             curves.append(evaluation.curve)
             if "csv" in config.formats:
-                tracker.write_text(outdir / f"curve_{label}.csv", _curve_text(evaluation.curve))
+                write(f"curve_{label}.csv", _curve_text(evaluation.curve))
         if "csv" in config.formats:
-            tracker.write_text(outdir / "curve_aggregate.csv", _aggregate_text(curves))
+            write("curve_aggregate.csv", _aggregate_text(curves))
         scores = [r["normalized_score"] for r in results]
         summary = {
             "variant": config.learner.variant,
@@ -497,14 +498,8 @@ def cmd_transfer(args) -> int:
                 config.learner.seed,
                 entropy_weight=config.learner.entropy_weight,
             )
-            summary["probe"] = {
-                "fraction": probe.fraction,
-                "agreements": list(probe.agreements),
-            }
-        tracker.write_text(outdir / "summary.json", json_text(summary))
-    except BaseException:
-        tracker.discard_all()
-        raise
+            summary["probe"] = probe._asdict()
+        write("summary.json", json_text(summary))
     print(f"transfer {config.learner.variant}: mean normalized score {summary['mean_score']:.4f}")
     return EXIT_OK
 
@@ -526,17 +521,12 @@ def _reproduce_one_seed(task: dict) -> dict:
         )
         recovery = run_recovery(train_mdp, variant, learner)
         evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
-        returns = {
-            "ground_truth_optimal": evaluation.ground_truth_optimal,
-            "reoptimized_on_learned": evaluation.reoptimized_on_learned,
-            "uniform_random": evaluation.uniform_random,
-        }
         out["variants"][variant] = {
             "recovery_error": recovery.recovery_error,
             "f_advantage_error": recovery.f_advantage_error,
             "learned_reward": reward_to_dict(recovery.params.g),
-            "returns": returns,
-            "normalized_score": normalized_score(returns),
+            "returns": evaluation.returns,
+            "normalized_score": evaluation.score,
             "curve": [[int(k), float(r)] for k, r in evaluation.curve],
         }
     return out
@@ -580,28 +570,23 @@ def cmd_reproduce_tabular(args) -> int:
     per_seed = _map_tasks(_reproduce_one_seed, tasks)
     per_seed.sort(key=lambda r: seeds.index(r["seed"]))
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker()
-    try:
+    with _outputs(Path(args.out)) as write:
         for result in per_seed:
             seed = result["seed"]
-            tracker.write_text(
-                outdir / f"heatmap_truth_seed{seed}.csv",
+            write(
+                f"heatmap_truth_seed{seed}.csv",
                 _heatmap_text(np.asarray(result["truth_heatmap"]["values"]), 4),
             )
             for variant, label in _VARIANT_LABELS.items():
                 block = result["variants"][variant]
-                tracker.write_text(
-                    outdir / f"heatmap_{label}_seed{seed}.csv",
+                write(
+                    f"heatmap_{label}_seed{seed}.csv",
                     _heatmap_text(np.asarray(block["learned_reward"]["values"]), 4),
                 )
-                tracker.write_text(
-                    outdir / f"curve_{label}_seed{seed}.csv", _curve_text(block["curve"])
-                )
+                write(f"curve_{label}_seed{seed}.csv", _curve_text(block["curve"]))
         for variant, label in _VARIANT_LABELS.items():
             curves = [r["variants"][variant]["curve"] for r in per_seed]
-            tracker.write_text(outdir / f"curve_{label}_aggregate.csv", _aggregate_text(curves))
+            write(f"curve_{label}_aggregate.csv", _aggregate_text(curves))
 
         so_errors = [r["variants"]["airl_state_only"]["recovery_error"] for r in per_seed]
         sa_errors = [r["variants"]["airl_state_action"]["recovery_error"] for r in per_seed]
@@ -609,14 +594,15 @@ def cmd_reproduce_tabular(args) -> int:
         so_scores = [r["variants"]["airl_state_only"]["normalized_score"] for r in per_seed]
         sa_scores = [r["variants"]["airl_state_action"]["normalized_score"] for r in per_seed]
 
-        skipped = args.smoke
+        def verdict(passed) -> bool | str:
+            return "skipped" if args.smoke else bool(passed)
+
         experiments = {
             "recovery_state_only": {
                 "errors": so_errors,
                 "max_error": float(np.max(so_errors)),
                 "rule": f"max recovery_error <= {RECOVERY_MAX_ERROR_STATE_ONLY}",
-                "pass": "skipped" if skipped
-                else bool(np.max(so_errors) <= RECOVERY_MAX_ERROR_STATE_ONLY),
+                "pass": verdict(np.max(so_errors) <= RECOVERY_MAX_ERROR_STATE_ONLY),
             },
             "recovery_state_action": {
                 "errors": sa_errors,
@@ -627,8 +613,7 @@ def cmd_reproduce_tabular(args) -> int:
                     f"min recovery_error > {RECOVERY_MIN_ERROR_STATE_ACTION} and "
                     f"max f_advantage_error <= {RECOVERY_MAX_F_ADVANTAGE_ERROR}"
                 ),
-                "pass": "skipped" if skipped
-                else bool(
+                "pass": verdict(
                     np.min(sa_errors) > RECOVERY_MIN_ERROR_STATE_ACTION
                     and np.max(sa_f_errors) <= RECOVERY_MAX_F_ADVANTAGE_ERROR
                 ),
@@ -637,19 +622,16 @@ def cmd_reproduce_tabular(args) -> int:
                 "scores": so_scores,
                 "mean_score": float(np.mean(so_scores)),
                 "rule": f"mean normalized_score >= {TRANSFER_MIN_MEAN_SCORE_STATE_ONLY}",
-                "pass": "skipped" if skipped
-                else bool(np.mean(so_scores) >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY),
+                "pass": verdict(np.mean(so_scores) >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY),
             },
             "transfer_state_action": {
                 "scores": sa_scores,
                 "mean_score": float(np.mean(sa_scores)),
                 "rule": f"mean normalized_score <= {TRANSFER_MAX_MEAN_SCORE_STATE_ACTION}",
-                "pass": "skipped" if skipped
-                else bool(np.mean(sa_scores) <= TRANSFER_MAX_MEAN_SCORE_STATE_ACTION),
+                "pass": verdict(np.mean(sa_scores) <= TRANSFER_MAX_MEAN_SCORE_STATE_ACTION),
             },
         }
-        verdicts = [block["pass"] for block in experiments.values()]
-        all_pass = "skipped" if skipped else bool(all(v is True for v in verdicts))
+        all_pass = verdict(all(block["pass"] is True for block in experiments.values()))
         manifest = {
             "seeds": seeds,
             "test_seed_offset": REPRO_TEST_SEED_OFFSET,
@@ -665,10 +647,7 @@ def cmd_reproduce_tabular(args) -> int:
             "conventions": _conventions(paper_tabular_mdp(seeds[0])),
             "per_seed": per_seed,
         }
-        tracker.write_text(outdir / "manifest.json", json_text(manifest))
-    except BaseException:
-        tracker.discard_all()
-        raise
+        write("manifest.json", json_text(manifest))
 
     for name, block in experiments.items():
         print(f"{name}: {'PASS' if block['pass'] is True else block['pass']}")
@@ -682,20 +661,17 @@ def cmd_reproduce_tabular(args) -> int:
 def cmd_probe(args) -> int:
     mdp = _validated(load_mdp(args.mdp))
     doc = json.loads(Path(args.reward).read_text())
-    if "learned_reward" in doc:
+    if isinstance(doc, dict) and "learned_reward" in doc:
         doc = doc["learned_reward"]
     try:
         reward = reward_from_dict(doc)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid reward file {args.reward!r}: {exc}") from exc
     result = disentanglement_probe(mdp, reward, args.n_dynamics, args.seed)
     agreeing = sum(result.agreements)
     print(f"agreement fraction: {agreeing}/{len(result.agreements)} = {result.fraction:.4f}")
     if args.out:
-        atomic_write_text(
-            args.out,
-            json_text({"fraction": result.fraction, "agreements": list(result.agreements)}),
-        )
+        atomic_write_text(args.out, json_text(result._asdict()))
     return EXIT_OK
 
 
@@ -723,19 +699,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--out", required=True, help="output JSON path")
     gen.set_defaults(func=cmd_generate)
 
-    train = sub.add_parser("train", help="run one config-driven training experiment")
-    train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=int, help="override the config seeds")
-    train.add_argument("--out", help="override the config output directory")
-    train.add_argument("--format", choices=["csv", "json", "both"])
-    train.set_defaults(func=cmd_train)
-
-    trans = sub.add_parser("transfer", help="train, then re-optimize on test dynamics")
-    trans.add_argument("--config", required=True)
-    trans.add_argument("--seed", type=int, help="override the config seeds")
-    trans.add_argument("--out", help="override the config output directory")
-    trans.add_argument("--format", choices=["csv", "json", "both"])
-    trans.set_defaults(func=cmd_transfer)
+    for name, func, help_text in (
+        ("train", cmd_train, "run one config-driven training experiment"),
+        ("transfer", cmd_transfer, "train, then re-optimize on test dynamics"),
+    ):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", required=True)
+        cmd.add_argument("--seed", type=int, help="override the config seeds")
+        cmd.add_argument("--out", help="override the config output directory")
+        cmd.add_argument("--format", choices=["csv", "json", "both"])
+        cmd.set_defaults(func=func)
 
     repro = sub.add_parser(
         "reproduce-tabular",
@@ -777,9 +750,6 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"invalid: {problem}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,7 @@ linked-state decomposability analysis, and JSON (de)serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,13 +133,6 @@ class TabularMdp:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "initial_dist", initial)
 
-    @classmethod
-    def from_tables(cls, transition, reward, discount, initial_dist, horizon=20):
-        """Build an MDP inferring the state/action counts from the tensor shape."""
-        transition = np.asarray(transition, dtype=float)
-        n_states, n_actions, _ = transition.shape
-        return cls(n_states, n_actions, transition, reward, discount, initial_dist, horizon)
-
 
 def validate_mdp(mdp: TabularMdp) -> list[str]:
     """Return a list of violated invariants (empty iff the MDP is valid)."""
@@ -245,16 +238,7 @@ def add_self_transitions(mdp: TabularMdp, weight: float) -> TabularMdp:
     if not (0.0 < weight < 1.0):
         raise ValueError("self-transition weight must lie strictly inside (0, 1)")
     eye = np.eye(mdp.n_states)[:, None, :]
-    transition = (1.0 - weight) * mdp.transition + weight * eye
-    return TabularMdp(
-        mdp.n_states,
-        mdp.n_actions,
-        transition,
-        mdp.reward,
-        mdp.discount,
-        mdp.initial_dist,
-        mdp.horizon,
-    )
+    return replace(mdp, transition=(1.0 - weight) * mdp.transition + weight * eye)
 
 
 def one_step_reach(mdp: TabularMdp) -> np.ndarray:
@@ -353,11 +337,33 @@ def reward_to_dict(reward: RewardTable) -> dict:
     return {"kind": reward.kind, "values": reward.values.tolist()}
 
 
-def reward_from_dict(doc: dict) -> RewardTable:
-    unknown = set(doc) - {"kind", "values"}
+def _check_document(doc, keys: set[str], what: str) -> None:
+    """Raise ValueError unless `doc` is a JSON object with exactly `keys`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(doc) - keys
     if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in reward table")
-    return RewardTable(doc["kind"], np.asarray(doc["values"], dtype=float))
+        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {what}")
+    missing = keys - set(doc)
+    if missing:
+        raise ValueError(f"missing key {sorted(missing)[0]!r} in {what}")
+
+
+def _field(doc: dict, key: str, convert, what: str):
+    """convert(doc[key]), with a failed conversion reported as ValueError."""
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {key!r} in {what}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def reward_from_dict(doc) -> RewardTable:
+    _check_document(doc, {"kind", "values"}, "reward table")
+    return RewardTable(doc["kind"], _field(doc, "values", _floats, "reward table"))
 
 
 _MDP_KEYS = {"n_states", "n_actions", "discount", "horizon", "initial_dist", "transition", "reward"}
@@ -375,21 +381,17 @@ def mdp_to_dict(mdp: TabularMdp) -> dict:
     }
 
 
-def mdp_from_dict(doc: dict) -> TabularMdp:
-    unknown = set(doc) - _MDP_KEYS
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in MDP document")
-    missing = _MDP_KEYS - set(doc)
-    if missing:
-        raise ValueError(f"missing key {sorted(missing)[0]!r} in MDP document")
+def mdp_from_dict(doc) -> TabularMdp:
+    what = "MDP document"
+    _check_document(doc, _MDP_KEYS, what)
     return TabularMdp(
-        int(doc["n_states"]),
-        int(doc["n_actions"]),
-        np.asarray(doc["transition"], dtype=float),
+        _field(doc, "n_states", int, what),
+        _field(doc, "n_actions", int, what),
+        _field(doc, "transition", _floats, what),
         reward_from_dict(doc["reward"]),
-        float(doc["discount"]),
-        np.asarray(doc["initial_dist"], dtype=float),
-        int(doc["horizon"]),
+        _field(doc, "discount", float, what),
+        _field(doc, "initial_dist", _floats, what),
+        _field(doc, "horizon", int, what),
     )
 
 

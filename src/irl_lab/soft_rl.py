@@ -51,17 +51,6 @@ class SoftSolution:
     converged: bool
     entropy_weight: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q.tolist(),
-            "v": self.v.tolist(),
-            "policy": self.policy.tolist(),
-            "iterations_used": self.iterations_used,
-            "residual": self.residual,
-            "converged": self.converged,
-            "entropy_weight": self.entropy_weight,
-        }
-
 
 def soft_value_iteration(
     mdp: TabularMdp,
@@ -227,9 +216,6 @@ class OccupancyMeasure:
 
     def state_action_marginal(self) -> np.ndarray:
         return self.rho.sum(axis=2)
-
-    def to_json_dict(self) -> dict:
-        return {"rho": self.rho.tolist()}
 
 
 def occupancy(mdp: TabularMdp, policy) -> OccupancyMeasure:

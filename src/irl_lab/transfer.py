@@ -8,7 +8,7 @@ shaping table h and the combined f stay behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -99,11 +99,26 @@ def run_recovery(
 
 
 class NewDynamicsEval(NamedTuple):
+    """A learned reward re-optimized on test dynamics, with reference returns."""
+
     ground_truth_optimal: float
     reoptimized_on_learned: float
     uniform_random: float
     curve: tuple[tuple[int, float], ...]
     policy: np.ndarray
+
+    @property
+    def returns(self) -> dict:
+        return {
+            "ground_truth_optimal": self.ground_truth_optimal,
+            "reoptimized_on_learned": self.reoptimized_on_learned,
+            "uniform_random": self.uniform_random,
+        }
+
+    @property
+    def score(self) -> float:
+        """(reopt - uniform) / (optimal - uniform); raises on a degenerate span."""
+        return normalized_score(self.returns)
 
 
 def reoptimize_with_curve(
@@ -168,86 +183,6 @@ def normalized_score(returns: dict) -> float:
     return (returns["reoptimized_on_learned"] - returns["uniform_random"]) / span
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Outcome of learning on one MDP and re-optimizing on another."""
-
-    variant: str
-    train_seed: int | None
-    test_seed: int | None
-    learned_reward: RewardTable
-    ground_truth_optimal: float
-    reoptimized_on_learned: float
-    uniform_random: float
-    curve: tuple[tuple[int, float], ...]
-    recovery_error: float
-
-    @property
-    def returns(self) -> dict:
-        return {
-            "ground_truth_optimal": self.ground_truth_optimal,
-            "reoptimized_on_learned": self.reoptimized_on_learned,
-            "uniform_random": self.uniform_random,
-        }
-
-    @property
-    def score(self) -> float:
-        return normalized_score(self.returns)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "train_seed": self.train_seed,
-            "test_seed": self.test_seed,
-            "learned_reward": {
-                "kind": self.learned_reward.kind,
-                "values": self.learned_reward.values.tolist(),
-            },
-            "returns": self.returns,
-            "normalized_score": self.score,
-            "curve": [[int(k), float(r)] for k, r in self.curve],
-            "recovery_error": self.recovery_error,
-        }
-
-
-def _assemble_transfer(variant, train_seed, test_seed, learned, evaluation, recovery_error):
-    return TransferResult(
-        variant=variant,
-        train_seed=train_seed,
-        test_seed=test_seed,
-        learned_reward=learned,
-        ground_truth_optimal=evaluation.ground_truth_optimal,
-        reoptimized_on_learned=evaluation.reoptimized_on_learned,
-        uniform_random=evaluation.uniform_random,
-        curve=evaluation.curve,
-        recovery_error=recovery_error,
-    )
-
-
-def run_transfer(
-    train_mdp: TabularMdp,
-    test_mdp: TabularMdp,
-    variant: str,
-    config: LearnerConfig,
-    *,
-    train_seed: int | None = None,
-    test_seed: int | None = None,
-    n_expert_trajectories: int = 64,
-) -> TransferResult:
-    """Learn a reward on `train_mdp` and re-optimize only its g on `test_mdp`."""
-    if (train_mdp.n_states, train_mdp.n_actions) != (test_mdp.n_states, test_mdp.n_actions):
-        raise ValueError("train and test MDPs must share state and action counts")
-    recovery = run_recovery(
-        train_mdp, variant, config, n_expert_trajectories=n_expert_trajectories
-    )
-    evaluation = evaluate_on_new_dynamics(
-        test_mdp, recovery.params.g, entropy_weight=config.entropy_weight
-    )
-    return _assemble_transfer(
-        variant, train_seed, test_seed, recovery.params.g, evaluation, recovery.recovery_error
-    )
-
-
 class ProbeResult(NamedTuple):
     fraction: float
     agreements: tuple[bool, ...]
@@ -273,10 +208,13 @@ def disentanglement_probe(
     `extra_dynamics`, e.g. an adversarially chosen one), solves each under the
     candidate reward and under the ground truth, and compares per-state argmax
     action sets with a tie band of `tie_tol`.  Returns the agreeing fraction
-    and the per-dynamics verdicts in probe order.
+    and the per-dynamics verdicts in probe order.  Raises ValueError for a
+    negative `n_dynamics` or when there is nothing to probe.
     """
     rng = np.random.default_rng(seed)
     tensors = [np.asarray(t, dtype=float) for t in extra_dynamics]
+    if n_dynamics < 0 or n_dynamics + len(tensors) == 0:
+        raise ValueError("the probe needs at least one dynamics to probe")
     for _ in range(n_dynamics):
         tensors.append(
             rng.dirichlet(np.ones(mdp.n_states), size=(mdp.n_states, mdp.n_actions))

@@ -16,9 +16,11 @@ from irl_lab.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_USAGE,
+    _build_mdp,
+    load_experiment_config,
     main,
 )
-from irl_lab.mdp import RewardTable, load_mdp, random_mdp, save_mdp
+from irl_lab.mdp import RewardTable, load_mdp, mdp_to_dict, random_mdp, save_mdp
 
 
 def run_cli(capsys, *args):
@@ -119,6 +121,26 @@ class TestGenerate:
         code, _, _ = run_cli(capsys, "generate", "--paper-tabular",
                              "-o", str(blocker / "mdp.json"))
         assert code == EXIT_IO
+
+    def test_flags_build_the_mdp_a_config_block_names(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, _, _ = run_cli(capsys, "generate", "--states", "5", "--actions", "2",
+                             "--reward-state", "3", "--seed", "9", "-o", str(out))
+        assert code == EXIT_OK
+        cfg = write_config(tmp_path / "c.json", mdp={
+            "source": "generate", "kind": "random", "states": 5, "actions": 2,
+            "reward_state": 3, "seed": 9})
+        built = _build_mdp(load_experiment_config(cfg).mdp_spec)
+        assert json.loads(out.read_text()) == mdp_to_dict(built)
+
+    @pytest.mark.parametrize("reward_state", ["5", "-1"])
+    def test_out_of_range_reward_state_writes_nothing(self, tmp_path, capsys,
+                                                      reward_state):
+        out = tmp_path / "m.json"
+        code, _, stderr = run_cli(capsys, "generate", "--states", "5", "--actions", "2",
+                                  "--reward-state", reward_state, "-o", str(out))
+        assert code == EXIT_USAGE and "reward_state" in stderr
+        assert not out.exists()
 
     def test_invalid_mdp_reported_and_flagged(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "generate", "--paper-tabular",
@@ -272,6 +294,17 @@ class TestTrain:
         assert "diverged" in stderr and "iteration 0" in stderr
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("reward_state", [4, -1])
+    def test_out_of_range_reward_state_is_usage_error(self, tmp_path, capsys,
+                                                      reward_state):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out),
+                           mdp={"source": "generate", "kind": "random", "states": 4,
+                                "actions": 2, "reward_state": reward_state})
+        code, _, stderr = run_cli(capsys, "train", "--config", cfg)
+        assert code == EXIT_USAGE and "reward_state" in stderr
+        assert not out.exists()
+
     def test_invalid_mdp_maps_to_numeric_exit(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "c.json", output_dir=str(out),
@@ -352,6 +385,19 @@ class TestTransferCmd:
         assert code == EXIT_USAGE and "degenerate" in stderr
         assert not any(out.iterdir())
 
+    def test_failure_removes_the_files_already_written(self, tmp_path, capsys):
+        # curve_test0.csv is written before the second test MDP's degenerate
+        # span fails the command, and must not outlive the failure
+        good, flat = tmp_path / "good.json", tmp_path / "flat.json"
+        save_mdp(random_mdp(4, 2, RewardTable("state_only", np.eye(4)[0]), 5), good)
+        save_mdp(random_mdp(4, 2, RewardTable("state_only", np.zeros(4)), 5), flat)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out),
+                           transfer={"test_mdp_paths": [str(good), str(flat)]})
+        code, _, stderr = run_cli(capsys, "transfer", "--config", cfg)
+        assert code == EXIT_USAGE and "degenerate" in stderr
+        assert out.is_dir() and not any(out.iterdir())
+
     def test_shape_mismatched_test_file_rejected(self, tmp_path, capsys):
         test_file = tmp_path / "wide.json"
         run_cli(capsys, "generate", "--states", "5", "--actions", "3",
@@ -360,6 +406,12 @@ class TestTransferCmd:
                            output_dir=str(tmp_path / "run"),
                            transfer={"test_mdp_paths": [str(test_file)]})
         assert run_cli(capsys, "transfer", "--config", cfg)[0] == EXIT_USAGE
+
+    def test_negative_probe_count_is_usage_error(self, tmp_path, capsys):
+        cfg, out = self.transfer_config(tmp_path, n_dynamics=-1)
+        code, _, stderr = run_cli(capsys, "transfer", "--config", cfg)
+        assert code == EXIT_USAGE and "n_dynamics" in stderr
+        assert not out.exists()
 
     def test_transfer_block_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
@@ -504,11 +556,73 @@ class TestProbe:
         assert code == EXIT_NUMERIC
         assert "invalid:" in stderr and "discount" in stderr
 
+    @pytest.mark.parametrize("n_dynamics", ["0", "-2"])
+    def test_nothing_to_probe_is_usage_error(self, tmp_path, capsys, n_dynamics):
+        # an empty probe has no agreement fraction to print or write
+        mdp_file, reward_file = self.make_inputs(tmp_path, capsys)
+        out = tmp_path / "probe.json"
+        code, stdout, stderr = run_cli(capsys, "probe", "--mdp", str(mdp_file),
+                                       "--reward", str(reward_file),
+                                       "--n-dynamics", n_dynamics, "--out", str(out))
+        assert code == EXIT_USAGE and "error:" in stderr
+        assert "nan" not in stdout
+        assert not out.exists()
+
     def test_missing_mdp_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "probe", "--mdp",
                              str(tmp_path / "none.json"),
                              "--reward", str(tmp_path / "none2.json"))
         assert code == EXIT_IO
+
+
+VALID_MDP = mdp_to_dict(random_mdp(4, 2, RewardTable("state_only", np.eye(4)[0]), seed=3))
+VALID_REWARD = {"kind": "state_only", "values": [1.0, 0.0, 0.0, 0.0]}
+VALID_CONFIG = {
+    "mdp": {"source": "generate", "kind": "random", "states": 4, "actions": 2},
+    "learner": {"iterations": 2},
+    "output_dir": "run",
+}
+
+
+class TestWrongTypedJson:
+    """Well-formed JSON of the wrong type is a usage error, never a traceback."""
+
+    @pytest.mark.parametrize("command, slot, doc", [
+        pytest.param("probe", "reward", 5, id="reward-number"),
+        pytest.param("probe", "reward", None, id="reward-null"),
+        pytest.param("probe", "reward", [], id="reward-array"),
+        pytest.param("probe", "mdp", dict(VALID_MDP, n_states=None), id="mdp-null-n_states"),
+        pytest.param("probe", "mdp", dict(VALID_MDP, reward=5), id="mdp-number-reward"),
+        pytest.param("probe", "mdp", 7, id="mdp-number"),
+        pytest.param("train", "config",
+                     dict(VALID_CONFIG, mdp=dict(VALID_CONFIG["mdp"], seed=None)),
+                     id="config-null-mdp-seed"),
+        pytest.param("train", "config", dict(VALID_CONFIG, learner={"iterations": 1.5}),
+                     id="config-fractional-iterations"),
+        pytest.param("train", "config", dict(VALID_CONFIG, output_dir=5),
+                     id="config-number-output_dir"),
+        pytest.param("transfer", "config",
+                     dict(VALID_CONFIG, transfer={"test_seeds": [None]}),
+                     id="config-null-test-seed"),
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                        command, slot, doc):
+        monkeypatch.chdir(tmp_path)
+        inputs = {"mdp": VALID_MDP, "reward": VALID_REWARD, "config": VALID_CONFIG}
+        inputs[slot] = doc
+        for name, content in inputs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        before = set(tmp_path.rglob("*"))
+        if command == "probe":
+            argv = ["probe", "--mdp", "mdp.json", "--reward", "reward.json",
+                    "--n-dynamics", "1", "--out", "probe.json"]
+        else:
+            argv = [command, "--config", "config.json"]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+        assert set(tmp_path.rglob("*")) == before
 
 
 class TestEntryPoints:

@@ -27,7 +27,6 @@ from irl_lab.transfer import (
     normalized_score,
     reoptimize_with_curve,
     run_recovery,
-    run_transfer,
 )
 
 
@@ -110,12 +109,25 @@ class TestEvaluateOnNewDynamics:
 
     def test_ground_truth_self_consistency(self, bench_mdp):
         ev = evaluate_on_new_dynamics(bench_mdp, bench_mdp.reward)
-        score = normalized_score({
+        assert ev.score >= 0.999
+
+    def test_score_is_the_normalized_score_of_the_returns(self, bench_mdp):
+        rng = np.random.default_rng(2)
+        ev = evaluate_on_new_dynamics(bench_mdp, RewardTable("state_only", rng.normal(size=16)))
+        assert ev.returns == {
             "ground_truth_optimal": ev.ground_truth_optimal,
             "reoptimized_on_learned": ev.reoptimized_on_learned,
             "uniform_random": ev.uniform_random,
-        })
-        assert score >= 0.999
+        }
+        assert ev.score == normalized_score(ev.returns)
+
+    def test_degenerate_span_raises_through_score(self, tiny_mdp):
+        # Under a zero ground truth every policy returns 0, so the span is 0.
+        flat = random_mdp(tiny_mdp.n_states, tiny_mdp.n_actions,
+                          RewardTable("state_only", np.zeros(tiny_mdp.n_states)), seed=4)
+        ev = evaluate_on_new_dynamics(flat, tiny_mdp.reward)
+        with pytest.raises(ValueError, match="degenerate"):
+            ev.score
 
     def test_degenerate_span_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -166,23 +178,12 @@ class TestRunRecovery:
 
 
 class TestRunTransfer:
-    def test_shape_mismatch_rejected(self, tiny_mdp):
-        other = random_mdp(4, 2, RewardTable("state_only", np.zeros(4)), seed=1)
-        with pytest.raises(ValueError, match="share"):
-            run_transfer(tiny_mdp, other, "airl_state_only",
-                         LearnerConfig(iterations=1))
-
     def test_transfer_to_self_recovers_performance(self, det_recovery):
         # degenerate transfer: re-optimizing the learned g on the training
         # MDP itself must recover near-optimal behaviour
         mdp, result = det_recovery
         ev = evaluate_on_new_dynamics(mdp, result.params.g)
-        score = normalized_score({
-            "ground_truth_optimal": ev.ground_truth_optimal,
-            "reoptimized_on_learned": ev.reoptimized_on_learned,
-            "uniform_random": ev.uniform_random,
-        })
-        assert score >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY
+        assert ev.score >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY
 
     def test_transfer_to_fresh_dynamics(self, det_recovery):
         # the learned state-only g, moved to an unrelated Dirichlet
@@ -192,28 +193,7 @@ class TestRunTransfer:
         r[0] = 1.0
         test_mdp = random_mdp(16, 4, RewardTable("state_only", r), seed=1000)
         ev = evaluate_on_new_dynamics(test_mdp, result.params.g)
-        score = normalized_score({
-            "ground_truth_optimal": ev.ground_truth_optimal,
-            "reoptimized_on_learned": ev.reoptimized_on_learned,
-            "uniform_random": ev.uniform_random,
-        })
-        assert score >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY
-
-    def test_result_structure_and_serialization(self, tiny_mdp):
-        result = run_transfer(
-            tiny_mdp, tiny_mdp, "airl_state_only",
-            LearnerConfig(iterations=10), train_seed=3, test_seed=7,
-        )
-        assert result.variant == "airl_state_only"
-        assert (result.train_seed, result.test_seed) == (3, 7)
-        xs = [x for x, _ in result.curve]
-        assert xs == sorted(xs)
-        doc = result.to_json_dict()
-        assert set(doc) == {"variant", "train_seed", "test_seed",
-                            "learned_reward", "returns", "normalized_score",
-                            "curve", "recovery_error"}
-        npt.assert_allclose(doc["normalized_score"], result.score)
-        assert doc["learned_reward"]["kind"] == "state_only"
+        assert ev.score >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY
 
 
 class TestDisentanglementProbe:
@@ -256,6 +236,20 @@ class TestDisentanglementProbe:
         )
         assert len(probe.agreements) == 4
         assert probe.agreements[0]
+
+    @pytest.mark.parametrize("n_dynamics", [0, -1])
+    def test_nothing_to_probe_is_rejected(self, tiny_mdp, n_dynamics):
+        # an empty probe has no agreement fraction
+        with pytest.raises(ValueError, match="at least one dynamics"):
+            disentanglement_probe(tiny_mdp, tiny_mdp.reward, n_dynamics, seed=0)
+
+    def test_negative_count_rejected_next_to_extra_dynamics(self, tiny_mdp):
+        with pytest.raises(ValueError):
+            disentanglement_probe(tiny_mdp, tiny_mdp.reward, -1, seed=0,
+                                  extra_dynamics=(tiny_mdp.transition,))
+        probe = disentanglement_probe(tiny_mdp, tiny_mdp.reward, 0, seed=0,
+                                      extra_dynamics=(tiny_mdp.transition,))
+        assert probe.agreements == (True,)
 
 
 class TestCounterexampleBehaviour:

@@ -1,0 +1,112 @@
+"""Write irl-lab's golden output set, for a byte-level diff between two commits.
+
+    python3 tools/golden_outputs.py OUTDIR
+
+Runs nine fixed commands in-process against the package in this checkout's
+`src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the same with
+`--smoke`), `train` on `paper_tabular` seed 0, `train` with the
+`gan_gcl_trajectory` baseline on a `random` MDP, `transfer` on three test
+seeds with a five-dynamics probe, `generate` for each MDP kind, and `probe`.
+Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
+exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
+OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
+IRL_LAB_THREADS is unset for the run.  OUTDIR must be empty or absent.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CONFIGS = {
+    "train_paper_tabular.json": {
+        "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
+        "learner": {"variant": "airl_state_only", "iterations": 25,
+                    "disc_steps_per_iter": 20, "disc_step_size": 0.2},
+        "output_dir": "train_paper_tabular",
+    },
+    "train_gan_gcl.json": {
+        "mdp": {"source": "generate", "kind": "random", "states": 5, "actions": 2,
+                "seed": 3, "horizon": 8, "reward_state": 2},
+        "learner": {"variant": "gan_gcl_trajectory", "mode": "sampled",
+                    "iterations": 6, "n_policy_trajectories": 8},
+        "output_dir": "train_gan_gcl",
+    },
+    "transfer.json": {
+        "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
+        "learner": {"variant": "airl_state_only", "iterations": 25,
+                    "disc_steps_per_iter": 20, "disc_step_size": 0.2},
+        "transfer": {"test_seeds": [1000, 1001, 1002], "n_dynamics": 5},
+        "output_dir": "transfer",
+    },
+}
+
+# (name, argv); later commands read files that earlier ones wrote.
+COMMANDS = (
+    ("generate_paper_tabular",
+     ["generate", "--paper-tabular", "--seed", "0", "-o", "generate/paper_tabular.json"]),
+    ("generate_counterexample",
+     ["generate", "--counterexample", "modified", "-o", "generate/counterexample.json"]),
+    ("generate_random",
+     ["generate", "--states", "5", "--actions", "2", "--reward-state", "3", "--seed", "9",
+      "-o", "generate/random.json"]),
+    ("reproduce_tabular",
+     ["reproduce-tabular", "--out", "reproduce", "--seeds", "0,1", "--iterations", "25"]),
+    ("reproduce_tabular_smoke",
+     ["reproduce-tabular", "--out", "reproduce_smoke", "--seeds", "0,1", "--smoke"]),
+    ("train_paper_tabular", ["train", "--config", "configs/train_paper_tabular.json"]),
+    ("train_gan_gcl", ["train", "--config", "configs/train_gan_gcl.json"]),
+    ("transfer", ["transfer", "--config", "configs/transfer.json"]),
+    ("probe",
+     ["probe", "--mdp", "generate/paper_tabular.json",
+      "--reward", "train_paper_tabular/learned_reward.json",
+      "--n-dynamics", "5", "--seed", "1", "--out", "probe.json"]),
+)
+
+
+def write_golden(outdir: Path) -> None:
+    sys.path.insert(0, str(SRC))
+    import irl_lab.cli
+
+    os.environ.pop("IRL_LAB_THREADS", None)
+    (outdir / "configs").mkdir()
+    (outdir / "runs").mkdir()
+    for name, doc in CONFIGS.items():
+        (outdir / "configs" / name).write_text(json.dumps(doc, indent=2) + "\n")
+    home = Path.cwd()
+    os.chdir(outdir)
+    try:
+        for name, argv in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = irl_lab.cli.main(argv)
+            Path("runs", f"{name}.stdout").write_text(stdout.getvalue())
+            Path("runs", f"{name}.stderr").write_text(stderr.getvalue())
+            Path("runs", f"{name}.exit").write_text(f"{code}\n")
+            print(f"{name}: exit {code}")
+    finally:
+        os.chdir(home)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    if any(outdir.iterdir()):
+        print(f"error: {outdir} is not empty", file=sys.stderr)
+        return 2
+    write_golden(outdir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
