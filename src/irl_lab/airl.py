@@ -1,27 +1,36 @@
 """Adversarial reward learning on tabular MDPs.
 
-The discriminator keeps two tables: a reward approximator g over states (or
-state-action pairs) and a state shaping term h, combined as
+Every discriminator is one logistic regression over rows with logits
+x = Phi(theta) + offset, expert weights w_e and negative weights w_n.  The loss
+is sum(w_e * log(1 + exp(-x)) + w_n * log(1 + exp(x))), the gradient is
+Phi^T (D * (w_e + w_n) - w_e) with D = sigmoid(x), and the fit is plain
+gradient descent.
 
-    f(s, a, s') = g(s[, a]) + discount * h(s') - h(s).
+- AIRL: the rows are (s, a, s') cells, theta = (g, h) with g over states (or
+  state-action pairs) and h a state shaping term, and Phi(theta) is
+  f(s, a, s') = g(s[, a]) + discount * h(s') - h(s), applied by broadcasting.
+  The offset -log pi(a|s) makes D = exp(f) / (exp(f) + pi(a|s)); w_e and w_n
+  are (s, a, s') occupancy or empirical weights.
+- The trajectory baseline (``gan_gcl_trajectory``): the rows are episodes,
+  the expert's and then the replay pool's, theta is one (s, a) table, Phi is
+  the step-count matrix and the offset is -Phi log pi.  Each side's episodes
+  weigh 1/count.
 
-It is trained as a logistic regressor against the current policy's odds,
-D = exp(f) / (exp(f) + pi(a|s)), and the policy is re-solved each iteration
-with soft value iteration.  A trajectory-level variant without the shaping
-split (``gan_gcl_trajectory``) is included as a baseline.
+One loop trains both, re-solving the policy after each fit by warm-started
+soft value iteration on the learned reward.
 """
 
 from __future__ import annotations
 
-import numbers
+import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import astuple, dataclass, field, fields
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._fmt import csv_text
-from .mdp import RewardTable, TabularMdp, reward_from_dict, reward_to_dict
+from .mdp import RewardTable, TabularMdp, reward_from_dict, reward_to_dict, strict_int
 from .shaping import centered_reward_error
 from .soft_rl import (
     OccupancyMeasure,
@@ -109,8 +118,7 @@ class LearnerConfig:
     def __post_init__(self):
         for name in ("iterations", "disc_steps_per_iter", "replay_window",
                      "n_policy_trajectories", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+            strict_int(getattr(self, name), name)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in MODES:
@@ -146,7 +154,9 @@ class IterationRecord:
     vi_steps_cumulative: int
 
 
-_HISTORY_COLUMNS = ("iter", "disc_loss", "true_return", "reward_error", "g_delta")
+# Output names of the IterationRecord fields, in order; the CSV omits the last.
+_HISTORY_KEYS = ("iter", "disc_loss", "true_return", "reward_error", "g_delta",
+                 "vi_steps_cumulative")
 
 
 @dataclass
@@ -165,20 +175,12 @@ class TrainingHistory:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv_text(self) -> str:
-        rows = [
-            [r.iteration, r.disc_loss, r.true_return, r.reward_error, r.g_delta]
-            for r in self.records
-        ]
-        return csv_text(_HISTORY_COLUMNS, rows)
+        return csv_text(_HISTORY_KEYS[:-1], (astuple(r)[:-1] for r in self.records))
 
     def to_json_dict(self) -> dict:
         return {
-            "iter": [r.iteration for r in self.records],
-            "disc_loss": [r.disc_loss for r in self.records],
-            "true_return": [r.true_return for r in self.records],
-            "reward_error": [r.reward_error for r in self.records],
-            "g_delta": [r.g_delta for r in self.records],
-            "vi_steps_cumulative": [r.vi_steps_cumulative for r in self.records],
+            key: [getattr(r, f.name) for r in self.records]
+            for key, f in zip(_HISTORY_KEYS, fields(IterationRecord))
         }
 
 
@@ -270,14 +272,6 @@ def f_value(params: DiscriminatorParams, s: int, a: int, sp: int) -> float:
     return float(g + params.discount * params.h[sp] - params.h[s])
 
 
-def _log_d_tables(params, policy):
-    """(log D, log(1 - D)) tables against a policy, computed in log space."""
-    policy = np.asarray(policy, dtype=float)
-    n_states, n_actions = policy.shape
-    x = f_table(params, n_states, n_actions) - np.log(policy)[:, :, None]
-    return -np.logaddexp(0.0, -x), -np.logaddexp(0.0, x)
-
-
 def discriminator_prob(params: DiscriminatorParams, policy, s: int, a: int, sp: int) -> float:
     """D(s, a, s') = exp(f) / (exp(f) + pi(a|s)), evaluated stably."""
     policy = np.asarray(policy, dtype=float)
@@ -285,27 +279,35 @@ def discriminator_prob(params: DiscriminatorParams, policy, s: int, a: int, sp: 
     return float(_sigmoid(x))
 
 
-def discriminator_loss(params: DiscriminatorParams, policy, expert, negatives) -> float:
-    """Binary logistic loss: -E_expert[log D] - E_negatives[log(1 - D)]."""
-    policy = np.asarray(policy, dtype=float)
-    n_states, n_actions = policy.shape
-    we = _as_weights(expert, n_states, n_actions)
-    wn = _as_weights(negatives, n_states, n_actions)
-    log_d, log_1md = _log_d_tables(params, policy)
-    return float(-(we * log_d).sum() - (wn * log_1md).sum())
+class _Problem(NamedTuple):
+    """One round's regression: logits phi(theta) + offset, weights w_e and w_n.
 
-
-class DiscGrad(NamedTuple):
-    g: np.ndarray
-    h: np.ndarray
-
-
-def _loss_grad_f(f, log_pi, we, w_total) -> np.ndarray:
-    """dL/df = -w_expert * (1 - D) + w_negatives * D per (s, a, s') cell.
-
-    Computed as D * w_total - w_expert, with w_total = w_expert + w_negatives.
+    theta is a tuple of arrays; `phi_t` maps a per-row vector back to a tuple
+    shaped like theta.
     """
-    return _sigmoid(f - log_pi) * w_total - we
+
+    phi: Callable
+    phi_t: Callable
+    offset: np.ndarray
+    w_e: np.ndarray
+    w_n: np.ndarray
+
+    def loss(self, theta) -> float:
+        """sum(w_e * -log D) + sum(w_n * -log(1 - D)), computed in log space."""
+        x = self.phi(theta) + self.offset
+        return float(
+            (self.w_e * np.logaddexp(0.0, -x)).sum() + (self.w_n * np.logaddexp(0.0, x)).sum()
+        )
+
+    def grad(self, theta, w_total) -> tuple:
+        """Phi^T (D * w_total - w_e), where the caller passes w_total = w_e + w_n."""
+        return self.phi_t(_sigmoid(self.phi(theta) + self.offset) * w_total - self.w_e)
+
+    def fit(self, theta, steps: int, step_size: float) -> tuple:
+        w_total = self.w_e + self.w_n
+        for _ in range(steps):
+            theta = tuple(t - step_size * g for t, g in zip(theta, self.grad(theta, w_total)))
+        return theta
 
 
 def _chain_to_tables(dl_df, state_only: bool, discount: float):
@@ -320,17 +322,39 @@ def _chain_to_tables(dl_df, state_only: bool, discount: float):
     return grad_g, grad_h
 
 
-def discriminator_grad(params: DiscriminatorParams, policy, expert, negatives) -> DiscGrad:
-    """Analytic gradient of the logistic loss in the two tables."""
+def _cell_problem(state_only: bool, discount: float, log_pi, w_e, w_n) -> _Problem:
+    """AIRL rows: the (s, a, s') cells, theta = (g, h), offset -log pi(a|s)."""
+    return _Problem(
+        lambda theta: _raw_f(*theta, state_only, discount),
+        lambda dl_df: _chain_to_tables(dl_df, state_only, discount),
+        -log_pi[:, :, None], w_e, w_n,
+    )
+
+
+def _params_problem(params: DiscriminatorParams, policy, expert, negatives):
     policy = np.asarray(policy, dtype=float)
     n_states, n_actions = policy.shape
     we = _as_weights(expert, n_states, n_actions)
     wn = _as_weights(negatives, n_states, n_actions)
-    dl_df = _loss_grad_f(
-        f_table(params, n_states, n_actions), np.log(policy)[:, :, None], we, we + wn
-    )
-    grad_g, grad_h = _chain_to_tables(dl_df, params.g.kind == "state_only", params.discount)
-    return DiscGrad(g=grad_g, h=grad_h)
+    problem = _cell_problem(params.g.kind == "state_only", params.discount, np.log(policy), we, wn)
+    return problem, (params.g.values, params.h)
+
+
+def discriminator_loss(params: DiscriminatorParams, policy, expert, negatives) -> float:
+    """Binary logistic loss: -E_expert[log D] - E_negatives[log(1 - D)]."""
+    problem, theta = _params_problem(params, policy, expert, negatives)
+    return problem.loss(theta)
+
+
+class DiscGrad(NamedTuple):
+    g: np.ndarray
+    h: np.ndarray
+
+
+def discriminator_grad(params: DiscriminatorParams, policy, expert, negatives) -> DiscGrad:
+    """Analytic gradient of the logistic loss in the two tables."""
+    problem, theta = _params_problem(params, policy, expert, negatives)
+    return DiscGrad(*problem.grad(theta, problem.w_e + problem.w_n))
 
 
 def extract_reward(params: DiscriminatorParams, policy) -> RewardTable:
@@ -341,24 +365,67 @@ def extract_reward(params: DiscriminatorParams, policy) -> RewardTable:
     return RewardTable("transition", values)
 
 
+def _g_table(values: np.ndarray) -> RewardTable:
+    return RewardTable("state_only" if values.ndim == 1 else "state_action", values)
+
+
+def _train(mdp: TabularMdp, config: LearnerConfig, theta: tuple, encode, problem, reward):
+    """The one training loop; returns the final theta, policy and history.
+
+    theta[0] is the learned reward table.  `encode` maps a rollout batch to a
+    replay entry, `problem` maps the round's negatives and log pi to a
+    _Problem, and `reward` maps theta to the policy step's RewardTable.
+    """
+    policy = uniform_policy(mdp)
+    history = TrainingHistory()
+    replay: deque = deque(maxlen=config.replay_window)
+    rng = np.random.default_rng(config.seed)
+    v_warm = None
+    vi_steps = 0
+
+    for iteration in range(config.iterations):
+        if config.mode == "exact_occupancy":
+            negatives = occupancy(mdp, policy)
+        else:
+            rollouts = sample_trajectories(
+                mdp, policy, config.n_policy_trajectories, seed=int(rng.integers(2**63 - 1))
+            )
+            replay.append(encode(rollouts))
+            negatives = list(replay)
+
+        round_problem = problem(negatives, np.log(policy))
+        g_before = theta[0]
+        theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
+        if not all(np.all(np.isfinite(t)) for t in theta):
+            raise DivergenceError(iteration)
+        loss = round_problem.loss(theta)
+
+        solution = soft_value_iteration(
+            mdp, reward(theta), entropy_weight=config.entropy_weight, v_init=v_warm
+        )
+        if not solution.converged:
+            warnings.warn(f"policy step did not converge at iteration {iteration} "
+                          f"(residual {solution.residual:.3g})", RuntimeWarning, stacklevel=3)
+        policy, v_warm = solution.policy, solution.v
+        vi_steps += solution.iterations_used
+
+        history.append(
+            IterationRecord(
+                iteration=iteration,
+                disc_loss=loss,
+                true_return=evaluate_return(mdp, policy, mdp.reward, include_entropy=False),
+                reward_error=centered_reward_error(_g_table(theta[0]), mdp.reward, mdp.transition),
+                g_delta=float(np.max(np.abs(theta[0] - g_before))),
+                vi_steps_cumulative=vi_steps,
+            )
+        )
+    return theta, policy, history
+
+
 class AirlResult(NamedTuple):
     params: DiscriminatorParams
     policy: np.ndarray
     history: TrainingHistory
-
-
-def _policy_step(mdp, f_sap, entropy_weight, v_init):
-    # Maximizing E[sum of (f - log pi)] is the entropy-regularized objective
-    # with reward f, so the policy step solves soft RL on f collapsed to
-    # (s, a) by expectation under the dynamics; the solver supplies the
-    # -log pi term as the entropy bonus.
-    f_sa = np.einsum("sap,sap->sa", mdp.transition, f_sap)
-    return soft_value_iteration(
-        mdp,
-        RewardTable("state_action", f_sa),
-        entropy_weight=entropy_weight,
-        v_init=v_init,
-    )
 
 
 def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
@@ -376,69 +443,29 @@ def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
     expert_w = _as_weights(demos, n_states, n_actions)
     if expert_w.sum() <= 0:
         raise ValueError("demonstrations carry no mass")
-
     state_only = config.variant == "airl_state_only"
-    g = np.zeros(n_states) if state_only else np.zeros((n_states, n_actions))
-    h = np.zeros(n_states)
     gamma = mdp.discount
-    policy = uniform_policy(mdp)
-    history = TrainingHistory()
-    replay: deque[TransitionBatch] = deque(maxlen=config.replay_window)
-    rng = np.random.default_rng(config.seed)
-    v_warm = None
-    vi_steps = 0
-    step = config.disc_step_size
 
-    for iteration in range(config.iterations):
-        if config.mode == "exact_occupancy":
-            neg_w = occupancy(mdp, policy).rho
-        else:
-            rollouts = sample_trajectories(
-                mdp, policy, config.n_policy_trajectories, seed=int(rng.integers(2**63 - 1))
-            )
-            replay.append(TransitionBatch.from_trajectories(rollouts))
-            neg_w = pool_batches(list(replay)).to_weights(n_states, n_actions)
+    def problem(negatives, log_pi):
+        if not isinstance(negatives, OccupancyMeasure):
+            negatives = pool_batches(negatives)
+        neg_w = _as_weights(negatives, n_states, n_actions)
+        return _cell_problem(state_only, gamma, log_pi, expert_w, neg_w)
 
-        log_pi = np.log(policy)[:, :, None]
-        total_w = expert_w + neg_w
-        g_before = g.copy()
-        for _ in range(config.disc_steps_per_iter):
-            dl_df = _loss_grad_f(_raw_f(g, h, state_only, gamma), log_pi, expert_w, total_w)
-            grad_g, grad_h = _chain_to_tables(dl_df, state_only, gamma)
-            g = g - step * grad_g
-            h = h - step * grad_h
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            raise DivergenceError(iteration)
+    def params(theta):
+        return DiscriminatorParams(_g_table(theta[0]), theta[1], gamma)
 
-        kind = "state_only" if state_only else "state_action"
-        params = DiscriminatorParams(RewardTable(kind, g), h, gamma)
-        loss = discriminator_loss(params, policy, expert_w, neg_w)
+    def reward(theta):
+        # Maximizing E[sum of (f - log pi)] is the entropy-regularized
+        # objective with reward f(s, a, s'); the solver collapses f to (s, a)
+        # by expectation under the dynamics and supplies -log pi as entropy.
+        return RewardTable("transition", f_table(params(theta), n_states, n_actions))
 
-        solution = _policy_step(
-            mdp, f_table(params, n_states, n_actions), config.entropy_weight, v_warm
-        )
-        policy = solution.policy
-        v_warm = solution.v
-        vi_steps += solution.iterations_used
-
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                disc_loss=loss,
-                true_return=_true_return(mdp, policy),
-                reward_error=centered_reward_error(params.g, mdp.reward, mdp.transition),
-                g_delta=float(np.max(np.abs(g - g_before))),
-                vi_steps_cumulative=vi_steps,
-            )
-        )
-
-    kind = "state_only" if state_only else "state_action"
-    params = DiscriminatorParams(RewardTable(kind, g), h, gamma)
-    return AirlResult(params=params, policy=policy, history=history)
-
-
-def _true_return(mdp, policy) -> float:
-    return evaluate_return(mdp, policy, mdp.reward, include_entropy=False)
+    g = np.zeros(n_states) if state_only else np.zeros((n_states, n_actions))
+    theta, policy, history = _train(
+        mdp, config, (g, np.zeros(n_states)), TransitionBatch.from_trajectories, problem, reward
+    )
+    return AirlResult(params=params(theta), policy=policy, history=history)
 
 
 @dataclass(frozen=True)
@@ -481,10 +508,23 @@ class GanGclResult(NamedTuple):
 
 
 def _trajectory_counts(trajectories: Sequence[Trajectory], n_states, n_actions) -> np.ndarray:
-    counts = np.zeros((len(trajectories), n_states, n_actions))
+    """Step-count matrix: row i counts episode i's visits to each flattened (s, a)."""
+    counts = np.zeros((len(trajectories), n_states * n_actions))
     for i, t in enumerate(trajectories):
-        np.add.at(counts[i], (t.states[:-1], t.actions), 1.0)
+        np.add.at(counts[i], t.states[:-1] * n_actions + t.actions, 1.0)
     return counts
+
+
+def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
+    """Trajectory rows: the first `n_expert` count rows are expert, the rest negative."""
+    w_e, w_n = np.zeros(len(counts)), np.zeros(len(counts))
+    w_e[:n_expert] = 1.0 / n_expert
+    w_n[n_expert:] = 1.0 / (len(counts) - n_expert)
+    return _Problem(
+        lambda theta: counts @ theta[0].ravel(),
+        lambda dl_dx: ((dl_dx @ counts).reshape(log_pi.shape),),
+        -(counts @ log_pi.ravel()), w_e, w_n,
+    )
 
 
 def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerConfig) -> GanGclResult:
@@ -501,63 +541,14 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
         raise ValueError("the trajectory baseline needs expert trajectories")
     n_states, n_actions = mdp.n_states, mdp.n_actions
     counts_e = _trajectory_counts(demos, n_states, n_actions)
-
-    f_step = np.zeros((n_states, n_actions))
-    policy = uniform_policy(mdp)
-    history = TrainingHistory()
-    replay: deque[np.ndarray] = deque(maxlen=config.replay_window)
-    rng = np.random.default_rng(config.seed)
-    v_warm = None
-    vi_steps = 0
-    step = config.disc_step_size
-
-    for iteration in range(config.iterations):
-        rollouts = sample_trajectories(
-            mdp, policy, config.n_policy_trajectories, seed=int(rng.integers(2**63 - 1))
-        )
-        replay.append(_trajectory_counts(rollouts, n_states, n_actions))
-        counts_n = np.concatenate(list(replay), axis=0)
-
-        log_pi = np.log(policy)
-        log_pi_e = np.einsum("nsa,sa->n", counts_e, log_pi)
-        log_pi_n = np.einsum("nsa,sa->n", counts_n, log_pi)
-        f_before = f_step.copy()
-        for _ in range(config.disc_steps_per_iter):
-            x_e = np.einsum("nsa,sa->n", counts_e, f_step) - log_pi_e
-            x_n = np.einsum("nsa,sa->n", counts_n, f_step) - log_pi_n
-            grad = (
-                -np.einsum("n,nsa->sa", _sigmoid(-x_e), counts_e) / len(counts_e)
-                + np.einsum("n,nsa->sa", _sigmoid(x_n), counts_n) / len(counts_n)
-            )
-            f_step = f_step - step * grad
-        if not np.all(np.isfinite(f_step)):
-            raise DivergenceError(iteration)
-
-        x_e = np.einsum("nsa,sa->n", counts_e, f_step) - log_pi_e
-        x_n = np.einsum("nsa,sa->n", counts_n, f_step) - log_pi_n
-        loss = float(np.logaddexp(0.0, -x_e).mean() + np.logaddexp(0.0, x_n).mean())
-
-        solution = soft_value_iteration(
-            mdp,
-            RewardTable("state_action", f_step),
-            entropy_weight=config.entropy_weight,
-            v_init=v_warm,
-        )
-        policy = solution.policy
-        v_warm = solution.v
-        vi_steps += solution.iterations_used
-
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                disc_loss=loss,
-                true_return=_true_return(mdp, policy),
-                reward_error=centered_reward_error(
-                    RewardTable("state_action", f_step), mdp.reward, mdp.transition
-                ),
-                g_delta=float(np.max(np.abs(f_step - f_before))),
-                vi_steps_cumulative=vi_steps,
-            )
-        )
-
+    (f_step,), policy, history = _train(
+        mdp,
+        config,
+        (np.zeros((n_states, n_actions)),),
+        lambda rollouts: _trajectory_counts(rollouts, n_states, n_actions),
+        lambda pool, log_pi: _episode_problem(
+            np.concatenate([counts_e, *pool]), len(counts_e), log_pi
+        ),
+        lambda theta: RewardTable("state_action", theta[0]),
+    )
     return GanGclResult(scorer=TrajectoryScorer(f_step), policy=policy, history=history)

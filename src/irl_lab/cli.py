@@ -31,6 +31,7 @@ from .mdp import (
     random_mdp,
     reward_from_dict,
     reward_to_dict,
+    strict_int,
     validate_mdp,
 )
 from .shaping import centered_reward_error
@@ -150,13 +151,13 @@ def _parse_mdp_block(doc) -> dict:
         spec = {
             "source": "generate",
             "kind": kind,
-            "seed": int(doc.get("seed", 0)),
+            "seed": strict_int(doc.get("seed", 0), "seed"),
             "discount": float(doc.get("discount", 0.9)),
-            "horizon": int(doc.get("horizon", 20)),
+            "horizon": strict_int(doc.get("horizon", 20), "horizon"),
             "variant": doc.get("variant", "original"),
-            "states": int(doc.get("states", 16)),
-            "actions": int(doc.get("actions", 4)),
-            "reward_state": int(doc.get("reward_state", 0)),
+            "states": strict_int(doc.get("states", 16), "states"),
+            "actions": strict_int(doc.get("actions", 4), "actions"),
+            "reward_state": strict_int(doc.get("reward_state", 0), "reward_state"),
         }
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mdp config: {exc}") from exc
@@ -214,12 +215,9 @@ def _parse_transfer_block(doc) -> dict:
         raise ConfigError("transfer needs exactly one of 'test_seeds' or 'test_mdp_paths'")
     if seeds is not None and (not isinstance(seeds, list) or not seeds):
         raise ConfigError("test_seeds must be a non-empty list of integers")
-    try:
-        out = {"n_dynamics": int(doc.get("n_dynamics", 0))}
-        if seeds is not None:
-            out["test_seeds"] = [int(s) for s in seeds]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid transfer config: {exc}") from exc
+    out = {"n_dynamics": strict_int(doc.get("n_dynamics", 0), "n_dynamics")}
+    if seeds is not None:
+        out["test_seeds"] = [strict_int(s, "test seed") for s in seeds]
     if out["n_dynamics"] < 0:
         raise ConfigError("n_dynamics must be non-negative")
     if paths is not None:
@@ -667,6 +665,8 @@ def cmd_probe(args) -> int:
         reward = reward_from_dict(doc)
     except ValueError as exc:
         raise ConfigError(f"invalid reward file {args.reward!r}: {exc}") from exc
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     result = disentanglement_probe(mdp, reward, args.n_dynamics, args.seed)
     agreeing = sum(result.agreements)
     print(f"agreement fraction: {agreeing}/{len(result.agreements)} = {result.fraction:.4f}")

@@ -8,6 +8,7 @@ linked-state decomposability analysis, and JSON (de)serialization.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,6 +25,13 @@ PROB_TOL = 1e-12
 LINK_EPS = 1e-12
 
 _ARITY = {"state_only": 1, "state_action": 2, "transition": 3}
+
+
+def strict_int(value, name: str = "value") -> int:
+    """`value` as an int; bools, floats (4.0 included), strings and None raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -385,13 +393,13 @@ def mdp_from_dict(doc) -> TabularMdp:
     what = "MDP document"
     _check_document(doc, _MDP_KEYS, what)
     return TabularMdp(
-        _field(doc, "n_states", int, what),
-        _field(doc, "n_actions", int, what),
+        _field(doc, "n_states", strict_int, what),
+        _field(doc, "n_actions", strict_int, what),
         _field(doc, "transition", _floats, what),
         reward_from_dict(doc["reward"]),
         _field(doc, "discount", float, what),
         _field(doc, "initial_dist", _floats, what),
-        _field(doc, "horizon", int, what),
+        _field(doc, "horizon", strict_int, what),
     )
 
 

@@ -1,6 +1,8 @@
 import json
 import warnings
 
+import irl_lab.airl
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +14,9 @@ from irl_lab.airl import (
     LearnerConfig,
     TrajectoryScorer,
     TransitionBatch,
+    _episode_problem,
     _sigmoid,
+    _trajectory_counts,
     airl_train,
     discriminator_grad,
     discriminator_loss,
@@ -396,6 +400,31 @@ class TestAirlTrain:
                 airl_train(tiny_mdp, bad_demos,
                            LearnerConfig(variant=variant, iterations=3))
 
+    def test_unconverged_policy_step_warns(self, tiny_mdp, monkeypatch):
+        expert = soft_value_iteration(tiny_mdp).policy
+        demos = sample_trajectories(tiny_mdp, expert, 8, seed=0)
+        runs = (
+            lambda: airl_train(tiny_mdp, demos, LearnerConfig(iterations=2)),
+            lambda: gan_gcl_train(tiny_mdp, demos, LearnerConfig(
+                variant="gan_gcl_trajectory", mode="sampled", iterations=2,
+                n_policy_trajectories=4)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in runs:
+                run()
+        solve = irl_lab.airl.soft_value_iteration
+        monkeypatch.setattr(irl_lab.airl, "soft_value_iteration",
+                            lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
+        for run in runs:
+            with pytest.warns(RuntimeWarning) as caught:
+                run()
+            messages = [str(w.message) for w in caught]
+            assert [m.split(" (residual ")[0] for m in messages] == [
+                f"policy step did not converge at iteration {i}" for i in range(2)
+            ]
+            assert all(float(m.split("residual ")[1].rstrip(")")) > 1e-8 for m in messages)
+
     def test_history_contract(self, tiny_mdp):
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
         result = airl_train(tiny_mdp, demos, LearnerConfig(iterations=12))
@@ -529,6 +558,41 @@ class TestGanGcl:
         npt.assert_allclose(loss, 2.0 * np.log(2.0), atol=1e-12)
         for tr in demos:
             npt.assert_allclose(scorer.prob(tr, policy), 0.5, atol=1e-12)
+
+    def episode_problem(self, seed):
+        mdp = random_mdp(4, 3, RewardTable("state_only", np.zeros(4)), seed=seed,
+                         horizon=5)
+        policy = softmax_policy(seed, 4, 3)
+        demos = sample_trajectories(mdp, softmax_policy(seed + 50, 4, 3), 5, seed=seed)
+        negs = sample_trajectories(mdp, policy, 7, seed=seed + 1)
+        counts = _trajectory_counts(demos + negs, 4, 3)
+        problem = _episode_problem(counts, len(demos), np.log(policy))
+        f_step = np.random.default_rng(seed).normal(scale=0.5, size=(4, 3))
+        return problem, f_step, policy, demos + negs
+
+    def test_row_logits_match_the_scorer(self):
+        problem, f_step, policy, episodes = self.episode_problem(0)
+        scorer = TrajectoryScorer(f_step)
+        expected = [scorer.log_odds(tr, policy) for tr in episodes]
+        logits = problem.phi((f_step,)) + problem.offset
+        npt.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+        # matched odds put D at 1/2 on every row; each side's weights sum to 1
+        npt.assert_allclose(problem.loss((np.log(policy),)), 2 * np.log(2.0), atol=1e-12)
+
+    def test_gradient_matches_central_differences(self):
+        eps = 1e-5
+        worst = 0.0
+        for seed in range(5):
+            problem, f_step, _, _ = self.episode_problem(seed)
+            (grad,) = problem.grad((f_step,), problem.w_e + problem.w_n)
+            fd = np.zeros_like(f_step)
+            for idx in np.ndindex(f_step.shape):
+                up, down = f_step.copy(), f_step.copy()
+                up[idx] += eps
+                down[idx] -= eps
+                fd[idx] = (problem.loss((up,)) - problem.loss((down,))) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8))))
+        assert worst <= 1e-4
 
     def test_variant_and_mode_are_enforced(self, tiny_mdp):
         expert = soft_value_iteration(tiny_mdp).policy

@@ -568,6 +568,15 @@ class TestProbe:
         assert "nan" not in stdout
         assert not out.exists()
 
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        mdp_file, reward_file = self.make_inputs(tmp_path, capsys)
+        out = tmp_path / "missing" / "deeper" / "probe.json"
+        code, stdout, _ = run_cli(capsys, "probe", "--mdp", str(mdp_file),
+                                  "--reward", str(reward_file),
+                                  "--n-dynamics", "2", "--out", str(out))
+        assert code == EXIT_OK and "agreement fraction: 2/2" in stdout
+        assert json.loads(out.read_text())["agreements"] == [True, True]
+
     def test_missing_mdp_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "probe", "--mdp",
                              str(tmp_path / "none.json"),
@@ -604,6 +613,16 @@ class TestWrongTypedJson:
         pytest.param("transfer", "config",
                      dict(VALID_CONFIG, transfer={"test_seeds": [None]}),
                      id="config-null-test-seed"),
+        pytest.param("transfer", "config",
+                     dict(VALID_CONFIG, mdp=dict(VALID_CONFIG["mdp"], states=4.7, seed=2.9),
+                          transfer={"test_seeds": [1.5]}),
+                     id="config-fractional-states-seed-test-seeds"),
+        pytest.param("transfer", "config",
+                     dict(VALID_CONFIG, transfer={"test_seeds": [1.5]}),
+                     id="config-fractional-test-seed"),
+        pytest.param("train", "config", dict(VALID_CONFIG, learner={"iterations": True}),
+                     id="config-bool-iterations"),
+        pytest.param("probe", "mdp", dict(VALID_MDP, horizon=2.5), id="mdp-fractional-horizon"),
     ])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         command, slot, doc):
