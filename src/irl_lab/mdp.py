@@ -35,7 +35,7 @@ def strict_int(value, name: str = "value") -> int:
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

@@ -2,7 +2,8 @@
 
 Soft policy iteration (a soft Bellman backup, then the exact soft value of
 that backup's softmax policy by one linear solve), trajectory sampling, the
-discounted occupancy measure, and exact finite-horizon return evaluation.
+discounted occupancy measure, and exact finite-horizon return evaluation of
+one policy or of a stack of policies in one pass.
 """
 
 from __future__ import annotations
@@ -26,10 +27,39 @@ def _soft_backup(q: np.ndarray, w: float) -> np.ndarray:
 
 
 def _soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
-    """Max-ent policy exp((q - v) / w) of a backup, rows renormalized to 1."""
-    policy = np.exp((q - v[:, None]) / w)
-    policy /= policy.sum(axis=1, keepdims=True)
+    """Max-ent policy exp((q - v) / w) of a backup, rows renormalized to 1.
+
+    Broadcasts over leading axes: a (K, S, A) stack of q with a (K, S) stack
+    of v gives K policies.
+    """
+    policy = np.exp((q - v[..., None]) / w)
+    policy /= policy.sum(axis=-1, keepdims=True)
     return policy
+
+
+def _solver_inputs(
+    mdp: TabularMdp,
+    reward: RewardTable | None,
+    tolerance: float,
+    max_iters: int,
+    entropy_weight: float,
+) -> np.ndarray:
+    """Check a soft solver's arguments and return the reward collapsed to (s, a)."""
+    if reward is None:
+        reward = mdp.reward
+    # written as `not x > 0` so that NaN is rejected too
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if not entropy_weight > 0:
+        raise ValueError("entropy_weight must be positive")
+    if not 0.0 <= mdp.discount < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {mdp.discount!r}")
+    r_sa = expected_state_action(reward, mdp.transition)
+    if not np.all(np.isfinite(r_sa)):
+        raise ValueError("reward contains non-finite entries")
+    return r_sa
 
 
 @dataclass(frozen=True)
@@ -81,20 +111,7 @@ def soft_value_iteration(
     without a contraction the linear system is singular or its solution is
     not a fixed point worth reporting.
     """
-    if reward is None:
-        reward = mdp.reward
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if entropy_weight <= 0:
-        raise ValueError("entropy_weight must be positive")
-    if not 0.0 <= mdp.discount < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {mdp.discount!r}")
-    r_sa = expected_state_action(reward, mdp.transition)
-    if not np.all(np.isfinite(r_sa)):
-        raise ValueError("reward contains non-finite entries")
-
+    r_sa = _solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
     w = entropy_weight
     gamma = mdp.discount
     if v_init is None:
@@ -130,11 +147,14 @@ def uniform_policy(mdp: TabularMdp) -> np.ndarray:
     return np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
 
 
-def _check_policy(mdp: TabularMdp, policy) -> np.ndarray:
+def _check_policy(mdp: TabularMdp, policy, *, stack: bool = False) -> np.ndarray:
+    """A policy as a float array; with `stack`, a (K, S, A) stack is accepted too."""
     policy = np.asarray(policy, dtype=float)
-    if policy.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError("policy must have shape (n_states, n_actions)")
-    if (policy < 0).any() or np.max(np.abs(policy.sum(axis=1) - 1.0)) > 1e-8:
+    ndims = (2, 3) if stack else (2,)
+    if policy.ndim not in ndims or policy.shape[-2:] != (mdp.n_states, mdp.n_actions):
+        stacked = "(K, n_states, n_actions) or " if stack else ""
+        raise ValueError(f"policy must have shape {stacked}(n_states, n_actions)")
+    if (policy < 0).any() or np.max(np.abs(policy.sum(axis=-1) - 1.0)) > 1e-8:
         raise ValueError("policy rows must be probability distributions")
     return policy
 
@@ -244,27 +264,35 @@ def evaluate_return(
     include_entropy: bool = False,
     *,
     entropy_weight: float = 1.0,
-) -> float:
+):
     """Exact expected discounted return over the MDP's horizon.
 
-    With `include_entropy`, each step also earns entropy_weight times the
-    policy entropy at the visited state.
+    `policy` is one (S, A) policy, which gives a float, or a (K, S, A) stack,
+    which gives an array of K returns.  Both run the same horizon loop, with
+    the state distribution of every policy propagated as a row vector; each
+    row of a stack gets exactly the bits its single-policy call gets.  With
+    `include_entropy`, each step also earns entropy_weight times the policy
+    entropy at the visited state.
     """
     if reward is None:
         reward = mdp.reward
-    policy = _check_policy(mdp, policy)
+    policy = _check_policy(mdp, policy, stack=True)
     r_sa = expected_state_action(reward, mdp.transition)
-    per_state = (policy * r_sa).sum(axis=1)
+    per_state = (policy * r_sa).sum(axis=-1)
     if include_entropy:
         # p * log p with 0 * log 0 taken as 0
         log_p = np.log(policy, out=np.zeros_like(policy), where=policy > 0)
-        per_state = per_state - entropy_weight * (policy * log_p).sum(axis=1)
-    step = np.einsum("sa,sap->sp", policy, mdp.transition)
-    d = mdp.initial_dist.copy()
-    total = 0.0
-    scale = 1.0
-    for _ in range(mdp.horizon):
-        total += scale * float(d @ per_state)
-        d = d @ step
-        scale *= mdp.discount
-    return total
+        per_state = per_state - entropy_weight * (policy * log_p).sum(axis=-1)
+    step = np.einsum("...sa,sap->...sp", policy, mdp.transition)
+    # visits[t] holds each policy's state distribution at step t as a 1 x S row
+    visits = np.empty((mdp.horizon,) + step.shape[:-2] + (1, mdp.n_states))
+    visits[0] = mdp.initial_dist
+    scales = [1.0]
+    for t in range(1, mdp.horizon):
+        np.matmul(visits[t - 1], step, out=visits[t])
+        scales.append(scales[-1] * mdp.discount)
+    # one gain per step: (horizon,) for one policy, (K, horizon) for a stack
+    gains = (visits @ per_state[..., :, None])[..., 0, 0].T
+    # accumulate adds the discounted gains in step order, as a running total would
+    total = np.add.accumulate(np.array(scales) * gains, axis=-1)[..., -1]
+    return float(total) if policy.ndim == 2 else total

@@ -14,11 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, airl_train, f_table
-from .mdp import RewardTable, TabularMdp, expected_state_action
+from .mdp import RewardTable, TabularMdp
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
     _soft_backup,
     _soft_policy,
+    _solver_inputs,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -129,29 +130,33 @@ def reoptimize_with_curve(
     tolerance: float = 1e-8,
     max_iters: int = 10_000,
 ):
-    """Soft value iteration on `reward`, recording the true return per sweep.
+    """Plain soft value iteration on `reward`, with the true return of each sweep.
 
     Returns (policy, curve) where curve lists (cumulative sweeps, ground-truth
-    return of the current softmax policy) up to convergence.  The curve is
+    return of that sweep's softmax policy) up to convergence.  The curve is
     defined per sweep of plain value iteration, so this loop does not take
-    `soft_value_iteration`'s policy-evaluation steps.
+    `soft_value_iteration`'s policy-evaluation steps.  The loop only keeps
+    each sweep's backup; the softmax policies are built as one stack after
+    it and scored by one stacked `evaluate_return` call.  The arguments are
+    checked as `soft_value_iteration` checks them.
     """
-    r_sa = expected_state_action(reward, mdp.transition)
-    if not np.all(np.isfinite(r_sa)):
-        raise ValueError("reward contains non-finite entries")
+    r_sa = _solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
     w = entropy_weight
     v = np.zeros(mdp.n_states)
-    curve = []
-    for sweep in range(1, max_iters + 1):
+    qs, vs = [], []
+    for _ in range(max_iters):
         q = r_sa + mdp.discount * (mdp.transition @ v)
         v_new = _soft_backup(q, w)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
-        policy = _soft_policy(q, v, w)
-        curve.append((sweep, evaluate_return(mdp, policy, mdp.reward)))
+        qs.append(q)
+        vs.append(v)
         if residual <= tolerance:
             break
-    return policy, tuple(curve)
+    policies = _soft_policy(np.stack(qs), np.stack(vs), w)
+    returns = evaluate_return(mdp, policies, mdp.reward)
+    curve = tuple(enumerate(returns.tolist(), start=1))
+    return policies[-1].copy(), curve
 
 
 def evaluate_on_new_dynamics(

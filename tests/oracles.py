@@ -1,7 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written with plain Python loops and explicit formulas,
-deliberately avoiding the vectorized code paths under test.
+deliberately avoiding the vectorized code paths under test.  `loop_return`
+and `loop_curve` are the exceptions: they are the earlier per-policy and
+per-sweep forms of batched functions, kept to pin those functions' outputs
+bit for bit.
 """
 
 import math
@@ -9,7 +12,8 @@ import math
 import numpy as np
 
 from irl_lab.airl import discriminator_loss, DiscriminatorParams
-from irl_lab.mdp import RewardTable, TabularMdp
+from irl_lab.mdp import RewardTable, TabularMdp, expected_state_action
+from irl_lab.soft_rl import _soft_backup, _soft_policy, evaluate_return
 
 
 def reward_sa(mdp: TabularMdp, reward: RewardTable | None = None) -> np.ndarray:
@@ -64,6 +68,64 @@ def backward_soft_recursion(
             policy[s, a] = math.exp((q[s][a] - v[s]) / w)
         policy[s] /= policy[s].sum()
     return np.array(q), np.array(v), policy
+
+
+def loop_return(
+    mdp: TabularMdp,
+    policy: np.ndarray,
+    reward: RewardTable | None = None,
+    include_entropy: bool = False,
+    entropy_weight: float = 1.0,
+) -> float:
+    """One policy's return as a running total over 1-D state distributions.
+
+    The same products, dot products and summation order as `evaluate_return`,
+    one policy at a time, so the two agree exactly.
+    """
+    if reward is None:
+        reward = mdp.reward
+    r_sa = expected_state_action(reward, mdp.transition)
+    per_state = (policy * r_sa).sum(axis=1)
+    if include_entropy:
+        log_p = np.log(policy, out=np.zeros_like(policy), where=policy > 0)
+        per_state = per_state - entropy_weight * (policy * log_p).sum(axis=1)
+    step = np.einsum("sa,sap->sp", policy, mdp.transition)
+    d = mdp.initial_dist.copy()
+    total = 0.0
+    scale = 1.0
+    for _ in range(mdp.horizon):
+        total += scale * float(d @ per_state)
+        d = d @ step
+        scale *= mdp.discount
+    return total
+
+
+def loop_curve(
+    mdp: TabularMdp,
+    reward: RewardTable,
+    entropy_weight: float = 1.0,
+    tolerance: float = 1e-8,
+    max_iters: int = 10_000,
+):
+    """Plain soft value iteration scored once per sweep; returns (policy, curve).
+
+    Each sweep builds its softmax policy and calls single-policy
+    `evaluate_return` on it, as `reoptimize_with_curve` did before it scored
+    the whole stack in one call.
+    """
+    r_sa = expected_state_action(reward, mdp.transition)
+    v = np.zeros(mdp.n_states)
+    curve = []
+    for sweep in range(1, max_iters + 1):
+        q = r_sa + mdp.discount * (mdp.transition @ v)
+        v_new = _soft_backup(q, entropy_weight)
+        residual = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        policy = _soft_policy(q, v, entropy_weight)
+        curve.append((sweep, evaluate_return(mdp, policy, mdp.reward)))
+        if residual <= tolerance:
+            break
+    return policy, tuple(curve)
 
 
 def loop_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:

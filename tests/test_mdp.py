@@ -67,6 +67,20 @@ class TestRewardTable:
         with pytest.raises(ValueError):
             r.values[0] = 1.0
 
+    def test_broadcast_view_is_stored_in_c_order(self):
+        # The stored layout must not depend on how the values were laid out,
+        # or equal tables collapse to (s, a) with different rounding.
+        mdp = paper_tabular_mdp(0)
+        f = np.random.default_rng(3).normal(size=(16, 1, 16))
+        view = np.broadcast_to(f, (16, 4, 16))
+        from_view = RewardTable("transition", view)
+        from_copy = RewardTable("transition", np.ascontiguousarray(view))
+        assert from_view.values.flags.c_contiguous
+        assert np.array_equal(
+            soft_value_iteration(mdp, from_view).policy,
+            soft_value_iteration(mdp, from_copy).policy,
+        )
+
     def test_expected_state_action_collapses_by_dynamics(self):
         mdp = random_mdp(3, 2, state_reward(3), seed=0)
         rng = np.random.default_rng(1)

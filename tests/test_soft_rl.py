@@ -28,7 +28,7 @@ from irl_lab.soft_rl import (
 )
 
 from conftest import small_random_mdps
-from oracles import backward_soft_recursion, enumerate_return, loop_occupancy
+from oracles import backward_soft_recursion, enumerate_return, loop_occupancy, loop_return
 
 
 def two_state_bandit():
@@ -280,6 +280,40 @@ class TestEvaluateReturn:
             bonus = evaluate_return(tiny_mdp, policy, include_entropy=True)
         npt.assert_allclose(bonus - plain, evaluate_return(tiny_mdp, policy, weighted),
                             rtol=1e-12, atol=1e-15)
+
+    def test_stack_rows_equal_single_calls_and_the_loop(self, bench_mdp):
+        rng = np.random.default_rng(2)
+        stack = rng.dirichlet(np.ones(4), size=(5, 16))
+        stack[0] = uniform_policy(bench_mdp)
+        stack[1] = np.eye(4)[rng.integers(0, 4, size=16)]
+        stack[2] = soft_value_iteration(bench_mdp).policy
+        for include_entropy in (False, True):
+            got = evaluate_return(bench_mdp, stack, include_entropy=include_entropy,
+                                  entropy_weight=0.7)
+            assert got.shape == (5,)
+            for k in range(5):
+                one = evaluate_return(bench_mdp, stack[k], include_entropy=include_entropy,
+                                      entropy_weight=0.7)
+                assert type(one) is float
+                assert got[k] == one
+                assert one == loop_return(bench_mdp, stack[k], include_entropy=include_entropy,
+                                          entropy_weight=0.7)
+
+    def test_stack_shapes_checked(self, tiny_mdp):
+        policy = uniform_policy(tiny_mdp)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_return(tiny_mdp, np.stack([[policy]]))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_return(tiny_mdp, np.stack([policy[:2]]))
+        broken = np.stack([policy, policy])
+        broken[1, 0, 0] += 0.2
+        with pytest.raises(ValueError, match="distributions"):
+            evaluate_return(tiny_mdp, broken)
+        # only the return evaluation takes a stack
+        with pytest.raises(ValueError, match="shape"):
+            occupancy(tiny_mdp, np.stack([policy]))
+        with pytest.raises(ValueError, match="shape"):
+            sample_trajectories(tiny_mdp, np.stack([policy]), 2, seed=0)
 
     def test_agrees_with_occupancy_contraction(self, bench_mdp):
         # undiscounted-normalization detail: evaluate_return discounts by

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -28,6 +30,8 @@ from irl_lab.transfer import (
     reoptimize_with_curve,
     run_recovery,
 )
+
+from oracles import loop_curve
 
 
 def deterministic_bench(seed=0):
@@ -89,6 +93,52 @@ class TestReoptimizeWithCurve:
         bad = RewardTable("state_only", np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(ValueError, match="finite"):
             reoptimize_with_curve(tiny_mdp, bad)
+
+    @pytest.mark.parametrize("mdp_name", ["bench_mdp", "tiny_mdp", "deterministic"])
+    def test_matches_the_per_sweep_loop_exactly(self, request, mdp_name):
+        if mdp_name == "deterministic":
+            mdp = deterministic_bench(seed=3)
+        else:
+            mdp = request.getfixturevalue(mdp_name)
+        rng = np.random.default_rng(5)
+        candidate = RewardTable("state_action", rng.normal(size=(mdp.n_states, mdp.n_actions)))
+        for reward, weight in ((mdp.reward, 1.0), (candidate, 1.0), (candidate, 0.5)):
+            policy, curve = reoptimize_with_curve(mdp, reward, entropy_weight=weight)
+            want_policy, want_curve = loop_curve(mdp, reward, entropy_weight=weight)
+            assert len(curve) == len(want_curve) > 1
+            assert curve == want_curve
+            assert all(type(x) is int and type(y) is float for x, y in curve)
+            assert np.array_equal(policy, want_policy)
+
+    def test_policy_is_its_own_array(self, tiny_mdp):
+        policy, _ = reoptimize_with_curve(tiny_mdp, tiny_mdp.reward)
+        assert policy.base is None
+        assert policy.shape == (tiny_mdp.n_states, tiny_mdp.n_actions)
+
+    @pytest.mark.parametrize(
+        "kwargs, discount",
+        [
+            pytest.param({"max_iters": 0}, None, id="max_iters=0"),
+            pytest.param({"max_iters": -3}, None, id="max_iters=-3"),
+            pytest.param({"entropy_weight": 0.0}, None, id="entropy_weight=0"),
+            pytest.param({"entropy_weight": -1.0}, None, id="entropy_weight=-1"),
+            pytest.param({"tolerance": 0.0}, None, id="tolerance=0"),
+            pytest.param({"tolerance": -1e-8}, None, id="tolerance=-1e-8"),
+            pytest.param({"tolerance": float("nan")}, None, id="tolerance=nan"),
+            pytest.param({"entropy_weight": float("nan")}, None, id="entropy_weight=nan"),
+            pytest.param({}, 1.0, id="discount=1"),
+            pytest.param({}, 1.5, id="discount=1.5"),
+            pytest.param({}, -0.1, id="discount=-0.1"),
+            pytest.param({}, float("nan"), id="discount=nan"),
+        ],
+    )
+    def test_arguments_checked_like_the_solver(self, tiny_mdp, kwargs, discount):
+        mdp = tiny_mdp if discount is None else replace(tiny_mdp, discount=discount)
+        with pytest.raises(ValueError) as solver_error:
+            soft_value_iteration(mdp, **kwargs)
+        with pytest.raises(ValueError) as curve_error:
+            reoptimize_with_curve(mdp, mdp.reward, **kwargs)
+        assert str(curve_error.value) == str(solver_error.value)
 
 
 class TestEvaluateOnNewDynamics:
