@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -141,6 +141,10 @@ class LearnerConfig:
 class IterationRecord:
     """Diagnostics of one outer iteration.
 
+    `disc_loss` is the discriminator loss after the round's fit, `g_delta` the
+    largest change that fit made to the learned table g, `true_return` the
+    re-solved policy's return under the true reward (no entropy bonus) and
+    `reward_error` the centered sup-norm gap between g and the true reward.
     `vi_steps_cumulative` sums `SoftSolution.iterations_used` over the policy
     steps so far: soft Bellman solver iterations (a backup plus a linear
     solve), not value-iteration sweeps.
@@ -159,17 +163,61 @@ _HISTORY_KEYS = ("iter", "disc_loss", "true_return", "reward_error", "g_delta",
                  "vi_steps_cumulative")
 
 
-@dataclass
+class _Round(NamedTuple):
+    """What training stores per iteration; the history derives the rest from g and policy."""
+
+    iteration: int
+    disc_loss: float
+    g_delta: float
+    vi_steps_cumulative: int
+    g: np.ndarray
+    policy: np.ndarray
+
+
 class TrainingHistory:
-    """Per-iteration diagnostics of a training run."""
+    """Per-iteration diagnostics of a training run on `mdp`.
 
-    records: list[IterationRecord] = field(default_factory=list)
+    `append` stores an iteration's number, discriminator loss, g change and
+    solver-step count together with its g table and policy.  `true_return`
+    and `reward_error` are computed on the first read of `records`, `column`,
+    `to_csv_text` or `to_json_dict`, for every iteration appended since the
+    last read: the returns by one stacked `evaluate_return` call, whose rows
+    equal single-policy calls bit for bit.  A run whose history is never read
+    never computes them.
+    """
 
-    def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
+    def __init__(self, mdp: TabularMdp):
+        self._mdp = mdp
+        self._rounds: list[_Round] = []
+        self._records: list[IterationRecord] = []
+
+    def append(self, iteration: int, disc_loss: float, g_delta: float,
+               vi_steps_cumulative: int, g: np.ndarray, policy: np.ndarray) -> None:
+        self._rounds.append(
+            _Round(iteration, disc_loss, g_delta, vi_steps_cumulative, g, policy)
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rounds)
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        pending = self._rounds[len(self._records):]
+        if pending:
+            mdp = self._mdp
+            returns = evaluate_return(mdp, np.stack([r.policy for r in pending]), mdp.reward)
+            self._records += [
+                IterationRecord(
+                    iteration=r.iteration,
+                    disc_loss=r.disc_loss,
+                    true_return=true_return,
+                    reward_error=centered_reward_error(_g_table(r.g), mdp.reward, mdp.transition),
+                    g_delta=r.g_delta,
+                    vi_steps_cumulative=r.vi_steps_cumulative,
+                )
+                for r, true_return in zip(pending, returns.tolist())
+            ]
+        return list(self._records)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -178,8 +226,9 @@ class TrainingHistory:
         return csv_text(_HISTORY_KEYS[:-1], (astuple(r)[:-1] for r in self.records))
 
     def to_json_dict(self) -> dict:
+        records = self.records
         return {
-            key: [getattr(r, f.name) for r in self.records]
+            key: [getattr(r, f.name) for r in records]
             for key, f in zip(_HISTORY_KEYS, fields(IterationRecord))
         }
 
@@ -279,18 +328,21 @@ def discriminator_prob(params: DiscriminatorParams, policy, s: int, a: int, sp: 
     return float(_sigmoid(x))
 
 
-class _Problem(NamedTuple):
+class _Problem:
     """One round's regression: logits phi(theta) + offset, weights w_e and w_n.
 
     theta is a tuple of arrays; `phi_t` maps a per-row vector back to a tuple
-    shaped like theta.
+    shaped like theta.  The per-row gradient D * (w_e + w_n) - w_e equals
+    half * tanh(x / 2) + (half - w_e) with half = (w_e + w_n) / 2; the row-sized
+    terms that do not depend on theta are formed once, here.
     """
 
-    phi: Callable
-    phi_t: Callable
-    offset: np.ndarray
-    w_e: np.ndarray
-    w_n: np.ndarray
+    def __init__(self, phi: Callable, phi_t: Callable, offset, w_e, w_n):
+        self.phi, self.phi_t = phi, phi_t
+        self.offset, self.w_e, self.w_n = offset, w_e, w_n
+        self._half_offset = 0.5 * offset
+        self._half = 0.5 * (w_e + w_n)
+        self._bias = self._half - w_e
 
     def loss(self, theta) -> float:
         """sum(w_e * -log D) + sum(w_n * -log(1 - D)), computed in log space."""
@@ -299,14 +351,14 @@ class _Problem(NamedTuple):
             (self.w_e * np.logaddexp(0.0, -x)).sum() + (self.w_n * np.logaddexp(0.0, x)).sum()
         )
 
-    def grad(self, theta, w_total) -> tuple:
-        """Phi^T (D * w_total - w_e), where the caller passes w_total = w_e + w_n."""
-        return self.phi_t(_sigmoid(self.phi(theta) + self.offset) * w_total - self.w_e)
+    def grad(self, theta) -> tuple:
+        """Phi^T (D * (w_e + w_n) - w_e), with D = sigmoid(x) = (1 + tanh(x / 2)) / 2."""
+        half_x = 0.5 * self.phi(theta) + self._half_offset
+        return self.phi_t(self._half * np.tanh(half_x) + self._bias)
 
     def fit(self, theta, steps: int, step_size: float) -> tuple:
-        w_total = self.w_e + self.w_n
         for _ in range(steps):
-            theta = tuple(t - step_size * g for t, g in zip(theta, self.grad(theta, w_total)))
+            theta = tuple(t - step_size * g for t, g in zip(theta, self.grad(theta)))
         return theta
 
 
@@ -354,7 +406,7 @@ class DiscGrad(NamedTuple):
 def discriminator_grad(params: DiscriminatorParams, policy, expert, negatives) -> DiscGrad:
     """Analytic gradient of the logistic loss in the two tables."""
     problem, theta = _params_problem(params, policy, expert, negatives)
-    return DiscGrad(*problem.grad(theta, problem.w_e + problem.w_n))
+    return DiscGrad(*problem.grad(theta))
 
 
 def extract_reward(params: DiscriminatorParams, policy) -> RewardTable:
@@ -377,7 +429,7 @@ def _train(mdp: TabularMdp, config: LearnerConfig, theta: tuple, encode, problem
     _Problem, and `reward` maps theta to the policy step's RewardTable.
     """
     policy = uniform_policy(mdp)
-    history = TrainingHistory()
+    history = TrainingHistory(mdp)
     replay: deque = deque(maxlen=config.replay_window)
     rng = np.random.default_rng(config.seed)
     v_warm = None
@@ -409,16 +461,8 @@ def _train(mdp: TabularMdp, config: LearnerConfig, theta: tuple, encode, problem
         policy, v_warm = solution.policy, solution.v
         vi_steps += solution.iterations_used
 
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                disc_loss=loss,
-                true_return=evaluate_return(mdp, policy, mdp.reward, include_entropy=False),
-                reward_error=centered_reward_error(_g_table(theta[0]), mdp.reward, mdp.transition),
-                g_delta=float(np.max(np.abs(theta[0] - g_before))),
-                vi_steps_cumulative=vi_steps,
-            )
-        )
+        history.append(iteration, loss, float(np.max(np.abs(theta[0] - g_before))),
+                       vi_steps, theta[0], policy)
     return theta, policy, history
 
 

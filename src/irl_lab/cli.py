@@ -323,18 +323,20 @@ def _curve_text(curve) -> str:
 
 
 def _aggregate_curves(curves) -> list[list]:
-    """Per-sweep mean/min/max across curves, carrying final values forward."""
-    length = max(len(c) for c in curves)
-    padded = []
-    for curve in curves:
+    """Per-sweep mean/min/max across curves, carrying final values forward.
+
+    Row k of the (sweeps, curves) table holds every curve's return after sweep
+    k + 1.  Each contiguous row is reduced like a column slice of the
+    (curves, sweeps) stack would be, so the mean gets the same pairwise sum.
+    """
+    table = np.empty((max(len(c) for c in curves), len(curves)))
+    for i, curve in enumerate(curves):
         returns = [float(r) for _, r in curve]
-        returns += [returns[-1]] * (length - len(returns))
-        padded.append(returns)
-    stacked = np.array(padded)
-    return [
-        [k + 1, float(stacked[:, k].mean()), float(stacked[:, k].min()), float(stacked[:, k].max())]
-        for k in range(length)
-    ]
+        table[:len(returns), i] = returns
+        table[len(returns):, i] = returns[-1]
+    stats = zip(table.mean(axis=1).tolist(), table.min(axis=1).tolist(),
+                table.max(axis=1).tolist())
+    return [[k + 1, mean, low, high] for k, (mean, low, high) in enumerate(stats)]
 
 
 def _aggregate_text(curves) -> str:

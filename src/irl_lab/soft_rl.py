@@ -241,18 +241,20 @@ class OccupancyMeasure:
 def occupancy(mdp: TabularMdp, policy) -> OccupancyMeasure:
     """Exact discounted occupancy of a policy over the MDP's horizon.
 
-    Forward recursion over state marginals; step t contributes with weight
-    discount**t and the total is normalized to 1.
+    Forward recursion over state marginals: d_0 is the initial distribution
+    and d_{t+1} = d_t P_pi with P_pi[s, s'] = sum_a pi(a|s) T(s, a, s').  The
+    discounted visits sum_t discount**t d_t over the horizon's steps give
+    rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'), normalized to total mass 1.
     """
     policy = _check_policy(mdp, policy)
-    d = mdp.initial_dist.copy()
-    rho = np.zeros((mdp.n_states, mdp.n_actions, mdp.n_states))
-    scale = 1.0
-    for _ in range(mdp.horizon):
-        flow = d[:, None, None] * policy[:, :, None] * mdp.transition
-        rho += scale * flow
-        d = flow.sum(axis=(0, 1))
-        scale *= mdp.discount
+    p_pi = np.einsum("sa,sap->sp", policy, mdp.transition)
+    # d[t] holds the state distribution at step t
+    d = np.empty((mdp.horizon, mdp.n_states))
+    d[0] = mdp.initial_dist
+    for t in range(1, mdp.horizon):
+        np.matmul(d[t - 1], p_pi, out=d[t])
+    visits = np.power(mdp.discount, np.arange(mdp.horizon)) @ d
+    rho = (visits[:, None] * policy)[:, :, None] * mdp.transition
     rho /= rho.sum()
     return OccupancyMeasure(rho)
 

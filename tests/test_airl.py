@@ -1,3 +1,4 @@
+import copy
 import json
 import warnings
 
@@ -37,6 +38,7 @@ from irl_lab.mdp import (
 )
 from irl_lab.shaping import advantage, centered_reward_error
 from irl_lab.soft_rl import (
+    evaluate_return,
     occupancy,
     sample_trajectories,
     soft_value_iteration,
@@ -262,6 +264,21 @@ class TestDiscriminatorGrad:
             assert rel_g.max() <= 1e-4
             assert rel_h.max() <= 1e-4
 
+    def test_tanh_form_matches_the_sigmoid_form(self, bench_mdp):
+        # the step forms D * (w_e + w_n) - w_e as half * tanh(x / 2) + (half - w_e)
+        expert = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy).rho
+        policy = softmax_policy(3, 16, 4)
+        negatives = occupancy(bench_mdp, policy).rho
+        for kind in ("state_only", "state_action"):
+            params = random_params(8, 16, 4, kind, discount=bench_mdp.discount)
+            x = f_table(params, 16, 4) - np.log(policy)[:, :, None]
+            dl_df = expit(x) * (expert + negatives) - expert
+            want_g = dl_df.sum(axis=(1, 2)) if kind == "state_only" else dl_df.sum(axis=2)
+            want_h = bench_mdp.discount * dl_df.sum(axis=(0, 1)) - dl_df.sum(axis=(1, 2))
+            grad = discriminator_grad(params, policy, expert, negatives)
+            npt.assert_allclose(grad.g, want_g, rtol=0, atol=1e-15)
+            npt.assert_allclose(grad.h, want_h, rtol=0, atol=1e-15)
+
     def test_symmetric_optimum_has_zero_gradient(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
         params = matched_params(policy)
@@ -474,6 +491,99 @@ class TestAirlTrain:
                                      bench_mdp.transition) > 0.3
 
 
+def eager_history(mdp, history):
+    """Each stored (g, policy) scored by single-policy calls, one iteration at a time."""
+    true_return, reward_error = [], []
+    for r in history._rounds:
+        true_return.append(evaluate_return(mdp, r.policy, mdp.reward, include_entropy=False))
+        kind = "state_only" if r.g.ndim == 1 else "state_action"
+        reward_error.append(
+            centered_reward_error(RewardTable(kind, r.g), mdp.reward, mdp.transition)
+        )
+    return true_return, reward_error
+
+
+class TestLazyHistory:
+    @pytest.fixture(scope="class")
+    def runs(self, bench_mdp):
+        """Both AIRL variants in both modes, and the trajectory baseline."""
+        expert = soft_value_iteration(bench_mdp).policy
+        trajectories = sample_trajectories(bench_mdp, expert, 16, seed=4)
+        runs = {}
+        for variant in ("airl_state_only", "airl_state_action"):
+            runs[variant, "exact_occupancy"] = airl_train(
+                bench_mdp, occupancy(bench_mdp, expert),
+                LearnerConfig(variant=variant, iterations=6, disc_step_size=0.2),
+            )
+            runs[variant, "sampled"] = airl_train(
+                bench_mdp, trajectories,
+                LearnerConfig(variant=variant, mode="sampled", iterations=6,
+                              n_policy_trajectories=16, seed=2),
+            )
+        runs["gan_gcl_trajectory", "sampled"] = gan_gcl_train(
+            bench_mdp, trajectories,
+            LearnerConfig(variant="gan_gcl_trajectory", mode="sampled", iterations=6,
+                          n_policy_trajectories=16, seed=2),
+        )
+        return runs
+
+    def test_derived_columns_equal_single_policy_calls(self, bench_mdp, runs):
+        for key, result in runs.items():
+            history = result.history
+            true_return, reward_error = eager_history(bench_mdp, history)
+            assert len(true_return) == 6, key
+            assert history.column("true_return").tolist() == true_return, key
+            assert history.column("reward_error").tolist() == reward_error, key
+            doc = history.to_json_dict()
+            assert doc["true_return"] == true_return, key
+            assert doc["reward_error"] == reward_error, key
+            # the stored tables are the training's own
+            final = result.history._rounds[-1]
+            assert np.array_equal(final.policy, result.policy), key
+            learned = result.scorer.f_step if key[0] == "gan_gcl_trajectory" \
+                else result.params.g.values
+            assert np.array_equal(final.g, learned), key
+
+    def test_reads_repeat_and_see_later_appends(self, bench_mdp, runs):
+        history = runs["airl_state_only", "exact_occupancy"].history
+        first = history.to_csv_text()
+        assert history.to_csv_text() == first
+        assert history.to_json_dict() == history.to_json_dict()
+        extra = copy.deepcopy(history)
+        last = extra._rounds[-1]
+        g = last.g + 1.0
+        policy = uniform_policy(bench_mdp)
+        extra.append(6, 0.5, 1.0, last.vi_steps_cumulative + 3, g, policy)
+        lines = extra.to_csv_text().splitlines()
+        assert lines[:-1] == first.splitlines()
+        record = extra.records[-1]
+        assert record.iteration == 6 and record.disc_loss == 0.5
+        assert record.true_return == evaluate_return(bench_mdp, policy, bench_mdp.reward)
+        assert record.reward_error == centered_reward_error(
+            RewardTable("state_only", g), bench_mdp.reward, bench_mdp.transition)
+        assert extra.column("vi_steps_cumulative")[-1] == last.vi_steps_cumulative + 3
+        assert len(history) == 6 and history.to_csv_text() == first
+
+    def test_records_cannot_be_edited_through_a_read(self, runs):
+        history = runs["airl_state_action", "sampled"].history
+        records = history.records
+        records[0] = records[1]
+        records.append(records[1])
+        assert [r.iteration for r in history.records] == list(range(6))
+
+    def test_training_computes_no_diagnostics_until_read(self, tiny_mdp, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("history diagnostic computed before a read")
+
+        demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
+        monkeypatch.setattr(irl_lab.airl, "evaluate_return", unexpected)
+        monkeypatch.setattr(irl_lab.airl, "centered_reward_error", unexpected)
+        result = airl_train(tiny_mdp, demos, LearnerConfig(iterations=4))
+        assert len(result.history) == 4
+        with pytest.raises(AssertionError, match="before a read"):
+            result.history.to_csv_text()
+
+
 class TestTransitionBatch:
     def test_from_trajectories_concatenates_steps(self, tiny_mdp):
         trajs = sample_trajectories(tiny_mdp, uniform_policy(tiny_mdp), 3, seed=2)
@@ -584,7 +694,7 @@ class TestGanGcl:
         worst = 0.0
         for seed in range(5):
             problem, f_step, _, _ = self.episode_problem(seed)
-            (grad,) = problem.grad((f_step,), problem.w_e + problem.w_n)
+            (grad,) = problem.grad((f_step,))
             fd = np.zeros_like(f_step)
             for idx in np.ndindex(f_step.shape):
                 up, down = f_step.copy(), f_step.copy()

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import irl_lab
+import irl_lab.airl
 from irl_lab.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_USAGE,
+    _aggregate_curves,
     _build_mdp,
     load_experiment_config,
     main,
@@ -482,6 +484,24 @@ class TestReproduceTabular:
         assert manifest["all_pass"] is False
         assert manifest["experiments"]["recovery_state_only"]["pass"] is False
 
+    def test_reproduction_never_reads_the_training_history(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.delenv("IRL_LAB_THREADS", raising=False)
+        plain, patched = tmp_path / "plain", tmp_path / "patched"
+        args = ("reproduce-tabular", "--seeds", "0", "--iterations", "3", "--out")
+        plain_code = run_cli(capsys, *args, str(plain))[0]
+
+        def unexpected(*a, **k):
+            raise AssertionError("history diagnostic computed")
+
+        monkeypatch.setattr(irl_lab.airl, "evaluate_return", unexpected)
+        monkeypatch.setattr(irl_lab.airl, "centered_reward_error", unexpected)
+        assert run_cli(capsys, *args, str(patched))[0] == plain_code == EXIT_THRESHOLD
+        files = sorted(p.name for p in plain.iterdir())
+        assert sorted(p.name for p in patched.iterdir()) == files
+        for name in files:
+            assert (patched / name).read_bytes() == (plain / name).read_bytes()
+
     def test_worker_pool_matches_serial_run(self, tmp_path, capsys, monkeypatch):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         monkeypatch.setenv("IRL_LAB_THREADS", "1")
@@ -672,3 +692,25 @@ class TestEntryPoints:
         if installed is not None:
             assert_irl_lab_help(subprocess.run(
                 [installed, "--help"], capture_output=True, text=True))
+
+
+class TestAggregateCurves:
+    def test_rows_match_per_column_reductions(self):
+        # nine curves: at eight or more, a sequential sum over the stack's
+        # first axis would round differently from each column's pairwise sum
+        rng = np.random.default_rng(5)
+        lengths = (3, 7, 1, 9, 4, 9, 2, 8, 5)
+        curves = [[(k + 1, float(r)) for k, r in enumerate(rng.normal(scale=50, size=n))]
+                  for n in lengths]
+        padded = np.array([[r for _, r in c] + [c[-1][1]] * (9 - len(c)) for c in curves])
+        want = [[k + 1, float(padded[:, k].mean()), float(padded[:, k].min()),
+                 float(padded[:, k].max())] for k in range(9)]
+        got = _aggregate_curves(curves)
+        assert got == want
+        assert all(type(x) is float for row in got for x in row[1:])
+        # the reduction order matters here: the stacked mean is not the same
+        assert padded.mean(axis=0).tolist() != [row[1] for row in want]
+
+    def test_single_curve_carries_itself(self):
+        assert _aggregate_curves([[(1, 2.0), (2, 3.0)]]) == [[1, 2.0, 2.0, 2.0],
+                                                             [2, 3.0, 3.0, 3.0]]

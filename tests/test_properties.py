@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from irl_lab.mdp import RewardTable, TabularMdp
-from irl_lab.soft_rl import evaluate_return
+from irl_lab.soft_rl import evaluate_return, occupancy
 
-from oracles import enumerate_return, loop_return
+from oracles import enumerate_return, loop_occupancy, loop_return
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -72,3 +72,19 @@ def test_stacked_returns_match_the_loop_and_path_enumeration(
             want = enumerate_return(mdp, policy, include_entropy=include_entropy,
                                     entropy_weight=entropy_weight)
             assert abs(single - want) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=mdps_and_policies())
+def test_occupancy_is_a_distribution_matching_the_loop(case):
+    mdp, policies = case
+    for policy in policies:
+        measure = occupancy(mdp, policy)
+        rho = measure.rho
+        assert rho.shape == (mdp.n_states, mdp.n_actions, mdp.n_states)
+        assert np.all(rho >= 0)
+        assert abs(rho.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - loop_occupancy(mdp, policy))) <= 1e-12
+        # the next state is drawn from the dynamics given (s, a)
+        factored = measure.state_action_marginal()[:, :, None] * mdp.transition
+        assert np.max(np.abs(rho - factored)) <= 1e-15

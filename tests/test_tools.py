@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -51,3 +53,46 @@ class TestGoldenDiff:
         old = write_set(tmp_path / "old", {"a.txt": "seed0 1\n"})
         new = write_set(tmp_path / "new", {"a.txt": "seed1 1\n"})
         assert golden_diff.main([str(old), str(new)]) == 1
+
+
+class TestBenchPairs:
+    def test_summary_counts_wins_in_each_metrics_direction(self):
+        bench_pairs = load_tool("bench_pairs")
+        parent = [{"work_per_s": w, "run_s": r, "count": 5.0}
+                  for w, r in zip([100, 102, 98, 101, 99], [0.20, 0.19, 0.21, 0.20, 0.20])]
+        change = [{"work_per_s": w, "run_s": r, "count": 5.0, "extra": 1.0}
+                  for w, r in zip([120, 97, 119, 121, 118], [0.17, 0.18, 0.22, 0.16, 0.17])]
+        rows = {row["metric"]: row for row in bench_pairs.summarize(
+            parent, change, {"work_per_s": "higher", "run_s": "lower"})}
+        # a metric missing from any run is left out
+        assert set(rows) == {"work_per_s", "run_s", "count"}
+        work = rows["work_per_s"]
+        assert work["parent"] == (99, 100, 101)
+        assert work["change"] == (118, 119, 120)
+        assert work["won"] == 4 and work["pairs"] == 5
+        assert work["ratio"] == 1.19
+        assert work["beyond_parent_iqr"]
+        run = rows["run_s"]
+        assert run["better"] == "lower" and run["won"] == 4
+        assert run["parent"][1] == 0.20 and run["change"][1] == 0.17
+        # equal values win nothing and differ by no more than the IQR
+        assert rows["count"]["won"] == 0 and not rows["count"]["beyond_parent_iqr"]
+        text = bench_pairs.format_summary(list(rows.values()))
+        assert "work_per_s (higher)  100 [99, 101] -> 119 [118, 120]  1.1900  4/5  yes" in text
+
+    def test_median_inside_the_parent_spread_is_not_resolved(self):
+        bench_pairs = load_tool("bench_pairs")
+        parent = [{"work_per_s": w} for w in (90, 100, 110, 120)]
+        change = [{"work_per_s": w} for w in (95, 105, 115, 125)]
+        (row,) = bench_pairs.summarize(parent, change, {"work_per_s": "higher"})
+        assert row["won"] == 4
+        assert not row["beyond_parent_iqr"]
+
+    def test_seed_ranges_and_mismatched_sides(self):
+        bench_pairs = load_tool("bench_pairs")
+        assert bench_pairs.parse_seeds("1000-1003") == [1000, 1001, 1002, 1003]
+        assert bench_pairs.parse_seeds("7") == [7]
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds("5-4")
+        with pytest.raises(ValueError):
+            bench_pairs.summarize([{"a": 1.0}], [], {})
