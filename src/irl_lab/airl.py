@@ -178,46 +178,42 @@ class TrainingHistory:
     """Per-iteration diagnostics of a training run on `mdp`.
 
     `append` stores an iteration's number, discriminator loss, g change and
-    solver-step count together with its g table and policy.  `true_return`
-    and `reward_error` are computed on the first read of `records`, `column`,
-    `to_csv_text` or `to_json_dict`, for every iteration appended since the
-    last read: the returns by one stacked `evaluate_return` call, whose rows
-    equal single-policy calls bit for bit.  A run whose history is never read
-    never computes them.
+    solver-step count together with copies of its g table and policy.
+    `true_return` and `reward_error` are computed from those on every read of
+    `records`, `column`, `to_csv_text` or `to_json_dict`: the returns by one
+    stacked `evaluate_return` call, whose rows equal single-policy calls bit
+    for bit.  A run whose history is never read never computes them.
     """
 
     def __init__(self, mdp: TabularMdp):
         self._mdp = mdp
         self._rounds: list[_Round] = []
-        self._records: list[IterationRecord] = []
 
     def append(self, iteration: int, disc_loss: float, g_delta: float,
                vi_steps_cumulative: int, g: np.ndarray, policy: np.ndarray) -> None:
-        self._rounds.append(
-            _Round(iteration, disc_loss, g_delta, vi_steps_cumulative, g, policy)
-        )
+        self._rounds.append(_Round(iteration, disc_loss, g_delta, vi_steps_cumulative,
+                                   np.array(g, dtype=float), np.array(policy, dtype=float)))
 
     def __len__(self) -> int:
         return len(self._rounds)
 
     @property
     def records(self) -> list[IterationRecord]:
-        pending = self._rounds[len(self._records):]
-        if pending:
-            mdp = self._mdp
-            returns = evaluate_return(mdp, np.stack([r.policy for r in pending]), mdp.reward)
-            self._records += [
-                IterationRecord(
-                    iteration=r.iteration,
-                    disc_loss=r.disc_loss,
-                    true_return=true_return,
-                    reward_error=centered_reward_error(_g_table(r.g), mdp.reward, mdp.transition),
-                    g_delta=r.g_delta,
-                    vi_steps_cumulative=r.vi_steps_cumulative,
-                )
-                for r, true_return in zip(pending, returns.tolist())
-            ]
-        return list(self._records)
+        if not self._rounds:
+            return []
+        mdp = self._mdp
+        returns = evaluate_return(mdp, np.stack([r.policy for r in self._rounds]), mdp.reward)
+        return [
+            IterationRecord(
+                iteration=r.iteration,
+                disc_loss=r.disc_loss,
+                true_return=true_return,
+                reward_error=centered_reward_error(_g_table(r.g), mdp.reward, mdp.transition),
+                g_delta=r.g_delta,
+                vi_steps_cumulative=r.vi_steps_cumulative,
+            )
+            for r, true_return in zip(self._rounds, returns.tolist())
+        ]
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])

@@ -1,18 +1,19 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize them.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
-        [--seconds 25] [--trace 0|1] [--out RUNS.json]
+        [--out RUNS.json]
 
 For each seed from A to B (inclusive) it runs each checkout's own, unmodified
-`perfbench/run.py --workload W --seed S --seconds N --trace T` once, one run at
-a time.  Even pairs run the parent first, odd pairs the change first, so a
-drift in machine speed does not favour one side.  Each run's last stdout line
-is its JSON result.
+`perfbench/run.py --workload W --seed S --seconds N` once, untraced, one run
+at a time, where N is `run_seconds` from CHANGE_DIR/BENCHMARK.json.  Even
+pairs run the parent first, odd pairs the change first, so a drift in machine
+speed does not favour one side.  Each run's last stdout line is its JSON
+result.
 
 For every metric it prints the median and quartiles of each side, the change
 against the parent's median, the pairs the change won, and whether the medians
 differ by more than the parent's interquartile range.  Directions ("better":
-"lower" or "higher") come from CHANGE_DIR/BENCHMARK.json; a metric without one
+"lower" or "higher") come from the same BENCHMARK.json; a metric without one
 counts the pairs where the change reads lower.  Failed and attempted
 operations are totalled per side.  `--out` writes the raw results as JSON.
 """
@@ -78,17 +79,14 @@ def format_summary(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    path = checkout / "BENCHMARK.json"
-    if not path.exists():
-        return {}
-    doc = json.loads(path.read_text())
-    return {m["name"]: m["better"] for m in doc.get("end_to_end", []) + doc.get("per_layer", [])}
+def directions(benchmark: dict) -> dict[str, str]:
+    metrics = benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])
+    return {m["name"]: m["better"] for m in metrics}
 
 
-def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -110,17 +108,16 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="A-B, inclusive, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_one(sides[side], args.workload, seed, args.seconds, args.trace)
+            result = run_one(sides[side], args.workload, seed, benchmark["run_seconds"])
             result["seed"] = seed
             results[side].append(result)
             work = result["metrics"].get("work_per_s", {}).get("value")
@@ -130,7 +127,7 @@ def main(argv=None) -> int:
     metrics = {side: [{k: m["value"] for k, m in r["metrics"].items()} for r in runs]
                for side, runs in results.items()}
     print(format_summary(summarize(metrics["parent"], metrics["change"],
-                                   directions(sides["change"]))), end="")
+                                   directions(benchmark))), end="")
     for side, runs in results.items():
         failed = sum(r["failed"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)
