@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._fmt import csv_text
-from .mdp import RewardTable, TabularMdp, reward_from_dict, reward_to_dict, strict_int
+from .mdp import (REQUIRED, RewardTable, TabularMdp, float_array, read_document,
+                  reward_from_dict, reward_to_dict, strict_float, strict_int)
 from .shaping import centered_reward_error
 from .soft_rl import (
     OccupancyMeasure,
@@ -92,13 +93,15 @@ def params_to_dict(params: DiscriminatorParams) -> dict:
     }
 
 
-def params_from_dict(doc: dict) -> DiscriminatorParams:
-    unknown = set(doc) - {"g", "h", "discount"}
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in discriminator params")
-    return DiscriminatorParams(
-        reward_from_dict(doc["g"]), np.asarray(doc["h"], dtype=float), float(doc["discount"])
-    )
+_PARAMS_KEYS = {
+    "g": (reward_from_dict, REQUIRED),
+    "h": (float_array, REQUIRED),
+    "discount": (strict_float, REQUIRED),
+}
+
+
+def params_from_dict(doc) -> DiscriminatorParams:
+    return DiscriminatorParams(**read_document(doc, _PARAMS_KEYS, "discriminator params"))
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ class LearnerConfig:
         for name in ("iterations", "disc_steps_per_iter", "replay_window",
                      "n_policy_trajectories", "seed"):
             strict_int(getattr(self, name), name)
+        for name in ("disc_step_size", "entropy_weight"):
+            strict_float(getattr(self, name), name)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in MODES:
@@ -127,13 +132,13 @@ class LearnerConfig:
             raise ValueError("iterations must be non-negative")
         if self.disc_steps_per_iter < 1:
             raise ValueError("disc_steps_per_iter must be at least 1")
-        if self.disc_step_size <= 0:
+        if not self.disc_step_size > 0:
             raise ValueError("disc_step_size must be positive")
         if self.replay_window < 1:
             raise ValueError("replay_window must be at least 1")
         if self.n_policy_trajectories < 1:
             raise ValueError("n_policy_trajectories must be at least 1")
-        if self.entropy_weight <= 0:
+        if not self.entropy_weight > 0:
             raise ValueError("entropy_weight must be positive")
 
 
@@ -341,11 +346,16 @@ class _Problem:
         self._bias = self._half - w_e
 
     def loss(self, theta) -> float:
-        """sum(w_e * -log D) + sum(w_n * -log(1 - D)), computed in log space."""
+        """sum(w_e * -log D) + sum(w_n * -log(1 - D)), computed in log space.
+
+        A row with pi(a|s) = 0 has an infinite offset, so -log(1 - D) is
+        infinite there while the row's negative weight is 0; such a row adds
+        0 (0 * log 0 = 0).  -log D is infinite only for infinite parameters.
+        """
         x = self.phi(theta) + self.offset
-        return float(
-            (self.w_e * np.logaddexp(0.0, -x)).sum() + (self.w_n * np.logaddexp(0.0, x)).sum()
-        )
+        neg = np.logaddexp(0.0, x)
+        neg[self.w_n == 0] = 0.0
+        return float((self.w_e * np.logaddexp(0.0, -x)).sum() + (self.w_n * neg).sum())
 
     def grad(self, theta) -> tuple:
         """Phi^T (D * (w_e + w_n) - w_e), with D = sigmoid(x) = (1 + tanh(x / 2)) / 2."""

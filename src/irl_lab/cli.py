@@ -13,7 +13,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from ._fmt import atomic_write_text, csv_text, json_text
 from .airl import DivergenceError, LearnerConfig, gan_gcl_train, params_to_dict
 from .mdp import (
+    REQUIRED,
     RewardTable,
     TabularMdp,
     counterexample_mdp,
@@ -29,8 +30,10 @@ from .mdp import (
     mdp_to_dict,
     paper_tabular_mdp,
     random_mdp,
+    read_document,
     reward_from_dict,
     reward_to_dict,
+    strict_float,
     strict_int,
     validate_mdp,
 )
@@ -62,10 +65,6 @@ REPRO_TEST_SEED_OFFSET = 1000
 _VARIANT_LABELS = {"airl_state_only": "state_only", "airl_state_action": "state_action"}
 
 
-class ConfigError(ValueError):
-    """Invalid experiment config or CLI inputs."""
-
-
 class InvalidMdpError(Exception):
     """An MDP that breaks the invariants `validate_mdp` checks."""
 
@@ -81,153 +80,127 @@ def _validated(mdp: TabularMdp) -> TabularMdp:
     return mdp
 
 
-def _check_keys(doc, allowed: set[str], where: str, required: set[str] = frozenset()):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"missing key {key!r} in {where}")
+def _as_is(value):
+    return value
 
 
-_LEARNER_KEYS = {
-    "variant",
-    "mode",
-    "iterations",
-    "disc_steps_per_iter",
-    "disc_step_size",
-    "replay_window",
-    "n_policy_trajectories",
-    "entropy_weight",
-    "seed",
-}
-
-
-def _parse_learner(doc) -> LearnerConfig:
-    _check_keys(doc, _LEARNER_KEYS, "learner")
-    try:
-        return LearnerConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid learner config: {exc}") from exc
-
-
-def _path(value, where: str) -> Path:
+def _path(value) -> Path:
     if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a path string, got {value!r}")
+        raise ValueError(f"must be a path string, got {value!r}")
     return Path(value)
 
 
+def _existing_file(value) -> str:
+    if not _path(value).is_file():
+        raise ValueError(f"no file at {value!r}")
+    return value
+
+
+def _nonempty_list(convert):
+    def read(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"must be a non-empty list, got {value!r}")
+        return [convert(item) for item in value]
+    return read
+
+
+def _random_with_reward_state(seed, states, actions, reward_state, discount, horizon) -> TabularMdp:
+    """A `random` MDP paying reward 1.0 in `reward_state`."""
+    if not 0 <= reward_state < states:
+        raise ValueError("reward_state must index a state")
+    values = np.zeros(states)
+    values[reward_state] = 1.0
+    return random_mdp(states, actions, RewardTable("state_only", values), seed,
+                      discount=discount, horizon=horizon)
+
+
+_SHARED_KEYS = {"discount": (strict_float, 0.9), "horizon": (strict_int, 20)}
+
+# generate kind -> (generator, the keys it takes); `generate`'s flags share the key names.
+_MDP_KINDS = {
+    "paper_tabular": (paper_tabular_mdp, {"seed": (strict_int, 0), **_SHARED_KEYS}),
+    "counterexample": (counterexample_mdp, {"variant": (_as_is, "original"), **_SHARED_KEYS}),
+    "random": (_random_with_reward_state, {
+        "seed": (strict_int, 0),
+        "states": (strict_int, 16),
+        "actions": (strict_int, 4),
+        "reward_state": (strict_int, 0),
+        **_SHARED_KEYS,
+    }),
+}
+
+
 def _parse_mdp_block(doc) -> dict:
-    _check_keys(
-        doc,
-        {"source", "path", "kind", "seed", "states", "actions", "discount", "horizon",
-         "variant", "reward_state"},
-        "mdp",
-        required={"source"},
-    )
-    source = doc["source"]
+    """The mdp block: source "file" and a path, or source "generate", a kind and its keys."""
+    if not isinstance(doc, dict):
+        raise ValueError("mdp must be a JSON object")
+    source = doc.get("source")
     if source == "file":
-        _check_keys(doc, {"source", "path"}, "mdp (source=file)", required={"path"})
-        path = _path(doc["path"], "mdp path")
-        if not path.exists():
-            raise ConfigError(f"mdp file {str(path)!r} does not exist")
-        return {"source": "file", "path": str(path)}
-    if source != "generate":
-        raise ConfigError(f"unknown mdp source {source!r}")
-    kind = doc.get("kind")
-    if kind == "paper_tabular":
-        allowed = {"source", "kind", "seed", "discount", "horizon"}
-    elif kind == "counterexample":
-        allowed = {"source", "kind", "variant", "discount", "horizon"}
-    elif kind == "random":
-        allowed = {"source", "kind", "seed", "states", "actions", "discount", "horizon",
-                   "reward_state"}
+        keys, what = {"path": (_existing_file, REQUIRED)}, "mdp (source=file)"
+    elif source == "generate":
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in _MDP_KINDS:
+            raise ValueError(f"unknown mdp kind {kind!r}")
+        keys, what = {"kind": (_as_is, REQUIRED), **_MDP_KINDS[kind][1]}, f"mdp (kind={kind})"
     else:
-        raise ConfigError(f"unknown mdp kind {kind!r}")
-    _check_keys(doc, allowed, f"mdp (kind={kind})", required={"kind"})
-    try:
-        spec = {
-            "source": "generate",
-            "kind": kind,
-            "seed": strict_int(doc.get("seed", 0), "seed"),
-            "discount": float(doc.get("discount", 0.9)),
-            "horizon": strict_int(doc.get("horizon", 20), "horizon"),
-            "variant": doc.get("variant", "original"),
-            "states": strict_int(doc.get("states", 16), "states"),
-            "actions": strict_int(doc.get("actions", 4), "actions"),
-            "reward_state": strict_int(doc.get("reward_state", 0), "reward_state"),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid mdp config: {exc}") from exc
-    if spec["variant"] not in ("original", "modified"):
-        raise ConfigError(f"unknown counterexample variant {spec['variant']!r}")
-    return spec
-
-
-def _generate_mdp(spec: dict) -> TabularMdp:
-    """The MDP a `source: generate` spec names, not yet validated."""
-    kind = spec["kind"]
-    if kind == "paper_tabular":
-        return paper_tabular_mdp(spec["seed"], discount=spec["discount"], horizon=spec["horizon"])
-    if kind == "counterexample":
-        return counterexample_mdp(spec["variant"], spec["discount"], spec["horizon"])
-    if not 0 <= spec["reward_state"] < spec["states"]:
-        raise ConfigError("reward_state must index a state")
-    values = np.zeros(spec["states"])
-    values[spec["reward_state"]] = 1.0
-    return random_mdp(
-        spec["states"],
-        spec["actions"],
-        RewardTable("state_only", values),
-        spec["seed"],
-        discount=spec["discount"],
-        horizon=spec["horizon"],
-    )
+        raise ValueError(f"mdp needs a source of 'file' or 'generate', got {source!r}")
+    return read_document(doc, {"source": (_as_is, REQUIRED), **keys}, what)
 
 
 def _build_mdp(spec: dict) -> TabularMdp:
     """Load or generate the MDP a config names; raises InvalidMdpError if it is invalid."""
     if spec["source"] == "file":
         return _validated(load_mdp(spec["path"]))
-    return _validated(_generate_mdp(spec))
+    generate, keys = _MDP_KINDS[spec["kind"]]
+    return _validated(generate(**{key: spec[key] for key in keys}))
 
 
 def _parse_formats(value) -> tuple[str, ...]:
-    if value is None or value == "both":
+    if value == "both":
         return ("csv", "json")
     if isinstance(value, str):
         value = [value]
     if not isinstance(value, list) or not value:
-        raise ConfigError("formats must be 'csv', 'json', 'both' or a non-empty list")
+        raise ValueError("formats must be 'csv', 'json', 'both' or a non-empty list")
     for fmt in value:
         if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {fmt!r}")
+            raise ValueError(f"unknown format {fmt!r}")
     return tuple(dict.fromkeys(value))
 
 
+def _non_negative(value) -> int:
+    if strict_int(value) < 0:
+        raise ValueError(f"must be non-negative, got {value!r}")
+    return value
+
+
+_TRANSFER_KEYS = {
+    "test_seeds": (_nonempty_list(strict_int), None),
+    "test_mdp_paths": (_nonempty_list(_existing_file), None),
+    "n_dynamics": (_non_negative, 0),
+}
+
+
 def _parse_transfer_block(doc) -> dict:
-    _check_keys(doc, {"test_seeds", "test_mdp_paths", "n_dynamics"}, "transfer")
-    seeds = doc.get("test_seeds")
-    paths = doc.get("test_mdp_paths")
-    if (seeds is None) == (paths is None):
-        raise ConfigError("transfer needs exactly one of 'test_seeds' or 'test_mdp_paths'")
-    if seeds is not None and (not isinstance(seeds, list) or not seeds):
-        raise ConfigError("test_seeds must be a non-empty list of integers")
-    out = {"n_dynamics": strict_int(doc.get("n_dynamics", 0), "n_dynamics")}
-    if seeds is not None:
-        out["test_seeds"] = [strict_int(s, "test seed") for s in seeds]
-    if out["n_dynamics"] < 0:
-        raise ConfigError("n_dynamics must be non-negative")
-    if paths is not None:
-        if not isinstance(paths, list) or not paths:
-            raise ConfigError("test_mdp_paths must be a non-empty list of paths")
-        for p in paths:
-            if not _path(p, "test mdp path").exists():
-                raise ConfigError(f"test mdp file {str(p)!r} does not exist")
-        out["test_mdp_paths"] = [str(p) for p in paths]
-    return out
+    if isinstance(doc, dict) and ("test_seeds" in doc) == ("test_mdp_paths" in doc):
+        raise ValueError("transfer needs exactly one of 'test_seeds' or 'test_mdp_paths'")
+    return read_document(doc, _TRANSFER_KEYS, "transfer")
+
+
+_LEARNER_FIELDS = {field.name: (_as_is, field.default) for field in fields(LearnerConfig)}
+
+
+def _parse_learner(doc) -> LearnerConfig:
+    return LearnerConfig(**read_document(doc, _LEARNER_FIELDS, "learner"))
+
+
+_EXPERIMENT_KEYS = {
+    "mdp": (_parse_mdp_block, REQUIRED),
+    "learner": (_parse_learner, REQUIRED),
+    "transfer": (_parse_transfer_block, None),
+    "output_dir": (_path, Path("out")),
+    "formats": (_parse_formats, ("csv", "json")),
+}
 
 
 @dataclass
@@ -246,26 +219,15 @@ def load_experiment_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {str(path)!r} is not valid JSON: {exc}") from exc
-    _check_keys(
-        doc,
-        {"mdp", "learner", "transfer", "output_dir", "formats"},
-        "experiment config",
-        required={"mdp", "learner"},
-    )
-    return ExperimentConfig(
-        mdp_spec=_parse_mdp_block(doc["mdp"]),
-        learner=_parse_learner(doc.get("learner", {})),
-        transfer=_parse_transfer_block(doc["transfer"]) if "transfer" in doc else None,
-        output_dir=_path(doc.get("output_dir", "out"), "output_dir"),
-        formats=_parse_formats(doc.get("formats")),
-    )
+        raise ValueError(f"config {str(path)!r} is not valid JSON: {exc}") from exc
+    values = read_document(doc, _EXPERIMENT_KEYS, "experiment config")
+    return ExperimentConfig(mdp_spec=values.pop("mdp"), **values)
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         config.learner = replace(config.learner, seed=args.seed)
-        if config.mdp_spec.get("source") == "generate" and "seed" in config.mdp_spec:
+        if "seed" in config.mdp_spec:
             config.mdp_spec = dict(config.mdp_spec, seed=args.seed)
     if getattr(args, "out", None) is not None:
         config.output_dir = Path(args.out)
@@ -361,25 +323,16 @@ def _conventions(mdp: TabularMdp) -> dict:
 def cmd_generate(args) -> int:
     if args.paper_tabular:
         kind = "paper_tabular"
-    elif args.counterexample is not None:
+    elif args.variant is not None:
         kind = "counterexample"
     elif args.states is not None or args.actions is not None:
         if args.states is None or args.actions is None:
-            raise ConfigError("--states and --actions must be given together")
+            raise ValueError("--states and --actions must be given together")
         kind = "random"
     else:
-        raise ConfigError("choose --paper-tabular, --counterexample or --states/--actions")
-    mdp = _generate_mdp({
-        "source": "generate",
-        "kind": kind,
-        "seed": args.seed,
-        "discount": args.discount,
-        "horizon": args.horizon,
-        "variant": args.counterexample,
-        "states": args.states,
-        "actions": args.actions,
-        "reward_state": args.reward_state,
-    })
+        raise ValueError("choose --paper-tabular, --counterexample or --states/--actions")
+    generate, keys = _MDP_KINDS[kind]
+    mdp = generate(**{key: getattr(args, key) for key in keys})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json_text(mdp_to_dict(mdp)))
@@ -438,11 +391,11 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     config = _apply_overrides(load_experiment_config(args.config), args)
     if config.transfer is None:
-        raise ConfigError("transfer command needs a 'transfer' block in the config")
+        raise ValueError("transfer command needs a 'transfer' block in the config")
     if config.learner.variant == "gan_gcl_trajectory":
-        raise ConfigError("transfer re-optimizes a reward table; use an airl_* variant")
+        raise ValueError("transfer re-optimizes a reward table; use an airl_* variant")
     train_mdp = _build_mdp(config.mdp_spec)
-    if "test_seeds" in config.transfer:
+    if config.transfer["test_seeds"] is not None:
         labels = [f"seed{seed}" for seed in config.transfer["test_seeds"]]
         test_mdps = [
             random_mdp(
@@ -461,7 +414,7 @@ def cmd_transfer(args) -> int:
         test_mdps = [_validated(load_mdp(p)) for p in config.transfer["test_mdp_paths"]]
         for test in test_mdps:
             if (test.n_states, test.n_actions) != (train_mdp.n_states, train_mdp.n_actions):
-                raise ConfigError("test MDPs must share the train MDP's state/action counts")
+                raise ValueError("test MDPs must share the train MDP's state/action counts")
     recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
 
     with _outputs(config.output_dir) as write:
@@ -537,7 +490,7 @@ def _thread_count() -> int:
     try:
         return max(1, int(raw))
     except ValueError as exc:
-        raise ConfigError(f"IRL_LAB_THREADS must be an integer, got {raw!r}") from exc
+        raise ValueError(f"IRL_LAB_THREADS must be an integer, got {raw!r}") from exc
 
 
 def _map_tasks(fn, tasks):
@@ -554,9 +507,9 @@ def cmd_reproduce_tabular(args) -> int:
     try:
         seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
     except ValueError as exc:
-        raise ConfigError(f"--seeds must be a comma-separated integer list: {exc}") from exc
+        raise ValueError(f"--seeds must be a comma-separated integer list: {exc}") from exc
     if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
+        raise ValueError("--seeds must name at least one seed")
     iterations = 0 if args.smoke else args.iterations
     tasks = [
         {
@@ -666,7 +619,7 @@ def cmd_probe(args) -> int:
     try:
         reward = reward_from_dict(doc)
     except ValueError as exc:
-        raise ConfigError(f"invalid reward file {args.reward!r}: {exc}") from exc
+        raise ValueError(f"invalid reward file {args.reward!r}: {exc}") from exc
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     result = disentanglement_probe(mdp, reward, args.n_dynamics, args.seed)
@@ -688,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = gen.add_mutually_exclusive_group()
     kind.add_argument("--paper-tabular", action="store_true",
                       help="16-state, 4-action benchmark family")
-    kind.add_argument("--counterexample", nargs="?", const="original",
+    kind.add_argument("--counterexample", nargs="?", const="original", dest="variant",
                       choices=["original", "modified"],
                       help="3-state MDP where state-action rewards mis-transfer")
     gen.add_argument("--states", type=int, help="random MDP: number of states")

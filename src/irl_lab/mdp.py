@@ -34,6 +34,54 @@ def strict_int(value, name: str = "value") -> int:
     return int(value)
 
 
+def strict_float(value, name: str = "value") -> float:
+    """`value` as a float; bools, strings and None raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} {value!r} is out of range") from exc
+
+
+# Marks a read_document key that has no default.
+REQUIRED = object()
+
+
+def read_document(doc, schema: dict, what: str) -> dict:
+    """Convert JSON object `doc` by `schema`, a {key: (convert, default | REQUIRED)} table.
+
+    Returns every schema key: convert(doc[key]), or the default when the key
+    is absent.  A non-object, an unknown key, a missing REQUIRED key or a
+    failed conversion raises ValueError naming the key and `what`.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in doc:
+        if key not in schema:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    out = {}
+    for key, (convert, default) in schema.items():
+        if key not in doc:
+            if default is REQUIRED:
+                raise ValueError(f"missing key {key!r} in {what}")
+            out[key] = default
+            continue
+        try:
+            out[key] = convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid {key!r} in {what}: {exc}") from exc
+    return out
+
+
+def float_array(value) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array; anything else raises."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected numbers, got {value!r}")
+    return arr.astype(float)
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
@@ -345,36 +393,12 @@ def reward_to_dict(reward: RewardTable) -> dict:
     return {"kind": reward.kind, "values": reward.values.tolist()}
 
 
-def _check_document(doc, keys: set[str], what: str) -> None:
-    """Raise ValueError unless `doc` is a JSON object with exactly `keys`."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = set(doc) - keys
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {what}")
-    missing = keys - set(doc)
-    if missing:
-        raise ValueError(f"missing key {sorted(missing)[0]!r} in {what}")
-
-
-def _field(doc: dict, key: str, convert, what: str):
-    """convert(doc[key]), with a failed conversion reported as ValueError."""
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid {key!r} in {what}: {exc}") from exc
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+# RewardTable checks the kind.
+_REWARD_KEYS = {"kind": (str, REQUIRED), "values": (float_array, REQUIRED)}
 
 
 def reward_from_dict(doc) -> RewardTable:
-    _check_document(doc, {"kind", "values"}, "reward table")
-    return RewardTable(doc["kind"], _field(doc, "values", _floats, "reward table"))
-
-
-_MDP_KEYS = {"n_states", "n_actions", "discount", "horizon", "initial_dist", "transition", "reward"}
+    return RewardTable(**read_document(doc, _REWARD_KEYS, "reward table"))
 
 
 def mdp_to_dict(mdp: TabularMdp) -> dict:
@@ -389,18 +413,19 @@ def mdp_to_dict(mdp: TabularMdp) -> dict:
     }
 
 
+_MDP_KEYS = {
+    "n_states": (strict_int, REQUIRED),
+    "n_actions": (strict_int, REQUIRED),
+    "discount": (strict_float, REQUIRED),
+    "horizon": (strict_int, REQUIRED),
+    "initial_dist": (float_array, REQUIRED),
+    "transition": (float_array, REQUIRED),
+    "reward": (reward_from_dict, REQUIRED),
+}
+
+
 def mdp_from_dict(doc) -> TabularMdp:
-    what = "MDP document"
-    _check_document(doc, _MDP_KEYS, what)
-    return TabularMdp(
-        _field(doc, "n_states", strict_int, what),
-        _field(doc, "n_actions", strict_int, what),
-        _field(doc, "transition", _floats, what),
-        reward_from_dict(doc["reward"]),
-        _field(doc, "discount", float, what),
-        _field(doc, "initial_dist", _floats, what),
-        _field(doc, "horizon", strict_int, what),
-    )
+    return TabularMdp(**read_document(doc, _MDP_KEYS, "MDP document"))
 
 
 def save_mdp(mdp: TabularMdp, path) -> None:

@@ -33,6 +33,7 @@ from irl_lab.airl import (
 from irl_lab.mdp import (
     RewardTable,
     TabularMdp,
+    paper_tabular_mdp,
     random_deterministic_mdp,
     random_mdp,
 )
@@ -130,6 +131,12 @@ class TestFValue:
         doc["oops"] = 1
         with pytest.raises(ValueError, match="'oops'"):
             params_from_dict(doc)
+        del doc["oops"], doc["h"]
+        with pytest.raises(ValueError, match="'h'"):
+            params_from_dict(doc)
+        for not_an_object in (None, 5, [], "params"):
+            with pytest.raises(ValueError, match="JSON object"):
+                params_from_dict(not_an_object)
 
 
 class TestDiscriminatorProb:
@@ -229,6 +236,28 @@ class TestDiscriminatorLoss:
                     total -= wn[s, a, sp] * np.log1p(-d)
         npt.assert_allclose(discriminator_loss(params, policy, we, wn), total,
                             atol=1e-10)
+
+    def test_zero_probability_action_adds_nothing(self):
+        # pi(3|s) = 0 puts an infinite offset -log pi on those cells, where the
+        # negative weight is 0; 0 * inf must count as 0, not NaN
+        mdp = paper_tabular_mdp(0)
+        expert = occupancy(mdp, soft_value_iteration(mdp).policy).rho
+        policy = np.full((16, 4), 1.0 / 3.0)
+        policy[:, 3] = 0.0
+        negatives = occupancy(mdp, policy).rho
+        assert not negatives[:, 3].any()
+        params = random_params(8, 16, 4, "state_action")
+        with np.errstate(divide="ignore"):
+            loss = discriminator_loss(params, policy, expert, negatives)
+            grad = discriminator_grad(params, policy, expert, negatives)
+        assert np.isfinite(loss)
+        assert all(np.isfinite(g).all() for g in grad)
+        # the loss over the other cells alone: the dropped expert cells have
+        # D = 1 and so add 0 as well
+        x = f_table(params, 16, 4)[:, :3] - np.log(policy[:, :3])[:, :, None]
+        kept = ((expert[:, :3] * np.logaddexp(0.0, -x)).sum()
+                + (negatives[:, :3] * np.logaddexp(0.0, x)).sum())
+        npt.assert_allclose(loss, kept, rtol=1e-13)
 
     def test_batches_and_weight_tensors_agree(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
@@ -357,6 +386,10 @@ class TestAirlTrain:
             LearnerConfig(disc_step_size=0.0)
         with pytest.raises(ValueError):
             LearnerConfig(entropy_weight=0.0)
+        for name in ("disc_step_size", "entropy_weight"):
+            for bad in (float("nan"), True, "0.1", None):
+                with pytest.raises(ValueError, match=name):
+                    LearnerConfig(**{name: bad})
 
     def test_variant_routing(self, tiny_mdp):
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)

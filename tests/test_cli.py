@@ -526,6 +526,15 @@ class TestReproduceTabular:
                                   "--seeds", "0", "--smoke")
         assert code == EXIT_USAGE and "IRL_LAB_THREADS" in stderr
 
+    def test_nan_step_size_is_usage_error(self, tmp_path, capsys):
+        # a NaN step size would otherwise land in manifest.json, which is then
+        # not valid JSON
+        out = tmp_path / "repro"
+        code, _, stderr = run_cli(capsys, "reproduce-tabular", "--out", str(out),
+                                  "--seeds", "0", "--smoke", "--step-size", "nan")
+        assert code == EXIT_USAGE and "disc_step_size" in stderr
+        assert not out.exists()
+
 
 class TestProbe:
     def make_inputs(self, tmp_path, capsys):
@@ -643,6 +652,25 @@ class TestWrongTypedJson:
         pytest.param("train", "config", dict(VALID_CONFIG, learner={"iterations": True}),
                      id="config-bool-iterations"),
         pytest.param("probe", "mdp", dict(VALID_MDP, horizon=2.5), id="mdp-fractional-horizon"),
+        pytest.param("train", "config",
+                     dict(VALID_CONFIG, mdp=dict(VALID_CONFIG["mdp"], discount="0.5")),
+                     id="config-string-discount"),
+        pytest.param("train", "config",
+                     dict(VALID_CONFIG, mdp=dict(VALID_CONFIG["mdp"], discount=True)),
+                     id="config-bool-discount"),
+        pytest.param("train", "config",
+                     dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": True,
+                                                 "entropy_weight": True}),
+                     id="config-bool-step-size-and-entropy-weight"),
+        pytest.param("probe", "mdp", dict(VALID_MDP, discount="0.9"), id="mdp-string-discount"),
+        pytest.param("probe", "mdp", dict(VALID_MDP, discount=10**400),
+                     id="mdp-discount-too-large-for-a-float"),
+        pytest.param("train", "config",
+                     dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": float("nan")}),
+                     id="config-nan-step-size"),
+        pytest.param("train", "config",
+                     dict(VALID_CONFIG, learner={"iterations": 2, "entropy_weight": float("nan")}),
+                     id="config-nan-entropy-weight"),
     ])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         command, slot, doc):

@@ -1,9 +1,24 @@
-"""Property tests over small MDPs built directly, one-state ones included."""
+"""Property tests over small MDPs built directly, one-state ones included, and
+over the JSON documents the command line reads."""
+
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from irl_lab.mdp import RewardTable, TabularMdp
+from irl_lab.airl import DiscriminatorParams, params_from_dict, params_to_dict
+from irl_lab.cli import InvalidMdpError, _build_mdp, load_experiment_config
+from irl_lab.mdp import (
+    RewardTable,
+    TabularMdp,
+    mdp_from_dict,
+    mdp_to_dict,
+    random_mdp,
+    reward_from_dict,
+    reward_to_dict,
+    save_mdp,
+)
 from irl_lab.soft_rl import evaluate_return, occupancy
 
 from oracles import enumerate_return, loop_occupancy, loop_return
@@ -88,3 +103,103 @@ def test_occupancy_is_a_distribution_matching_the_loop(case):
         # the next state is drawn from the dynamics given (s, a)
         factored = measure.state_action_marginal()[:, :, None] * mdp.transition
         assert np.max(np.abs(rho - factored)) <= 1e-15
+
+
+def _through_json(doc):
+    return json.loads(json.dumps(doc))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=mdps_and_policies(), h_seed=st.integers(0, 2**32 - 1))
+def test_documents_round_trip(case, h_seed):
+    mdp, _ = case
+    doc = _through_json(mdp_to_dict(mdp))
+    back = mdp_from_dict(doc)
+    assert mdp_to_dict(back) == doc
+    assert np.array_equal(back.transition, mdp.transition)
+    assert np.array_equal(back.initial_dist, mdp.initial_dist)
+    assert (back.discount, back.horizon) == (mdp.discount, mdp.horizon)
+
+    reward = reward_from_dict(_through_json(reward_to_dict(mdp.reward)))
+    assert reward.kind == mdp.reward.kind
+    assert np.array_equal(reward.values, mdp.reward.values)
+
+    # g is never a transition table; take the state-action expectation instead
+    g = mdp.reward if mdp.reward.kind != "transition" else RewardTable(
+        "state_action", mdp.reward.values.mean(axis=2))
+    h = np.random.default_rng(h_seed).normal(size=mdp.n_states)
+    params = DiscriminatorParams(g, h, mdp.discount)
+    back = params_from_dict(_through_json(params_to_dict(params)))
+    assert back.g.kind == g.kind and np.array_equal(back.g.values, g.values)
+    assert np.array_equal(back.h, h) and back.discount == mdp.discount
+
+
+# Any JSON value: what a hand-edited config might hold in place of the right one.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+STRAY_KEYS = ["seed", "states", "variant", "path", "kind", "test_seeds", "surprise"]
+
+
+@st.composite
+def _configs(draw, mdp_path: str):
+    """A valid config put through 0-3 edits: a value swapped for junk, a key dropped
+    or a stray key added, at the top level or inside a block."""
+    doc = {
+        "mdp": dict(draw(st.sampled_from([
+            {"source": "generate", "kind": "paper_tabular", "seed": 0, "discount": 0.9,
+             "horizon": 20},
+            {"source": "generate", "kind": "counterexample", "variant": "modified"},
+            {"source": "generate", "kind": "random", "states": 4, "actions": 2, "seed": 3,
+             "reward_state": 1},
+            {"source": "file", "path": mdp_path},
+        ]))),
+        "learner": {
+            "variant": "airl_state_action", "mode": "sampled", "iterations": 3,
+            "disc_steps_per_iter": 2, "disc_step_size": 0.1, "replay_window": 2,
+            "n_policy_trajectories": 4, "entropy_weight": 1.0, "seed": 1,
+        },
+        "transfer": dict(draw(st.sampled_from([
+            {"test_seeds": [1, 2], "n_dynamics": 2},
+            {"test_mdp_paths": [mdp_path]},
+        ]))),
+        "output_dir": "out",
+        "formats": draw(st.sampled_from(["csv", "both", ["json", "csv"]])),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(st.sampled_from([doc.get(k) for k in ("mdp", "learner", "transfer")]
+                                     + [doc]))
+        if not isinstance(block, dict):
+            continue  # an earlier edit dropped or replaced this block
+        key = draw(st.sampled_from(sorted(block) + STRAY_KEYS))
+        if draw(st.booleans()):
+            block[key] = draw(JUNK)
+        else:
+            block.pop(key, None)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    """A directory holding a valid MDP file for configs to name."""
+    root = tmp_path_factory.mktemp("configs")
+    save_mdp(random_mdp(4, 2, RewardTable("state_only", np.eye(4)[0]), seed=5),
+             root / "mdp.json")
+    return root
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_configs_raise_only_value_errors(config_dir, data):
+    # a bad config must surface as ValueError (exit 2) or InvalidMdpError
+    # (exit 4), never as an exception the command line does not map
+    doc = data.draw(_configs(str(config_dir / "mdp.json")))
+    path = config_dir / "config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        _build_mdp(load_experiment_config(path).mdp_spec)
+    except (ValueError, InvalidMdpError):
+        pass
