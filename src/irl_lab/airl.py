@@ -13,8 +13,8 @@ gradient descent.
   are (s, a, s') occupancy or empirical weights.
 - The trajectory baseline (``gan_gcl_trajectory``): the rows are episodes,
   the expert's and then the replay pool's, theta is one (s, a) table, Phi is
-  the step-count matrix and the offset is -Phi log pi.  Each side's episodes
-  weigh 1/count.
+  the step-count matrix and the offset is -Phi log pi (+inf for an episode
+  through a zero-probability action).  Each side's episodes weigh 1/count.
 
 One loop trains both, re-solving the policy after each fit by warm-started
 soft value iteration on the learned reward.
@@ -36,9 +36,9 @@ from .shaping import centered_reward_error
 from .soft_rl import (
     OccupancyMeasure,
     Trajectory,
+    _rollouts,
     evaluate_return,
     occupancy,
-    sample_trajectories,
     soft_value_iteration,
     uniform_policy,
 )
@@ -284,6 +284,27 @@ def pool_batches(batches: Sequence[TransitionBatch]) -> TransitionBatch:
     )
 
 
+def _counts(index: np.ndarray, shape: tuple) -> np.ndarray:
+    """How often each flat index of a `shape` table occurs in `index`, as floats."""
+    return np.bincount(index.ravel(), minlength=np.prod(shape)).reshape(shape).astype(float)
+
+
+def _cell_counts(states: np.ndarray, actions: np.ndarray, n_states: int, n_actions: int):
+    """(s, a, s') visit counts of rollouts given as states (n, H + 1), actions (n, H)."""
+    cells = (states[:, :-1] * n_actions + actions) * n_states + states[:, 1:]
+    return _counts(cells, (n_states, n_actions, n_states))
+
+
+def _replay_weights(replay) -> np.ndarray:
+    """The replay's summed cell counts normalized to mass 1.
+
+    Equal bit for bit to `pool_batches` of the same rollouts followed by
+    `to_weights`: the counts are integers, exact in float64.
+    """
+    counts = sum(replay)
+    return counts / counts.sum()
+
+
 def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
     """Normalize expert/negative data to a (s, a, s') weight tensor."""
     if isinstance(data, OccupancyMeasure):
@@ -430,9 +451,16 @@ def _g_table(values: np.ndarray) -> RewardTable:
 def _train(mdp: TabularMdp, config: LearnerConfig, theta: tuple, encode, problem, reward):
     """The one training loop; returns the final theta, policy and history.
 
-    theta[0] is the learned reward table.  `encode` maps a rollout batch to a
-    replay entry, `problem` maps the round's negatives and log pi to a
-    _Problem, and `reward` maps theta to the policy step's RewardTable.
+    theta[0] is the learned reward table.  `problem` maps the round's
+    negatives and log pi to a _Problem, and `reward` maps theta to the policy
+    step's RewardTable.  In exact mode the negatives are the policy's
+    occupancy.  In sampled mode each round's rollouts stay int arrays,
+    states (n, horizon + 1) and actions (n, horizon); `encode` turns them into
+    a count array by one bincount (AIRL: an (s, a, s') cell-count tensor;
+    the trajectory baseline: one row of (s, a) step counts per episode), and
+    the negatives are the replay deque of the last `replay_window` of those.
+    Counts are integers, exact in float64, so summing or stacking them gives
+    the same bits as pooling the rollouts' transitions would.
     """
     policy = uniform_policy(mdp)
     history = TrainingHistory(mdp)
@@ -445,13 +473,15 @@ def _train(mdp: TabularMdp, config: LearnerConfig, theta: tuple, encode, problem
         if config.mode == "exact_occupancy":
             negatives = occupancy(mdp, policy)
         else:
-            rollouts = sample_trajectories(
-                mdp, policy, config.n_policy_trajectories, seed=int(rng.integers(2**63 - 1))
-            )
-            replay.append(encode(rollouts))
-            negatives = list(replay)
+            replay.append(encode(*_rollouts(
+                mdp, policy, config.n_policy_trajectories, int(rng.integers(2**63 - 1))
+            )))
+            negatives = replay
 
-        round_problem = problem(negatives, np.log(policy))
+        # an underflowed policy entry gives log pi = -inf: an intended infinite offset
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(policy)
+        round_problem = problem(negatives, log_pi)
         g_before = theta[0]
         theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
         if not all(np.all(np.isfinite(t)) for t in theta):
@@ -497,9 +527,10 @@ def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
     gamma = mdp.discount
 
     def problem(negatives, log_pi):
-        if not isinstance(negatives, OccupancyMeasure):
-            negatives = pool_batches(negatives)
-        neg_w = _as_weights(negatives, n_states, n_actions)
+        if isinstance(negatives, OccupancyMeasure):
+            neg_w = negatives.rho
+        else:
+            neg_w = _replay_weights(negatives)
         return _cell_problem(state_only, gamma, log_pi, expert_w, neg_w)
 
     def params(theta):
@@ -513,7 +544,9 @@ def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
 
     g = np.zeros(n_states) if state_only else np.zeros((n_states, n_actions))
     theta, policy, history = _train(
-        mdp, config, (g, np.zeros(n_states)), TransitionBatch.from_trajectories, problem, reward
+        mdp, config, (g, np.zeros(n_states)),
+        lambda states, actions: _cell_counts(states, actions, n_states, n_actions),
+        problem, reward,
     )
     return AirlResult(params=params(theta), policy=policy, history=history)
 
@@ -557,23 +590,42 @@ class GanGclResult(NamedTuple):
     history: TrainingHistory
 
 
+def _episode_counts(states: np.ndarray, actions: np.ndarray, n_states, n_actions) -> np.ndarray:
+    """Step-count matrix of rollouts given as states (n, H + 1) and actions (n, H):
+    row i counts episode i's visits to each flattened (s, a)."""
+    episode = np.arange(len(actions))[:, None]
+    return _counts((episode * n_states + states[:, :-1]) * n_actions + actions,
+                   (len(actions), n_states * n_actions))
+
+
 def _trajectory_counts(trajectories: Sequence[Trajectory], n_states, n_actions) -> np.ndarray:
-    """Step-count matrix: row i counts episode i's visits to each flattened (s, a)."""
-    counts = np.zeros((len(trajectories), n_states * n_actions))
-    for i, t in enumerate(trajectories):
-        np.add.at(counts[i], t.states[:-1] * n_actions + t.actions, 1.0)
-    return counts
+    """`_episode_counts` of trajectories, which may differ in length."""
+    episode = np.repeat(np.arange(len(trajectories)), [t.horizon for t in trajectories])
+    states = np.concatenate([t.states[:-1] for t in trajectories])
+    actions = np.concatenate([t.actions for t in trajectories])
+    return _counts((episode * n_states + states) * n_actions + actions,
+                   (len(trajectories), n_states * n_actions))
 
 
 def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
-    """Trajectory rows: the first `n_expert` count rows are expert, the rest negative."""
+    """Trajectory rows: the first `n_expert` count rows are expert, the rest negative.
+
+    An episode's offset is -sum of log pi over its steps.  One that visits a
+    zero-probability (s, a) cell has probability 0 under pi, so its offset is
+    +inf, as the cell problem's is; the other rows skip those cells, which
+    they never visit, so a policy without zeros gives the plain product.
+    """
     w_e, w_n = np.zeros(len(counts)), np.zeros(len(counts))
     w_e[:n_expert] = 1.0 / n_expert
     w_n[n_expert:] = 1.0 / (len(counts) - n_expert)
+    log_pi_flat = log_pi.ravel()
+    impossible = np.isneginf(log_pi_flat)
+    offset = -(counts @ np.where(impossible, 0.0, log_pi_flat))
+    offset[counts[:, impossible].any(axis=1)] = np.inf
     return _Problem(
         lambda theta: counts @ theta[0].ravel(),
         lambda dl_dx: ((dl_dx @ counts).reshape(log_pi.shape),),
-        -(counts @ log_pi.ravel()), w_e, w_n,
+        offset, w_e, w_n,
     )
 
 
@@ -595,7 +647,7 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
         mdp,
         config,
         (np.zeros((n_states, n_actions)),),
-        lambda rollouts: _trajectory_counts(rollouts, n_states, n_actions),
+        lambda states, actions: _episode_counts(states, actions, n_states, n_actions),
         lambda pool, log_pi: _episode_problem(
             np.concatenate([counts_e, *pool]), len(counts_e), log_pi
         ),

@@ -74,10 +74,19 @@ def read_document(doc, schema: dict, what: str) -> dict:
     return out
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def float_array(value) -> np.ndarray:
-    """A JSON number or nested list of numbers as a float array; anything else raises."""
+    """A JSON number or nested list of numbers as a float array; anything else raises.
+
+    A bool anywhere is refused: numpy would read [true, 0] as the number 1.
+    """
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"expected numbers, got {value!r}")
     return arr.astype(float)
 

@@ -4,6 +4,17 @@ Soft policy iteration (a soft Bellman backup, then the exact soft value of
 that backup's softmax policy by one linear solve), trajectory sampling, the
 discounted occupancy measure, and exact finite-horizon return evaluation of
 one policy or of a stack of policies in one pass.
+
+Sampling runs on int arrays.  One rollout call forms the start, policy and
+transition CDFs once and takes every uniform draw from one
+`random((2 * horizon + 1, n))` call: row 0 picks the start states, then each
+step uses one row for the actions and one for the next states, the same
+stream as one `random(n)` call per draw.  Each draw is compared with the CDF
+row of its episode's state, or state and action.  A row's cumulative sum has
+the same bits whether it is taken before or after the row is indexed, so the
+episodes are those of CDFs formed step by step.  `sample_trajectories` wraps
+the arrays as `Trajectory` objects; sampled-mode training reads them as they
+are.
 """
 
 from __future__ import annotations
@@ -189,33 +200,37 @@ class Trajectory:
         return int(self.states[-1])
 
 
-def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Draw one index per row of a (n, k) probability matrix."""
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(len(probs))
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+def _rollouts(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
+    """`n` episodes as int arrays: states (n, horizon + 1) and actions (n, horizon).
+
+    The start, policy and transition CDFs are formed once and every uniform
+    draw comes from one `random((2 * horizon + 1, n))` call; see the module
+    docstring.  A draw's index is the number of CDF entries below it among all
+    but the row's last, which caps it at k - 1 (a cumulative sum of
+    non-negative terms never decreases, so a draw above the last entry is
+    above every other one too).
+    """
+    horizon = mdp.horizon
+    start_cdf = np.cumsum(mdp.initial_dist)[:-1]
+    policy_cdf = np.cumsum(policy, axis=1)[:, :-1]
+    step_cdf = np.cumsum(mdp.transition, axis=2)[:, :, :-1]
+    u = np.random.default_rng(seed).random((2 * horizon + 1, n))[:, :, None]
+    states = np.empty((n, horizon + 1), dtype=np.int64)
+    actions = np.empty((n, horizon), dtype=np.int64)
+    states[:, 0] = (u[0] > start_cdf).sum(axis=1)
+    for t in range(horizon):
+        current = states[:, t]
+        actions[:, t] = (u[2 * t + 1] > policy_cdf[current]).sum(axis=1)
+        states[:, t + 1] = (u[2 * t + 2] > step_cdf[current, actions[:, t]]).sum(axis=1)
+    return states, actions
 
 
 def sample_trajectories(mdp: TabularMdp, policy, n: int, seed: int) -> list[Trajectory]:
     """Roll out `n` episodes of length mdp.horizon; deterministic per seed."""
     if n < 1:
         raise ValueError("need at least one trajectory")
-    policy = _check_policy(mdp, policy)
-    rng = np.random.default_rng(seed)
-    horizon = mdp.horizon
-    states = np.empty((n, horizon + 1), dtype=np.int64)
-    actions = np.empty((n, horizon), dtype=np.int64)
-    start = np.broadcast_to(mdp.initial_dist, (n, mdp.n_states))
-    current = _sample_categorical(rng, start)
-    states[:, 0] = current
-    for t in range(horizon):
-        acts = _sample_categorical(rng, policy[current])
-        nxt = _sample_categorical(rng, mdp.transition[current, acts])
-        actions[:, t] = acts
-        states[:, t + 1] = nxt
-        current = nxt
-    return [Trajectory(states[i], actions[i]) for i in range(n)]
+    states, actions = _rollouts(mdp, _check_policy(mdp, policy), n, seed)
+    return [Trajectory(s, a) for s, a in zip(states, actions)]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written with plain Python loops and explicit formulas,
-deliberately avoiding the vectorized code paths under test.  `loop_return`
-and `loop_curve` are the exceptions: they are the earlier per-policy and
-per-sweep forms of batched functions, kept to pin those functions' outputs
-bit for bit.
+deliberately avoiding the vectorized code paths under test.  `loop_return`,
+`loop_curve` and `loop_sample_trajectories` are the exceptions: they are the
+earlier per-policy, per-sweep and per-step forms of batched functions, kept
+to pin those functions' outputs bit for bit.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from irl_lab.airl import discriminator_loss, DiscriminatorParams
 from irl_lab.mdp import RewardTable, TabularMdp, expected_state_action
-from irl_lab.soft_rl import _soft_backup, _soft_policy, evaluate_return
+from irl_lab.soft_rl import Trajectory, _soft_backup, _soft_policy, evaluate_return
 
 
 def reward_sa(mdp: TabularMdp, reward: RewardTable | None = None) -> np.ndarray:
@@ -126,6 +126,34 @@ def loop_curve(
         if residual <= tolerance:
             break
     return policy, tuple(curve)
+
+
+def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """Draw one index per row of a (n, k) probability matrix."""
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(len(probs))
+    idx = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(idx, probs.shape[1] - 1)
+
+
+def loop_sample_trajectories(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
+    """Episodes drawn one step at a time, each step's CDFs formed from its rows.
+
+    One `rng.random(n)` call per draw: the start state, then each step's
+    action and next state.  `sample_trajectories` takes all of them from one
+    call and must give the same episodes.
+    """
+    rng = np.random.default_rng(seed)
+    states = np.empty((n, mdp.horizon + 1), dtype=np.int64)
+    actions = np.empty((n, mdp.horizon), dtype=np.int64)
+    current = _sample_categorical(rng, np.broadcast_to(mdp.initial_dist, (n, mdp.n_states)))
+    states[:, 0] = current
+    for t in range(mdp.horizon):
+        acts = _sample_categorical(rng, policy[current])
+        current = _sample_categorical(rng, mdp.transition[current, acts])
+        actions[:, t] = acts
+        states[:, t + 1] = current
+    return [Trajectory(states[i], actions[i]) for i in range(n)]
 
 
 def loop_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:

@@ -15,7 +15,10 @@ from irl_lab.airl import (
     LearnerConfig,
     TrajectoryScorer,
     TransitionBatch,
+    _cell_counts,
+    _episode_counts,
     _episode_problem,
+    _replay_weights,
     _sigmoid,
     _trajectory_counts,
     airl_train,
@@ -39,6 +42,8 @@ from irl_lab.mdp import (
 )
 from irl_lab.shaping import advantage, centered_reward_error
 from irl_lab.soft_rl import (
+    Trajectory,
+    _rollouts,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -475,6 +480,54 @@ class TestAirlTrain:
             ]
             assert all(float(m.split("residual ")[1].rstrip(")")) > 1e-8 for m in messages)
 
+    @pytest.mark.parametrize("variant, mode", [
+        ("airl_state_only", "exact_occupancy"),
+        ("airl_state_action", "sampled"),
+        ("gan_gcl_trajectory", "sampled"),
+    ])
+    def test_underflowed_policy_trains_without_warnings(self, variant, mode):
+        # entropy weight 1e-5 drives policy entries to exactly 0; log pi = -inf
+        # is then an intended offset, not a warning or a NaN
+        mdp = random_mdp(3, 2, RewardTable("state_only", np.array([0.0, 1.0, -1.0])),
+                         seed=0, horizon=4)
+        expert = soft_value_iteration(mdp).policy
+        if mode == "exact_occupancy":
+            demos = occupancy(mdp, expert)
+        else:
+            demos = sample_trajectories(mdp, expert, 16, seed=0)
+        train = gan_gcl_train if variant == "gan_gcl_trajectory" else airl_train
+        config = LearnerConfig(variant=variant, mode=mode, iterations=4, entropy_weight=1e-5,
+                               n_policy_trajectories=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(mdp, demos, config)
+        assert result.policy.min() == 0.0
+        # a replayed episode the current policy cannot produce has D = 1 and
+        # an infinite loss term; no term is NaN
+        losses = result.history.column("disc_loss")
+        assert not np.any(np.isnan(losses))
+        assert mode == "sampled" or np.all(np.isfinite(losses))
+
+    def test_sampled_rounds_stay_on_count_arrays(self, tiny_mdp, monkeypatch):
+        # rollouts reach the discriminator as counts: no episode objects, no
+        # pooled batch and no per-batch weight tensor in the loop
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sampled round left the count arrays")
+
+        expert = soft_value_iteration(tiny_mdp).policy
+        demos = occupancy(tiny_mdp, expert)
+        episodes = sample_trajectories(tiny_mdp, expert, 8, seed=0)
+        monkeypatch.setattr(irl_lab.airl, "pool_batches", unexpected)
+        monkeypatch.setattr(TransitionBatch, "to_weights", unexpected)
+        monkeypatch.setattr(Trajectory, "__post_init__", unexpected)
+        for variant in ("airl_state_only", "airl_state_action"):
+            result = airl_train(tiny_mdp, demos, LearnerConfig(
+                variant=variant, mode="sampled", iterations=3, replay_window=2))
+            assert len(result.history) == 3
+        result = gan_gcl_train(tiny_mdp, episodes, LearnerConfig(
+            variant="gan_gcl_trajectory", mode="sampled", iterations=3, replay_window=2))
+        assert len(result.history) == 3
+
     def test_history_contract(self, tiny_mdp):
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
         result = airl_train(tiny_mdp, demos, LearnerConfig(iterations=12))
@@ -648,6 +701,40 @@ class TestTransitionBatch:
             TransitionBatch([0, 1], [0], [1, 2])
 
 
+def add_at_counts(trajectories, n_states, n_actions):
+    """The step-count matrix built one episode at a time with np.add.at."""
+    counts = np.zeros((len(trajectories), n_states * n_actions))
+    for i, t in enumerate(trajectories):
+        np.add.at(counts[i], t.states[:-1] * n_actions + t.actions, 1.0)
+    return counts
+
+
+class TestReplayCounts:
+    def test_replay_weights_equal_pooled_batch_weights(self, bench_mdp):
+        policy = softmax_policy(3, 16, 4)
+        seeds = (11, 12, 13)
+        replay = [_cell_counts(*_rollouts(bench_mdp, policy, 16, seed), 16, 4)
+                  for seed in seeds]
+        batches = [
+            TransitionBatch.from_trajectories(sample_trajectories(bench_mdp, policy, 16, seed))
+            for seed in seeds
+        ]
+        for k in range(1, len(seeds) + 1):
+            want = pool_batches(batches[:k]).to_weights(16, 4)
+            assert np.array_equal(_replay_weights(replay[:k]), want)
+
+    def test_episode_counts_equal_the_add_at_rows(self, bench_mdp):
+        policy = softmax_policy(4, 16, 4)
+        states, actions = _rollouts(bench_mdp, policy, 12, 7)
+        episodes = sample_trajectories(bench_mdp, policy, 12, seed=7)
+        want = add_at_counts(episodes, 16, 4)
+        assert np.array_equal(_episode_counts(states, actions, 16, 4), want)
+        assert np.array_equal(_trajectory_counts(episodes, 16, 4), want)
+        # demonstrations may differ in length
+        ragged = [Trajectory(t.states[:k + 1], t.actions[:k]) for k, t in enumerate(episodes)]
+        assert np.array_equal(_trajectory_counts(ragged, 16, 4), add_at_counts(ragged, 16, 4))
+
+
 class TestGanGcl:
     def two_step_mdp(self):
         t = np.zeros((3, 2, 3))
@@ -717,6 +804,27 @@ class TestGanGcl:
         npt.assert_allclose(logits, expected, rtol=0, atol=1e-12)
         # matched odds put D at 1/2 on every row; each side's weights sum to 1
         npt.assert_allclose(problem.loss((np.log(policy),)), 2 * np.log(2.0), atol=1e-12)
+
+    def test_zero_probability_cell_makes_only_its_episodes_impossible(self):
+        policy = np.array([[0.5, 0.5, 0.0]])
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(policy)
+        # two expert episodes, one of them through the zero-probability cell
+        counts = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        problem = _episode_problem(counts, 2, log_pi)
+        assert problem.offset[0] == np.inf
+        assert problem.offset[1] == problem.offset[2] == -2.0 * np.log(0.5)
+        theta = (np.array([[0.3, -0.2, 0.1]]),)
+        x = problem.phi(theta) + problem.offset
+        want = 0.5 * np.logaddexp(0.0, -x[1]) + np.logaddexp(0.0, x[2])
+        npt.assert_allclose(problem.loss(theta), want, rtol=1e-15)
+        assert np.all(np.isfinite(problem.grad(theta)[0]))
+
+    def test_offsets_without_zero_probabilities_are_the_plain_product(self):
+        policy = softmax_policy(2, 4, 3)
+        counts = np.random.default_rng(2).integers(0, 4, size=(9, 12)).astype(float)
+        problem = _episode_problem(counts, 4, np.log(policy))
+        assert np.array_equal(problem.offset, -(counts @ np.log(policy).ravel()))
 
     def test_gradient_matches_central_differences(self):
         eps = 1e-5

@@ -310,6 +310,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'extra'"):
             reward_from_dict({"kind": "state_only", "values": [0.0], "extra": 1})
 
+    def test_bools_in_number_lists_rejected(self, bench_mdp):
+        # numpy would read [true, 0, 0] as [1, 0, 0]; a bool at any depth is refused
+        doc = mdp_to_dict(bench_mdp)
+        doc["initial_dist"] = [True] + [0] * (bench_mdp.n_states - 1)
+        with pytest.raises(ValueError, match="'initial_dist'"):
+            mdp_from_dict(doc)
+        doc = mdp_to_dict(bench_mdp)
+        doc["transition"][2][1][0] = False
+        with pytest.raises(ValueError, match="'transition'"):
+            mdp_from_dict(doc)
+        with pytest.raises(ValueError, match="'values'"):
+            reward_from_dict({"kind": "state_only", "values": [1.0, True]})
+
     def test_full_float_precision_survives(self):
         values = np.array([1 / 3, np.pi, 1e-17])
         doc = json.loads(json.dumps(reward_to_dict(RewardTable("state_only", values))))

@@ -2,6 +2,7 @@
 over the JSON documents the command line reads."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from irl_lab.mdp import (
     reward_to_dict,
     save_mdp,
 )
-from irl_lab.soft_rl import evaluate_return, occupancy
+from irl_lab.soft_rl import evaluate_return, occupancy, sample_trajectories
 
-from oracles import enumerate_return, loop_occupancy, loop_return
+from oracles import enumerate_return, loop_occupancy, loop_return, loop_sample_trajectories
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -103,6 +104,26 @@ def test_occupancy_is_a_distribution_matching_the_loop(case):
         # the next state is drawn from the dynamics given (s, a)
         factored = measure.state_action_marginal()[:, :, None] * mdp.transition
         assert np.max(np.abs(rho - factored)) <= 1e-15
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=mdps_and_policies(), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_sampled_episodes_match_the_per_step_loop(case, n, seed):
+    mdp, policies = case
+    # horizon 1 on every case, besides the drawn horizon
+    for mdp in (mdp, replace(mdp, horizon=1)):
+        for policy in policies:
+            episodes = sample_trajectories(mdp, policy, n, seed)
+            want = loop_sample_trajectories(mdp, policy, n, seed)
+            assert len(episodes) == n
+            for got, expected in zip(episodes, want):
+                assert got.horizon == mdp.horizon
+                assert np.array_equal(got.states, expected.states)
+                assert np.array_equal(got.actions, expected.actions)
+                # zero-probability starts, actions and successors are never drawn
+                assert mdp.initial_dist[got.states[0]] > 0
+                assert np.all(policy[got.states[:-1], got.actions] > 0)
+                assert np.all(mdp.transition[got.states[:-1], got.actions, got.states[1:]] > 0)
 
 
 def _through_json(doc):

@@ -22,18 +22,18 @@ def write_set(root: Path, files: dict) -> Path:
 
 
 class TestGoldenOutputs:
-    def test_writes_the_nine_command_set(self, tmp_path, monkeypatch, capsys):
+    def test_writes_the_golden_set(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("IRL_LAB_THREADS", raising=False)
         golden_outputs = load_tool("golden_outputs")
         out = tmp_path / "golden"
         assert golden_outputs.main([str(out)]) == 0
         names = [name for name, _ in golden_outputs.COMMANDS]
-        assert len(names) == 9
+        assert len(names) == 10
         # reproduce_tabular fails its thresholds: criteria 1-2 are not met
         exits = {name: (out / "runs" / f"{name}.exit").read_text() for name in names}
         assert exits == {name: "1\n" if name == "reproduce_tabular" else "0\n"
                          for name in names}
-        assert sum(path.is_file() for path in out.rglob("*")) == 73
+        assert sum(path.is_file() for path in out.rglob("*")) == 81
         assert golden_outputs.main([str(out)]) == 2  # refuses a non-empty OUTDIR
 
 

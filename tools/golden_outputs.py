@@ -2,11 +2,12 @@
 
     python3 tools/golden_outputs.py OUTDIR
 
-Runs nine fixed commands in-process against the package in this checkout's
+Runs ten fixed commands in-process against the package in this checkout's
 `src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the same with
-`--smoke`), `train` on `paper_tabular` seed 0, `train` with the
-`gan_gcl_trajectory` baseline on a `random` MDP, `transfer` on three test
-seeds with a five-dynamics probe, `generate` for each MDP kind, and `probe`.
+`--smoke`), `train` on `paper_tabular` seed 0 in exact and in sampled mode,
+`train` with the `gan_gcl_trajectory` baseline on a `random` MDP, `transfer`
+on three test seeds with a five-dynamics probe, `generate` for each MDP kind,
+and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
 OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
@@ -30,6 +31,12 @@ CONFIGS = {
         "learner": {"variant": "airl_state_only", "iterations": 25,
                     "disc_steps_per_iter": 20, "disc_step_size": 0.2},
         "output_dir": "train_paper_tabular",
+    },
+    "train_airl_sampled.json": {
+        "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
+        "learner": {"variant": "airl_state_only", "mode": "sampled", "iterations": 25,
+                    "n_policy_trajectories": 16},
+        "output_dir": "train_airl_sampled",
     },
     "train_gan_gcl.json": {
         "mdp": {"source": "generate", "kind": "random", "states": 5, "actions": 2,
@@ -61,6 +68,7 @@ COMMANDS = (
     ("reproduce_tabular_smoke",
      ["reproduce-tabular", "--out", "reproduce_smoke", "--seeds", "0,1", "--smoke"]),
     ("train_paper_tabular", ["train", "--config", "configs/train_paper_tabular.json"]),
+    ("train_airl_sampled", ["train", "--config", "configs/train_airl_sampled.json"]),
     ("train_gan_gcl", ["train", "--config", "configs/train_gan_gcl.json"]),
     ("transfer", ["transfer", "--config", "configs/transfer.json"]),
     ("probe",
