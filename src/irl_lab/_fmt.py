@@ -1,19 +1,14 @@
-"""Shared output helpers: 17-significant-digit floats, CSV text, atomic writes."""
+"""Shared output helpers: CSV text with 17-significant-digit floats, JSON text, atomic writes."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
-
-FLOAT_FMT = "%.17g"
-
-
-def fmt_float(x) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def _cell(value) -> str:
@@ -22,7 +17,7 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
+        return "%.17g" % float(value)
     return str(value)
 
 
@@ -42,9 +37,26 @@ def csv_text(header, rows, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(value):
+    """`value` with each non-finite float, in any dict, list or tuple, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def json_text(doc) -> str:
-    """Canonical JSON rendering: sorted keys, fixed separators, LF-terminated."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering: sorted keys, fixed separators, LF-terminated.
+
+    JSON has no inf or NaN, so a non-finite float is written as null; only a
+    document that holds one is walked by `_finite` and rendered again.
+    """
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

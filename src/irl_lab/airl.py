@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,8 +59,12 @@ class DivergenceError(RuntimeError):
     """Raised when training produces non-finite parameters."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"non-finite discriminator parameters at iteration {iteration}")
+        # args stay (iteration,), so unpickling (say, from a worker process) rebuilds this error
+        super().__init__(iteration)
         self.iteration = iteration
+
+    def __str__(self) -> str:
+        return f"non-finite discriminator parameters at iteration {self.iteration}"
 
 
 @dataclass(frozen=True)
@@ -142,32 +146,6 @@ class LearnerConfig:
             raise ValueError("entropy_weight must be positive")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Diagnostics of one outer iteration.
-
-    `disc_loss` is the discriminator loss after the round's fit, `g_delta` the
-    largest change that fit made to the learned table g, `true_return` the
-    re-solved policy's return under the true reward (no entropy bonus) and
-    `reward_error` the centered sup-norm gap between g and the true reward.
-    `vi_steps_cumulative` sums `SoftSolution.iterations_used` over the policy
-    steps so far: soft Bellman solver iterations (a backup plus a linear
-    solve), not value-iteration sweeps.
-    """
-
-    iteration: int
-    disc_loss: float
-    true_return: float
-    reward_error: float
-    g_delta: float
-    vi_steps_cumulative: int
-
-
-# Output names of the IterationRecord fields, in order; the CSV omits the last.
-_HISTORY_KEYS = ("iter", "disc_loss", "true_return", "reward_error", "g_delta",
-                 "vi_steps_cumulative")
-
-
 class _Round(NamedTuple):
     """What training stores per iteration; the history derives the rest from g and policy."""
 
@@ -180,14 +158,20 @@ class _Round(NamedTuple):
 
 
 class TrainingHistory:
-    """Per-iteration diagnostics of a training run on `mdp`.
+    """Per-iteration diagnostics of a training run on `mdp`, one column per field:
 
-    `append` stores an iteration's number, discriminator loss, g change and
-    solver-step count together with copies of its g table and policy.
-    `true_return` and `reward_error` are computed from those on every read of
-    `records`, `column`, `to_csv_text` or `to_json_dict`: the returns by one
-    stacked `evaluate_return` call, whose rows equal single-policy calls bit
-    for bit.  A run whose history is never read never computes them.
+    - `iteration`, written `iter` in the CSV and JSON;
+    - `disc_loss`, the discriminator loss after the round's fit;
+    - `true_return`, the re-solved policy's return under the true reward (no entropy bonus);
+    - `reward_error`, the centered sup-norm gap between g and the true reward;
+    - `g_delta`, the largest change the round's fit made to the learned table g;
+    - `vi_steps_cumulative` (JSON only), `SoftSolution.iterations_used` summed over
+      the policy steps so far: solver iterations (a backup plus a linear solve).
+
+    `append` stores all but `true_return` and `reward_error`, plus copies of
+    the round's g and policy.  Every read computes those two from the copies,
+    the returns by one stacked `evaluate_return` call whose rows equal
+    single-policy calls bit for bit, so an unread history never computes them.
     """
 
     def __init__(self, mdp: TabularMdp):
@@ -202,36 +186,35 @@ class TrainingHistory:
     def __len__(self) -> int:
         return len(self._rounds)
 
-    @property
-    def records(self) -> list[IterationRecord]:
-        if not self._rounds:
-            return []
-        mdp = self._mdp
-        returns = evaluate_return(mdp, np.stack([r.policy for r in self._rounds]), mdp.reward)
-        return [
-            IterationRecord(
-                iteration=r.iteration,
-                disc_loss=r.disc_loss,
-                true_return=true_return,
-                reward_error=centered_reward_error(_g_table(r.g), mdp.reward, mdp.transition),
-                g_delta=r.g_delta,
-                vi_steps_cumulative=r.vi_steps_cumulative,
-            )
-            for r, true_return in zip(self._rounds, returns.tolist())
-        ]
+    def _columns(self) -> dict[str, list]:
+        """Every column by field name, in output order."""
+        mdp, rounds = self._mdp, self._rounds
+        returns = []
+        if rounds:
+            policies = np.stack([r.policy for r in rounds])
+            returns = evaluate_return(mdp, policies, mdp.reward).tolist()
+        return {
+            "iteration": [r.iteration for r in rounds],
+            "disc_loss": [r.disc_loss for r in rounds],
+            "true_return": returns,
+            "reward_error": [centered_reward_error(_g_table(r.g), mdp.reward, mdp.transition)
+                             for r in rounds],
+            "g_delta": [r.g_delta for r in rounds],
+            "vi_steps_cumulative": [r.vi_steps_cumulative for r in rounds],
+        }
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return np.array(self._columns()[name])
 
     def to_csv_text(self) -> str:
-        return csv_text(_HISTORY_KEYS[:-1], (astuple(r)[:-1] for r in self.records))
+        columns = self._columns()
+        del columns["vi_steps_cumulative"]
+        return csv_text(["iter", *list(columns)[1:]], zip(*columns.values()))
 
     def to_json_dict(self) -> dict:
-        records = self.records
-        return {
-            key: [getattr(r, f.name) for r in records]
-            for key, f in zip(_HISTORY_KEYS, fields(IterationRecord))
-        }
+        columns = self._columns()
+        columns["iter"] = columns.pop("iteration")
+        return columns
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,23 +28,20 @@ from .mdp import (
     counterexample_mdp,
     decomposability_check,
     load_mdp,
-    mdp_to_dict,
     paper_tabular_mdp,
     random_mdp,
     read_document,
+    read_json,
     reward_from_dict,
     reward_to_dict,
+    save_mdp,
     strict_float,
     strict_int,
     validate_mdp,
 )
 from .shaping import centered_reward_error
 from .transfer import (
-    RECOVERY_MAX_ERROR_STATE_ONLY,
-    RECOVERY_MAX_F_ADVANTAGE_ERROR,
-    RECOVERY_MIN_ERROR_STATE_ACTION,
-    TRANSFER_MAX_MEAN_SCORE_STATE_ACTION,
-    TRANSFER_MIN_MEAN_SCORE_STATE_ONLY,
+    REPRODUCTION_CRITERIA,
     disentanglement_probe,
     evaluate_on_new_dynamics,
     expert_demos,
@@ -215,12 +213,7 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {str(path)!r} is not valid JSON: {exc}") from exc
-    values = read_document(doc, _EXPERIMENT_KEYS, "experiment config")
+    values = read_document(read_json(path, "config"), _EXPERIMENT_KEYS, "experiment config")
     return ExperimentConfig(mdp_spec=values.pop("mdp"), **values)
 
 
@@ -335,7 +328,7 @@ def cmd_generate(args) -> int:
     mdp = generate(**{key: getattr(args, key) for key in keys})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out, json_text(mdp_to_dict(mdp)))
+    save_mdp(mdp, out)
     report = decomposability_check(mdp)
     classes = " ".join("{" + ",".join(str(s) for s in c) + "}" for c in report.linked_classes)
     print(f"wrote {out} ({mdp.n_states} states, {mdp.n_actions} actions)")
@@ -346,7 +339,7 @@ def cmd_generate(args) -> int:
 
 
 def _train_once(mdp: TabularMdp, learner: LearnerConfig):
-    """Run the configured learner; returns (learned reward table, history, extras)."""
+    """Run the configured learner; returns (learned reward, history, learned_reward.json)."""
     if learner.variant == "gan_gcl_trajectory":
         demos, _ = expert_demos(
             mdp,
@@ -358,19 +351,21 @@ def _train_once(mdp: TabularMdp, learner: LearnerConfig):
         scorer, _, history = gan_gcl_train(mdp, demos, learner)
         learned = RewardTable("state_action", scorer.f_step)
         error = centered_reward_error(learned, mdp.reward, mdp.transition)
-        return learned, history, {"recovery_error": error}
+        return learned, history, {"learned_reward": reward_to_dict(learned),
+                                  "recovery_error": error}
     recovery = run_recovery(mdp, learner.variant, learner)
     return recovery.params.g, recovery.history, {
+        "learned_reward": reward_to_dict(recovery.params.g),
         "recovery_error": recovery.recovery_error,
         "f_advantage_error": recovery.f_advantage_error,
-        "params": params_to_dict(recovery.params),
+        "discriminator": params_to_dict(recovery.params),
     }
 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(args.config), args)
     mdp = _build_mdp(config.mdp_spec)
-    learned, history, extras = _train_once(mdp, config.learner)
+    learned, history, doc = _train_once(mdp, config.learner)
 
     with _outputs(config.output_dir) as write:
         if "csv" in config.formats:
@@ -378,14 +373,29 @@ def cmd_train(args) -> int:
             write("heatmap.csv", _heatmap_text(learned.values, mdp.n_actions))
         if "json" in config.formats:
             write("history.json", json_text(history.to_json_dict()))
-        doc = {"learned_reward": reward_to_dict(learned)}
-        doc.update({k: v for k, v in extras.items() if k != "params"})
-        if "params" in extras:
-            doc["discriminator"] = extras["params"]
         write("learned_reward.json", json_text(doc))
     print(f"trained {config.learner.variant} for {config.learner.iterations} iterations")
-    print(f"recovery_error: {extras['recovery_error']:.6g}")
+    print(f"recovery_error: {doc['recovery_error']:.6g}")
     return EXIT_OK
+
+
+def _test_mdps(transfer: dict, mdp: TabularMdp) -> list[tuple[str, TabularMdp]]:
+    """The transfer block's test MDPs for train MDP `mdp`, as (label, MDP) pairs in config order.
+
+    `test_seeds` gives `seed<k>`, a `random_mdp` with the train MDP's reward,
+    discount, horizon and start; `test_mdp_paths` gives `test<i>`, each file
+    loaded and validated before any shape is checked.
+    """
+    if transfer["test_seeds"] is not None:
+        return [(f"seed{seed}", random_mdp(mdp.n_states, mdp.n_actions, mdp.reward, seed,
+                                           discount=mdp.discount, horizon=mdp.horizon,
+                                           initial_dist=mdp.initial_dist))
+                for seed in transfer["test_seeds"]]
+    tests = [(f"test{i}", _validated(load_mdp(path)))
+             for i, path in enumerate(transfer["test_mdp_paths"])]
+    if any((t.n_states, t.n_actions) != (mdp.n_states, mdp.n_actions) for _, t in tests):
+        raise ValueError("test MDPs must share the train MDP's state/action counts")
+    return tests
 
 
 def cmd_transfer(args) -> int:
@@ -395,32 +405,13 @@ def cmd_transfer(args) -> int:
     if config.learner.variant == "gan_gcl_trajectory":
         raise ValueError("transfer re-optimizes a reward table; use an airl_* variant")
     train_mdp = _build_mdp(config.mdp_spec)
-    if config.transfer["test_seeds"] is not None:
-        labels = [f"seed{seed}" for seed in config.transfer["test_seeds"]]
-        test_mdps = [
-            random_mdp(
-                train_mdp.n_states,
-                train_mdp.n_actions,
-                train_mdp.reward,
-                seed,
-                discount=train_mdp.discount,
-                horizon=train_mdp.horizon,
-                initial_dist=train_mdp.initial_dist,
-            )
-            for seed in config.transfer["test_seeds"]
-        ]
-    else:
-        labels = [f"test{i}" for i in range(len(config.transfer["test_mdp_paths"]))]
-        test_mdps = [_validated(load_mdp(p)) for p in config.transfer["test_mdp_paths"]]
-        for test in test_mdps:
-            if (test.n_states, test.n_actions) != (train_mdp.n_states, train_mdp.n_actions):
-                raise ValueError("test MDPs must share the train MDP's state/action counts")
+    tests = _test_mdps(config.transfer, train_mdp)
     recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
 
     with _outputs(config.output_dir) as write:
         results = []
         curves = []
-        for label, test_mdp in zip(labels, test_mdps):
+        for label, test_mdp in tests:
             evaluation = evaluate_on_new_dynamics(
                 test_mdp, recovery.params.g, entropy_weight=config.learner.entropy_weight
             )
@@ -457,19 +448,18 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_one_seed(task: dict) -> dict:
+def _reproduce_one_seed(seed: int, iterations: int, disc_steps: int, step_size: float) -> dict:
     """Recovery plus transfer for one seed of the 16-state reproduction."""
-    seed = task["seed"]
     train_mdp = paper_tabular_mdp(seed)
     test_mdp = paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET)
-    out = {"seed": seed, "truth_heatmap": mdp_to_dict(train_mdp)["reward"], "variants": {}}
-    for variant in ("airl_state_only", "airl_state_action"):
+    out = {"seed": seed, "truth_heatmap": reward_to_dict(train_mdp.reward), "variants": {}}
+    for variant in _VARIANT_LABELS:
         learner = LearnerConfig(
             variant=variant,
             mode="exact_occupancy",
-            iterations=task["iterations"],
-            disc_steps_per_iter=task["disc_steps"],
-            disc_step_size=task["step_size"],
+            iterations=iterations,
+            disc_steps_per_iter=disc_steps,
+            disc_step_size=step_size,
             seed=seed,
         )
         recovery = run_recovery(train_mdp, variant, learner)
@@ -494,6 +484,7 @@ def _thread_count() -> int:
 
 
 def _map_tasks(fn, tasks):
+    """[fn(t) for t in tasks], over IRL_LAB_THREADS worker processes; results keep task order."""
     workers = min(_thread_count(), len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -501,6 +492,34 @@ def _map_tasks(fn, tasks):
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+# manifest.json's name for a per-seed key's value list; a statistic is named like max_error.
+_VALUE_LISTS = {"recovery_error": "errors", "f_advantage_error": "f_advantage_errors",
+                "normalized_score": "scores"}
+_COMPARISONS = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _criteria_blocks(per_seed: list[dict], smoke: bool) -> dict:
+    """manifest.json's `experiments`, one block per REPRODUCTION_CRITERIA block name.
+
+    A block holds each of its rows' per-seed values and their reduction, the
+    rows' rules joined by " and ", and whether every row meets its bound
+    ("skipped" for a smoke run).
+    """
+    blocks, rules, passed = {}, {}, {}
+    for name, variant, key, reduction, comparison, bound in REPRODUCTION_CRITERIA:
+        values = [result["variants"][variant][key] for result in per_seed]
+        stat = getattr(np, reduction)(values)
+        listed = _VALUE_LISTS[key]
+        block = blocks.setdefault(name, {})
+        block[listed], block[f"{reduction}_{listed[:-1]}"] = values, float(stat)
+        rules.setdefault(name, []).append(f"{reduction} {key} {comparison} {bound}")
+        passed[name] = passed.get(name, True) and _COMPARISONS[comparison](stat, bound)
+    for name, block in blocks.items():
+        block["rule"] = " and ".join(rules[name])
+        block["pass"] = "skipped" if smoke else bool(passed[name])
+    return blocks
 
 
 def cmd_reproduce_tabular(args) -> int:
@@ -511,80 +530,25 @@ def cmd_reproduce_tabular(args) -> int:
     if not seeds:
         raise ValueError("--seeds must name at least one seed")
     iterations = 0 if args.smoke else args.iterations
-    tasks = [
-        {
-            "seed": seed,
-            "iterations": iterations,
-            "disc_steps": args.disc_steps,
-            "step_size": args.step_size,
-        }
-        for seed in seeds
-    ]
-    per_seed = _map_tasks(_reproduce_one_seed, tasks)
-    per_seed.sort(key=lambda r: seeds.index(r["seed"]))
+    per_seed = _map_tasks(partial(_reproduce_one_seed, iterations=iterations,
+                                  disc_steps=args.disc_steps, step_size=args.step_size), seeds)
 
     with _outputs(Path(args.out)) as write:
         for result in per_seed:
             seed = result["seed"]
-            write(
-                f"heatmap_truth_seed{seed}.csv",
-                _heatmap_text(np.asarray(result["truth_heatmap"]["values"]), 4),
-            )
+            truth = result["truth_heatmap"]["values"]
+            write(f"heatmap_truth_seed{seed}.csv", _heatmap_text(truth, 4))
             for variant, label in _VARIANT_LABELS.items():
                 block = result["variants"][variant]
-                write(
-                    f"heatmap_{label}_seed{seed}.csv",
-                    _heatmap_text(np.asarray(block["learned_reward"]["values"]), 4),
-                )
+                write(f"heatmap_{label}_seed{seed}.csv",
+                      _heatmap_text(block["learned_reward"]["values"], 4))
                 write(f"curve_{label}_seed{seed}.csv", _curve_text(block["curve"]))
         for variant, label in _VARIANT_LABELS.items():
             curves = [r["variants"][variant]["curve"] for r in per_seed]
             write(f"curve_{label}_aggregate.csv", _aggregate_text(curves))
 
-        so_errors = [r["variants"]["airl_state_only"]["recovery_error"] for r in per_seed]
-        sa_errors = [r["variants"]["airl_state_action"]["recovery_error"] for r in per_seed]
-        sa_f_errors = [r["variants"]["airl_state_action"]["f_advantage_error"] for r in per_seed]
-        so_scores = [r["variants"]["airl_state_only"]["normalized_score"] for r in per_seed]
-        sa_scores = [r["variants"]["airl_state_action"]["normalized_score"] for r in per_seed]
-
-        def verdict(passed) -> bool | str:
-            return "skipped" if args.smoke else bool(passed)
-
-        experiments = {
-            "recovery_state_only": {
-                "errors": so_errors,
-                "max_error": float(np.max(so_errors)),
-                "rule": f"max recovery_error <= {RECOVERY_MAX_ERROR_STATE_ONLY}",
-                "pass": verdict(np.max(so_errors) <= RECOVERY_MAX_ERROR_STATE_ONLY),
-            },
-            "recovery_state_action": {
-                "errors": sa_errors,
-                "min_error": float(np.min(sa_errors)),
-                "f_advantage_errors": sa_f_errors,
-                "max_f_advantage_error": float(np.max(sa_f_errors)),
-                "rule": (
-                    f"min recovery_error > {RECOVERY_MIN_ERROR_STATE_ACTION} and "
-                    f"max f_advantage_error <= {RECOVERY_MAX_F_ADVANTAGE_ERROR}"
-                ),
-                "pass": verdict(
-                    np.min(sa_errors) > RECOVERY_MIN_ERROR_STATE_ACTION
-                    and np.max(sa_f_errors) <= RECOVERY_MAX_F_ADVANTAGE_ERROR
-                ),
-            },
-            "transfer_state_only": {
-                "scores": so_scores,
-                "mean_score": float(np.mean(so_scores)),
-                "rule": f"mean normalized_score >= {TRANSFER_MIN_MEAN_SCORE_STATE_ONLY}",
-                "pass": verdict(np.mean(so_scores) >= TRANSFER_MIN_MEAN_SCORE_STATE_ONLY),
-            },
-            "transfer_state_action": {
-                "scores": sa_scores,
-                "mean_score": float(np.mean(sa_scores)),
-                "rule": f"mean normalized_score <= {TRANSFER_MAX_MEAN_SCORE_STATE_ACTION}",
-                "pass": verdict(np.mean(sa_scores) <= TRANSFER_MAX_MEAN_SCORE_STATE_ACTION),
-            },
-        }
-        all_pass = verdict(all(block["pass"] is True for block in experiments.values()))
+        experiments = _criteria_blocks(per_seed, args.smoke)
+        all_pass = "skipped" if args.smoke else all(b["pass"] for b in experiments.values())
         manifest = {
             "seeds": seeds,
             "test_seed_offset": REPRO_TEST_SEED_OFFSET,
@@ -613,7 +577,7 @@ def cmd_reproduce_tabular(args) -> int:
 
 def cmd_probe(args) -> int:
     mdp = _validated(load_mdp(args.mdp))
-    doc = json.loads(Path(args.reward).read_text())
+    doc = read_json(args.reward, "reward file")
     if isinstance(doc, dict) and "learned_reward" in doc:
         doc = doc["learned_reward"]
     try:

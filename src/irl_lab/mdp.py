@@ -441,5 +441,13 @@ def save_mdp(mdp: TabularMdp, path) -> None:
     atomic_write_text(Path(path), json_text(mdp_to_dict(mdp)))
 
 
+def read_json(path, what: str):
+    """The JSON document in file `path`; text that is not UTF-8 JSON raises ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
+
+
 def load_mdp(path) -> TabularMdp:
-    return mdp_from_dict(json.loads(Path(path).read_text()))
+    return mdp_from_dict(read_json(path, "MDP file"))

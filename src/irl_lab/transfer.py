@@ -34,6 +34,22 @@ RECOVERY_MAX_F_ADVANTAGE_ERROR = 0.05
 TRANSFER_MIN_MEAN_SCORE_STATE_ONLY = 0.95
 TRANSFER_MAX_MEAN_SCORE_STATE_ACTION = 0.3
 
+# The reproduction's criteria, one row per bound: (manifest block, variant,
+# per-seed key, numpy reduction over the seeds, comparison, bound).  A block
+# passes when each of its rows' reduced value meets the row's bound.
+REPRODUCTION_CRITERIA = (
+    ("recovery_state_only", "airl_state_only", "recovery_error", "max", "<=",
+     RECOVERY_MAX_ERROR_STATE_ONLY),
+    ("recovery_state_action", "airl_state_action", "recovery_error", "min", ">",
+     RECOVERY_MIN_ERROR_STATE_ACTION),
+    ("recovery_state_action", "airl_state_action", "f_advantage_error", "max", "<=",
+     RECOVERY_MAX_F_ADVANTAGE_ERROR),
+    ("transfer_state_only", "airl_state_only", "normalized_score", "mean", ">=",
+     TRANSFER_MIN_MEAN_SCORE_STATE_ONLY),
+    ("transfer_state_action", "airl_state_action", "normalized_score", "mean", "<=",
+     TRANSFER_MAX_MEAN_SCORE_STATE_ACTION),
+)
+
 
 def expert_demos(
     mdp: TabularMdp,

@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import warnings
 
 import irl_lab.airl
@@ -444,6 +445,13 @@ class TestAirlTrain:
             airl_train(tiny_mdp, bad_demos, LearnerConfig(iterations=3))
         assert err.value.iteration == 0
 
+    def test_divergence_error_survives_pickling(self):
+        # a worker process hands its exception back to the parent pickled
+        error = pickle.loads(pickle.dumps(DivergenceError(3)))
+        assert type(error) is DivergenceError
+        assert str(error) == "non-finite discriminator parameters at iteration 3"
+        assert error.iteration == 3
+
     @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
     def test_nan_demos_diverge_without_runtime_warnings(self, tiny_mdp, variant):
         # The discriminator step's sigmoid sees NaN logits here; it must stay
@@ -639,10 +647,11 @@ class TestLazyHistory:
         policy = uniform_policy(bench_mdp)
         history.append(6, 0.5, 1.0, last.vi_steps_cumulative + 3, g, policy)
         assert history.to_csv_text().splitlines()[:-1] == first.splitlines()
-        record = history.records[-1]
-        assert record.iteration == 6 and record.disc_loss == 0.5
-        assert record.true_return == evaluate_return(bench_mdp, policy, bench_mdp.reward)
-        assert record.reward_error == centered_reward_error(
+        assert history.column("iteration")[-1] == 6
+        assert history.column("disc_loss")[-1] == 0.5
+        assert history.column("true_return")[-1] == evaluate_return(
+            bench_mdp, policy, bench_mdp.reward)
+        assert history.column("reward_error")[-1] == centered_reward_error(
             RewardTable("state_only", g), bench_mdp.reward, bench_mdp.transition)
         assert history.column("vi_steps_cumulative")[-1] == last.vi_steps_cumulative + 3
 

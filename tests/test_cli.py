@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,19 @@ from irl_lab.cli import (
     EXIT_USAGE,
     _aggregate_curves,
     _build_mdp,
+    _criteria_blocks,
     load_experiment_config,
     main,
 )
+from irl_lab._fmt import json_text
 from irl_lab.mdp import RewardTable, load_mdp, mdp_to_dict, random_mdp, save_mdp
+from irl_lab.transfer import (
+    RECOVERY_MAX_ERROR_STATE_ONLY,
+    RECOVERY_MAX_F_ADVANTAGE_ERROR,
+    RECOVERY_MIN_ERROR_STATE_ACTION,
+    TRANSFER_MAX_MEAN_SCORE_STATE_ACTION,
+    TRANSFER_MIN_MEAN_SCORE_STATE_ONLY,
+)
 
 
 def run_cli(capsys, *args):
@@ -536,6 +546,99 @@ class TestReproduceTabular:
         assert not out.exists()
 
 
+def synthetic_per_seed(so_errors, sa_errors, sa_f_errors, so_scores, sa_scores):
+    """Per-seed results shaped like `_reproduce_one_seed`'s, one entry per seed."""
+    return [
+        {"seed": seed, "variants": {
+            "airl_state_only": {"recovery_error": so_error, "normalized_score": so_score},
+            "airl_state_action": {"recovery_error": sa_error, "f_advantage_error": sa_f_error,
+                                  "normalized_score": sa_score},
+        }}
+        for seed, (so_error, sa_error, sa_f_error, so_score, sa_score) in enumerate(
+            zip(so_errors, sa_errors, sa_f_errors, so_scores, sa_scores))
+    ]
+
+
+# Two seeds whose reduced value sits exactly at each bound: max and min reach
+# it on one seed, the mean of two equal values is the value itself.
+AT_THE_BOUNDS = dict(
+    so_errors=[RECOVERY_MAX_ERROR_STATE_ONLY, 0.05],
+    sa_errors=[RECOVERY_MIN_ERROR_STATE_ACTION, 0.9],
+    sa_f_errors=[0.01, RECOVERY_MAX_F_ADVANTAGE_ERROR],
+    so_scores=[TRANSFER_MIN_MEAN_SCORE_STATE_ONLY] * 2,
+    sa_scores=[TRANSFER_MAX_MEAN_SCORE_STATE_ACTION] * 2,
+)
+
+
+class TestCriteriaBlocks:
+    """manifest.json's threshold blocks, built from `transfer.REPRODUCTION_CRITERIA`."""
+
+    def test_blocks_at_the_bounds(self):
+        blocks = _criteria_blocks(synthetic_per_seed(**AT_THE_BOUNDS), smoke=False)
+        assert blocks == {
+            "recovery_state_only": {
+                "errors": [0.1, 0.05],
+                "max_error": 0.1,
+                "rule": "max recovery_error <= 0.1",
+                "pass": True,
+            },
+            "recovery_state_action": {
+                "errors": [0.3, 0.9],
+                "min_error": 0.3,
+                "f_advantage_errors": [0.01, 0.05],
+                "max_f_advantage_error": 0.05,
+                "rule": "min recovery_error > 0.3 and max f_advantage_error <= 0.05",
+                "pass": False,
+            },
+            "transfer_state_only": {
+                "scores": [0.95, 0.95],
+                "mean_score": 0.95,
+                "rule": "mean normalized_score >= 0.95",
+                "pass": True,
+            },
+            "transfer_state_action": {
+                "scores": [0.3, 0.3],
+                "mean_score": 0.3,
+                "rule": "mean normalized_score <= 0.3",
+                "pass": True,
+            },
+        }
+        assert list(blocks) == ["recovery_state_only", "recovery_state_action",
+                                "transfer_state_only", "transfer_state_action"]
+        assert all(type(block["pass"]) is bool for block in blocks.values())
+
+    @pytest.mark.parametrize("key, index, direction, block, passes", [
+        ("so_errors", 0, +1, "recovery_state_only", False),
+        ("so_errors", 0, -1, "recovery_state_only", True),
+        ("sa_errors", 0, +1, "recovery_state_action", True),
+        ("sa_errors", 0, -1, "recovery_state_action", False),
+        ("so_scores", None, -1, "transfer_state_only", False),
+        ("so_scores", None, +1, "transfer_state_only", True),
+        ("sa_scores", None, +1, "transfer_state_action", False),
+        ("sa_scores", None, -1, "transfer_state_action", True),
+    ])
+    def test_one_ulp_either_side_of_a_bound(self, key, index, direction, block, passes):
+        values = {name: list(v) for name, v in AT_THE_BOUNDS.items()}
+        for i in range(2) if index is None else [index]:
+            values[key][i] = np.nextafter(values[key][i], direction * np.inf)
+        blocks = _criteria_blocks(synthetic_per_seed(**values), smoke=False)
+        assert blocks[block]["pass"] is passes
+
+    def test_a_block_fails_when_any_of_its_rows_fails(self):
+        values = {name: list(v) for name, v in AT_THE_BOUNDS.items()}
+        values["sa_errors"] = [0.9, 0.9]
+        assert _criteria_blocks(synthetic_per_seed(**values), False)["recovery_state_action"][
+            "pass"] is True
+        values["sa_f_errors"] = [0.01, np.nextafter(RECOVERY_MAX_F_ADVANTAGE_ERROR, 1.0)]
+        assert _criteria_blocks(synthetic_per_seed(**values), False)["recovery_state_action"][
+            "pass"] is False
+
+    def test_smoke_skips_every_verdict(self):
+        blocks = _criteria_blocks(synthetic_per_seed(**AT_THE_BOUNDS), smoke=True)
+        assert [block["pass"] for block in blocks.values()] == ["skipped"] * 4
+        assert blocks["recovery_state_only"]["rule"] == "max recovery_error <= 0.1"
+
+
 class TestProbe:
     def make_inputs(self, tmp_path, capsys):
         mdp_file = tmp_path / "mdp.json"
@@ -688,6 +791,95 @@ class TestWrongTypedJson:
         code, _, stderr = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+        assert set(tmp_path.rglob("*")) == before
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not a JSON number")
+
+
+def read_strict_json(path):
+    """A JSON file read under RFC 8259: NaN, Infinity and -Infinity raise."""
+    return json.loads(Path(path).read_text(), parse_constant=refuse_constant)
+
+
+class TestNonFiniteNumbers:
+    """JSON artifacts write inf and NaN as null; the CSV files keep inf."""
+
+    def test_json_text_writes_null(self):
+        doc = {"a": [float("inf"), -np.inf, float("nan"), 1.5, (2.0, np.float64("inf"))],
+               "b": {"c": np.float64("-inf"), "d": 3}, "e": "inf"}
+        text = json_text(doc)
+        assert json.loads(text, parse_constant=refuse_constant) == {
+            "a": [None, None, None, 1.5, [2.0, None]], "b": {"c": None, "d": 3}, "e": "inf"}
+        finite = {"b": [1.0, 2], "a": (0.5, None, True)}
+        assert json_text(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+
+    def test_train_with_an_infinite_loss(self, tmp_path, capsys):
+        # a replay episode the current policy cannot produce: D = 1 on a negative row
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path / "c.json", output_dir=str(out),
+            mdp={"source": "generate", "kind": "random", "states": 3, "actions": 2,
+                 "seed": 0, "horizon": 4},
+            learner={"variant": "airl_state_only", "mode": "sampled", "iterations": 6,
+                     "n_policy_trajectories": 8, "entropy_weight": 1e-5},
+        )
+        assert run_cli(capsys, "train", "--config", cfg)[0] == EXIT_OK
+        csv_losses = [line.split(",")[1]
+                      for line in (out / "history.csv").read_text().splitlines()[1:]]
+        assert "inf" in csv_losses
+        history = read_strict_json(out / "history.json")
+        assert [None if loss == "inf" else float(loss) for loss in csv_losses] == \
+            history["disc_loss"]
+        read_strict_json(out / "learned_reward.json")
+
+    def test_reproduction_with_an_infinite_recovery_error(self, tmp_path, capsys):
+        out = tmp_path / "repro"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", str(out), "--seeds", "1",
+                                 "--iterations", "2", "--step-size", "1e308")
+        assert code == EXIT_THRESHOLD
+        manifest = read_strict_json(out / "manifest.json")
+        block = manifest["experiments"]["recovery_state_only"]
+        assert block["errors"] == [None] and block["max_error"] is None
+        assert block["pass"] is False
+        assert manifest["per_seed"][0]["variants"]["airl_state_only"]["recovery_error"] is None
+
+
+class TestMalformedJsonFiles:
+    """A JSON input that is not UTF-8 JSON is a usage error that names the file."""
+
+    @pytest.mark.parametrize("content", [b"{not json", b'{"n_states": "\xff"}'],
+                             ids=["not-json", "not-utf-8"])
+    @pytest.mark.parametrize("command, bad", [
+        ("probe", "mdp"),
+        ("probe", "reward"),
+        ("train", "config"),
+        ("train", "mdp"),
+        ("transfer", "test_mdp"),
+    ])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, monkeypatch, command, bad, content):
+        monkeypatch.chdir(tmp_path)
+        config = dict(VALID_CONFIG, mdp={"source": "file", "path": "mdp.json"})
+        if command == "transfer":
+            config["transfer"] = {"test_mdp_paths": ["test_mdp.json"]}
+        inputs = {"mdp": VALID_MDP, "reward": VALID_REWARD, "config": config,
+                  "test_mdp": VALID_MDP}
+        for name, doc in inputs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{bad}.json").write_bytes(content)
+        before = set(tmp_path.rglob("*"))
+        if command == "probe":
+            argv = ["probe", "--mdp", "mdp.json", "--reward", "reward.json",
+                    "--n-dynamics", "1", "--out", "probe.json"]
+        else:
+            argv = [command, "--config", "config.json"]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error:") and f"'{bad}.json' is not valid JSON" in stderr
         assert "Traceback" not in stderr
         assert set(tmp_path.rglob("*")) == before
 
