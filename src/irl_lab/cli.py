@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 reproduction threshold failure, 2 usage/config
 errors, 3 I/O failures, 4 numerical failures (training diverged, or an MDP
-fails validation).  Set IRL_LAB_THREADS to fan the reproduction's seeds out
-over worker processes.
+fails validation).  `reproduce-tabular` runs its seeds over min(CPUs this
+process may run on, seeds) worker processes, or in-process when that is one.
 """
 
 from __future__ import annotations
@@ -64,17 +64,13 @@ _VARIANT_LABELS = {"airl_state_only": "state_only", "airl_state_action": "state_
 
 
 class InvalidMdpError(Exception):
-    """An MDP that breaks the invariants `validate_mdp` checks."""
-
-    def __init__(self, problems: list[str]):
-        super().__init__(problems)
-        self.problems = problems
+    """An MDP that breaks the invariants `validate_mdp` checks; its args are the problems."""
 
 
 def _validated(mdp: TabularMdp) -> TabularMdp:
     problems = validate_mdp(mdp)
     if problems:
-        raise InvalidMdpError(problems)
+        raise InvalidMdpError(*problems)
     return mdp
 
 
@@ -172,8 +168,16 @@ def _non_negative(value) -> int:
     return value
 
 
+def _distinct_seeds(value) -> list[int]:
+    seeds = _nonempty_list(strict_int)(value)
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"repeats seed {seed}")
+    return seeds
+
+
 _TRANSFER_KEYS = {
-    "test_seeds": (_nonempty_list(strict_int), None),
+    "test_seeds": (_distinct_seeds, None),
     "test_mdp_paths": (_nonempty_list(_existing_file), None),
     "n_dynamics": (_non_negative, 0),
 }
@@ -382,9 +386,9 @@ def cmd_train(args) -> int:
 def _test_mdps(transfer: dict, mdp: TabularMdp) -> list[tuple[str, TabularMdp]]:
     """The transfer block's test MDPs for train MDP `mdp`, as (label, MDP) pairs in config order.
 
-    `test_seeds` gives `seed<k>`, a `random_mdp` with the train MDP's reward,
-    discount, horizon and start; `test_mdp_paths` gives `test<i>`, each file
-    loaded and validated before any shape is checked.
+    `test_seeds` give distinct `seed<k>` (repeats are refused on reading), each
+    a `random_mdp` with the train MDP's reward, discount, horizon and start;
+    `test_mdp_paths` give `test<i>`, each file validated before any shape check.
     """
     if transfer["test_seeds"] is not None:
         return [(f"seed{seed}", random_mdp(mdp.n_states, mdp.n_actions, mdp.reward, seed,
@@ -409,20 +413,15 @@ def cmd_transfer(args) -> int:
     recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
 
     with _outputs(config.output_dir) as write:
-        results = []
-        curves = []
-        for label, test_mdp in tests:
-            evaluation = evaluate_on_new_dynamics(
-                test_mdp, recovery.params.g, entropy_weight=config.learner.entropy_weight
-            )
-            results.append(
-                {"test": label, "returns": evaluation.returns, "normalized_score": evaluation.score}
-            )
-            curves.append(evaluation.curve)
-            if "csv" in config.formats:
-                write(f"curve_{label}.csv", _curve_text(evaluation.curve))
+        evaluations = [evaluate_on_new_dynamics(test_mdp, recovery.params.g,
+                                                entropy_weight=config.learner.entropy_weight)
+                       for _, test_mdp in tests]
         if "csv" in config.formats:
-            write("curve_aggregate.csv", _aggregate_text(curves))
+            for (label, _), evaluation in zip(tests, evaluations):
+                write(f"curve_{label}.csv", _curve_text(evaluation.curve))
+            write("curve_aggregate.csv", _aggregate_text([e.curve for e in evaluations]))
+        results = [{"test": label, "returns": e.returns, "normalized_score": e.score}
+                   for (label, _), e in zip(tests, evaluations)]
         scores = [r["normalized_score"] for r in results]
         summary = {
             "variant": config.learner.variant,
@@ -475,17 +474,15 @@ def _reproduce_one_seed(seed: int, iterations: int, disc_steps: int, step_size: 
     return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("IRL_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"IRL_LAB_THREADS must be an integer, got {raw!r}") from exc
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_tasks(fn, tasks):
-    """[fn(t) for t in tasks], over IRL_LAB_THREADS worker processes; results keep task order."""
-    workers = min(_thread_count(), len(tasks))
+    """[fn(t) for t in tasks] in task order, over min(available CPUs, tasks) processes."""
+    workers = min(_available_cpus(), len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -666,7 +663,7 @@ def main(argv=None) -> int:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InvalidMdpError as exc:
-        for problem in exc.problems:
+        for problem in exc.args:
             print(f"invalid: {problem}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

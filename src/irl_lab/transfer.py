@@ -50,6 +50,9 @@ REPRODUCTION_CRITERIA = (
      TRANSFER_MAX_MEAN_SCORE_STATE_ACTION),
 )
 
+# The probe's argmax set holds each action within this of the state's top probability.
+PROBE_TIE_TOL = 1e-6
+
 
 def expert_demos(
     mdp: TabularMdp,
@@ -209,8 +212,8 @@ class ProbeResult(NamedTuple):
     agreements: tuple[bool, ...]
 
 
-def _argmax_set(row: np.ndarray, tol: float) -> frozenset[int]:
-    return frozenset(np.nonzero(row >= row.max() - tol)[0].tolist())
+def _argmax_set(row: np.ndarray) -> frozenset[int]:
+    return frozenset(np.nonzero(row >= row.max() - PROBE_TIE_TOL)[0].tolist())
 
 
 def disentanglement_probe(
@@ -220,7 +223,6 @@ def disentanglement_probe(
     seed: int,
     *,
     extra_dynamics=(),
-    tie_tol: float = 1e-6,
     entropy_weight: float = 1.0,
 ) -> ProbeResult:
     """Check whether a reward ranks actions like the ground truth under new dynamics.
@@ -228,7 +230,7 @@ def disentanglement_probe(
     Draws `n_dynamics` fresh Dirichlet transition tensors (prepending any
     `extra_dynamics`, e.g. an adversarially chosen one), solves each under the
     candidate reward and under the ground truth, and compares per-state argmax
-    action sets with a tie band of `tie_tol`.  Returns the agreeing fraction
+    action sets with a tie band of `PROBE_TIE_TOL`.  Returns the agreeing fraction
     and the per-dynamics verdicts in probe order.  Raises ValueError for a
     negative `n_dynamics` or when there is nothing to probe.
     """
@@ -246,7 +248,7 @@ def disentanglement_probe(
         candidate = soft_value_iteration(probe_mdp, reward, entropy_weight=entropy_weight)
         truth = soft_value_iteration(probe_mdp, entropy_weight=entropy_weight)
         agree = all(
-            _argmax_set(candidate.policy[s], tie_tol) == _argmax_set(truth.policy[s], tie_tol)
+            _argmax_set(candidate.policy[s]) == _argmax_set(truth.policy[s])
             for s in range(mdp.n_states)
         )
         agreements.append(agree)

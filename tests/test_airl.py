@@ -379,6 +379,15 @@ class TestExtractReward:
         npt.assert_allclose(r_hat.values, f_table(params, 16, 4) + np.log(4.0),
                             atol=1e-12)
 
+    def test_zero_probability_action_gives_plus_inf_for_every_next_state(self):
+        policy = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
+        with np.errstate(divide="ignore"):
+            values = extract_reward(random_params(61, 3, 2, "state_action"), policy).values
+        infinite = np.zeros_like(values, dtype=bool)
+        infinite[0, 1] = True
+        assert np.all(values[infinite] == np.inf)
+        assert np.all(np.isfinite(values[~infinite]))
+
 
 class TestAirlTrain:
     def test_config_validation(self):

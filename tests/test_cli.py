@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 import irl_lab
 import irl_lab.airl
+import irl_lab.cli
 from irl_lab.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -159,7 +161,7 @@ class TestGenerate:
                                   "--discount", "1.0",
                                   "-o", str(tmp_path / "bad.json"))
         assert code == EXIT_NUMERIC
-        assert "invalid:" in stderr and "discount" in stderr
+        assert stderr == "invalid: discount 1.0 is not strictly inside (0, 1)\n"
 
 
 class TestTrain:
@@ -419,6 +421,13 @@ class TestTransferCmd:
                            transfer={"test_mdp_paths": [str(test_file)]})
         assert run_cli(capsys, "transfer", "--config", cfg)[0] == EXIT_USAGE
 
+    def test_repeated_test_seed_is_named(self, tmp_path, capsys):
+        cfg, out = self.transfer_config(tmp_path, test_seeds=[5, 5, 6])
+        code, _, stderr = run_cli(capsys, "transfer", "--config", cfg)
+        assert code == EXIT_USAGE
+        assert "'test_seeds'" in stderr and "repeats seed 5" in stderr
+        assert not out.exists()
+
     def test_negative_probe_count_is_usage_error(self, tmp_path, capsys):
         cfg, out = self.transfer_config(tmp_path, n_dynamics=-1)
         code, _, stderr = run_cli(capsys, "transfer", "--config", cfg)
@@ -496,7 +505,6 @@ class TestReproduceTabular:
 
     def test_reproduction_never_reads_the_training_history(self, tmp_path, capsys,
                                                            monkeypatch):
-        monkeypatch.delenv("IRL_LAB_THREADS", raising=False)
         plain, patched = tmp_path / "plain", tmp_path / "patched"
         args = ("reproduce-tabular", "--seeds", "0", "--iterations", "3", "--out")
         plain_code = run_cli(capsys, *args, str(plain))[0]
@@ -513,17 +521,33 @@ class TestReproduceTabular:
             assert (patched / name).read_bytes() == (plain / name).read_bytes()
 
     def test_worker_pool_matches_serial_run(self, tmp_path, capsys, monkeypatch):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        monkeypatch.setenv("IRL_LAB_THREADS", "1")
-        run_cli(capsys, "reproduce-tabular", "--out", str(serial),
-                "--seeds", "0,1", "--smoke")
-        monkeypatch.setenv("IRL_LAB_THREADS", "2")
-        run_cli(capsys, "reproduce-tabular", "--out", str(parallel),
-                "--seeds", "0,1", "--smoke")
-        assert (serial / "manifest.json").read_bytes() == \
-            (parallel / "manifest.json").read_bytes()
+        pools, real_pool = [], concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kwargs: pools.append(kwargs) or real_pool(**kwargs))
+        runs = {}
+        for cpus in (1, 2):  # in-process, then a two-worker pool
+            monkeypatch.setattr(irl_lab.cli, "_available_cpus", lambda: cpus)
+            out = runs[cpus] = tmp_path / f"cpus{cpus}"
+            assert run_cli(capsys, "reproduce-tabular", "--out", str(out),
+                           "--seeds", "0,1", "--iterations", "3")[0] == EXIT_THRESHOLD
+        assert pools == [{"max_workers": 2}]
+        files = sorted(p.name for p in runs[1].iterdir())
+        assert len(files) == 13
+        assert sorted(p.name for p in runs[2].iterdir()) == files
+        for name in files:
+            assert (runs[2] / name).read_bytes() == (runs[1] / name).read_bytes()
 
-    def test_bad_inputs(self, tmp_path, capsys, monkeypatch):
+    def test_one_seed_runs_without_a_pool(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-seed run started a process pool")
+
+        monkeypatch.setattr(irl_lab.cli, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", str(tmp_path / "one"),
+                             "--seeds", "0", "--smoke")
+        assert code == EXIT_OK
+
+    def test_bad_inputs(self, tmp_path, capsys):
         out = str(tmp_path / "x")
         code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", out,
                              "--seeds", "a,b", "--smoke")
@@ -531,10 +555,6 @@ class TestReproduceTabular:
         code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", out,
                              "--seeds", "", "--smoke")
         assert code == EXIT_USAGE
-        monkeypatch.setenv("IRL_LAB_THREADS", "many")
-        code, _, stderr = run_cli(capsys, "reproduce-tabular", "--out", out,
-                                  "--seeds", "0", "--smoke")
-        assert code == EXIT_USAGE and "IRL_LAB_THREADS" in stderr
 
     def test_nan_step_size_is_usage_error(self, tmp_path, capsys):
         # a NaN step size would otherwise land in manifest.json, which is then
@@ -752,6 +772,9 @@ class TestWrongTypedJson:
         pytest.param("transfer", "config",
                      dict(VALID_CONFIG, transfer={"test_seeds": [1.5]}),
                      id="config-fractional-test-seed"),
+        pytest.param("transfer", "config",
+                     dict(VALID_CONFIG, transfer={"test_seeds": [5, 5, 6]}),
+                     id="config-repeated-test-seed"),
         pytest.param("train", "config", dict(VALID_CONFIG, learner={"iterations": True}),
                      id="config-bool-iterations"),
         pytest.param("probe", "mdp", dict(VALID_MDP, horizon=2.5), id="mdp-fractional-horizon"),

@@ -64,6 +64,24 @@ class TestSoftValueIteration:
         # preference for the rewarding arm is exp(1) : 1
         npt.assert_allclose(sol.policy[0, 0] / sol.policy[0, 1], np.e, atol=1e-7)
 
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_one_state_mdp_matches_the_oracles(self, horizon):
+        # random_mdp needs two states; TabularMdp accepts one
+        mdp = replace(two_state_bandit(), horizon=horizon)
+        sol = soft_value_iteration(mdp)
+        _, v, policy = backward_soft_recursion(mdp)
+        npt.assert_allclose(sol.v, v, atol=1e-6)
+        npt.assert_allclose(sol.policy, policy, atol=1e-6)
+        npt.assert_allclose(occupancy(mdp, sol.policy).rho, loop_occupancy(mdp, sol.policy),
+                            atol=1e-12)
+        for include_entropy in (False, True):
+            npt.assert_allclose(evaluate_return(mdp, sol.policy, include_entropy=include_entropy),
+                                enumerate_return(mdp, sol.policy,
+                                                 include_entropy=include_entropy),
+                                atol=1e-12)
+        if horizon == 1:
+            npt.assert_allclose(evaluate_return(mdp, sol.policy), sol.policy[0, 0], atol=1e-15)
+
     def test_policy_rows_are_distributions(self):
         for mdp in small_random_mdps(seeds=range(5)):
             sol = soft_value_iteration(mdp)

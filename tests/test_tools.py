@@ -22,8 +22,7 @@ def write_set(root: Path, files: dict) -> Path:
 
 
 class TestGoldenOutputs:
-    def test_writes_the_golden_set(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("IRL_LAB_THREADS", raising=False)
+    def test_writes_the_golden_set(self, tmp_path, capsys):
         golden_outputs = load_tool("golden_outputs")
         out = tmp_path / "golden"
         assert golden_outputs.main([str(out)]) == 0

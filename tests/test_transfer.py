@@ -214,6 +214,16 @@ class TestRunRecovery:
         assert np.isfinite(result.f_advantage_error)
         assert len(result.history) == 15
 
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_single_action_mdp_trains_in_exact_mode(self, variant):
+        # one action leaves the policy no choice: expert and policy occupancies
+        # coincide, so the discriminator sees no signal and g stays at zero
+        mdp = random_mdp(4, 1, RewardTable("state_only", np.eye(4)[0]), seed=2, horizon=6)
+        result = run_recovery(mdp, variant, LearnerConfig(iterations=5))
+        npt.assert_array_equal(result.params.g.values, 0.0)
+        assert np.isfinite(result.f_advantage_error)
+        npt.assert_array_equal(result.policy, 1.0)
+
     def test_variant_overrides_config(self, tiny_mdp):
         config = LearnerConfig(variant="airl_state_only", iterations=5)
         result = run_recovery(tiny_mdp, "airl_state_action", config)

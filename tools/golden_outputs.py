@@ -11,7 +11,9 @@ and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
 OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
-IRL_LAB_THREADS is unset for the run.  OUTDIR must be empty or absent.
+The two-seed `reproduce-tabular` runs use a worker pool when this process may
+run on two or more CPUs, and run in-process otherwise; their outputs are the
+same either way.  OUTDIR must be empty or absent.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ def write_golden(outdir: Path) -> None:
     sys.path.insert(0, str(SRC))
     import irl_lab.cli
 
-    os.environ.pop("IRL_LAB_THREADS", None)
     (outdir / "configs").mkdir()
     (outdir / "runs").mkdir()
     for name, doc in CONFIGS.items():
