@@ -17,7 +17,9 @@ gradient descent.
   through a zero-probability action).  Each side's episodes weigh 1/count.
 
 One loop trains both, re-solving the policy after each fit by warm-started
-soft value iteration on the learned reward.
+soft value iteration on the learned reward.  In exact mode it trains a stack
+of AIRL problems at once, with a leading problem axis on theta, the weights
+and the offset; each problem gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .shaping import centered_reward_error
 from .soft_rl import (
     OccupancyMeasure,
     Trajectory,
+    _occupancies,
     _rollouts,
     evaluate_return,
-    occupancy,
     soft_value_iteration,
     uniform_policy,
 )
@@ -59,7 +61,7 @@ class DivergenceError(RuntimeError):
     """Raised when training produces non-finite parameters."""
 
     def __init__(self, iteration: int):
-        # args stay (iteration,), so unpickling (say, from a worker process) rebuilds this error
+        # args stay (iteration,), so unpickling rebuilds this error
         super().__init__(iteration)
         self.iteration = iteration
 
@@ -307,8 +309,9 @@ def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
 
 
 def _raw_f(g: np.ndarray, h: np.ndarray, state_only: bool, discount: float) -> np.ndarray:
-    g_part = g[:, None, None] if state_only else g[:, :, None]
-    return g_part + discount * h[None, None, :] - h[:, None, None]
+    """f over the (s, a, s') cells, broadcast; g and h may carry leading problem axes."""
+    g_part = g[..., None, None] if state_only else g[..., None]
+    return g_part + discount * h[..., None, None, :] - h[..., None, None]
 
 
 def f_table(params: DiscriminatorParams, n_states: int, n_actions: int) -> np.ndarray:
@@ -337,20 +340,22 @@ class _Problem:
     """One round's regression: logits phi(theta) + offset, weights w_e and w_n.
 
     theta is a tuple of arrays; `phi_t` maps a per-row vector back to a tuple
-    shaped like theta.  The per-row gradient D * (w_e + w_n) - w_e equals
+    shaped like theta.  One problem's rows span the logits' `row_axes`; axes
+    before them index a stack of independent problems, whose fits never mix.
+    The per-row gradient D * (w_e + w_n) - w_e equals
     half * tanh(x / 2) + (half - w_e) with half = (w_e + w_n) / 2; the row-sized
     terms that do not depend on theta are formed once, here.
     """
 
-    def __init__(self, phi: Callable, phi_t: Callable, offset, w_e, w_n):
+    def __init__(self, phi: Callable, phi_t: Callable, offset, w_e, w_n, row_axes):
         self.phi, self.phi_t = phi, phi_t
-        self.offset, self.w_e, self.w_n = offset, w_e, w_n
+        self.offset, self.w_e, self.w_n, self.row_axes = offset, w_e, w_n, row_axes
         self._half_offset = 0.5 * offset
         self._half = 0.5 * (w_e + w_n)
         self._bias = self._half - w_e
 
-    def loss(self, theta) -> float:
-        """sum(w_e * -log D) + sum(w_n * -log(1 - D)), computed in log space.
+    def loss(self, theta) -> np.ndarray:
+        """sum(w_e * -log D) + sum(w_n * -log(1 - D)) per problem, computed in log space.
 
         A row with pi(a|s) = 0 has an infinite offset, so -log(1 - D) is
         infinite there while the row's negative weight is 0; such a row adds
@@ -359,12 +364,17 @@ class _Problem:
         x = self.phi(theta) + self.offset
         neg = np.logaddexp(0.0, x)
         neg[self.w_n == 0] = 0.0
-        return float((self.w_e * np.logaddexp(0.0, -x)).sum() + (self.w_n * neg).sum())
+        return ((self.w_e * np.logaddexp(0.0, -x)).sum(axis=self.row_axes)
+                + (self.w_n * neg).sum(axis=self.row_axes))
 
     def grad(self, theta) -> tuple:
         """Phi^T (D * (w_e + w_n) - w_e), with D = sigmoid(x) = (1 + tanh(x / 2)) / 2."""
-        half_x = 0.5 * self.phi(theta) + self._half_offset
-        return self.phi_t(self._half * np.tanh(half_x) + self._bias)
+        # in place on one row-sized array: the same operations, fewer allocations
+        dl_dx = 0.5 * self.phi(theta) + self._half_offset
+        np.tanh(dl_dx, out=dl_dx)
+        dl_dx *= self._half
+        dl_dx += self._bias
+        return self.phi_t(dl_dx)
 
     def fit(self, theta, steps: int, step_size: float) -> tuple:
         for _ in range(steps):
@@ -376,11 +386,11 @@ def _chain_to_tables(dl_df, state_only: bool, discount: float):
     """Chain a per-cell f gradient onto the g and h tables.
 
     g collects the cells sharing its index; h gets weight -1 at the current
-    state and +discount at the successor.
+    state and +discount at the successor.  Leading problem axes pass through.
     """
-    per_state = dl_df.sum(axis=(1, 2))
-    grad_g = per_state if state_only else dl_df.sum(axis=2)
-    grad_h = discount * dl_df.sum(axis=(0, 1)) - per_state
+    per_state = dl_df.sum(axis=(-2, -1))
+    grad_g = per_state if state_only else dl_df.sum(axis=-1)
+    grad_h = discount * dl_df.sum(axis=(-3, -2)) - per_state
     return grad_g, grad_h
 
 
@@ -389,7 +399,7 @@ def _cell_problem(state_only: bool, discount: float, log_pi, w_e, w_n) -> _Probl
     return _Problem(
         lambda theta: _raw_f(*theta, state_only, discount),
         lambda dl_df: _chain_to_tables(dl_df, state_only, discount),
-        -log_pi[:, :, None], w_e, w_n,
+        -log_pi[..., None], w_e, w_n, (-3, -2, -1),
     )
 
 
@@ -405,7 +415,7 @@ def _params_problem(params: DiscriminatorParams, policy, expert, negatives):
 def discriminator_loss(params: DiscriminatorParams, policy, expert, negatives) -> float:
     """Binary logistic loss: -E_expert[log D] - E_negatives[log(1 - D)]."""
     problem, theta = _params_problem(params, policy, expert, negatives)
-    return problem.loss(theta)
+    return float(problem.loss(theta))
 
 
 class DiscGrad(NamedTuple):
@@ -431,58 +441,62 @@ def _g_table(values: np.ndarray) -> RewardTable:
     return RewardTable("state_only" if values.ndim == 1 else "state_action", values)
 
 
-def _train(mdp: TabularMdp, config: LearnerConfig, theta: tuple, encode, problem, reward):
-    """The one training loop; returns the final theta, policy and history.
+def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, encode,
+           problem, rewards):
+    """The one training loop over a stack of problems, one per MDP.
 
-    theta[0] is the learned reward table.  `problem` maps the round's
-    negatives and log pi to a _Problem, and `reward` maps theta to the policy
-    step's RewardTable.  In exact mode the negatives are the policy's
-    occupancy.  In sampled mode each round's rollouts stay int arrays,
-    states (n, horizon + 1) and actions (n, horizon); `encode` turns them into
-    a count array by one bincount (AIRL: an (s, a, s') cell-count tensor;
-    the trajectory baseline: one row of (s, a) step counts per episode), and
-    the negatives are the replay deque of the last `replay_window` of those.
-    Counts are integers, exact in float64, so summing or stacking them gives
-    the same bits as pooling the rollouts' transitions would.
+    Returns the final theta and each problem's policy and history.  Every
+    theta array has a leading problem axis; theta[0] holds the learned reward
+    tables.  `problem` maps the round's negatives and stacked log pi to a
+    _Problem, and `rewards(theta)` gives each problem's policy-step RewardTable.
+    Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
+    Sampled mode trains one problem: `encode` turns each round's rollouts (int
+    arrays, states (n, horizon + 1) and actions (n, horizon)) into a count
+    array by one bincount, and the negatives are the replay deque of the last
+    `replay_window` of those (see `_replay_weights`).
     """
-    policy = uniform_policy(mdp)
-    history = TrainingHistory(mdp)
+    if config.mode == "sampled" and len(mdps) != 1:
+        raise ValueError("sampled mode trains one problem per run")
+    policies = [uniform_policy(mdp) for mdp in mdps]
+    histories = [TrainingHistory(mdp) for mdp in mdps]
+    v_warm = [None] * len(mdps)
+    vi_steps = [0] * len(mdps)
     replay: deque = deque(maxlen=config.replay_window)
     rng = np.random.default_rng(config.seed)
-    v_warm = None
-    vi_steps = 0
 
     for iteration in range(config.iterations):
+        policy_stack = np.stack(policies)
         if config.mode == "exact_occupancy":
-            negatives = occupancy(mdp, policy)
+            negatives = _occupancies(mdps, policy_stack)
         else:
             replay.append(encode(*_rollouts(
-                mdp, policy, config.n_policy_trajectories, int(rng.integers(2**63 - 1))
+                mdps[0], policies[0], config.n_policy_trajectories, int(rng.integers(2**63 - 1))
             )))
             negatives = replay
 
         # an underflowed policy entry gives log pi = -inf: an intended infinite offset
         with np.errstate(divide="ignore"):
-            log_pi = np.log(policy)
+            log_pi = np.log(policy_stack)
         round_problem = problem(negatives, log_pi)
         g_before = theta[0]
         theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
         if not all(np.all(np.isfinite(t)) for t in theta):
             raise DivergenceError(iteration)
-        loss = round_problem.loss(theta)
+        losses = round_problem.loss(theta).reshape(len(mdps))
+        g_deltas = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
 
-        solution = soft_value_iteration(
-            mdp, reward(theta), entropy_weight=config.entropy_weight, v_init=v_warm
-        )
-        if not solution.converged:
-            warnings.warn(f"policy step did not converge at iteration {iteration} "
-                          f"(residual {solution.residual:.3g})", RuntimeWarning, stacklevel=3)
-        policy, v_warm = solution.policy, solution.v
-        vi_steps += solution.iterations_used
-
-        history.append(iteration, loss, float(np.max(np.abs(theta[0] - g_before))),
-                       vi_steps, theta[0], policy)
-    return theta, policy, history
+        for i, (mdp, reward) in enumerate(zip(mdps, rewards(theta))):
+            solution = soft_value_iteration(
+                mdp, reward, entropy_weight=config.entropy_weight, v_init=v_warm[i]
+            )
+            if not solution.converged:
+                warnings.warn(f"policy step did not converge at iteration {iteration} "
+                              f"(residual {solution.residual:.3g})", RuntimeWarning, stacklevel=2)
+            policies[i], v_warm[i] = solution.policy, solution.v
+            vi_steps[i] += solution.iterations_used
+            histories[i].append(iteration, float(losses[i]), float(g_deltas[i]), vi_steps[i],
+                                theta[0][i], policies[i])
+    return theta, policies, histories
 
 
 class AirlResult(NamedTuple):
@@ -500,38 +514,50 @@ def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
     `replay_window` iterations.  Raises DivergenceError if parameters stop
     being finite.
     """
+    (result,) = _airl_train_stack([mdp], [demos], config)
+    return result
+
+
+def _airl_train_stack(mdps: Sequence[TabularMdp], demos: Sequence,
+                      config: LearnerConfig) -> list[AirlResult]:
+    """`airl_train` on each (MDP, demos) pair, trained as one stack.
+
+    Each result equals its own `airl_train` call bit for bit.  The MDPs must
+    share their state and action counts, discount and horizon; sampled mode
+    takes one MDP.
+    """
     if config.variant not in ("airl_state_only", "airl_state_action"):
         raise ValueError("airl_train handles the airl_* variants only")
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    expert_w = _as_weights(demos, n_states, n_actions)
-    if expert_w.sum() <= 0:
+    n_states, n_actions, gamma = mdps[0].n_states, mdps[0].n_actions, mdps[0].discount
+    shared = (n_states, n_actions, gamma, mdps[0].horizon)
+    if any((m.n_states, m.n_actions, m.discount, m.horizon) != shared for m in mdps):
+        raise ValueError("stacked MDPs must share state and action counts, discount and horizon")
+    weights = [_as_weights(d, n_states, n_actions) for d in demos]
+    if any(w.sum() <= 0 for w in weights):
         raise ValueError("demonstrations carry no mass")
+    expert_w = np.stack(weights)
     state_only = config.variant == "airl_state_only"
-    gamma = mdp.discount
 
     def problem(negatives, log_pi):
-        if isinstance(negatives, OccupancyMeasure):
-            neg_w = negatives.rho
-        else:
-            neg_w = _replay_weights(negatives)
-        return _cell_problem(state_only, gamma, log_pi, expert_w, neg_w)
+        if config.mode == "sampled":
+            negatives = _replay_weights(negatives)
+        return _cell_problem(state_only, gamma, log_pi, expert_w, negatives)
 
-    def params(theta):
-        return DiscriminatorParams(_g_table(theta[0]), theta[1], gamma)
-
-    def reward(theta):
+    def rewards(theta):
         # Maximizing E[sum of (f - log pi)] is the entropy-regularized
         # objective with reward f(s, a, s'); the solver collapses f to (s, a)
         # by expectation under the dynamics and supplies -log pi as entropy.
-        return RewardTable("transition", f_table(params(theta), n_states, n_actions))
+        f = np.broadcast_to(_raw_f(*theta, state_only, gamma), expert_w.shape)
+        return [RewardTable("transition", f_i) for f_i in f]
 
-    g = np.zeros(n_states) if state_only else np.zeros((n_states, n_actions))
-    theta, policy, history = _train(
-        mdp, config, (g, np.zeros(n_states)),
-        lambda states, actions: _cell_counts(states, actions, n_states, n_actions),
-        problem, reward,
+    g_shape = (n_states,) if state_only else (n_states, n_actions)
+    theta, policies, histories = _train(
+        mdps, config, (np.zeros((len(mdps), *g_shape)), np.zeros((len(mdps), n_states))),
+        lambda states, actions: _cell_counts(states, actions, n_states, n_actions)[None],
+        problem, rewards,
     )
-    return AirlResult(params=params(theta), policy=policy, history=history)
+    return [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
+            for g, h, policy, history in zip(*theta, policies, histories)]
 
 
 @dataclass(frozen=True)
@@ -597,6 +623,8 @@ def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
     zero-probability (s, a) cell has probability 0 under pi, so its offset is
     +inf, as the cell problem's is; the other rows skip those cells, which
     they never visit, so a policy without zeros gives the plain product.
+    This is one problem: a leading axis of length one on log pi, as the
+    training loop passes it, carries over to theta's shape.
     """
     w_e, w_n = np.zeros(len(counts)), np.zeros(len(counts))
     w_e[:n_expert] = 1.0 / n_expert
@@ -608,7 +636,7 @@ def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
     return _Problem(
         lambda theta: counts @ theta[0].ravel(),
         lambda dl_dx: ((dl_dx @ counts).reshape(log_pi.shape),),
-        offset, w_e, w_n,
+        offset, w_e, w_n, -1,
     )
 
 
@@ -626,14 +654,14 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
         raise ValueError("the trajectory baseline needs expert trajectories")
     n_states, n_actions = mdp.n_states, mdp.n_actions
     counts_e = _trajectory_counts(demos, n_states, n_actions)
-    (f_step,), policy, history = _train(
-        mdp,
+    (f_steps,), (policy,), (history,) = _train(
+        [mdp],
         config,
-        (np.zeros((n_states, n_actions)),),
+        (np.zeros((1, n_states, n_actions)),),
         lambda states, actions: _episode_counts(states, actions, n_states, n_actions),
         lambda pool, log_pi: _episode_problem(
             np.concatenate([counts_e, *pool]), len(counts_e), log_pi
         ),
-        lambda theta: RewardTable("state_action", theta[0]),
+        lambda theta: [RewardTable("state_action", f_step) for f_step in theta[0]],
     )
-    return GanGclResult(scorer=TrajectoryScorer(f_step), policy=policy, history=history)
+    return GanGclResult(scorer=TrajectoryScorer(f_steps[0]), policy=policy, history=history)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 reproduction threshold failure, 2 usage/config
 errors, 3 I/O failures, 4 numerical failures (training diverged, or an MDP
-fails validation).  `reproduce-tabular` runs its seeds over min(CPUs this
-process may run on, seeds) worker processes, or in-process when that is one.
+fails validation).  `reproduce-tabular` trains all its seeds of one variant
+as one stack in this process.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import operator
-import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +41,7 @@ from .shaping import centered_reward_error
 from .transfer import (
     REPRODUCTION_CRITERIA,
     disentanglement_probe,
+    _recover_stack,
     evaluate_on_new_dynamics,
     expert_demos,
     run_recovery,
@@ -447,48 +446,32 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_one_seed(seed: int, iterations: int, disc_steps: int, step_size: float) -> dict:
-    """Recovery plus transfer for one seed of the 16-state reproduction."""
-    train_mdp = paper_tabular_mdp(seed)
-    test_mdp = paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET)
-    out = {"seed": seed, "truth_heatmap": reward_to_dict(train_mdp.reward), "variants": {}}
+def _reproduce_seeds(seeds: list[int], iterations: int, disc_steps: int,
+                     step_size: float) -> list[dict]:
+    """Recovery plus transfer for each seed of the 16-state reproduction.
+
+    Each variant trains every seed's MDP as one stack; each seed's learned
+    reward then transfers to its own test MDP.
+    """
+    train_mdps = [paper_tabular_mdp(seed) for seed in seeds]
+    test_mdps = [paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET) for seed in seeds]
+    per_seed = [{"seed": seed, "truth_heatmap": reward_to_dict(mdp.reward), "variants": {}}
+                for seed, mdp in zip(seeds, train_mdps)]
+    learner = LearnerConfig(mode="exact_occupancy", iterations=iterations,
+                            disc_steps_per_iter=disc_steps, disc_step_size=step_size)
     for variant in _VARIANT_LABELS:
-        learner = LearnerConfig(
-            variant=variant,
-            mode="exact_occupancy",
-            iterations=iterations,
-            disc_steps_per_iter=disc_steps,
-            disc_step_size=step_size,
-            seed=seed,
-        )
-        recovery = run_recovery(train_mdp, variant, learner)
-        evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
-        out["variants"][variant] = {
-            "recovery_error": recovery.recovery_error,
-            "f_advantage_error": recovery.f_advantage_error,
-            "learned_reward": reward_to_dict(recovery.params.g),
-            "returns": evaluation.returns,
-            "normalized_score": evaluation.score,
-            "curve": [[int(k), float(r)] for k, r in evaluation.curve],
-        }
-    return out
-
-
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_tasks(fn, tasks):
-    """[fn(t) for t in tasks] in task order, over min(available CPUs, tasks) processes."""
-    workers = min(_available_cpus(), len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        recoveries = _recover_stack(train_mdps, variant, learner)
+        for out, test_mdp, recovery in zip(per_seed, test_mdps, recoveries):
+            evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
+            out["variants"][variant] = {
+                "recovery_error": recovery.recovery_error,
+                "f_advantage_error": recovery.f_advantage_error,
+                "learned_reward": reward_to_dict(recovery.params.g),
+                "returns": evaluation.returns,
+                "normalized_score": evaluation.score,
+                "curve": [[int(k), float(r)] for k, r in evaluation.curve],
+            }
+    return per_seed
 
 
 # manifest.json's name for a per-seed key's value list; a statistic is named like max_error.
@@ -521,14 +504,11 @@ def _criteria_blocks(per_seed: list[dict], smoke: bool) -> dict:
 
 def cmd_reproduce_tabular(args) -> int:
     try:
-        seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+        seeds = _distinct_seeds([int(s) for s in str(args.seeds).split(",") if s != ""])
     except ValueError as exc:
-        raise ValueError(f"--seeds must be a comma-separated integer list: {exc}") from exc
-    if not seeds:
-        raise ValueError("--seeds must name at least one seed")
+        raise ValueError(f"--seeds must list distinct integers, comma-separated: {exc}") from exc
     iterations = 0 if args.smoke else args.iterations
-    per_seed = _map_tasks(partial(_reproduce_one_seed, iterations=iterations,
-                                  disc_steps=args.disc_steps, step_size=args.step_size), seeds)
+    per_seed = _reproduce_seeds(seeds, iterations, args.disc_steps, args.step_size)
 
     with _outputs(Path(args.out)) as write:
         for result in per_seed:

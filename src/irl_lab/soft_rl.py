@@ -20,6 +20,7 @@ are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -261,17 +262,28 @@ def occupancy(mdp: TabularMdp, policy) -> OccupancyMeasure:
     discounted visits sum_t discount**t d_t over the horizon's steps give
     rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'), normalized to total mass 1.
     """
-    policy = _check_policy(mdp, policy)
-    p_pi = np.einsum("sa,sap->sp", policy, mdp.transition)
-    # d[t] holds the state distribution at step t
-    d = np.empty((mdp.horizon, mdp.n_states))
-    d[0] = mdp.initial_dist
-    for t in range(1, mdp.horizon):
+    return OccupancyMeasure(_occupancies([mdp], _check_policy(mdp, policy)[None])[0])
+
+
+def _occupancies(mdps: Sequence[TabularMdp], policies: np.ndarray) -> np.ndarray:
+    """`occupancy` of each MDP under its row of a (B, S, A) policy stack, as (B, S, A, S).
+
+    The MDPs must share their shape, horizon and discount.  One recursion
+    propagates every row's state distribution as a 1 x S row vector, and each
+    row gets the bits of its one-MDP call.
+    """
+    horizon, discount = mdps[0].horizon, mdps[0].discount
+    transition = np.stack([mdp.transition for mdp in mdps])
+    p_pi = np.einsum("bsa,bsap->bsp", policies, transition)
+    # d[t] holds every row's state distribution at step t
+    d = np.empty((horizon, len(mdps), 1, mdps[0].n_states))
+    d[0] = np.stack([mdp.initial_dist for mdp in mdps])[:, None, :]
+    for t in range(1, horizon):
         np.matmul(d[t - 1], p_pi, out=d[t])
-    visits = np.power(mdp.discount, np.arange(mdp.horizon)) @ d
-    rho = (visits[:, None] * policy)[:, :, None] * mdp.transition
-    rho /= rho.sum()
-    return OccupancyMeasure(rho)
+    visits = np.power(discount, np.arange(horizon)) @ d.reshape(horizon, -1)
+    rho = (visits.reshape(len(mdps), -1, 1) * policies)[..., None] * transition
+    rho /= rho.sum(axis=(1, 2, 3), keepdims=True)
+    return rho
 
 
 def evaluate_return(

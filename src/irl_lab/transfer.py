@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, airl_train, f_table
+from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack, f_table
 from .mdp import RewardTable, TabularMdp
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
@@ -97,25 +97,25 @@ def run_recovery(
     table and the expert's soft advantage, the quantity the state_action
     variant collapses onto.
     """
+    (result,) = _recover_stack([mdp], variant, config, n_expert_trajectories)
+    return result
+
+
+def _recover_stack(mdps: list[TabularMdp], variant: str, config: LearnerConfig,
+                   n_expert_trajectories: int = 64) -> list[RecoveryResult]:
+    """`run_recovery` on each MDP, trained as one stack by `airl._airl_train_stack`."""
     config = replace(config, variant=variant)
-    demos, expert = expert_demos(
-        mdp,
-        config.mode,
-        n_trajectories=n_expert_trajectories,
-        seed=config.seed,
-        entropy_weight=config.entropy_weight,
-    )
-    params, policy, history = airl_train(mdp, demos, config)
-    error = centered_reward_error(params.g, mdp.reward, mdp.transition)
-    f = f_table(params, mdp.n_states, mdp.n_actions)
-    f_adv_error = float(np.max(np.abs(f - advantage(expert)[:, :, None])))
-    return RecoveryResult(
-        recovery_error=error,
-        history=history,
-        params=params,
-        policy=policy,
-        f_advantage_error=f_adv_error,
-    )
+    experts = [expert_demos(mdp, config.mode, n_trajectories=n_expert_trajectories,
+                            seed=config.seed, entropy_weight=config.entropy_weight)
+               for mdp in mdps]
+    results = _airl_train_stack(mdps, [demos for demos, _ in experts], config)
+    recoveries = []
+    for mdp, (_, expert), (params, policy, history) in zip(mdps, experts, results):
+        error = centered_reward_error(params.g, mdp.reward, mdp.transition)
+        f = f_table(params, mdp.n_states, mdp.n_actions)
+        f_adv_error = float(np.max(np.abs(f - advantage(expert)[:, :, None])))
+        recoveries.append(RecoveryResult(error, history, params, policy, f_adv_error))
+    return recoveries
 
 
 class NewDynamicsEval(NamedTuple):

@@ -16,6 +16,7 @@ from irl_lab.airl import (
     LearnerConfig,
     TrajectoryScorer,
     TransitionBatch,
+    _airl_train_stack,
     _cell_counts,
     _episode_counts,
     _episode_problem,
@@ -455,7 +456,7 @@ class TestAirlTrain:
         assert err.value.iteration == 0
 
     def test_divergence_error_survives_pickling(self):
-        # a worker process hands its exception back to the parent pickled
+        # an exception handed between processes travels pickled
         error = pickle.loads(pickle.dumps(DivergenceError(3)))
         assert type(error) is DivergenceError
         assert str(error) == "non-finite discriminator parameters at iteration 3"
@@ -592,6 +593,88 @@ class TestAirlTrain:
         assert np.max(np.abs(d - 0.5)) <= 0.02
         assert centered_reward_error(result.params.g, bench_mdp.reward,
                                      bench_mdp.transition) > 0.3
+
+
+def stack_problems():
+    """Three paper-tabular MDPs and one of criterion 4's deterministic family, with expert occupancies."""
+    reward = RewardTable("state_only", np.eye(16)[0])
+    mdps = [paper_tabular_mdp(seed) for seed in range(3)]
+    mdps.append(random_deterministic_mdp(16, 4, reward, 0))
+    return mdps, [occupancy(m, soft_value_iteration(m).policy) for m in mdps]
+
+
+class TestStackedTraining:
+    """`_airl_train_stack`: several exact-mode problems through the one loop at once."""
+
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_each_problem_equals_its_own_run(self, variant):
+        mdps, demos = stack_problems()
+        config = LearnerConfig(variant=variant, iterations=30, disc_step_size=0.2)
+        stacked = _airl_train_stack(mdps, demos, config)
+        assert len(stacked) == len(mdps)
+        names = ("iteration", "disc_loss", "true_return", "reward_error", "g_delta",
+                 "vi_steps_cumulative")
+        for mdp, demo, row in zip(mdps, demos, stacked):
+            alone = airl_train(mdp, demo, config)
+            assert row.params.g.kind == alone.params.g.kind
+            assert row.params.g.values.tobytes() == alone.params.g.values.tobytes()
+            assert row.params.h.tobytes() == alone.params.h.tobytes()
+            assert row.params.discount == alone.params.discount
+            assert row.policy.tobytes() == alone.policy.tobytes()
+            assert len(row.history) == 30
+            for name in names:
+                assert row.history.column(name).tobytes() == alone.history.column(name).tobytes(), name
+
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_nan_demos_in_one_problem_diverge_at_iteration_0(self, variant):
+        mdps, demos = stack_problems()
+        demos[2] = np.full((16, 4, 16), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iteration 0") as err:
+                _airl_train_stack(mdps, demos, LearnerConfig(variant=variant, iterations=3))
+        assert err.value.iteration == 0
+
+    def test_the_earliest_divergence_stops_the_stack(self, monkeypatch):
+        mdps, demos = stack_problems()
+        # NaN negatives at one iteration of one problem: problem 1 at 5, problem 3 at 2
+        poisoned = {1: 5, 3: 2}
+        calls = {}
+        real_occupancies = irl_lab.airl._occupancies
+
+        def occupancies_with_nan(stack, policies):
+            rho = real_occupancies(stack, policies)
+            for row, mdp in enumerate(stack):
+                i = next(i for i, m in enumerate(mdps) if m is mdp)
+                calls[i] = calls.get(i, -1) + 1
+                if poisoned.get(i) == calls[i]:
+                    rho[row] = np.nan
+            return rho
+
+        monkeypatch.setattr(irl_lab.airl, "_occupancies", occupancies_with_nan)
+        config = LearnerConfig(iterations=8)
+        for i, iteration in poisoned.items():
+            calls.clear()
+            with pytest.raises(DivergenceError) as err:
+                airl_train(mdps[i], demos[i], config)
+            assert err.value.iteration == iteration
+        calls.clear()
+        with pytest.raises(DivergenceError) as err:
+            _airl_train_stack(mdps, demos, config)
+        assert err.value.iteration == 2
+
+    @pytest.mark.parametrize("other", [dict(discount=0.8), dict(horizon=10)])
+    def test_problems_must_share_discount_and_horizon(self, other):
+        mdps, demos = stack_problems()
+        with pytest.raises(ValueError, match="discount and horizon"):
+            _airl_train_stack([mdps[0], paper_tabular_mdp(3, **other)], demos[:2],
+                              LearnerConfig(iterations=1))
+
+    def test_sampled_mode_trains_one_problem(self, tiny_mdp):
+        demos = sample_trajectories(tiny_mdp, soft_value_iteration(tiny_mdp).policy, 8, seed=0)
+        with pytest.raises(ValueError, match="one problem"):
+            _airl_train_stack([tiny_mdp, tiny_mdp], [demos, demos],
+                              LearnerConfig(mode="sampled", iterations=1))
 
 
 def eager_history(mdp, history):

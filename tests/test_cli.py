@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import re
@@ -520,32 +519,22 @@ class TestReproduceTabular:
         for name in files:
             assert (patched / name).read_bytes() == (plain / name).read_bytes()
 
-    def test_worker_pool_matches_serial_run(self, tmp_path, capsys, monkeypatch):
-        pools, real_pool = [], concurrent.futures.ProcessPoolExecutor
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda **kwargs: pools.append(kwargs) or real_pool(**kwargs))
-        runs = {}
-        for cpus in (1, 2):  # in-process, then a two-worker pool
-            monkeypatch.setattr(irl_lab.cli, "_available_cpus", lambda: cpus)
-            out = runs[cpus] = tmp_path / f"cpus{cpus}"
-            assert run_cli(capsys, "reproduce-tabular", "--out", str(out),
-                           "--seeds", "0,1", "--iterations", "3")[0] == EXIT_THRESHOLD
-        assert pools == [{"max_workers": 2}]
-        files = sorted(p.name for p in runs[1].iterdir())
-        assert len(files) == 13
-        assert sorted(p.name for p in runs[2].iterdir()) == files
-        for name in files:
-            assert (runs[2] / name).read_bytes() == (runs[1] / name).read_bytes()
-
-    def test_one_seed_runs_without_a_pool(self, tmp_path, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-seed run started a process pool")
-
-        monkeypatch.setattr(irl_lab.cli, "_available_cpus", lambda: 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", str(tmp_path / "one"),
-                             "--seeds", "0", "--smoke")
-        assert code == EXIT_OK
+    def test_stacked_seeds_match_separate_runs(self, tmp_path, capsys):
+        # the seeds of one run train as one stack; each seed's files and
+        # manifest entry are those of a run on that seed alone
+        args = ("reproduce-tabular", "--iterations", "3", "--out")
+        both = tmp_path / "both"
+        assert run_cli(capsys, *args, str(both), "--seeds", "0,1")[0] == EXIT_THRESHOLD
+        per_seed = json.loads((both / "manifest.json").read_text())["per_seed"]
+        for i, seed in enumerate((0, 1)):
+            alone = tmp_path / f"seed{seed}"
+            assert run_cli(capsys, *args, str(alone), "--seeds", str(seed))[0] == EXIT_THRESHOLD
+            names = sorted(p.name for p in alone.iterdir() if p.name.endswith(f"_seed{seed}.csv"))
+            assert len(names) == 5
+            for name in names:
+                assert (both / name).read_bytes() == (alone / name).read_bytes(), name
+            manifest = json.loads((alone / "manifest.json").read_text())
+            assert json_text(per_seed[i]) == json_text(manifest["per_seed"][0])
 
     def test_bad_inputs(self, tmp_path, capsys):
         out = str(tmp_path / "x")
@@ -555,6 +544,11 @@ class TestReproduceTabular:
         code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", out,
                              "--seeds", "", "--smoke")
         assert code == EXIT_USAGE
+        code, _, stderr = run_cli(capsys, "reproduce-tabular", "--out", out,
+                                  "--seeds", "0,0", "--smoke")
+        assert code == EXIT_USAGE
+        assert "--seeds" in stderr and "repeats seed 0" in stderr
+        assert not Path(out).exists()
 
     def test_nan_step_size_is_usage_error(self, tmp_path, capsys):
         # a NaN step size would otherwise land in manifest.json, which is then
@@ -567,7 +561,7 @@ class TestReproduceTabular:
 
 
 def synthetic_per_seed(so_errors, sa_errors, sa_f_errors, so_scores, sa_scores):
-    """Per-seed results shaped like `_reproduce_one_seed`'s, one entry per seed."""
+    """Per-seed results shaped like `_reproduce_seeds`', one entry per seed."""
     return [
         {"seed": seed, "variants": {
             "airl_state_only": {"recovery_error": so_error, "normalized_score": so_score},

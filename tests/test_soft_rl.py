@@ -15,10 +15,12 @@ from irl_lab.mdp import (
     TabularMdp,
     expected_state_action,
     paper_tabular_mdp,
+    random_deterministic_mdp,
     random_mdp,
 )
 from irl_lab.soft_rl import (
     OccupancyMeasure,
+    _occupancies,
     _soft_backup,
     evaluate_return,
     occupancy,
@@ -213,6 +215,17 @@ class TestOccupancy:
             fast = occupancy(mdp, sol.policy)
             slow = loop_occupancy(mdp, sol.policy)
             npt.assert_allclose(fast.rho, slow, atol=1e-10)
+
+    def test_stacked_rows_equal_single_calls(self):
+        # one recursion over a stack of MDPs sharing horizon and discount
+        mdps = [paper_tabular_mdp(seed) for seed in range(4)]
+        mdps.append(random_deterministic_mdp(16, 4, mdps[0].reward, 7))
+        rng = np.random.default_rng(3)
+        policies = rng.dirichlet(np.ones(4), size=(len(mdps), 16))
+        rho = _occupancies(mdps, policies)
+        assert rho.shape == (5, 16, 4, 16)
+        for mdp, policy, row in zip(mdps, policies, rho):
+            assert row.tobytes() == occupancy(mdp, policy).rho.tobytes()
 
     def test_normalized_and_nonnegative(self, bench_mdp):
         rho = occupancy(bench_mdp, uniform_policy(bench_mdp)).rho

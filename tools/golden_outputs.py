@@ -11,9 +11,8 @@ and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
 OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
-The two-seed `reproduce-tabular` runs use a worker pool when this process may
-run on two or more CPUs, and run in-process otherwise; their outputs are the
-same either way.  OUTDIR must be empty or absent.
+The two-seed `reproduce-tabular` runs train both seeds as one stack.  OUTDIR
+must be empty or absent.
 """
 
 from __future__ import annotations
