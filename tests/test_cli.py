@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing.process
 import os
 import re
 import shutil
@@ -535,6 +537,33 @@ class TestReproduceTabular:
                 assert (both / name).read_bytes() == (alone / name).read_bytes(), name
             manifest = json.loads((alone / "manifest.json").read_text())
             assert json_text(per_seed[i]) == json_text(manifest["per_seed"][0])
+
+    def test_worker_pool_matches_serial_run(self, tmp_path, capsys):
+        # seeds split over worker processes, one run per seed, give the files
+        # of the one-process run on all of them
+        args = ("reproduce-tabular", "--iterations", "3", "--out")
+        serial = tmp_path / "serial"
+        assert run_cli(capsys, *args, str(serial), "--seeds", "0,1")[0] == EXIT_THRESHOLD
+        argvs = [[*args, str(tmp_path / f"worker{seed}"), "--seeds", str(seed)]
+                 for seed in (0, 1)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(main, argvs)) == [EXIT_THRESHOLD] * 2
+        for seed in (0, 1):
+            worker = tmp_path / f"worker{seed}"
+            names = sorted(p.name for p in worker.iterdir() if p.name.endswith(f"_seed{seed}.csv"))
+            assert len(names) == 5
+            for name in names:
+                assert (worker / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def test_one_seed_runs_without_a_pool(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-seed run started a worker process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
+        code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", str(tmp_path / "one"),
+                             "--seeds", "0", "--smoke")
+        assert code == EXIT_OK
 
     def test_bad_inputs(self, tmp_path, capsys):
         out = str(tmp_path / "x")
