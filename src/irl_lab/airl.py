@@ -19,7 +19,8 @@ gradient descent.
 One loop trains both, re-solving the policy after each fit by warm-started
 soft value iteration on the learned reward.  In exact mode it trains a stack
 of AIRL problems at once, with a leading problem axis on theta, the weights
-and the offset; each problem gets the bits of its own run.
+and the offset, and re-solves every problem's policy in one stacked solve;
+each problem gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .soft_rl import (
     Trajectory,
     _occupancies,
     _rollouts,
+    _solve_stack,
     evaluate_return,
-    soft_value_iteration,
     uniform_policy,
 )
 
@@ -448,7 +449,8 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
     Returns the final theta and each problem's policy and history.  Every
     theta array has a leading problem axis; theta[0] holds the learned reward
     tables.  `problem` maps the round's negatives and stacked log pi to a
-    _Problem, and `rewards(theta)` gives each problem's policy-step RewardTable.
+    _Problem, and `rewards(theta)` gives each problem's policy-step RewardTable;
+    the policy step solves them as one `_solve_stack`.
     Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
     Sampled mode trains one problem: `encode` turns each round's rollouts (int
     arrays, states (n, horizon + 1) and actions (n, horizon)) into a count
@@ -459,7 +461,7 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
         raise ValueError("sampled mode trains one problem per run")
     policies = [uniform_policy(mdp) for mdp in mdps]
     histories = [TrainingHistory(mdp) for mdp in mdps]
-    v_warm = [None] * len(mdps)
+    v_warm = None
     vi_steps = [0] * len(mdps)
     replay: deque = deque(maxlen=config.replay_window)
     rng = np.random.default_rng(config.seed)
@@ -485,17 +487,19 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
         losses = round_problem.loss(theta).reshape(len(mdps))
         g_deltas = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
 
-        for i, (mdp, reward) in enumerate(zip(mdps, rewards(theta))):
-            solution = soft_value_iteration(
-                mdp, reward, entropy_weight=config.entropy_weight, v_init=v_warm[i]
-            )
+        solves = _solve_stack(mdps, rewards(theta), entropy_weight=config.entropy_weight,
+                              v_init=v_warm)
+        for i in range(len(mdps)):
+            solution = solves.solution(i)
             if not solution.converged:
-                warnings.warn(f"policy step did not converge at iteration {iteration} "
-                              f"(residual {solution.residual:.3g})", RuntimeWarning, stacklevel=2)
-            policies[i], v_warm[i] = solution.policy, solution.v
+                warnings.warn(f"policy step of problem {i} did not converge at iteration "
+                              f"{iteration} (residual {solution.residual:.3g})", RuntimeWarning,
+                              stacklevel=2)
+            policies[i] = solution.policy
             vi_steps[i] += solution.iterations_used
             histories[i].append(iteration, float(losses[i]), float(g_deltas[i]), vi_steps[i],
                                 theta[0][i], policies[i])
+        v_warm = solves.v
     return theta, policies, histories
 
 

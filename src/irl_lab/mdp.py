@@ -199,20 +199,27 @@ class TabularMdp:
         object.__setattr__(self, "initial_dist", initial)
 
 
+def _transition_problems(transition: np.ndarray) -> list[str]:
+    """One message per (s, a) row of a transition tensor that is not a distribution.
+
+    A row whose sum is not finite or is off 1 by more than PROB_TOL is named
+    with its sum; otherwise a row with a negative entry is named.
+    """
+    row_sums = transition.sum(axis=2)
+    # written as `not x <= tol` so that a NaN or infinite sum counts as off
+    off = ~(np.abs(row_sums - 1.0) <= PROB_TOL)
+    negative = (transition < 0).any(axis=2)
+    return [f"transition row (s={s}, a={a}) sums to {row_sums[s, a]!r}" if off[s, a]
+            else f"transition row (s={s}, a={a}) has a negative entry"
+            for s, a in zip(*np.nonzero(off | negative))]
+
+
 def validate_mdp(mdp: TabularMdp) -> list[str]:
     """Return a list of violated invariants (empty iff the MDP is valid)."""
     problems = []
     if not (0.0 < mdp.discount < 1.0):
         problems.append(f"discount {mdp.discount!r} is not strictly inside (0, 1)")
-    row_sums = mdp.transition.sum(axis=2)
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            if not np.isfinite(row_sums[s, a]) or abs(row_sums[s, a] - 1.0) > PROB_TOL:
-                problems.append(
-                    f"transition row (s={s}, a={a}) sums to {row_sums[s, a]!r}"
-                )
-            elif (mdp.transition[s, a] < 0).any():
-                problems.append(f"transition row (s={s}, a={a}) has a negative entry")
+    problems += _transition_problems(mdp.transition)
     if (mdp.initial_dist < 0).any():
         problems.append("initial_dist has a negative entry")
     total = mdp.initial_dist.sum()

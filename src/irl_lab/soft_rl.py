@@ -1,9 +1,11 @@
 """Entropy-regularized planning on tabular MDPs.
 
 Soft policy iteration (a soft Bellman backup, then the exact soft value of
-that backup's softmax policy by one linear solve), trajectory sampling, the
-discounted occupancy measure, and exact finite-horizon return evaluation of
-one policy or of a stack of policies in one pass.
+that backup's softmax policy by one linear solve), for one problem or for a
+stack of them in one loop whose rows each keep the bits of their own solve;
+trajectory sampling, the discounted occupancy measure, and exact
+finite-horizon return evaluation of one policy or of a stack of policies in
+one pass.
 
 Sampling runs on int arrays.  One rollout call forms the start, policy and
 transition CDFs once and takes every uniform draw from one
@@ -20,7 +22,7 @@ are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,12 +32,12 @@ from .mdp import RewardTable, TabularMdp, expected_state_action
 def _soft_backup(q: np.ndarray, w: float) -> np.ndarray:
     """Soft maximum over actions, w * logsumexp(q / w), per state.
 
-    Each row is shifted by its maximum before exponentiating, so no term
-    overflows and the largest one is exactly 1.
+    Broadcasts over leading axes.  Each row is shifted by its maximum before
+    exponentiating, so no term overflows and the largest one is exactly 1.
     """
     z = q / w
-    z_max = z.max(axis=1)
-    return w * (z_max + np.log(np.exp(z - z_max[:, None]).sum(axis=1)))
+    z_max = z.max(axis=-1)
+    return w * (z_max + np.log(np.exp(z - z_max[..., None]).sum(axis=-1)))
 
 
 def _soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
@@ -69,7 +71,7 @@ def _solver_inputs(
     if not 0.0 <= mdp.discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {mdp.discount!r}")
     r_sa = expected_state_action(reward, mdp.transition)
-    if not np.all(np.isfinite(r_sa)):
+    if not np.isfinite(r_sa).all():
         raise ValueError("reward contains non-finite entries")
     return r_sa
 
@@ -124,35 +126,120 @@ def soft_value_iteration(
     not a fixed point worth reporting.
     """
     r_sa = _solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
-    w = entropy_weight
-    gamma = mdp.discount
     if v_init is None:
         v = np.zeros(mdp.n_states)
     else:
         v = np.array(v_init, dtype=float)
         if v.shape != (mdp.n_states,):
             raise ValueError("v_init must have one entry per state")
+    return _soft_solves(mdp.transition, r_sa, mdp.discount, v, tolerance, max_iters,
+                        entropy_weight).solution()
 
-    identity = np.eye(mdp.n_states)
+
+class _Solves(NamedTuple):
+    """Soft solutions with leading row axes: q, v and policy as in SoftSolution,
+    and iterations_used, residual and converged as arrays over the rows."""
+
+    q: np.ndarray
+    v: np.ndarray
+    policy: np.ndarray
+    iterations_used: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
+    entropy_weight: float
+
+    def solution(self, *row: int) -> SoftSolution:
+        """The SoftSolution at `row`; no index for an unbatched solve."""
+        return SoftSolution(self.q[row], self.v[row], self.policy[row],
+                            int(self.iterations_used[row]), float(self.residual[row]),
+                            bool(self.converged[row]), self.entropy_weight)
+
+
+def _solve_stack(mdps: Sequence[TabularMdp], rewards: Sequence[RewardTable | None],
+                 tolerance: float = 1e-8, max_iters: int = 10_000, entropy_weight: float = 1.0,
+                 *, v_init: np.ndarray | None = None) -> _Solves:
+    """`soft_value_iteration` of each (MDP, reward) pair, as one `_soft_solves` stack.
+
+    The MDPs must share their state and action counts and their discount;
+    `v_init` is None or a (B, S) stack of warm starts.  Row i of the result
+    has the bits of the i-th pair's own call.
+    """
+    r_sa = np.stack([_solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
+                     for mdp, reward in zip(mdps, rewards)])
+    discount = mdps[0].discount
+    if any(mdp.discount != discount for mdp in mdps):
+        raise ValueError("stacked solves must share their discount")
+    if v_init is None:
+        v = np.zeros(r_sa.shape[:2])
+    else:
+        v = np.array(v_init, dtype=float)
+        if v.shape != r_sa.shape[:2]:
+            raise ValueError("v_init must have one row per solve and one entry per state")
+    if len(mdps) == 1:
+        # a stack of one runs unbatched, whose numpy calls cost less
+        one = _soft_solves(mdps[0].transition, r_sa[0], discount, v[0], tolerance, max_iters,
+                           entropy_weight)
+        return _Solves(*(field[None] for field in one[:-1]), entropy_weight)
+    return _soft_solves(np.stack([mdp.transition for mdp in mdps]), r_sa, discount, v,
+                        tolerance, max_iters, entropy_weight)
+
+
+def _per_row(op, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op(a, x) of a matrix a and a vector x, or of each row of stacks of them.
+
+    A stack's x is (B, k); a is (B, n, k) or, like the transition tensor,
+    (B, S, n, k), whose every matrix takes the row's x.  An unbatched x takes
+    the plain 2-D form, which costs the one-row solve less per call.
+    """
+    if x.ndim == 1:
+        return op(a, x)
+    return op(a, x.reshape(x.shape[:1] + (1,) * (a.ndim - 3) + x.shape[1:] + (1,)))[..., 0]
+
+
+def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: np.ndarray,
+                 tolerance: float, max_iters: int, entropy_weight: float) -> _Solves:
+    """`soft_value_iteration` of each row of a stack, in one loop.
+
+    Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and start
+    values (B, S), checked as `soft_value_iteration` checks them; without
+    the B axis the call is one solve.  Each iteration backs up the rows still
+    running.  A row leaves the stack at the iteration where it converges or
+    reaches `max_iters`, so every row gets the bits of its own one-row solve.
+    Rows are copied out only in an iteration where some, but not all, stop.
+    """
+    w = entropy_weight
+    identity = np.eye(r_sa.shape[-2])
+    # (row indices, iterations, q, v_new, residual) of each group of rows that stopped early
+    stopped = []
     for iterations in range(1, max_iters + 1):
-        q = r_sa + gamma * (mdp.transition @ v)
+        q = r_sa + discount * _per_row(np.matmul, transition, v)
         v_new = _soft_backup(q, w)
-        residual = float(np.max(np.abs(v_new - v)))
-        converged = residual <= tolerance
-        if converged or iterations == max_iters:
+        residual = np.abs(v_new - v).max(axis=-1)
+        stop = residual <= tolerance
+        # an unbatched solve's flag is a numpy bool, counted without a numpy call
+        n_stop = np.count_nonzero(stop) if stop.ndim else int(stop)
+        if n_stop == stop.size or iterations == max_iters:
             break
+        if n_stop:
+            if not stopped:
+                rows = np.arange(len(stop))
+            stopped.append((rows[stop], np.full(n_stop, iterations), q[stop], v_new[stop],
+                            residual[stop]))
+            keep = ~stop
+            rows, transition, r_sa = rows[keep], transition[keep], r_sa[keep]
+            q, v_new, v = q[keep], v_new[keep], v[keep]
         # r_pi + w * H_pi = sum_a pi * (q - w log pi) = v_new - gamma * P_pi @ v
-        p_pi = np.einsum("sa,sap->sp", _soft_policy(q, v_new, w), mdp.transition)
-        v = np.linalg.solve(identity - gamma * p_pi, v_new - gamma * (p_pi @ v))
-    return SoftSolution(
-        q=q,
-        v=v_new,
-        policy=_soft_policy(q, v_new, w),
-        iterations_used=iterations,
-        residual=residual,
-        converged=converged,
-        entropy_weight=w,
-    )
+        p_pi = np.einsum("...sa,...sap->...sp", _soft_policy(q, v_new, w), transition)
+        rhs = v_new - discount * _per_row(np.matmul, p_pi, v)
+        v = _per_row(np.linalg.solve, identity - discount * p_pi, rhs)
+    iterations_used = np.full(residual.shape, iterations)
+    if stopped:
+        groups = [*stopped, (rows, iterations_used, q, v_new, residual)]
+        order = np.argsort(np.concatenate([group[0] for group in groups]))
+        iterations_used, q, v_new, residual = (
+            np.concatenate([group[k] for group in groups])[order] for k in range(1, 5))
+    return _Solves(q, v_new, _soft_policy(q, v_new, w), iterations_used, residual,
+                   residual <= tolerance, w)
 
 
 def uniform_policy(mdp: TabularMdp) -> np.ndarray:

@@ -14,11 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack, f_table
-from .mdp import RewardTable, TabularMdp
+from .mdp import RewardTable, TabularMdp, _transition_problems
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
     _soft_backup,
     _soft_policy,
+    _solve_stack,
     _solver_inputs,
     evaluate_return,
     occupancy,
@@ -68,10 +69,15 @@ def expert_demos(
     exact_occupancy mode, sampled expert episodes otherwise.
     """
     solution = soft_value_iteration(mdp, entropy_weight=entropy_weight)
+    return _demos(mdp, solution.policy, mode, n_trajectories, seed), solution
+
+
+def _demos(mdp: TabularMdp, policy: np.ndarray, mode: str, n_trajectories: int, seed: int):
+    """The demonstrations of `expert_demos` from the expert's policy."""
     if mode == "exact_occupancy":
-        return occupancy(mdp, solution.policy), solution
+        return occupancy(mdp, policy)
     if mode == "sampled":
-        return sample_trajectories(mdp, solution.policy, n_trajectories, seed), solution
+        return sample_trajectories(mdp, policy, n_trajectories, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -103,14 +109,18 @@ def run_recovery(
 
 def _recover_stack(mdps: list[TabularMdp], variant: str, config: LearnerConfig,
                    n_expert_trajectories: int = 64) -> list[RecoveryResult]:
-    """`run_recovery` on each MDP, trained as one stack by `airl._airl_train_stack`."""
+    """`run_recovery` on each MDP, trained as one stack by `airl._airl_train_stack`.
+
+    The experts are solved as one stack too; each is `expert_demos`' solution.
+    """
     config = replace(config, variant=variant)
-    experts = [expert_demos(mdp, config.mode, n_trajectories=n_expert_trajectories,
-                            seed=config.seed, entropy_weight=config.entropy_weight)
-               for mdp in mdps]
-    results = _airl_train_stack(mdps, [demos for demos, _ in experts], config)
+    solves = _solve_stack(mdps, [None] * len(mdps), entropy_weight=config.entropy_weight)
+    experts = [solves.solution(i) for i in range(len(mdps))]
+    demos = [_demos(mdp, expert.policy, config.mode, n_expert_trajectories, config.seed)
+             for mdp, expert in zip(mdps, experts)]
+    results = _airl_train_stack(mdps, demos, config)
     recoveries = []
-    for mdp, (_, expert), (params, policy, history) in zip(mdps, experts, results):
+    for mdp, expert, (params, policy, history) in zip(mdps, experts, results):
         error = centered_reward_error(params.g, mdp.reward, mdp.transition)
         f = f_table(params, mdp.n_states, mdp.n_actions)
         f_adv_error = float(np.max(np.abs(f - advantage(expert)[:, :, None])))
@@ -212,10 +222,6 @@ class ProbeResult(NamedTuple):
     agreements: tuple[bool, ...]
 
 
-def _argmax_set(row: np.ndarray) -> frozenset[int]:
-    return frozenset(np.nonzero(row >= row.max() - PROBE_TIE_TOL)[0].tolist())
-
-
 def disentanglement_probe(
     mdp: TabularMdp,
     reward: RewardTable,
@@ -231,27 +237,28 @@ def disentanglement_probe(
     `extra_dynamics`, e.g. an adversarially chosen one), solves each under the
     candidate reward and under the ground truth, and compares per-state argmax
     action sets with a tie band of `PROBE_TIE_TOL`.  Returns the agreeing fraction
-    and the per-dynamics verdicts in probe order.  Raises ValueError for a
-    negative `n_dynamics` or when there is nothing to probe.
+    and the per-dynamics verdicts in probe order.  Every solve runs in one
+    stacked `_solve_stack` call.  Raises ValueError for a negative
+    `n_dynamics`, when there is nothing to probe, or for an extra tensor of
+    the wrong shape or whose rows are not probability distributions.
     """
     rng = np.random.default_rng(seed)
     tensors = [np.asarray(t, dtype=float) for t in extra_dynamics]
     if n_dynamics < 0 or n_dynamics + len(tensors) == 0:
         raise ValueError("the probe needs at least one dynamics to probe")
+    probe_mdps = [replace(mdp, transition=tensor) for tensor in tensors]
+    for i, probe_mdp in enumerate(probe_mdps):
+        problems = _transition_problems(probe_mdp.transition)
+        if problems:
+            raise ValueError(f"extra_dynamics[{i}] is not a transition tensor: {problems[0]}")
     for _ in range(n_dynamics):
-        tensors.append(
-            rng.dirichlet(np.ones(mdp.n_states), size=(mdp.n_states, mdp.n_actions))
-        )
-    agreements = []
-    for tensor in tensors:
-        probe_mdp = replace(mdp, transition=tensor)
-        candidate = soft_value_iteration(probe_mdp, reward, entropy_weight=entropy_weight)
-        truth = soft_value_iteration(probe_mdp, entropy_weight=entropy_weight)
-        agree = all(
-            _argmax_set(candidate.policy[s]) == _argmax_set(truth.policy[s])
-            for s in range(mdp.n_states)
-        )
-        agreements.append(agree)
-    return ProbeResult(
-        fraction=float(np.mean(agreements)), agreements=tuple(agreements)
-    )
+        draw = rng.dirichlet(np.ones(mdp.n_states), size=(mdp.n_states, mdp.n_actions))
+        probe_mdps.append(replace(mdp, transition=draw))
+    # rows: the candidate reward on each dynamics, then the ground truth on each
+    n = len(probe_mdps)
+    policies = _solve_stack(probe_mdps * 2, [reward] * n + [None] * n,
+                            entropy_weight=entropy_weight).policy
+    in_argmax_set = policies >= policies.max(axis=-1, keepdims=True) - PROBE_TIE_TOL
+    agreements = (in_argmax_set[:n] == in_argmax_set[n:]).all(axis=(1, 2))
+    return ProbeResult(fraction=float(np.mean(agreements)),
+                       agreements=tuple(agreements.tolist()))

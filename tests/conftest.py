@@ -38,3 +38,11 @@ def small_random_mdps(n_states_max=4, n_actions_max=3, seeds=range(20), horizon=
             seed=seed + 100,
             horizon=horizon,
         )
+
+
+def assert_same_solution(row, alone):
+    """Two SoftSolutions equal bit for bit, arrays and scalars alike."""
+    for name in ("q", "v", "policy"):
+        assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+    for name in ("iterations_used", "residual", "converged", "entropy_weight"):
+        assert getattr(row, name) == getattr(alone, name), name

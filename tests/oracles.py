@@ -2,18 +2,22 @@
 
 Everything here is written with plain Python loops and explicit formulas,
 deliberately avoiding the vectorized code paths under test.  `loop_return`,
-`loop_curve` and `loop_sample_trajectories` are the exceptions: they are the
-earlier per-policy, per-sweep and per-step forms of batched functions, kept
-to pin those functions' outputs bit for bit.
+`loop_curve`, `loop_sample_trajectories`, `loop_soft_value_iteration` and
+`loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
+per-step, one-problem and per-dynamics forms of batched functions, kept to pin
+those functions' outputs bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from irl_lab.airl import discriminator_loss, DiscriminatorParams
 from irl_lab.mdp import RewardTable, TabularMdp, expected_state_action
-from irl_lab.soft_rl import Trajectory, _soft_backup, _soft_policy, evaluate_return
+from irl_lab.soft_rl import (SoftSolution, Trajectory, _soft_backup, _soft_policy,
+                             evaluate_return, soft_value_iteration)
+from irl_lab.transfer import PROBE_TIE_TOL, ProbeResult
 
 
 def reward_sa(mdp: TabularMdp, reward: RewardTable | None = None) -> np.ndarray:
@@ -126,6 +130,60 @@ def loop_curve(
         if residual <= tolerance:
             break
     return policy, tuple(curve)
+
+
+def loop_soft_value_iteration(mdp: TabularMdp, reward: RewardTable | None = None,
+                              max_iters: int = 10_000, entropy_weight: float = 1.0,
+                              v_init=None, tolerance: float = 1e-8) -> SoftSolution:
+    """Soft policy iteration on one problem's 2-D tables.
+
+    The loop `soft_value_iteration` ran before it became the unbatched call
+    of the stacked solver; the arguments are not checked.
+    """
+    r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
+    w, gamma = entropy_weight, mdp.discount
+    v = np.zeros(mdp.n_states) if v_init is None else np.array(v_init, dtype=float)
+    identity = np.eye(mdp.n_states)
+    for iterations in range(1, max_iters + 1):
+        q = r_sa + gamma * (mdp.transition @ v)
+        v_new = _soft_backup(q, w)
+        residual = float(np.max(np.abs(v_new - v)))
+        converged = residual <= tolerance
+        if converged or iterations == max_iters:
+            break
+        p_pi = np.einsum("sa,sap->sp", _soft_policy(q, v_new, w), mdp.transition)
+        v = np.linalg.solve(identity - gamma * p_pi, v_new - gamma * (p_pi @ v))
+    return SoftSolution(q, v_new, _soft_policy(q, v_new, w), iterations, residual, converged, w)
+
+
+def _argmax_set(row: np.ndarray) -> frozenset[int]:
+    return frozenset(np.nonzero(row >= row.max() - PROBE_TIE_TOL)[0].tolist())
+
+
+def loop_probe(mdp: TabularMdp, reward: RewardTable, n_dynamics: int, seed: int, *,
+               extra_dynamics=(), entropy_weight: float = 1.0) -> ProbeResult:
+    """The disentanglement probe one dynamics and one state at a time.
+
+    Two `soft_value_iteration` calls per dynamics and a frozenset of argmax
+    actions per state, as `disentanglement_probe` did before it solved every
+    dynamics in one stack.  The extra tensors are not checked.
+    """
+    rng = np.random.default_rng(seed)
+    tensors = [np.asarray(t, dtype=float) for t in extra_dynamics]
+    for _ in range(n_dynamics):
+        tensors.append(
+            rng.dirichlet(np.ones(mdp.n_states), size=(mdp.n_states, mdp.n_actions))
+        )
+    agreements = []
+    for tensor in tensors:
+        probe_mdp = replace(mdp, transition=tensor)
+        candidate = soft_value_iteration(probe_mdp, reward, entropy_weight=entropy_weight)
+        truth = soft_value_iteration(probe_mdp, entropy_weight=entropy_weight)
+        agreements.append(all(
+            _argmax_set(candidate.policy[s]) == _argmax_set(truth.policy[s])
+            for s in range(mdp.n_states)
+        ))
+    return ProbeResult(fraction=float(np.mean(agreements)), agreements=tuple(agreements))
 
 
 def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:

@@ -486,15 +486,15 @@ class TestAirlTrain:
             warnings.simplefilter("error")
             for run in runs:
                 run()
-        solve = irl_lab.airl.soft_value_iteration
-        monkeypatch.setattr(irl_lab.airl, "soft_value_iteration",
+        solve = irl_lab.airl._solve_stack
+        monkeypatch.setattr(irl_lab.airl, "_solve_stack",
                             lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
         for run in runs:
             with pytest.warns(RuntimeWarning) as caught:
                 run()
             messages = [str(w.message) for w in caught]
             assert [m.split(" (residual ")[0] for m in messages] == [
-                f"policy step did not converge at iteration {i}" for i in range(2)
+                f"policy step of problem 0 did not converge at iteration {i}" for i in range(2)
             ]
             assert all(float(m.split("residual ")[1].rstrip(")")) > 1e-8 for m in messages)
 
@@ -662,6 +662,20 @@ class TestStackedTraining:
         with pytest.raises(DivergenceError) as err:
             _airl_train_stack(mdps, demos, config)
         assert err.value.iteration == 2
+
+    def test_unconverged_policy_steps_name_their_problem(self, monkeypatch):
+        # one warning per problem and iteration, each text distinct, so
+        # Python's once-per-text filter shows every one of them
+        mdps, demos = stack_problems()
+        solve = irl_lab.airl._solve_stack
+        monkeypatch.setattr(irl_lab.airl, "_solve_stack",
+                            lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
+        with pytest.warns(RuntimeWarning) as caught:
+            _airl_train_stack(mdps, demos, LearnerConfig(iterations=2))
+        assert [str(w.message).split(" (residual ")[0] for w in caught] == [
+            f"policy step of problem {i} did not converge at iteration {k}"
+            for k in range(2) for i in range(len(mdps))
+        ]
 
     @pytest.mark.parametrize("other", [dict(discount=0.8), dict(horizon=10)])
     def test_problems_must_share_discount_and_horizon(self, other):

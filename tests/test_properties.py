@@ -20,9 +20,12 @@ from irl_lab.mdp import (
     reward_to_dict,
     save_mdp,
 )
-from irl_lab.soft_rl import evaluate_return, occupancy, sample_trajectories
+from irl_lab.soft_rl import (_solve_stack, evaluate_return, occupancy, sample_trajectories,
+                             soft_value_iteration)
 
-from oracles import enumerate_return, loop_occupancy, loop_return, loop_sample_trajectories
+from conftest import assert_same_solution
+from oracles import (enumerate_return, loop_occupancy, loop_return, loop_sample_trajectories,
+                     loop_soft_value_iteration)
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -124,6 +127,43 @@ def test_sampled_episodes_match_the_per_step_loop(case, n, seed):
                 assert mdp.initial_dist[got.states[0]] > 0
                 assert np.all(policy[got.states[:-1], got.actions] > 0)
                 assert np.all(mdp.transition[got.states[:-1], got.actions, got.states[1:]] > 0)
+
+
+@st.composite
+def solve_stacks(draw):
+    """One to five MDPs of one shape and discount, each with its own reward
+    arity, some transition entries exactly 0, and warm starts or none."""
+    n_states = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 4))
+    discount = draw(st.floats(0.0, 0.999))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_states, n_actions, n_states)
+    mdps = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["state_only", "state_action", "transition"]))
+        values = 3 * rng.normal(size={"state_only": shape[:1], "state_action": shape[:2],
+                                      "transition": shape}[kind])
+        mdps.append(TabularMdp(n_states, n_actions, _distributions(rng, shape, zero_frac),
+                               RewardTable(kind, values), discount,
+                               np.full(n_states, 1.0 / n_states), 5))
+    v_init = rng.normal(size=(len(mdps), n_states)) if draw(st.booleans()) else None
+    return mdps, v_init
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=solve_stacks(), max_iters=st.sampled_from([1, 2, 3, 10_000]),
+       entropy_weight=st.sampled_from([1.0, 0.3]))
+def test_stacked_solves_equal_single_calls(case, max_iters, entropy_weight):
+    mdps, v_init = case
+    stack = _solve_stack(mdps, [None] * len(mdps), max_iters=max_iters,
+                         entropy_weight=entropy_weight, v_init=v_init)
+    for i, mdp in enumerate(mdps):
+        kwargs = {"max_iters": max_iters, "entropy_weight": entropy_weight,
+                  "v_init": None if v_init is None else v_init[i]}
+        alone = soft_value_iteration(mdp, **kwargs)
+        assert_same_solution(stack.solution(i), alone)
+        assert_same_solution(alone, loop_soft_value_iteration(mdp, **kwargs))
 
 
 def _through_json(doc):

@@ -22,6 +22,7 @@ from irl_lab.soft_rl import (
     OccupancyMeasure,
     _occupancies,
     _soft_backup,
+    _solve_stack,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -29,8 +30,9 @@ from irl_lab.soft_rl import (
     uniform_policy,
 )
 
-from conftest import small_random_mdps
-from oracles import backward_soft_recursion, enumerate_return, loop_occupancy, loop_return
+from conftest import assert_same_solution, small_random_mdps
+from oracles import (backward_soft_recursion, enumerate_return, loop_occupancy, loop_return,
+                     loop_soft_value_iteration)
 
 
 def two_state_bandit():
@@ -171,6 +173,66 @@ class TestSoftValueIteration:
         assert not sol.converged
         npt.assert_allclose(sol.v, _soft_backup(sol.q, 1.0), rtol=0, atol=1e-12)
         npt.assert_allclose(sol.policy, np.exp(sol.q - sol.v[:, None]), rtol=0, atol=1e-12)
+
+
+def stacked_solve_rows():
+    """(MDP, reward) rows of one shape and discount: dense and one-successor
+    dynamics under their own rewards and under random ones of each arity."""
+    rng = np.random.default_rng(5)
+    dense = [paper_tabular_mdp(seed) for seed in range(3)]
+    one_successor = [random_deterministic_mdp(16, 4, dense[0].reward, seed) for seed in range(2)]
+    rewards = [None, RewardTable("state_only", rng.normal(size=16)),
+               RewardTable("state_action", 3 * rng.normal(size=(16, 4))),
+               RewardTable("transition", rng.normal(size=(16, 4, 16)))]
+    return [(mdp, reward) for mdp in dense + one_successor for reward in rewards]
+
+
+class TestStackedSolves:
+    """`_solve_stack`: every row leaves the loop where its own solve stops."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("entropy_weight", [1.0, 0.3])
+    def test_rows_equal_single_calls(self, warm, entropy_weight):
+        mdps, rewards = zip(*stacked_solve_rows())
+        v_init = np.random.default_rng(1).normal(size=(len(mdps), 16)) if warm else None
+        stack = _solve_stack(mdps, rewards, entropy_weight=entropy_weight, v_init=v_init)
+        starts = v_init if warm else [None] * len(mdps)
+        kwargs = [{"entropy_weight": entropy_weight, "v_init": v} for v in starts]
+        alone = [soft_value_iteration(mdp, reward, **kw)
+                 for mdp, reward, kw in zip(mdps, rewards, kwargs)]
+        # the rows stop at different iterations, so rows leave a running stack
+        assert len({solution.iterations_used for solution in alone}) > 1
+        assert all(solution.converged for solution in alone)
+        for i, (mdp, reward, kw) in enumerate(zip(mdps, rewards, kwargs)):
+            assert_same_solution(stack.solution(i), alone[i])
+            assert_same_solution(alone[i], loop_soft_value_iteration(mdp, reward, **kw))
+
+    def test_row_at_max_iters_beside_converged_rows(self):
+        # warm starts at their own fixed points converge in one or two
+        # iterations; the cold rows run out of iterations at the third
+        mdps, rewards = zip(*stacked_solve_rows()[:8])
+        fixed = [soft_value_iteration(mdp, reward).v for mdp, reward in zip(mdps, rewards)]
+        v_init = np.array([v if i % 2 else np.zeros(16) for i, v in enumerate(fixed)])
+        stack = _solve_stack(mdps, rewards, max_iters=3, v_init=v_init)
+        alone = [soft_value_iteration(mdp, reward, max_iters=3, v_init=v)
+                 for mdp, reward, v in zip(mdps, rewards, v_init)]
+        assert [solution.converged for solution in alone] == [False, True] * 4
+        assert [solution.iterations_used for solution in alone[::2]] == [3] * 4
+        for i, solution in enumerate(alone):
+            assert_same_solution(stack.solution(i), solution)
+
+    def test_stack_of_one_equals_the_call(self, bench_mdp):
+        stack = _solve_stack([bench_mdp], [None])
+        assert stack.policy.shape == (1, 16, 4)
+        assert_same_solution(stack.solution(0), soft_value_iteration(bench_mdp))
+
+    def test_bad_stacks_rejected(self, bench_mdp):
+        with pytest.raises(ValueError, match="share their discount"):
+            _solve_stack([bench_mdp, replace(bench_mdp, discount=0.5)], [None, None])
+        with pytest.raises(ValueError, match="v_init"):
+            _solve_stack([bench_mdp, bench_mdp], [None, None], v_init=np.zeros(16))
+        with pytest.raises(ValueError, match="entropy_weight"):
+            _solve_stack([bench_mdp], [None], entropy_weight=0.0)
 
 
 class TestSoftBackup:

@@ -7,6 +7,7 @@ import pytest
 from irl_lab.airl import LearnerConfig
 from irl_lab.mdp import (
     RewardTable,
+    TabularMdp,
     counterexample_mdp,
     counterexample_shaped_reward,
     random_deterministic_mdp,
@@ -31,7 +32,7 @@ from irl_lab.transfer import (
     run_recovery,
 )
 
-from oracles import loop_curve
+from oracles import loop_curve, loop_probe
 
 
 def deterministic_bench(seed=0):
@@ -303,6 +304,21 @@ class TestDisentanglementProbe:
         with pytest.raises(ValueError, match="at least one dynamics"):
             disentanglement_probe(tiny_mdp, tiny_mdp.reward, n_dynamics, seed=0)
 
+    @pytest.mark.parametrize("corrupt, problem", [
+        pytest.param(lambda t: np.full_like(t, np.nan), "sums to", id="nan"),
+        pytest.param(lambda t: 2 * t, "sums to", id="doubled"),
+        pytest.param(lambda t: np.where(np.arange(3) == 0, np.inf, t), "sums to", id="inf"),
+        pytest.param(lambda t: np.broadcast_to([1.5, -0.5, 0.0], t.shape), "has a negative entry",
+                     id="negative"),
+    ])
+    def test_malformed_extra_dynamics_rejected(self, tiny_mdp, corrupt, problem):
+        # such a tensor used to be solved: all-NaN rows ran the solver to
+        # its 10,000-iteration cap and then counted as agreeing
+        tensors = (tiny_mdp.transition, corrupt(tiny_mdp.transition))
+        with pytest.raises(ValueError, match=rf"extra_dynamics\[1\] is not a transition "
+                                             rf"tensor: transition row \(s=0, a=0\) {problem}"):
+            disentanglement_probe(tiny_mdp, tiny_mdp.reward, 2, seed=0, extra_dynamics=tensors)
+
     def test_negative_count_rejected_next_to_extra_dynamics(self, tiny_mdp):
         with pytest.raises(ValueError):
             disentanglement_probe(tiny_mdp, tiny_mdp.reward, -1, seed=0,
@@ -310,6 +326,61 @@ class TestDisentanglementProbe:
         probe = disentanglement_probe(tiny_mdp, tiny_mdp.reward, 0, seed=0,
                                       extra_dynamics=(tiny_mdp.transition,))
         assert probe.agreements == (True,)
+
+
+def tied_mdp():
+    """Actions 0 and 1 share every transition row and reward; action 2 trails them by 3."""
+    rng = np.random.default_rng(3)
+    transition = rng.dirichlet(np.ones(5), size=(5, 3))
+    transition[:, 1] = transition[:, 0]
+    r = rng.normal(size=(5, 3))
+    r[:, 1] = r[:, 0]
+    r[:, 2] = r[:, 0] - 3.0
+    return TabularMdp(5, 3, transition, RewardTable("state_action", r), 0.9, np.full(5, 0.2),
+                      horizon=10)
+
+
+class TestProbeMatchesTheLoop:
+    """`disentanglement_probe` against `loop_probe`, its per-dynamics loop."""
+
+    @pytest.mark.parametrize("case", ["truth", "shift", "counterexample", "extra_first"])
+    def test_existing_cases(self, tiny_mdp, case):
+        if case == "truth":
+            args, kwargs = (tiny_mdp, tiny_mdp.reward, 10, 0), {}
+        elif case == "shift":
+            mdp = deterministic_bench()
+            args, kwargs = (mdp, RewardTable("state_only", mdp.reward.values + 3.7), 50, 5), {}
+        elif case == "counterexample":
+            args = (counterexample_mdp("original"), counterexample_shaped_reward(), 5, 2)
+            kwargs = {"extra_dynamics": (counterexample_mdp("modified").transition,)}
+        else:
+            args = (tiny_mdp, tiny_mdp.reward, 3, 1)
+            kwargs = {"extra_dynamics": (tiny_mdp.transition,), "entropy_weight": 0.5}
+        assert disentanglement_probe(*args, **kwargs) == loop_probe(*args, **kwargs)
+
+    def test_trained_reward(self, det_recovery):
+        mdp, result = det_recovery
+        probe = disentanglement_probe(mdp, result.params.g, 50, seed=5)
+        assert probe == loop_probe(mdp, result.params.g, 50, seed=5)
+
+    @pytest.mark.parametrize("gap, tied", [
+        pytest.param(0.0, True, id="exact-tie"),
+        # policy gap about 0.49 * reward gap: 4.9e-7, inside the 1e-6 band
+        pytest.param(1e-6, True, id="inside-band"),
+        # about 1.2e-6, just outside it
+        pytest.param(2.5e-6, False, id="outside-band"),
+    ])
+    def test_tie_band(self, gap, tied):
+        # on the tied dynamics the truth's argmax set is {0, 1} in every state;
+        # the candidate lowers action 1's reward by `gap`
+        mdp = tied_mdp()
+        values = mdp.reward.values.copy()
+        values[:, 1] -= gap
+        candidate = RewardTable("state_action", values)
+        kwargs = {"extra_dynamics": (mdp.transition,)}
+        probe = disentanglement_probe(mdp, candidate, 6, 4, **kwargs)
+        assert probe == loop_probe(mdp, candidate, 6, 4, **kwargs)
+        assert probe.agreements[0] is tied
 
 
 class TestCounterexampleBehaviour:
