@@ -43,7 +43,6 @@ from .soft_rl import (
     _rollouts,
     _solve_stack,
     evaluate_return,
-    uniform_policy,
 )
 
 VARIANTS = ("airl_state_only", "airl_state_action", "gan_gcl_trajectory")
@@ -135,8 +134,9 @@ class LearnerConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        for name in ("iterations", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.disc_steps_per_iter < 1:
             raise ValueError("disc_steps_per_iter must be at least 1")
         if not self.disc_step_size > 0:
@@ -449,8 +449,8 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
     Returns the final theta and each problem's policy and history.  Every
     theta array has a leading problem axis; theta[0] holds the learned reward
     tables.  `problem` maps the round's negatives and stacked log pi to a
-    _Problem, and `rewards(theta)` gives each problem's policy-step RewardTable;
-    the policy step solves them as one `_solve_stack`.
+    _Problem, and `rewards(theta, transition)` gives the policy step's
+    (B, S, A) collapsed rewards, solved as one `_solve_stack`.
     Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
     Sampled mode trains one problem: `encode` turns each round's rollouts (int
     arrays, states (n, horizon + 1) and actions (n, horizon)) into a count
@@ -459,17 +459,19 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
     """
     if config.mode == "sampled" and len(mdps) != 1:
         raise ValueError("sampled mode trains one problem per run")
-    policies = [uniform_policy(mdp) for mdp in mdps]
+    transition = np.stack([mdp.transition for mdp in mdps])
+    initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
+    discount, horizon = mdps[0].discount, mdps[0].horizon
+    policies = np.full(transition.shape[:-1], 1.0 / transition.shape[2])
     histories = [TrainingHistory(mdp) for mdp in mdps]
     v_warm = None
-    vi_steps = [0] * len(mdps)
+    vi_steps = np.zeros(len(mdps), dtype=int)
     replay: deque = deque(maxlen=config.replay_window)
     rng = np.random.default_rng(config.seed)
 
     for iteration in range(config.iterations):
-        policy_stack = np.stack(policies)
         if config.mode == "exact_occupancy":
-            negatives = _occupancies(mdps, policy_stack)
+            negatives = _occupancies(transition, initial_dist, discount, horizon, policies)
         else:
             replay.append(encode(*_rollouts(
                 mdps[0], policies[0], config.n_policy_trajectories, int(rng.integers(2**63 - 1))
@@ -478,7 +480,7 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
 
         # an underflowed policy entry gives log pi = -inf: an intended infinite offset
         with np.errstate(divide="ignore"):
-            log_pi = np.log(policy_stack)
+            log_pi = np.log(policies)
         round_problem = problem(negatives, log_pi)
         g_before = theta[0]
         theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
@@ -487,19 +489,17 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
         losses = round_problem.loss(theta).reshape(len(mdps))
         g_deltas = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
 
-        solves = _solve_stack(mdps, rewards(theta), entropy_weight=config.entropy_weight,
-                              v_init=v_warm)
-        for i in range(len(mdps)):
-            solution = solves.solution(i)
-            if not solution.converged:
-                warnings.warn(f"policy step of problem {i} did not converge at iteration "
-                              f"{iteration} (residual {solution.residual:.3g})", RuntimeWarning,
-                              stacklevel=2)
-            policies[i] = solution.policy
-            vi_steps[i] += solution.iterations_used
-            histories[i].append(iteration, float(losses[i]), float(g_deltas[i]), vi_steps[i],
-                                theta[0][i], policies[i])
-        v_warm = solves.v
+        solves = _solve_stack(transition, rewards(theta, transition), discount,
+                              entropy_weight=config.entropy_weight, v_init=v_warm)
+        for i in np.flatnonzero(~solves.converged):
+            warnings.warn(f"policy step of problem {i} did not converge at iteration "
+                          f"{iteration} (residual {solves.residual[i]:.3g})", RuntimeWarning,
+                          stacklevel=2)
+        policies, v_warm = solves.policy, solves.v
+        vi_steps += solves.iterations_used
+        for i, history in enumerate(histories):
+            history.append(iteration, float(losses[i]), float(g_deltas[i]), int(vi_steps[i]),
+                           theta[0][i], policies[i])
     return theta, policies, histories
 
 
@@ -547,12 +547,12 @@ def _airl_train_stack(mdps: Sequence[TabularMdp], demos: Sequence,
             negatives = _replay_weights(negatives)
         return _cell_problem(state_only, gamma, log_pi, expert_w, negatives)
 
-    def rewards(theta):
+    def rewards(theta, transition):
         # Maximizing E[sum of (f - log pi)] is the entropy-regularized
-        # objective with reward f(s, a, s'); the solver collapses f to (s, a)
-        # by expectation under the dynamics and supplies -log pi as entropy.
-        f = np.broadcast_to(_raw_f(*theta, state_only, gamma), expert_w.shape)
-        return [RewardTable("transition", f_i) for f_i in f]
+        # objective with reward f(s, a, s'), collapsed to (s, a) by expectation
+        # under the dynamics; the solver supplies -log pi as entropy.
+        f = np.broadcast_to(_raw_f(*theta, state_only, gamma), transition.shape)
+        return np.einsum("bsap,bsap->bsa", transition, f)
 
     g_shape = (n_states,) if state_only else (n_states, n_actions)
     theta, policies, histories = _train(
@@ -666,6 +666,6 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
         lambda pool, log_pi: _episode_problem(
             np.concatenate([counts_e, *pool]), len(counts_e), log_pi
         ),
-        lambda theta: [RewardTable("state_action", f_step) for f_step in theta[0]],
+        lambda theta, transition: theta[0],
     )
     return GanGclResult(scorer=TrajectoryScorer(f_steps[0]), policy=policy, history=history)

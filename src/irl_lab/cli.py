@@ -107,14 +107,28 @@ def _random_with_reward_state(seed, states, actions, reward_state, discount, hor
                       discount=discount, horizon=horizon)
 
 
+def _non_negative(value) -> int:
+    if strict_int(value) < 0:
+        raise ValueError(f"must be non-negative, got {value!r}")
+    return value
+
+
+def _seed_flag(text: str) -> int:
+    """A `--seed` value: the flag's text read as an integer, then by `_non_negative`."""
+    try:
+        return _non_negative(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 _SHARED_KEYS = {"discount": (strict_float, 0.9), "horizon": (strict_int, 20)}
 
 # generate kind -> (generator, the keys it takes); `generate`'s flags share the key names.
 _MDP_KINDS = {
-    "paper_tabular": (paper_tabular_mdp, {"seed": (strict_int, 0), **_SHARED_KEYS}),
+    "paper_tabular": (paper_tabular_mdp, {"seed": (_non_negative, 0), **_SHARED_KEYS}),
     "counterexample": (counterexample_mdp, {"variant": (_as_is, "original"), **_SHARED_KEYS}),
     "random": (_random_with_reward_state, {
-        "seed": (strict_int, 0),
+        "seed": (_non_negative, 0),
         "states": (strict_int, 16),
         "actions": (strict_int, 4),
         "reward_state": (strict_int, 0),
@@ -161,14 +175,8 @@ def _parse_formats(value) -> tuple[str, ...]:
     return tuple(dict.fromkeys(value))
 
 
-def _non_negative(value) -> int:
-    if strict_int(value) < 0:
-        raise ValueError(f"must be non-negative, got {value!r}")
-    return value
-
-
 def _distinct_seeds(value) -> list[int]:
-    seeds = _nonempty_list(strict_int)(value)
+    seeds = _nonempty_list(_non_negative)(value)
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ValueError(f"repeats seed {seed}")
@@ -589,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--actions", type=int, help="random MDP: number of actions")
     gen.add_argument("--reward-state", type=int, default=0,
                      help="random MDP: state earning reward 1.0")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed_flag, default=0)
     gen.add_argument("--discount", type=float, default=0.9)
     gen.add_argument("--horizon", type=int, default=20)
     gen.add_argument("-o", "--out", required=True, help="output JSON path")
@@ -601,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True)
-        cmd.add_argument("--seed", type=int, help="override the config seeds")
+        cmd.add_argument("--seed", type=_seed_flag, help="override the config seeds")
         cmd.add_argument("--out", help="override the config output directory")
         cmd.add_argument("--format", choices=["csv", "json", "both"])
         cmd.set_defaults(func=func)
@@ -624,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--mdp", required=True, help="MDP JSON file")
     probe.add_argument("--reward", required=True, help="reward-table JSON file")
     probe.add_argument("--n-dynamics", type=int, default=50)
-    probe.add_argument("--seed", type=int, default=0)
+    probe.add_argument("--seed", type=_seed_flag, default=0)
     probe.add_argument("--out", help="optional JSON output path")
     probe.set_defaults(func=cmd_probe)
 

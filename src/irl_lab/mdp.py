@@ -145,15 +145,15 @@ def expected_state_action(reward: RewardTable, transition: np.ndarray) -> np.nda
     """Collapse a reward table to (s, a) arity.
 
     Transition-arity rewards are averaged over successors under the given
-    dynamics; lower arities broadcast.
+    dynamics; lower arities broadcast.  A (B, S, A, S) stack of dynamics gives
+    a (B, S, A) stack, each row equal to its own call bit for bit.
     """
-    n_states, n_actions, _ = transition.shape
     v = reward.values
+    if reward.kind == "transition":
+        return np.einsum("...sap,sap->...sa", transition, v)
     if reward.kind == "state_only":
-        return np.broadcast_to(v[:, None], (n_states, n_actions)).copy()
-    if reward.kind == "state_action":
-        return v.copy()
-    return np.einsum("sap,sap->sa", transition, v)
+        v = v[:, None]
+    return np.broadcast_to(v, transition.shape[:-1]).copy()
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,16 +51,10 @@ def _soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
     return policy
 
 
-def _solver_inputs(
-    mdp: TabularMdp,
-    reward: RewardTable | None,
-    tolerance: float,
-    max_iters: int,
-    entropy_weight: float,
-) -> np.ndarray:
-    """Check a soft solver's arguments and return the reward collapsed to (s, a)."""
-    if reward is None:
-        reward = mdp.reward
+def _check_solver(r_sa: np.ndarray, discount: float, tolerance: float, max_iters: int,
+                  entropy_weight: float, v_init: np.ndarray | None = None) -> np.ndarray:
+    """Check the arguments of one soft solve, reward `r_sa` (S, A), or of a (B, S, A)
+    stack of them; return the start values, `v_init` or zeros."""
     # written as `not x > 0` so that NaN is rejected too
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -68,12 +62,15 @@ def _solver_inputs(
         raise ValueError("max_iters must be at least 1")
     if not entropy_weight > 0:
         raise ValueError("entropy_weight must be positive")
-    if not 0.0 <= mdp.discount < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {mdp.discount!r}")
-    r_sa = expected_state_action(reward, mdp.transition)
+    if not 0.0 <= discount < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     if not np.isfinite(r_sa).all():
         raise ValueError("reward contains non-finite entries")
-    return r_sa
+    v = np.zeros(r_sa.shape[:-1]) if v_init is None else np.array(v_init, dtype=float)
+    if v.shape != r_sa.shape[:-1]:
+        rows = "one row per solve and " if r_sa.ndim == 3 else ""
+        raise ValueError(f"v_init must have {rows}one entry per state")
+    return v
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,8 @@ def soft_value_iteration(
     without a contraction the linear system is singular or its solution is
     not a fixed point worth reporting.
     """
-    r_sa = _solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
-    if v_init is None:
-        v = np.zeros(mdp.n_states)
-    else:
-        v = np.array(v_init, dtype=float)
-        if v.shape != (mdp.n_states,):
-            raise ValueError("v_init must have one entry per state")
+    r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
+    v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight, v_init)
     return _soft_solves(mdp.transition, r_sa, mdp.discount, v, tolerance, max_iters,
                         entropy_weight).solution()
 
@@ -155,33 +147,19 @@ class _Solves(NamedTuple):
                             bool(self.converged[row]), self.entropy_weight)
 
 
-def _solve_stack(mdps: Sequence[TabularMdp], rewards: Sequence[RewardTable | None],
+def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
                  tolerance: float = 1e-8, max_iters: int = 10_000, entropy_weight: float = 1.0,
                  *, v_init: np.ndarray | None = None) -> _Solves:
-    """`soft_value_iteration` of each (MDP, reward) pair, as one `_soft_solves` stack.
-
-    The MDPs must share their state and action counts and their discount;
-    `v_init` is None or a (B, S) stack of warm starts.  Row i of the result
-    has the bits of the i-th pair's own call.
-    """
-    r_sa = np.stack([_solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
-                     for mdp, reward in zip(mdps, rewards)])
-    discount = mdps[0].discount
-    if any(mdp.discount != discount for mdp in mdps):
-        raise ValueError("stacked solves must share their discount")
-    if v_init is None:
-        v = np.zeros(r_sa.shape[:2])
-    else:
-        v = np.array(v_init, dtype=float)
-        if v.shape != r_sa.shape[:2]:
-            raise ValueError("v_init must have one row per solve and one entry per state")
-    if len(mdps) == 1:
+    """`soft_value_iteration` of each row of (B, S, A, S) transitions under (B, S, A)
+    collapsed rewards and (B, S) warm starts `v_init` or none, checked once and
+    solved as one `_soft_solves` stack; row i has the bits of its own call."""
+    v = _check_solver(r_sa, discount, tolerance, max_iters, entropy_weight, v_init)
+    if len(r_sa) == 1:
         # a stack of one runs unbatched, whose numpy calls cost less
-        one = _soft_solves(mdps[0].transition, r_sa[0], discount, v[0], tolerance, max_iters,
+        one = _soft_solves(transition[0], r_sa[0], discount, v[0], tolerance, max_iters,
                            entropy_weight)
         return _Solves(*(field[None] for field in one[:-1]), entropy_weight)
-    return _soft_solves(np.stack([mdp.transition for mdp in mdps]), r_sa, discount, v,
-                        tolerance, max_iters, entropy_weight)
+    return _soft_solves(transition, r_sa, discount, v, tolerance, max_iters, entropy_weight)
 
 
 def _per_row(op, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -201,11 +179,11 @@ def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: n
     """`soft_value_iteration` of each row of a stack, in one loop.
 
     Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and start
-    values (B, S), checked as `soft_value_iteration` checks them; without
-    the B axis the call is one solve.  Each iteration backs up the rows still
-    running.  A row leaves the stack at the iteration where it converges or
-    reaches `max_iters`, so every row gets the bits of its own one-row solve.
-    Rows are copied out only in an iteration where some, but not all, stop.
+    values (B, S), checked by `_check_solver`; without the B axis the call is
+    one solve.  Each iteration backs up the rows still running.  A row leaves
+    the stack at the iteration where it converges or reaches `max_iters`, so
+    every row gets the bits of its own one-row solve.  Rows are copied out
+    only in an iteration where some, but not all, stop.
     """
     w = entropy_weight
     identity = np.eye(r_sa.shape[-2])
@@ -349,26 +327,28 @@ def occupancy(mdp: TabularMdp, policy) -> OccupancyMeasure:
     discounted visits sum_t discount**t d_t over the horizon's steps give
     rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'), normalized to total mass 1.
     """
-    return OccupancyMeasure(_occupancies([mdp], _check_policy(mdp, policy)[None])[0])
+    return OccupancyMeasure(_occupancies(mdp.transition[None], mdp.initial_dist[None],
+                                         mdp.discount, mdp.horizon,
+                                         _check_policy(mdp, policy)[None])[0])
 
 
-def _occupancies(mdps: Sequence[TabularMdp], policies: np.ndarray) -> np.ndarray:
-    """`occupancy` of each MDP under its row of a (B, S, A) policy stack, as (B, S, A, S).
+def _occupancies(transition: np.ndarray, initial_dist: np.ndarray, discount: float,
+                 horizon: int, policies: np.ndarray) -> np.ndarray:
+    """`occupancy` of each row of (B, S, A, S) transitions, (B, S) start distributions
+    and (B, S, A) policies, as (B, S, A, S).
 
-    The MDPs must share their shape, horizon and discount.  One recursion
-    propagates every row's state distribution as a 1 x S row vector, and each
-    row gets the bits of its one-MDP call.
+    One recursion propagates every row's state distribution as a 1 x S row
+    vector, and each row gets the bits of its one-MDP call.
     """
-    horizon, discount = mdps[0].horizon, mdps[0].discount
-    transition = np.stack([mdp.transition for mdp in mdps])
     p_pi = np.einsum("bsa,bsap->bsp", policies, transition)
-    # d[t] holds every row's state distribution at step t
-    d = np.empty((horizon, len(mdps), 1, mdps[0].n_states))
-    d[0] = np.stack([mdp.initial_dist for mdp in mdps])[:, None, :]
+    # d[:, t] holds every row's state distribution at step t; each row's (horizon, S)
+    # block is contiguous, so its discounted sum is the one-row call's product
+    d = np.empty((len(initial_dist), horizon, 1, initial_dist.shape[-1]))
+    d[:, 0] = initial_dist[:, None, :]
     for t in range(1, horizon):
-        np.matmul(d[t - 1], p_pi, out=d[t])
-    visits = np.power(discount, np.arange(horizon)) @ d.reshape(horizon, -1)
-    rho = (visits.reshape(len(mdps), -1, 1) * policies)[..., None] * transition
+        np.matmul(d[:, t - 1], p_pi, out=d[:, t])
+    visits = np.power(discount, np.arange(horizon)) @ d[:, :, 0]
+    rho = (visits[..., None] * policies)[..., None] * transition
     rho /= rho.sum(axis=(1, 2, 3), keepdims=True)
     return rho
 

@@ -14,13 +14,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack, f_table
-from .mdp import RewardTable, TabularMdp, _transition_problems
+from .mdp import RewardTable, TabularMdp, _transition_problems, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
+    _check_solver,
     _soft_backup,
     _soft_policy,
     _solve_stack,
-    _solver_inputs,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -114,7 +114,10 @@ def _recover_stack(mdps: list[TabularMdp], variant: str, config: LearnerConfig,
     The experts are solved as one stack too; each is `expert_demos`' solution.
     """
     config = replace(config, variant=variant)
-    solves = _solve_stack(mdps, [None] * len(mdps), entropy_weight=config.entropy_weight)
+    transition = np.stack([mdp.transition for mdp in mdps])
+    r_sa = np.stack([expected_state_action(mdp.reward, mdp.transition) for mdp in mdps])
+    solves = _solve_stack(transition, r_sa, mdps[0].discount,
+                          entropy_weight=config.entropy_weight)
     experts = [solves.solution(i) for i in range(len(mdps))]
     demos = [_demos(mdp, expert.policy, config.mode, n_expert_trajectories, config.seed)
              for mdp, expert in zip(mdps, experts)]
@@ -169,20 +172,19 @@ def reoptimize_with_curve(
     it and scored by one stacked `evaluate_return` call.  The arguments are
     checked as `soft_value_iteration` checks them.
     """
-    r_sa = _solver_inputs(mdp, reward, tolerance, max_iters, entropy_weight)
-    w = entropy_weight
-    v = np.zeros(mdp.n_states)
+    r_sa = expected_state_action(reward, mdp.transition)
+    v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight)
     qs, vs = [], []
     for _ in range(max_iters):
         q = r_sa + mdp.discount * (mdp.transition @ v)
-        v_new = _soft_backup(q, w)
+        v_new = _soft_backup(q, entropy_weight)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         qs.append(q)
         vs.append(v)
         if residual <= tolerance:
             break
-    policies = _soft_policy(np.stack(qs), np.stack(vs), w)
+    policies = _soft_policy(np.stack(qs), np.stack(vs), entropy_weight)
     returns = evaluate_return(mdp, policies, mdp.reward)
     curve = tuple(enumerate(returns.tolist(), start=1))
     return policies[-1].copy(), curve
@@ -242,21 +244,24 @@ def disentanglement_probe(
     `n_dynamics`, when there is nothing to probe, or for an extra tensor of
     the wrong shape or whose rows are not probability distributions.
     """
-    rng = np.random.default_rng(seed)
     tensors = [np.asarray(t, dtype=float) for t in extra_dynamics]
     if n_dynamics < 0 or n_dynamics + len(tensors) == 0:
         raise ValueError("the probe needs at least one dynamics to probe")
-    probe_mdps = [replace(mdp, transition=tensor) for tensor in tensors]
-    for i, probe_mdp in enumerate(probe_mdps):
-        problems = _transition_problems(probe_mdp.transition)
+    shape = mdp.transition.shape
+    for i, tensor in enumerate(tensors):
+        if tensor.shape != shape:
+            raise ValueError(f"transition tensor must have shape {shape}, got {tensor.shape}")
+        problems = _transition_problems(tensor)
         if problems:
             raise ValueError(f"extra_dynamics[{i}] is not a transition tensor: {problems[0]}")
-    for _ in range(n_dynamics):
-        draw = rng.dirichlet(np.ones(mdp.n_states), size=(mdp.n_states, mdp.n_actions))
-        probe_mdps.append(replace(mdp, transition=draw))
+    draws = np.random.default_rng(seed).dirichlet(np.ones(mdp.n_states),
+                                                  size=(n_dynamics, *shape[:2]))
+    transition = np.concatenate([np.reshape(tensors, (-1, *shape)), draws])
     # rows: the candidate reward on each dynamics, then the ground truth on each
-    n = len(probe_mdps)
-    policies = _solve_stack(probe_mdps * 2, [reward] * n + [None] * n,
+    n = len(transition)
+    r_sa = np.concatenate([expected_state_action(reward, transition),
+                           expected_state_action(mdp.reward, transition)])
+    policies = _solve_stack(np.concatenate([transition, transition]), r_sa, mdp.discount,
                             entropy_weight=entropy_weight).policy
     in_argmax_set = policies >= policies.max(axis=-1, keepdims=True) - PROBE_TIE_TOL
     agreements = (in_argmax_set[:n] == in_argmax_set[n:]).all(axis=(1, 2))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irl_lab.mdp import RewardTable, paper_tabular_mdp, random_mdp
+from irl_lab.mdp import RewardTable, expected_state_action, paper_tabular_mdp, random_mdp
+from irl_lab.soft_rl import _solve_stack
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,12 @@ def assert_same_solution(row, alone):
         assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
     for name in ("iterations_used", "residual", "converged", "entropy_weight"):
         assert getattr(row, name) == getattr(alone, name), name
+
+
+def solve_rows(mdps, rewards, **kwargs):
+    """`_solve_stack` of (MDP, reward) pairs of one discount; a None reward is the MDP's own."""
+    transition = np.stack([mdp.transition for mdp in mdps])
+    r_sa = np.stack([expected_state_action(mdp.reward if reward is None else reward,
+                                           mdp.transition)
+                     for mdp, reward in zip(mdps, rewards)])
+    return _solve_stack(transition, r_sa, mdps[0].discount, **kwargs)

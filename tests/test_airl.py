@@ -38,6 +38,7 @@ from irl_lab.airl import (
 from irl_lab.mdp import (
     RewardTable,
     TabularMdp,
+    expected_state_action,
     paper_tabular_mdp,
     random_deterministic_mdp,
     random_mdp,
@@ -640,12 +641,13 @@ class TestStackedTraining:
         # NaN negatives at one iteration of one problem: problem 1 at 5, problem 3 at 2
         poisoned = {1: 5, 3: 2}
         calls = {}
+        # the problem that each row of the running stack trains
+        problems = []
         real_occupancies = irl_lab.airl._occupancies
 
-        def occupancies_with_nan(stack, policies):
-            rho = real_occupancies(stack, policies)
-            for row, mdp in enumerate(stack):
-                i = next(i for i, m in enumerate(mdps) if m is mdp)
+        def occupancies_with_nan(*args):
+            rho = real_occupancies(*args)
+            for row, i in enumerate(problems):
                 calls[i] = calls.get(i, -1) + 1
                 if poisoned.get(i) == calls[i]:
                     rho[row] = np.nan
@@ -655,13 +657,42 @@ class TestStackedTraining:
         config = LearnerConfig(iterations=8)
         for i, iteration in poisoned.items():
             calls.clear()
+            problems[:] = [i]
             with pytest.raises(DivergenceError) as err:
                 airl_train(mdps[i], demos[i], config)
             assert err.value.iteration == iteration
         calls.clear()
+        problems[:] = range(len(mdps))
         with pytest.raises(DivergenceError) as err:
             _airl_train_stack(mdps, demos, config)
         assert err.value.iteration == 2
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_policy_step_reward_is_the_per_row_collapse(self, monkeypatch, variant, n_rows):
+        # the policy step collapses the whole stack of f tables at once; each
+        # row must equal the one-table collapse of that problem's f
+        mdps, demos = stack_problems()
+        mdps.append(paper_tabular_mdp(4))
+        demos.append(occupancy(mdps[-1], soft_value_iteration(mdps[-1]).policy))
+        mdps, demos = mdps[:n_rows], demos[:n_rows]
+        fits, rewards = [], []
+        fit, solve = irl_lab.airl._Problem.fit, irl_lab.airl._solve_stack
+        monkeypatch.setattr(irl_lab.airl._Problem, "fit",
+                            lambda self, *args: fits.append(fit(self, *args)) or fits[-1])
+        monkeypatch.setattr(irl_lab.airl, "_solve_stack",
+                            lambda transition, r_sa, *args, **kwargs:
+                            rewards.append(r_sa) or solve(transition, r_sa, *args, **kwargs))
+        _airl_train_stack(mdps, demos, LearnerConfig(variant=variant, iterations=3))
+        assert len(fits) == len(rewards) == 3
+        for (g, h), r_sa in zip(fits, rewards):
+            assert r_sa.shape == (n_rows, 16, 4)
+            for i, mdp in enumerate(mdps):
+                kind = "state_only" if variant == "airl_state_only" else "state_action"
+                params = DiscriminatorParams(RewardTable(kind, g[i]), h[i], mdp.discount)
+                f = RewardTable("transition", f_table(params, 16, 4))
+                want = expected_state_action(f, mdp.transition)
+                assert r_sa[i].tobytes() == want.tobytes()
 
     def test_unconverged_policy_steps_name_their_problem(self, monkeypatch):
         # one warning per problem and iteration, each text distinct, so

@@ -841,6 +841,43 @@ class TestWrongTypedJson:
         assert set(tmp_path.rglob("*")) == before
 
 
+class TestNegativeSeeds:
+    """A negative seed exits 2 naming its key or flag, before any output is made."""
+
+    @pytest.mark.parametrize("argv, doc, named", [
+        pytest.param(["train"],
+                     dict(VALID_CONFIG, learner={"iterations": 2, "mode": "sampled", "seed": -1}),
+                     "seed must be non-negative", id="learner-seed-sampled"),
+        pytest.param(["train"],
+                     dict(VALID_CONFIG, learner={"iterations": 2, "mode": "exact_occupancy",
+                                                 "seed": -1}),
+                     "seed must be non-negative", id="learner-seed-exact"),
+        pytest.param(["train"], dict(VALID_CONFIG, mdp=dict(VALID_CONFIG["mdp"], seed=-3)),
+                     "'seed' in mdp (kind=random)", id="random-kind-seed"),
+        pytest.param(["train", "--seed", "-2"], VALID_CONFIG, "--seed", id="train-flag"),
+        pytest.param(["transfer"], dict(VALID_CONFIG, transfer={"test_seeds": [3, -4]}),
+                     "'test_seeds' in transfer", id="test-seeds"),
+        pytest.param(["generate", "--paper-tabular", "--seed", "-1", "-o", "run/mdp.json"],
+                     None, "--seed", id="generate-flag"),
+        pytest.param(["probe", "--mdp", "mdp.json", "--reward", "reward.json", "--seed", "-1",
+                      "--out", "run/probe.json"], None, "--seed", id="probe-flag"),
+        pytest.param(["reproduce-tabular", "--seeds", "-5", "--smoke", "--out", "run"], None,
+                     "--seeds", id="reproduce-seeds"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, argv, doc, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mdp.json").write_text(json.dumps(VALID_MDP))
+        (tmp_path / "reward.json").write_text(json.dumps(VALID_REWARD))
+        if doc is not None:
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            argv = [argv[0], "--config", "config.json", *argv[1:]]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert named in stderr and "non-negative" in stderr
+        assert "Traceback" not in stderr and stdout == ""
+        assert not (tmp_path / "run").exists()
+
+
 def refuse_constant(name):
     raise AssertionError(f"{name} is not a JSON number")
 

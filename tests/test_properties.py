@@ -20,10 +20,10 @@ from irl_lab.mdp import (
     reward_to_dict,
     save_mdp,
 )
-from irl_lab.soft_rl import (_solve_stack, evaluate_return, occupancy, sample_trajectories,
+from irl_lab.soft_rl import (_occupancies, evaluate_return, occupancy, sample_trajectories,
                              soft_value_iteration)
 
-from conftest import assert_same_solution
+from conftest import assert_same_solution, solve_rows
 from oracles import (enumerate_return, loop_occupancy, loop_return, loop_sample_trajectories,
                      loop_soft_value_iteration)
 
@@ -156,14 +156,46 @@ def solve_stacks(draw):
        entropy_weight=st.sampled_from([1.0, 0.3]))
 def test_stacked_solves_equal_single_calls(case, max_iters, entropy_weight):
     mdps, v_init = case
-    stack = _solve_stack(mdps, [None] * len(mdps), max_iters=max_iters,
-                         entropy_weight=entropy_weight, v_init=v_init)
+    stack = solve_rows(mdps, [None] * len(mdps), max_iters=max_iters,
+                       entropy_weight=entropy_weight, v_init=v_init)
     for i, mdp in enumerate(mdps):
         kwargs = {"max_iters": max_iters, "entropy_weight": entropy_weight,
                   "v_init": None if v_init is None else v_init[i]}
         alone = soft_value_iteration(mdp, **kwargs)
         assert_same_solution(stack.solution(i), alone)
         assert_same_solution(alone, loop_soft_value_iteration(mdp, **kwargs))
+
+
+@st.composite
+def occupancy_stacks(draw):
+    """One to five MDPs of one shape, discount and horizon, each with its own
+    start distribution and a policy, both with some entries exactly 0."""
+    n_states = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 4))
+    discount = draw(st.floats(0.0, 0.999))
+    horizon = draw(st.integers(1, 25))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_states, n_actions, n_states)
+    mdps, policies = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        mdps.append(TabularMdp(n_states, n_actions, _distributions(rng, shape, zero_frac),
+                               RewardTable("state_only", np.zeros(n_states)), discount,
+                               _distributions(rng, (n_states,), zero_frac), horizon))
+        policies.append(_distributions(rng, (n_states, n_actions), zero_frac))
+    return mdps, np.array(policies)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=occupancy_stacks())
+def test_stacked_occupancies_equal_single_calls(case):
+    mdps, policies = case
+    rho = _occupancies(np.stack([mdp.transition for mdp in mdps]),
+                       np.stack([mdp.initial_dist for mdp in mdps]), mdps[0].discount,
+                       mdps[0].horizon, policies)
+    assert rho.shape == (len(mdps),) + mdps[0].transition.shape
+    for mdp, policy, row in zip(mdps, policies, rho):
+        assert row.tobytes() == occupancy(mdp, policy).rho.tobytes()
 
 
 def _through_json(doc):

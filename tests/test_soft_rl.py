@@ -30,7 +30,7 @@ from irl_lab.soft_rl import (
     uniform_policy,
 )
 
-from conftest import assert_same_solution, small_random_mdps
+from conftest import assert_same_solution, small_random_mdps, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, loop_occupancy, loop_return,
                      loop_soft_value_iteration)
 
@@ -130,6 +130,10 @@ class TestSoftValueIteration:
             soft_value_iteration(tiny_mdp, entropy_weight=0.0)
         with pytest.raises(ValueError):
             soft_value_iteration(tiny_mdp, max_iters=0)
+        with pytest.raises(ValueError, match="^v_init must have one entry per state$"):
+            soft_value_iteration(tiny_mdp, v_init=np.zeros(4))
+        with pytest.raises(ValueError, match="reward contains non-finite entries"):
+            soft_value_iteration(tiny_mdp, RewardTable("state_only", [0.0, np.nan, 1.0]))
 
     @pytest.mark.parametrize("discount", [1.0, 1.5, -0.1, float("nan")])
     def test_discount_outside_unit_interval_rejected(self, tiny_mdp, discount):
@@ -195,7 +199,7 @@ class TestStackedSolves:
     def test_rows_equal_single_calls(self, warm, entropy_weight):
         mdps, rewards = zip(*stacked_solve_rows())
         v_init = np.random.default_rng(1).normal(size=(len(mdps), 16)) if warm else None
-        stack = _solve_stack(mdps, rewards, entropy_weight=entropy_weight, v_init=v_init)
+        stack = solve_rows(mdps, rewards, entropy_weight=entropy_weight, v_init=v_init)
         starts = v_init if warm else [None] * len(mdps)
         kwargs = [{"entropy_weight": entropy_weight, "v_init": v} for v in starts]
         alone = [soft_value_iteration(mdp, reward, **kw)
@@ -213,7 +217,7 @@ class TestStackedSolves:
         mdps, rewards = zip(*stacked_solve_rows()[:8])
         fixed = [soft_value_iteration(mdp, reward).v for mdp, reward in zip(mdps, rewards)]
         v_init = np.array([v if i % 2 else np.zeros(16) for i, v in enumerate(fixed)])
-        stack = _solve_stack(mdps, rewards, max_iters=3, v_init=v_init)
+        stack = solve_rows(mdps, rewards, max_iters=3, v_init=v_init)
         alone = [soft_value_iteration(mdp, reward, max_iters=3, v_init=v)
                  for mdp, reward, v in zip(mdps, rewards, v_init)]
         assert [solution.converged for solution in alone] == [False, True] * 4
@@ -222,17 +226,33 @@ class TestStackedSolves:
             assert_same_solution(stack.solution(i), solution)
 
     def test_stack_of_one_equals_the_call(self, bench_mdp):
-        stack = _solve_stack([bench_mdp], [None])
+        stack = solve_rows([bench_mdp], [None])
         assert stack.policy.shape == (1, 16, 4)
         assert_same_solution(stack.solution(0), soft_value_iteration(bench_mdp))
 
     def test_bad_stacks_rejected(self, bench_mdp):
-        with pytest.raises(ValueError, match="share their discount"):
-            _solve_stack([bench_mdp, replace(bench_mdp, discount=0.5)], [None, None])
-        with pytest.raises(ValueError, match="v_init"):
-            _solve_stack([bench_mdp, bench_mdp], [None, None], v_init=np.zeros(16))
-        with pytest.raises(ValueError, match="entropy_weight"):
-            _solve_stack([bench_mdp], [None], entropy_weight=0.0)
+        # the entry checks the whole stack once, with soft_value_iteration's messages
+        transition = np.stack([bench_mdp.transition] * 2)
+        r_sa = np.stack([expected_state_action(bench_mdp.reward, bench_mdp.transition)] * 2)
+        for weight in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="entropy_weight must be positive"):
+                _solve_stack(transition, r_sa, 0.9, entropy_weight=weight)
+        for discount in (1.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match=r"discount must lie in \[0, 1\)"):
+                _solve_stack(transition, r_sa, discount)
+        for bad in (np.inf, -np.inf, np.nan):
+            r_bad = r_sa.copy()
+            r_bad[1, 3, 2] = bad
+            with pytest.raises(ValueError, match="reward contains non-finite entries"):
+                _solve_stack(transition, r_bad, 0.9)
+        for v_init in (np.zeros(16), np.zeros((1, 16)), np.zeros((2, 15))):
+            with pytest.raises(ValueError,
+                               match="v_init must have one row per solve and one entry per state"):
+                _solve_stack(transition, r_sa, 0.9, v_init=v_init)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            _solve_stack(transition, r_sa, 0.9, tolerance=0.0)
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            _solve_stack(transition, r_sa, 0.9, max_iters=0)
 
 
 class TestSoftBackup:
@@ -284,7 +304,8 @@ class TestOccupancy:
         mdps.append(random_deterministic_mdp(16, 4, mdps[0].reward, 7))
         rng = np.random.default_rng(3)
         policies = rng.dirichlet(np.ones(4), size=(len(mdps), 16))
-        rho = _occupancies(mdps, policies)
+        rho = _occupancies(np.stack([mdp.transition for mdp in mdps]),
+                           np.stack([mdp.initial_dist for mdp in mdps]), 0.9, 20, policies)
         assert rho.shape == (5, 16, 4, 16)
         for mdp, policy, row in zip(mdps, policies, rho):
             assert row.tobytes() == occupancy(mdp, policy).rho.tobytes()

@@ -111,3 +111,16 @@ class TestBenchPairs:
             bench_pairs.parse_seeds("5-4")
         with pytest.raises(ValueError):
             bench_pairs.summarize([{"a": 1.0}], [], {})
+
+
+class TestSolvePairs:
+    def test_checkout_against_itself(self, capsys):
+        solve_pairs = load_tool("solve_pairs")
+        checkout = TOOLS.parent
+        assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "3 rounds, times per solve (cold, warm) and per probe call"
+        assert [line.split(":")[0] for line in lines[1:]] == ["cold", "warm", "probe"]
+        for line in lines[1:]:
+            ratio = float(line.rsplit("median per-round ratio ", 1)[1])
+            assert 0 < ratio < 10

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import irl_lab.transfer
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +11,8 @@ from irl_lab.mdp import (
     TabularMdp,
     counterexample_mdp,
     counterexample_shaped_reward,
+    expected_state_action,
+    paper_tabular_mdp,
     random_deterministic_mdp,
     random_mdp,
 )
@@ -318,6 +321,38 @@ class TestDisentanglementProbe:
         with pytest.raises(ValueError, match=rf"extra_dynamics\[1\] is not a transition "
                                              rf"tensor: transition row \(s=0, a=0\) {problem}"):
             disentanglement_probe(tiny_mdp, tiny_mdp.reward, 2, seed=0, extra_dynamics=tensors)
+
+    def test_mis_shaped_extra_dynamics_rejected(self, tiny_mdp):
+        with pytest.raises(ValueError, match=r"transition tensor must have shape \(3, 2, 3\), "
+                                             r"got \(3, 2, 2\)"):
+            disentanglement_probe(tiny_mdp, tiny_mdp.reward, 1, seed=0,
+                                  extra_dynamics=(tiny_mdp.transition[..., :2],))
+
+    @pytest.mark.parametrize("n_dynamics", [1, 5, 50])
+    def test_solved_dynamics_are_the_sequential_draws(self, monkeypatch, n_dynamics):
+        # the probe stacks [candidate x dynamics, truth x dynamics]; its draws
+        # come from one Dirichlet call and must equal one call per dynamics
+        mdp = paper_tabular_mdp(3)
+        reward = RewardTable("transition", np.random.default_rng(0).normal(size=(16, 4, 16)))
+        extra = [random_deterministic_mdp(16, 4, mdp.reward, j).transition for j in range(2)]
+        stacks = []
+        solve = irl_lab.transfer._solve_stack
+        monkeypatch.setattr(irl_lab.transfer, "_solve_stack",
+                            lambda *args, **kwargs: stacks.append(args) or solve(*args, **kwargs))
+        for seed in range(3):
+            stacks.clear()
+            disentanglement_probe(mdp, reward, n_dynamics, seed, extra_dynamics=extra)
+            ((transition, r_sa, discount),) = stacks
+            rng = np.random.default_rng(seed)
+            dynamics = extra + [rng.dirichlet(np.ones(16), size=(16, 4))
+                                for _ in range(n_dynamics)]
+            assert transition.shape == (2 * len(dynamics), 16, 4, 16)
+            assert discount == mdp.discount
+            for i, tensor in enumerate(dynamics):
+                for row, table in ((i, reward), (i + len(dynamics), mdp.reward)):
+                    assert transition[row].tobytes() == tensor.tobytes()
+                    want = expected_state_action(table, tensor)
+                    assert r_sa[row].tobytes() == want.tobytes()
 
     def test_negative_count_rejected_next_to_extra_dynamics(self, tiny_mdp):
         with pytest.raises(ValueError):

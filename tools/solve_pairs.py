@@ -1,0 +1,131 @@
+"""Time the soft solver of two checkouts in one process, in alternating rounds.
+
+    python3 tools/solve_pairs.py PARENT_DIR CHANGE_DIR [--rounds N]
+
+Loads each checkout's `src/irl_lab` under its own package name (its relative
+imports resolve inside that name), so both run in one interpreter on the same
+CPU.  Each round times, on each side:
+
+- `cold`: one-row `soft_value_iteration` on `paper_tabular_mdp` seeds 0-7,
+  from zero values;
+- `warm`: the same solves started from the soft values of the reward scaled by
+  0.9, as a training round's policy step starts from the last round's;
+- `probe`: one `disentanglement_probe` shaped like a `reopt-probe` repetition
+  of `perfbench/`: seed 3's MDP and shaped reward, 8 Dirichlet draws and 4
+  one-successor dynamics.
+
+A round times each call REPEATS times per side, the two sides taking turns,
+and keeps each side's fastest, which drops most interruptions by other
+processes.  Even rounds start with the parent, odd rounds with the change.
+For each timing it prints each side's median and fastest round (per solve,
+or per probe call) and the median over rounds of the change's time over the
+parent's.  Pin the process to one CPU (`taskset -c 0`) for steady numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = range(8)
+REPEATS = 5
+# (Dirichlet draws, one-successor dynamics) of the probe, as in a reopt-probe repetition
+PROBE_SEED, PROBE_DENSE, PROBE_DETERMINISTIC = 3, 8, 4
+
+
+def load(checkout: Path, name: str):
+    """The package in `checkout`/src/irl_lab, imported as `name`."""
+    root = checkout.resolve() / "src" / "irl_lab"
+    spec = importlib.util.spec_from_file_location(name, root / "__init__.py",
+                                                  submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def timings(lab) -> dict:
+    """Name -> (call, how many solves one call makes) for one side's package."""
+    mdps = [lab.paper_tabular_mdp(seed) for seed in SEEDS]
+    starts = [lab.soft_value_iteration(m, lab.RewardTable("state_only", 0.9 * m.reward.values)).v
+              for m in mdps]
+    mdp = lab.paper_tabular_mdp(PROBE_SEED)
+    potential = lab.PotentialFn(np.random.default_rng(PROBE_SEED).normal(size=mdp.n_states))
+    shaped = lab.shape_reward(mdp.reward, potential, mdp.discount, n_actions=mdp.n_actions)
+    extra = [lab.random_deterministic_mdp(mdp.n_states, mdp.n_actions, mdp.reward,
+                                          5000 + 100 * PROBE_SEED + j).transition
+             for j in range(PROBE_DETERMINISTIC)]
+
+    def cold():
+        for m in mdps:
+            lab.soft_value_iteration(m)
+
+    def warm():
+        for m, v in zip(mdps, starts):
+            lab.soft_value_iteration(m, v_init=v)
+
+    def probe():
+        lab.disentanglement_probe(mdp, shaped, PROBE_DENSE, PROBE_SEED, extra_dynamics=extra)
+
+    return {"cold": (cold, len(mdps)), "warm": (warm, len(mdps)), "probe": (probe, 1)}
+
+
+def run(sides: dict, rounds: int) -> dict:
+    """Seconds per solve (or probe call): {timing: {side: [one value per round]}}."""
+    calls = {side: timings(lab) for side, lab in sides.items()}
+    names = list(sides)
+    times = {timing: {side: [] for side in names} for timing in calls[names[0]]}
+    for timing in times:
+        for side in names:
+            calls[side][timing][0]()  # warm up
+    for i in range(rounds):
+        order = names if i % 2 == 0 else names[::-1]
+        for timing in times:
+            fastest = dict.fromkeys(names, float("inf"))
+            for _ in range(REPEATS):
+                for side in order:
+                    call, solves = calls[side][timing]
+                    start = time.perf_counter()
+                    call()
+                    fastest[side] = min(fastest[side], (time.perf_counter() - start) / solves)
+            for side in names:
+                times[timing][side].append(fastest[side])
+    return times
+
+
+def summary(times: dict) -> str:
+    lines = []
+    for timing, by_side in times.items():
+        parent, change = by_side["parent"], by_side["change"]
+        ratio = statistics.median(c / p for p, c in zip(parent, change))
+        unit, scale = ("ms", 1e3) if timing == "probe" else ("us", 1e6)
+        lines.append(
+            f"{timing}: parent median {statistics.median(parent) * scale:.1f} {unit} "
+            f"(fastest {min(parent) * scale:.1f}), change median "
+            f"{statistics.median(change) * scale:.1f} {unit} (fastest {min(change) * scale:.1f}), "
+            f"median per-round ratio {ratio:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--rounds", type=int, default=60)
+    args = parser.parse_args(argv)
+    sides = {"parent": load(args.parent, "irl_lab_parent"),
+             "change": load(args.change, "irl_lab_change")}
+    times = run(sides, args.rounds)
+    print(f"{args.rounds} rounds, times per solve (cold, warm) and per probe call")
+    print(summary(times), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
