@@ -509,33 +509,39 @@ class AirlResult(NamedTuple):
     history: TrainingHistory
 
 
-def airl_train(mdp: TabularMdp, demos, config: LearnerConfig) -> AirlResult:
+def _stack_of(mdp, entry: str) -> tuple[list[TabularMdp], bool]:
+    """(the MDPs, whether `mdp` was one MDP) for an entry that takes one or a sequence,
+    which must be non-empty and share state and action counts, discount and horizon."""
+    mdps = [mdp] if isinstance(mdp, TabularMdp) else list(mdp)
+    if not mdps:
+        raise ValueError(f"{entry} got an empty stack of MDPs")
+    shared = {(m.n_states, m.n_actions, m.discount, m.horizon) for m in mdps}
+    if len(shared) > 1:
+        raise ValueError("stacked MDPs must share state and action counts, discount and horizon")
+    return mdps, isinstance(mdp, TabularMdp)
+
+
+def airl_train(mdp: TabularMdp | Sequence[TabularMdp], demos,
+               config: LearnerConfig) -> AirlResult | list[AirlResult]:
     """Alternate discriminator gradient steps with soft policy re-solves.
 
-    `demos` may be an exact expert occupancy, a transition batch, or a list of
-    trajectories.  In exact_occupancy mode negatives are the current policy's
-    exact occupancy; in sampled mode they are rollouts pooled over the last
-    `replay_window` iterations.  Raises DivergenceError if parameters stop
-    being finite.
-    """
-    (result,) = _airl_train_stack([mdp], [demos], config)
-    return result
-
-
-def _airl_train_stack(mdps: Sequence[TabularMdp], demos: Sequence,
-                      config: LearnerConfig) -> list[AirlResult]:
-    """`airl_train` on each (MDP, demos) pair, trained as one stack.
-
-    Each result equals its own `airl_train` call bit for bit.  The MDPs must
-    share their state and action counts, discount and horizon; sampled mode
-    takes one MDP.
+    `mdp` is one TabularMdp, giving one AirlResult, or a sequence of MDPs that
+    share state and action counts, discount and horizon, trained as one stack
+    and giving a list whose entries each equal their own one-MDP call bit for
+    bit.  `demos` (one per MDP of a sequence) may be an exact expert
+    occupancy, a transition batch, or a list of trajectories.  In
+    exact_occupancy mode negatives are the current policy's exact occupancy;
+    in sampled mode, which trains one MDP, they are rollouts pooled over the
+    last `replay_window` iterations.  Raises DivergenceError if parameters
+    stop being finite.
     """
     if config.variant not in ("airl_state_only", "airl_state_action"):
         raise ValueError("airl_train handles the airl_* variants only")
+    mdps, single = _stack_of(mdp, "airl_train")
+    demos = [demos] if single else list(demos)
+    if len(demos) != len(mdps):
+        raise ValueError(f"a stack of {len(mdps)} MDPs needs as many demos, got {len(demos)}")
     n_states, n_actions, gamma = mdps[0].n_states, mdps[0].n_actions, mdps[0].discount
-    shared = (n_states, n_actions, gamma, mdps[0].horizon)
-    if any((m.n_states, m.n_actions, m.discount, m.horizon) != shared for m in mdps):
-        raise ValueError("stacked MDPs must share state and action counts, discount and horizon")
     weights = [_as_weights(d, n_states, n_actions) for d in demos]
     if any(w.sum() <= 0 for w in weights):
         raise ValueError("demonstrations carry no mass")
@@ -560,8 +566,9 @@ def _airl_train_stack(mdps: Sequence[TabularMdp], demos: Sequence,
         lambda states, actions: _cell_counts(states, actions, n_states, n_actions)[None],
         problem, rewards,
     )
-    return [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
-            for g, h, policy, history in zip(*theta, policies, histories)]
+    results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
+               for g, h, policy, history in zip(*theta, policies, histories)]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .shaping import centered_reward_error
 from .transfer import (
     REPRODUCTION_CRITERIA,
     disentanglement_probe,
-    _recover_stack,
     evaluate_on_new_dynamics,
     expert_demos,
     run_recovery,
@@ -468,7 +467,7 @@ def _reproduce_seeds(seeds: list[int], iterations: int, disc_steps: int,
     learner = LearnerConfig(mode="exact_occupancy", iterations=iterations,
                             disc_steps_per_iter=disc_steps, disc_step_size=step_size)
     for variant in _VARIANT_LABELS:
-        recoveries = _recover_stack(train_mdps, variant, learner)
+        recoveries = run_recovery(train_mdps, variant, learner)
         for out, test_mdp, recovery in zip(per_seed, test_mdps, recoveries):
             evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
             out["variants"][variant] = {

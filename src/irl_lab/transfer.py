@@ -9,11 +9,12 @@ shaping table h and the combined f stay behind.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .airl import DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack, f_table
+from .airl import (DiscriminatorParams, LearnerConfig, TrainingHistory, _stack_of, airl_train,
+                   f_table)
 from .mdp import RewardTable, TabularMdp, _transition_problems, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
@@ -89,30 +90,21 @@ class RecoveryResult(NamedTuple):
     f_advantage_error: float
 
 
-def run_recovery(
-    mdp: TabularMdp,
-    variant: str,
-    config: LearnerConfig,
-    *,
-    n_expert_trajectories: int = 64,
-) -> RecoveryResult:
+def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str, config: LearnerConfig,
+                 *, n_expert_trajectories: int = 64) -> RecoveryResult | list[RecoveryResult]:
     """Train on the MDP's own expert and measure reward recovery.
 
     recovery_error is the mean-centered sup-norm gap between the learned g and
     the ground truth; f_advantage_error is the sup-norm gap between the full f
     table and the expert's soft advantage, the quantity the state_action
     variant collapses onto.
+
+    `mdp` is one TabularMdp, which returns one RecoveryResult, or a sequence
+    of them, which returns a list: the experts are solved as one stack (each
+    is `expert_demos`' solution) and trained as one stack by `airl_train`, so
+    each entry equals its own one-MDP call bit for bit.
     """
-    (result,) = _recover_stack([mdp], variant, config, n_expert_trajectories)
-    return result
-
-
-def _recover_stack(mdps: list[TabularMdp], variant: str, config: LearnerConfig,
-                   n_expert_trajectories: int = 64) -> list[RecoveryResult]:
-    """`run_recovery` on each MDP, trained as one stack by `airl._airl_train_stack`.
-
-    The experts are solved as one stack too; each is `expert_demos`' solution.
-    """
+    mdps, single = _stack_of(mdp, "run_recovery")
     config = replace(config, variant=variant)
     transition = np.stack([mdp.transition for mdp in mdps])
     r_sa = np.stack([expected_state_action(mdp.reward, mdp.transition) for mdp in mdps])
@@ -121,14 +113,14 @@ def _recover_stack(mdps: list[TabularMdp], variant: str, config: LearnerConfig,
     experts = [solves.solution(i) for i in range(len(mdps))]
     demos = [_demos(mdp, expert.policy, config.mode, n_expert_trajectories, config.seed)
              for mdp, expert in zip(mdps, experts)]
-    results = _airl_train_stack(mdps, demos, config)
+    results = airl_train(mdps, demos, config)
     recoveries = []
     for mdp, expert, (params, policy, history) in zip(mdps, experts, results):
         error = centered_reward_error(params.g, mdp.reward, mdp.transition)
         f = f_table(params, mdp.n_states, mdp.n_actions)
         f_adv_error = float(np.max(np.abs(f - advantage(expert)[:, :, None])))
         recoveries.append(RecoveryResult(error, history, params, policy, f_adv_error))
-    return recoveries
+    return recoveries[0] if single else recoveries
 
 
 class NewDynamicsEval(NamedTuple):

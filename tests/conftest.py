@@ -1,14 +1,36 @@
+import time
+
 import numpy as np
 import pytest
 
-from irl_lab.mdp import RewardTable, expected_state_action, paper_tabular_mdp, random_mdp
+from irl_lab.airl import LearnerConfig
+from irl_lab.mdp import (RewardTable, expected_state_action, paper_tabular_mdp,
+                         random_deterministic_mdp, random_mdp)
 from irl_lab.soft_rl import _solve_stack
+from irl_lab.transfer import run_recovery
 
 
 @pytest.fixture(scope="session")
 def bench_mdp():
     """The 16-state, 4-action benchmark instance used across suites."""
     return paper_tabular_mdp(seed=7)
+
+
+@pytest.fixture(scope="session")
+def deterministic_recoveries():
+    """Criterion 4's converged state-only runs, trained as one stack.
+
+    Five deterministic, decomposable 16-state MDPs (seeds 0-4, reward 1 at
+    state 0), 2,500 iterations of 20 steps of size 0.2.  Returns (mdps,
+    recoveries, seconds spent training); row 0 is `test_transfer`'s
+    deterministic benchmark.
+    """
+    mdps = [random_deterministic_mdp(16, 4, RewardTable("state_only", np.eye(16)[0]), seed)
+            for seed in range(5)]
+    config = LearnerConfig(iterations=2500, disc_steps_per_iter=20, disc_step_size=0.2)
+    start = time.perf_counter()
+    recoveries = run_recovery(mdps, "airl_state_only", config)
+    return mdps, recoveries, time.perf_counter() - start
 
 
 @pytest.fixture

@@ -88,21 +88,17 @@ def benchmark_runs():
     """Both variants trained on five benchmark seeds, with test-MDP evaluations.
 
     Shared by the recovery and transfer criteria so each training run happens
-    once.  Returns ({variant: [(recovery, evaluation), ...]}, elapsed seconds).
+    once; each variant trains its seeds as one stack.  Returns
+    ({variant: [(recovery, evaluation), ...]}, elapsed seconds).
     """
     start = time.perf_counter()
+    train_mdps = [paper_tabular_mdp(seed) for seed in SEEDS]
+    test_mdps = [paper_tabular_mdp(seed + TEST_SEED_OFFSET) for seed in SEEDS]
     runs = {}
     for variant in ("airl_state_only", "airl_state_action"):
-        rows = []
-        for seed in SEEDS:
-            train_mdp = paper_tabular_mdp(seed)
-            test_mdp = paper_tabular_mdp(seed + TEST_SEED_OFFSET)
-            recovery = run_recovery(
-                train_mdp, variant, LearnerConfig(variant=variant, **BENCH_ITERS)
-            )
-            evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
-            rows.append((recovery, evaluation))
-        runs[variant] = rows
+        recoveries = run_recovery(train_mdps, variant, LearnerConfig(variant=variant, **BENCH_ITERS))
+        runs[variant] = [(recovery, evaluate_on_new_dynamics(test_mdp, recovery.params.g))
+                         for test_mdp, recovery in zip(test_mdps, recoveries)]
     return runs, time.perf_counter() - start
 
 
@@ -173,25 +169,20 @@ def test_criterion_3_shaped_reward_fails_off_its_dynamics(report):
     assert report(3, ok, detail), detail
 
 
-def test_criterion_4_deterministic_fixed_point(report):
+def test_criterion_4_deterministic_fixed_point(deterministic_recoveries, report):
+    # the five MDPs train as one stack in the session fixture; its training
+    # time counts toward this criterion's
+    mdps, recoveries, trained_s = deterministic_recoveries
     start = time.perf_counter()
     g_errors, h_errors = [], []
-    for seed in SEEDS:
-        mdp = random_deterministic_mdp(16, 4, state_reward(16), seed)
+    for mdp, recovery in zip(mdps, recoveries):
         assert decomposability_check(mdp).is_decomposable
-        config = LearnerConfig(
-            variant="airl_state_only",
-            iterations=2500,
-            disc_steps_per_iter=20,
-            disc_step_size=0.2,
-        )
-        recovery = run_recovery(mdp, "airl_state_only", config)
         solution = soft_value_iteration(mdp)
         g_errors.append(
             centered_sup_distance(recovery.params.g.values, mdp.reward.values)
         )
         h_errors.append(centered_sup_distance(recovery.params.h, solution.v))
-    elapsed = time.perf_counter() - start
+    elapsed = trained_s + time.perf_counter() - start
     ok = max(g_errors) <= 0.1 and max(h_errors) <= 0.1 and elapsed <= 120.0
     detail = (
         f"max |g - r*| {max(g_errors):.4f}, max |h - V*| {max(h_errors):.4f} "

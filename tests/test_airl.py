@@ -16,7 +16,6 @@ from irl_lab.airl import (
     LearnerConfig,
     TrajectoryScorer,
     TransitionBatch,
-    _airl_train_stack,
     _cell_counts,
     _episode_counts,
     _episode_problem,
@@ -605,13 +604,13 @@ def stack_problems():
 
 
 class TestStackedTraining:
-    """`_airl_train_stack`: several exact-mode problems through the one loop at once."""
+    """`airl_train`'s sequence form: several exact-mode problems trained as one stack."""
 
     @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
     def test_each_problem_equals_its_own_run(self, variant):
         mdps, demos = stack_problems()
         config = LearnerConfig(variant=variant, iterations=30, disc_step_size=0.2)
-        stacked = _airl_train_stack(mdps, demos, config)
+        stacked = airl_train(mdps, demos, config)
         assert len(stacked) == len(mdps)
         names = ("iteration", "disc_loss", "true_return", "reward_error", "g_delta",
                  "vi_steps_cumulative")
@@ -633,7 +632,7 @@ class TestStackedTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="iteration 0") as err:
-                _airl_train_stack(mdps, demos, LearnerConfig(variant=variant, iterations=3))
+                airl_train(mdps, demos, LearnerConfig(variant=variant, iterations=3))
         assert err.value.iteration == 0
 
     def test_the_earliest_divergence_stops_the_stack(self, monkeypatch):
@@ -664,7 +663,7 @@ class TestStackedTraining:
         calls.clear()
         problems[:] = range(len(mdps))
         with pytest.raises(DivergenceError) as err:
-            _airl_train_stack(mdps, demos, config)
+            airl_train(mdps, demos, config)
         assert err.value.iteration == 2
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5])
@@ -683,7 +682,7 @@ class TestStackedTraining:
         monkeypatch.setattr(irl_lab.airl, "_solve_stack",
                             lambda transition, r_sa, *args, **kwargs:
                             rewards.append(r_sa) or solve(transition, r_sa, *args, **kwargs))
-        _airl_train_stack(mdps, demos, LearnerConfig(variant=variant, iterations=3))
+        airl_train(mdps, demos, LearnerConfig(variant=variant, iterations=3))
         assert len(fits) == len(rewards) == 3
         for (g, h), r_sa in zip(fits, rewards):
             assert r_sa.shape == (n_rows, 16, 4)
@@ -702,7 +701,7 @@ class TestStackedTraining:
         monkeypatch.setattr(irl_lab.airl, "_solve_stack",
                             lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
         with pytest.warns(RuntimeWarning) as caught:
-            _airl_train_stack(mdps, demos, LearnerConfig(iterations=2))
+            airl_train(mdps, demos, LearnerConfig(iterations=2))
         assert [str(w.message).split(" (residual ")[0] for w in caught] == [
             f"policy step of problem {i} did not converge at iteration {k}"
             for k in range(2) for i in range(len(mdps))
@@ -712,14 +711,26 @@ class TestStackedTraining:
     def test_problems_must_share_discount_and_horizon(self, other):
         mdps, demos = stack_problems()
         with pytest.raises(ValueError, match="discount and horizon"):
-            _airl_train_stack([mdps[0], paper_tabular_mdp(3, **other)], demos[:2],
-                              LearnerConfig(iterations=1))
+            airl_train([mdps[0], paper_tabular_mdp(3, **other)], demos[:2],
+                       LearnerConfig(iterations=1))
 
     def test_sampled_mode_trains_one_problem(self, tiny_mdp):
         demos = sample_trajectories(tiny_mdp, soft_value_iteration(tiny_mdp).policy, 8, seed=0)
         with pytest.raises(ValueError, match="one problem"):
-            _airl_train_stack([tiny_mdp, tiny_mdp], [demos, demos],
-                              LearnerConfig(mode="sampled", iterations=1))
+            airl_train([tiny_mdp, tiny_mdp], [demos, demos],
+                       LearnerConfig(mode="sampled", iterations=1))
+
+    @pytest.mark.parametrize("n_demos", [1, 4])
+    def test_demos_must_match_the_stack(self, n_demos):
+        # one demos entry per MDP: a single (1, S, A, S) expert tensor would
+        # otherwise broadcast over the whole stack and train every problem on it
+        mdps, demos = stack_problems()
+        with pytest.raises(ValueError, match=f"a stack of 3 MDPs needs as many demos, got {n_demos}"):
+            airl_train(mdps[:3], demos[:n_demos], LearnerConfig(iterations=1))
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(ValueError, match="airl_train got an empty stack"):
+            airl_train([], [], LearnerConfig(iterations=1))
 
 
 def eager_history(mdp, history):

@@ -45,18 +45,16 @@ def deterministic_bench(seed=0):
 
 
 @pytest.fixture(scope="module")
-def det_recovery():
-    """One converged state-only run on a deterministic, decomposable MDP.
+def det_recovery(deterministic_recoveries):
+    """One converged state-only run on `deterministic_bench()`: 2,500 iterations
+    of 20 steps of size 0.2.
 
-    Shared across the tests below because the run dominates module runtime.
+    Row 0 of the session's deterministic stack, shared with criterion 4 so
+    that the run, which dominates module runtime, happens once.
     """
-    mdp = deterministic_bench()
-    result = run_recovery(
-        mdp,
-        "airl_state_only",
-        LearnerConfig(iterations=2500, disc_steps_per_iter=20, disc_step_size=0.2),
-    )
-    return mdp, result
+    mdps, recoveries, _ = deterministic_recoveries
+    assert mdps[0].transition.tobytes() == deterministic_bench().transition.tobytes()
+    return mdps[0], recoveries[0]
 
 
 class TestExpertDemos:
@@ -232,6 +230,39 @@ class TestRunRecovery:
         config = LearnerConfig(variant="airl_state_only", iterations=5)
         result = run_recovery(tiny_mdp, "airl_state_action", config)
         assert result.params.g.kind == "state_action"
+
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_stacked_form_equals_each_one_mdp_call(self, variant):
+        # dense paper-tabular seeds and one deterministic MDP in one stack
+        mdps = [paper_tabular_mdp(seed) for seed in range(5)] + [deterministic_bench()]
+        config = LearnerConfig(iterations=20, disc_step_size=0.2)
+        stacked = run_recovery(mdps, variant, config)
+        assert len(stacked) == len(mdps)
+        for mdp, row in zip(mdps, stacked):
+            alone = run_recovery(mdp, variant, config)
+            assert row.recovery_error == alone.recovery_error
+            assert row.f_advantage_error == alone.f_advantage_error
+            assert row.params.g.kind == alone.params.g.kind
+            assert row.params.g.values.tobytes() == alone.params.g.values.tobytes()
+            assert row.params.h.tobytes() == alone.params.h.tobytes()
+            assert row.policy.tobytes() == alone.policy.tobytes()
+            for name in alone.history._columns():
+                assert (row.history.column(name).tobytes()
+                        == alone.history.column(name).tobytes()), name
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(ValueError, match="run_recovery got an empty stack"):
+            run_recovery([], "airl_state_only", LearnerConfig(iterations=1))
+
+    @pytest.mark.parametrize("other", [
+        paper_tabular_mdp(1, discount=0.8),
+        random_mdp(4, 4, RewardTable("state_only", np.eye(4)[0]), seed=2),
+    ])
+    def test_stack_must_share_its_shape_and_discount(self, other):
+        # refused before any expert is solved, by the message airl_train gives
+        with pytest.raises(ValueError, match="share state and action counts, discount"):
+            run_recovery([paper_tabular_mdp(0), other], "airl_state_only",
+                         LearnerConfig(iterations=1))
 
     def test_deterministic_decomposable_recovery(self, det_recovery):
         # in the regime where the reward/shaping split is identified
