@@ -34,7 +34,11 @@ def _soft_backup(q: np.ndarray, w: float) -> np.ndarray:
 
     Broadcasts over leading axes.  Each row is shifted by its maximum before
     exponentiating, so no term overflows and the largest one is exactly 1.
+    At w == 1 the division and the product are skipped: both are exact no-ops.
     """
+    if w == 1.0:
+        z_max = q.max(axis=-1)
+        return z_max + np.log(np.exp(q - z_max[..., None]).sum(axis=-1))
     z = q / w
     z_max = z.max(axis=-1)
     return w * (z_max + np.log(np.exp(z - z_max[..., None]).sum(axis=-1)))
@@ -44,9 +48,12 @@ def _soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
     """Max-ent policy exp((q - v) / w) of a backup, rows renormalized to 1.
 
     Broadcasts over leading axes: a (K, S, A) stack of q with a (K, S) stack
-    of v gives K policies.
+    of v gives K policies.  At w == 1 the exact division by w is skipped.
     """
-    policy = np.exp((q - v[..., None]) / w)
+    policy = q - v[..., None]
+    if w != 1.0:
+        policy /= w
+    np.exp(policy, out=policy)
     policy /= policy.sum(axis=-1, keepdims=True)
     return policy
 

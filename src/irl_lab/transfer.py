@@ -8,6 +8,7 @@ shaping table h and the combined f stay behind.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 from typing import NamedTuple, Sequence
 
@@ -146,6 +147,60 @@ class NewDynamicsEval(NamedTuple):
         return normalized_score(self.returns)
 
 
+def _sweep_policies(mdp: TabularMdp, reward: RewardTable, entropy_weight: float = 1.0,
+                    tolerance: float = 1e-8, max_iters: int = 10_000) -> np.ndarray:
+    """The softmax policy of each sweep of plain soft value iteration on `reward`,
+    as a (sweeps, S, A) stack, up to the first sweep within `tolerance`.
+
+    Each sweep's q and v go into buffers that double when full.  Convergence
+    is tested once per chunk of 1, 2, 4, ... up to 32 sweeps, by one
+    |v_k - v_{k-1}| maximum over the chunk; sweeps computed past the first one
+    within tolerance are dropped.  Maximum and subtraction are exact, so each
+    kept sweep and the stopping sweep are those of a loop that tests every
+    sweep.  Warns when `max_iters` sweeps end above tolerance.  The arguments
+    are checked as `soft_value_iteration` checks them.
+    """
+    r_sa = expected_state_action(reward, mdp.transition)
+    v0 = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight)
+    transition, discount = mdp.transition, mdp.discount
+    capacity = min(max_iters, 256)
+    qs = np.empty((capacity,) + r_sa.shape)
+    # vs[k] is the value table after k sweeps; vs[0] is the start
+    vs = np.empty((capacity + 1,) + v0.shape)
+    vs[0] = v0
+    tv = np.empty_like(r_sa)
+    done, chunk = 0, 1
+    while True:
+        end = min(done + chunk, max_iters)
+        if end > capacity:
+            capacity = min(2 * capacity, max_iters)
+            qs, vs = _grown(qs, capacity), _grown(vs, capacity + 1)
+        for k in range(done, end):
+            np.matmul(transition, vs[k], out=tv)
+            np.multiply(tv, discount, out=tv)
+            np.add(r_sa, tv, out=qs[k])
+            vs[k + 1] = _soft_backup(qs[k], entropy_weight)
+        residuals = np.abs(vs[done + 1:end + 1] - vs[done:end]).max(axis=-1)
+        within = np.flatnonzero(residuals <= tolerance)
+        if len(within):
+            done += int(within[0]) + 1
+            break
+        done = end
+        if done == max_iters:
+            warnings.warn(f"plain value iteration did not converge in {done} sweeps "
+                          f"(residual {residuals[-1]:.3g})", RuntimeWarning, stacklevel=3)
+            break
+        chunk = min(2 * chunk, 32)
+    return _soft_policy(qs[:done], vs[1:done + 1], entropy_weight)
+
+
+def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
+    """A buffer of `rows` rows whose first rows are a copy of `buffer`."""
+    grown = np.empty((rows,) + buffer.shape[1:])
+    grown[:len(buffer)] = buffer
+    return grown
+
+
 def reoptimize_with_curve(
     mdp: TabularMdp,
     reward: RewardTable,
@@ -159,27 +214,19 @@ def reoptimize_with_curve(
     Returns (policy, curve) where curve lists (cumulative sweeps, ground-truth
     return of that sweep's softmax policy) up to convergence.  The curve is
     defined per sweep of plain value iteration, so this loop does not take
-    `soft_value_iteration`'s policy-evaluation steps.  The loop only keeps
-    each sweep's backup; the softmax policies are built as one stack after
-    it and scored by one stacked `evaluate_return` call.  The arguments are
-    checked as `soft_value_iteration` checks them.
+    `soft_value_iteration`'s policy-evaluation steps.  The sweeps' softmax
+    policies come from `_sweep_policies` and are scored by one stacked
+    `evaluate_return` call.  The arguments are checked as
+    `soft_value_iteration` checks them; reaching `max_iters` above
+    `tolerance` warns.
     """
-    r_sa = expected_state_action(reward, mdp.transition)
-    v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight)
-    qs, vs = [], []
-    for _ in range(max_iters):
-        q = r_sa + mdp.discount * (mdp.transition @ v)
-        v_new = _soft_backup(q, entropy_weight)
-        residual = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        qs.append(q)
-        vs.append(v)
-        if residual <= tolerance:
-            break
-    policies = _soft_policy(np.stack(qs), np.stack(vs), entropy_weight)
-    returns = evaluate_return(mdp, policies, mdp.reward)
-    curve = tuple(enumerate(returns.tolist(), start=1))
-    return policies[-1].copy(), curve
+    policies = _sweep_policies(mdp, reward, entropy_weight, tolerance, max_iters)
+    return policies[-1].copy(), _curve(evaluate_return(mdp, policies, mdp.reward))
+
+
+def _curve(returns: np.ndarray) -> tuple[tuple[int, float], ...]:
+    """(sweep, return) pairs, numbered from 1, of each sweep's return."""
+    return tuple(enumerate(returns.tolist(), start=1))
 
 
 def evaluate_on_new_dynamics(
@@ -188,18 +235,30 @@ def evaluate_on_new_dynamics(
     *,
     entropy_weight: float = 1.0,
 ) -> NewDynamicsEval:
-    """Re-optimize a learned reward on a test MDP and collect reference returns."""
-    reopt_policy, curve = reoptimize_with_curve(
-        test_mdp, learned_reward, entropy_weight=entropy_weight
-    )
-    optimal = soft_value_iteration(test_mdp, entropy_weight=entropy_weight).policy
+    """Re-optimize a learned reward on a test MDP and collect reference returns.
+
+    The re-optimization is `reoptimize_with_curve`'s, with its defaults.  The
+    sweeps' policies, the ground-truth soft optimum and the uniform policy are
+    scored by one stacked `evaluate_return` call, each row with the bits of its
+    own call.  Warns when the re-optimization or the ground-truth solve does
+    not converge.
+    """
+    policies = _sweep_policies(test_mdp, learned_reward, entropy_weight)
+    optimal = soft_value_iteration(test_mdp, entropy_weight=entropy_weight)
+    if not optimal.converged:
+        warnings.warn(f"ground-truth solve did not converge in {optimal.iterations_used} "
+                      f"iterations (residual {optimal.residual:.3g})", RuntimeWarning,
+                      stacklevel=2)
+    returns = evaluate_return(test_mdp, np.concatenate(
+        [policies, optimal.policy[None], uniform_policy(test_mdp)[None]]))
+    curve = _curve(returns[:-2])
     return NewDynamicsEval(
-        ground_truth_optimal=evaluate_return(test_mdp, optimal),
-        # the curve's last point is the true return of reopt_policy
+        ground_truth_optimal=float(returns[-2]),
+        # the curve's last point is the true return of the last sweep's policy
         reoptimized_on_learned=curve[-1][1],
-        uniform_random=evaluate_return(test_mdp, uniform_policy(test_mdp)),
+        uniform_random=float(returns[-1]),
         curve=curve,
-        policy=reopt_policy,
+        policy=policies[-1].copy(),
     )
 
 

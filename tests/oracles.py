@@ -5,7 +5,9 @@ deliberately avoiding the vectorized code paths under test.  `loop_return`,
 `loop_curve`, `loop_sample_trajectories`, `loop_soft_value_iteration` and
 `loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
 per-step, one-problem and per-dynamics forms of batched functions, kept to pin
-those functions' outputs bit for bit.
+those functions' outputs bit for bit.  `general_soft_backup` and
+`general_soft_policy` are the soft backup and policy as written for any
+entropy weight, kept to pin the package's entropy-weight-1 shortcuts.
 """
 
 import math
@@ -72,6 +74,20 @@ def backward_soft_recursion(
             policy[s, a] = math.exp((q[s][a] - v[s]) / w)
         policy[s] /= policy[s].sum()
     return np.array(q), np.array(v), policy
+
+
+def general_soft_backup(q: np.ndarray, w: float) -> np.ndarray:
+    """w * logsumexp(q / w) over the last axis, shifted by the row maximum, for any w."""
+    z = q / w
+    z_max = z.max(axis=-1)
+    return w * (z_max + np.log(np.exp(z - z_max[..., None]).sum(axis=-1)))
+
+
+def general_soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
+    """exp((q - v) / w) with rows renormalized to 1, for any w."""
+    policy = np.exp((q - v[..., None]) / w)
+    policy /= policy.sum(axis=-1, keepdims=True)
+    return policy
 
 
 def loop_return(

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from irl_lab.airl import DiscriminatorParams, params_from_dict, params_to_dict
 from irl_lab.cli import InvalidMdpError, _build_mdp, load_experiment_config
@@ -20,11 +21,12 @@ from irl_lab.mdp import (
     reward_to_dict,
     save_mdp,
 )
-from irl_lab.soft_rl import (_occupancies, evaluate_return, occupancy, sample_trajectories,
-                             soft_value_iteration)
+from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, evaluate_return,
+                             occupancy, sample_trajectories, soft_value_iteration)
 
 from conftest import assert_same_solution, solve_rows
-from oracles import (enumerate_return, loop_occupancy, loop_return, loop_sample_trajectories,
+from oracles import (enumerate_return, general_soft_backup, general_soft_policy,
+                     loop_occupancy, loop_return, loop_sample_trajectories,
                      loop_soft_value_iteration)
 
 # enumerate_return walks every (action, next state) branch of every step
@@ -127,6 +129,27 @@ def test_sampled_episodes_match_the_per_step_loop(case, n, seed):
                 assert mdp.initial_dist[got.states[0]] > 0
                 assert np.all(policy[got.states[:-1], got.actions] > 0)
                 assert np.all(mdp.transition[got.states[:-1], got.actions, got.states[1:]] > 0)
+
+
+@st.composite
+def q_tables(draw):
+    """A (S, A) table or a (K, S, A) stack of them, 1-6 states, 1-4 actions, |q| <= 1e3."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 3)),) + shape
+    return draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=q_tables(), v_shift=st.floats(-1e3, 1e3))
+def test_unit_entropy_weight_shortcuts_equal_the_general_formulas(q, v_shift):
+    v = general_soft_backup(q, 1.0)
+    assert _soft_backup(q, 1.0).tobytes() == v.tobytes()
+    # at the backup's own v, and at a shifted one whose terms may overflow to inf
+    for v_at in (v, v + v_shift):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _soft_policy(q, v_at, 1.0), general_soft_policy(q, v_at, 1.0)
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import irl_lab.transfer
@@ -20,6 +21,7 @@ from irl_lab.shaping import centered_reward_error
 from irl_lab.soft_rl import (
     OccupancyMeasure,
     Trajectory,
+    _soft_backup,
     evaluate_return,
     soft_value_iteration,
     uniform_policy,
@@ -55,6 +57,22 @@ def det_recovery(deterministic_recoveries):
     mdps, recoveries, _ = deterministic_recoveries
     assert mdps[0].transition.tobytes() == deterministic_bench().transition.tobytes()
     return mdps[0], recoveries[0]
+
+
+# max_iters on each side of the sweep loop's convergence-test chunks (1, 2, 4, ... 32)
+CHUNK_BOUNDARIES = [1, 2, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65]
+
+
+def sweep_residuals(mdp, reward, sweeps):
+    """|v_k - v_{k-1}| of the first `sweeps` sweeps of plain value iteration, w = 1."""
+    r_sa = expected_state_action(reward, mdp.transition)
+    v = np.zeros(mdp.n_states)
+    residuals = []
+    for _ in range(sweeps):
+        v_new = _soft_backup(r_sa + mdp.discount * (mdp.transition @ v), 1.0)
+        residuals.append(float(np.max(np.abs(v_new - v))))
+        v = v_new
+    return residuals
 
 
 class TestExpertDemos:
@@ -111,6 +129,37 @@ class TestReoptimizeWithCurve:
             assert curve == want_curve
             assert all(type(x) is int and type(y) is float for x, y in curve)
             assert np.array_equal(policy, want_policy)
+
+    @pytest.mark.parametrize("max_iters", CHUNK_BOUNDARIES)
+    def test_sweep_limit_at_chunk_boundaries_matches_the_loop(self, bench_mdp, max_iters):
+        # the truth takes 180 sweeps on bench_mdp, so every limit here stops the loop
+        with pytest.warns(RuntimeWarning, match=f"did not converge in {max_iters} sweeps"):
+            policy, curve = reoptimize_with_curve(bench_mdp, bench_mdp.reward,
+                                                  max_iters=max_iters)
+        want_policy, want_curve = loop_curve(bench_mdp, bench_mdp.reward, max_iters=max_iters)
+        assert len(curve) == max_iters
+        assert curve == want_curve
+        assert np.array_equal(policy, want_policy)
+
+    def test_tolerance_stop_at_chunk_boundaries_matches_the_loop(self, bench_mdp):
+        residuals = sweep_residuals(bench_mdp, bench_mdp.reward, max(CHUNK_BOUNDARIES))
+        for sweeps in CHUNK_BOUNDARIES:
+            tolerance = residuals[sweeps - 1]
+            policy, curve = reoptimize_with_curve(bench_mdp, bench_mdp.reward,
+                                                  tolerance=tolerance)
+            want_policy, want_curve = loop_curve(bench_mdp, bench_mdp.reward,
+                                                 tolerance=tolerance)
+            assert len(curve) == sweeps
+            assert curve == want_curve
+            assert np.array_equal(policy, want_policy)
+
+    def test_long_run_grows_the_buffers_and_matches_the_loop(self, bench_mdp):
+        mdp = replace(bench_mdp, discount=0.99)
+        policy, curve = reoptimize_with_curve(mdp, mdp.reward)
+        want_policy, want_curve = loop_curve(mdp, mdp.reward)
+        assert len(curve) > 256
+        assert curve == want_curve
+        assert np.array_equal(policy, want_policy)
 
     def test_policy_is_its_own_array(self, tiny_mdp):
         policy, _ = reoptimize_with_curve(tiny_mdp, tiny_mdp.reward)
@@ -180,6 +229,47 @@ class TestEvaluateOnNewDynamics:
         ev = evaluate_on_new_dynamics(flat, tiny_mdp.reward)
         with pytest.raises(ValueError, match="degenerate"):
             ev.score
+
+    @pytest.mark.parametrize("mdp_name", ["bench_mdp", "tiny_mdp", "deterministic"])
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_folded_scores_equal_their_own_calls(self, request, mdp_name, weight):
+        if mdp_name == "deterministic":
+            mdp = deterministic_bench()
+        else:
+            mdp = request.getfixturevalue(mdp_name)
+        rng = np.random.default_rng(6)
+        candidate = RewardTable("state_action", rng.normal(size=(mdp.n_states, mdp.n_actions)))
+        ev = evaluate_on_new_dynamics(mdp, candidate, entropy_weight=weight)
+        optimal = soft_value_iteration(mdp, entropy_weight=weight).policy
+        assert ev.ground_truth_optimal == evaluate_return(mdp, optimal)
+        assert ev.uniform_random == evaluate_return(mdp, uniform_policy(mdp))
+        assert all(type(x) is float for x in ev.returns.values())
+        want_policy, want_curve = loop_curve(mdp, candidate, entropy_weight=weight)
+        assert ev.curve == want_curve
+        assert np.array_equal(ev.policy, want_policy)
+        assert ev.policy.base is None
+
+    def test_converged_default_calls_do_not_warn(self, bench_mdp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reoptimize_with_curve(bench_mdp, bench_mdp.reward)
+            evaluate_on_new_dynamics(bench_mdp, bench_mdp.reward)
+
+    def test_unconverged_sweeps_warn(self, bench_mdp):
+        # plain value iteration at discount 0.9999 needs far more than 10,000 sweeps
+        mdp = replace(bench_mdp, discount=0.9999)
+        with pytest.warns(RuntimeWarning, match=r"did not converge in 10000 sweeps \(residual"):
+            ev = evaluate_on_new_dynamics(mdp, mdp.reward)
+        assert len(ev.curve) == 10_000
+
+    def test_unconverged_ground_truth_solve_warns(self, bench_mdp, monkeypatch):
+        def one_iteration(mdp, **kwargs):
+            return soft_value_iteration(mdp, max_iters=1, **kwargs)
+
+        monkeypatch.setattr(irl_lab.transfer, "soft_value_iteration", one_iteration)
+        with pytest.warns(RuntimeWarning,
+                          match=r"ground-truth solve did not converge in 1 iterations"):
+            evaluate_on_new_dynamics(bench_mdp, bench_mdp.reward)
 
     def test_degenerate_span_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

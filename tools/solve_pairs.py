@@ -12,14 +12,18 @@ CPU.  Each round times, on each side:
   0.9, as a training round's policy step starts from the last round's;
 - `probe`: one `disentanglement_probe` shaped like a `reopt-probe` repetition
   of `perfbench/`: seed 3's MDP and shaped reward, 8 Dirichlet draws and 4
-  one-successor dynamics.
+  one-successor dynamics;
+- `reopt`: the re-optimization of a `reopt-probe` repetition: seed 3's
+  advantage and shaped rewards each through `evaluate_on_new_dynamics` on its
+  4 dense test MDPs, 8 calls in all.
 
 A round times each call REPEATS times per side, the two sides taking turns,
 and keeps each side's fastest, which drops most interruptions by other
 processes.  Even rounds start with the parent, odd rounds with the change.
 For each timing it prints each side's median and fastest round (per solve,
-or per probe call) and the median over rounds of the change's time over the
-parent's.  Pin the process to one CPU (`taskset -c 0`) for steady numbers.
+per probe call, or per 8-call reopt repetition) and the median over rounds
+of the change's time over the parent's.  Pin the process to one CPU
+(`taskset -c 0`) for steady numbers.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ import numpy as np
 
 SEEDS = range(8)
 REPEATS = 5
-# (Dirichlet draws, one-successor dynamics) of the probe, as in a reopt-probe repetition
-PROBE_SEED, PROBE_DENSE, PROBE_DETERMINISTIC = 3, 8, 4
+# (Dirichlet draws, one-successor dynamics) of the probe and the dense test MDPs of the
+# re-optimization, as in a reopt-probe repetition
+PROBE_SEED, PROBE_DENSE, PROBE_DETERMINISTIC, REOPT_TEST_MDPS = 3, 8, 4, 4
 
 
 def load(checkout: Path, name: str):
@@ -61,6 +66,12 @@ def timings(lab) -> dict:
     extra = [lab.random_deterministic_mdp(mdp.n_states, mdp.n_actions, mdp.reward,
                                           5000 + 100 * PROBE_SEED + j).transition
              for j in range(PROBE_DETERMINISTIC)]
+    rewards = [lab.RewardTable("state_action", lab.advantage(lab.soft_value_iteration(mdp))),
+               shaped]
+    tests = [lab.random_mdp(mdp.n_states, mdp.n_actions, mdp.reward, 1000 + 100 * PROBE_SEED + i,
+                            discount=mdp.discount, horizon=mdp.horizon,
+                            initial_dist=mdp.initial_dist)
+             for i in range(REOPT_TEST_MDPS)]
 
     def cold():
         for m in mdps:
@@ -73,7 +84,13 @@ def timings(lab) -> dict:
     def probe():
         lab.disentanglement_probe(mdp, shaped, PROBE_DENSE, PROBE_SEED, extra_dynamics=extra)
 
-    return {"cold": (cold, len(mdps)), "warm": (warm, len(mdps)), "probe": (probe, 1)}
+    def reopt():
+        for reward in rewards:
+            for test in tests:
+                lab.evaluate_on_new_dynamics(test, reward)
+
+    return {"cold": (cold, len(mdps)), "warm": (warm, len(mdps)), "probe": (probe, 1),
+            "reopt": (reopt, 1)}
 
 
 def run(sides: dict, rounds: int) -> dict:
@@ -104,7 +121,7 @@ def summary(times: dict) -> str:
     for timing, by_side in times.items():
         parent, change = by_side["parent"], by_side["change"]
         ratio = statistics.median(c / p for p, c in zip(parent, change))
-        unit, scale = ("ms", 1e3) if timing == "probe" else ("us", 1e6)
+        unit, scale = ("ms", 1e3) if timing in ("probe", "reopt") else ("us", 1e6)
         lines.append(
             f"{timing}: parent median {statistics.median(parent) * scale:.1f} {unit} "
             f"(fastest {min(parent) * scale:.1f}), change median "
@@ -122,7 +139,8 @@ def main(argv=None) -> int:
     sides = {"parent": load(args.parent, "irl_lab_parent"),
              "change": load(args.change, "irl_lab_change")}
     times = run(sides, args.rounds)
-    print(f"{args.rounds} rounds, times per solve (cold, warm) and per probe call")
+    print(f"{args.rounds} rounds, times per solve (cold, warm), per probe call and per "
+          "reopt repetition")
     print(summary(times), end="")
     return 0
 
