@@ -49,7 +49,6 @@ from .shaping import (
     shape_reward,
 )
 from .soft_rl import (
-    OccupancyMeasure,
     SoftSolution,
     Trajectory,
     evaluate_return,

@@ -36,14 +36,7 @@ from ._fmt import csv_text
 from .mdp import (REQUIRED, RewardTable, TabularMdp, float_array, read_document,
                   reward_from_dict, reward_to_dict, strict_float, strict_int)
 from .shaping import centered_reward_error
-from .soft_rl import (
-    OccupancyMeasure,
-    Trajectory,
-    _occupancies,
-    _rollouts,
-    _solve_stack,
-    evaluate_return,
-)
+from .soft_rl import Trajectory, _occupancies, _rollouts, _solve_stack, evaluate_return
 
 VARIANTS = ("airl_state_only", "airl_state_action", "gan_gcl_trajectory")
 MODES = ("exact_occupancy", "sampled")
@@ -149,17 +142,6 @@ class LearnerConfig:
             raise ValueError("entropy_weight must be positive")
 
 
-class _Round(NamedTuple):
-    """What training stores per iteration; the history derives the rest from g and policy."""
-
-    iteration: int
-    disc_loss: float
-    g_delta: float
-    vi_steps_cumulative: int
-    g: np.ndarray
-    policy: np.ndarray
-
-
 class TrainingHistory:
     """Per-iteration diagnostics of a training run on `mdp`, one column per field:
 
@@ -171,39 +153,32 @@ class TrainingHistory:
     - `vi_steps_cumulative` (JSON only), `SoftSolution.iterations_used` summed over
       the policy steps so far: solver iterations (a backup plus a linear solve).
 
-    `append` stores all but `true_return` and `reward_error`, plus copies of
-    the round's g and policy.  Every read computes those two from the copies,
-    the returns by one stacked `evaluate_return` call whose rows equal
-    single-policy calls bit for bit, so an unread history never computes them.
+    Training passes the other columns and each round's g and policy as arrays
+    with one row per iteration.  Every read computes `true_return` and
+    `reward_error` from the g and policy rows, the returns by one stacked
+    `evaluate_return` call, so an unread history never computes them.
     """
 
-    def __init__(self, mdp: TabularMdp):
-        self._mdp = mdp
-        self._rounds: list[_Round] = []
-
-    def append(self, iteration: int, disc_loss: float, g_delta: float,
-               vi_steps_cumulative: int, g: np.ndarray, policy: np.ndarray) -> None:
-        self._rounds.append(_Round(iteration, disc_loss, g_delta, vi_steps_cumulative,
-                                   np.array(g, dtype=float), np.array(policy, dtype=float)))
+    def __init__(self, mdp: TabularMdp, disc_loss: np.ndarray, g_delta: np.ndarray,
+                 vi_steps_cumulative: np.ndarray, g: np.ndarray, policy: np.ndarray):
+        self._mdp, self._g, self._policy = mdp, g, policy
+        self._disc_loss, self._g_delta, self._vi_steps = disc_loss, g_delta, vi_steps_cumulative
 
     def __len__(self) -> int:
-        return len(self._rounds)
+        return len(self._disc_loss)
 
     def _columns(self) -> dict[str, list]:
         """Every column by field name, in output order."""
-        mdp, rounds = self._mdp, self._rounds
-        returns = []
-        if rounds:
-            policies = np.stack([r.policy for r in rounds])
-            returns = evaluate_return(mdp, policies, mdp.reward).tolist()
+        mdp = self._mdp
+        returns = evaluate_return(mdp, self._policy, mdp.reward).tolist() if len(self) else []
         return {
-            "iteration": [r.iteration for r in rounds],
-            "disc_loss": [r.disc_loss for r in rounds],
+            "iteration": list(range(len(self))),
+            "disc_loss": self._disc_loss.tolist(),
             "true_return": returns,
-            "reward_error": [centered_reward_error(_g_table(r.g), mdp.reward, mdp.transition)
-                             for r in rounds],
-            "g_delta": [r.g_delta for r in rounds],
-            "vi_steps_cumulative": [r.vi_steps_cumulative for r in rounds],
+            "reward_error": [centered_reward_error(_g_table(g), mdp.reward, mdp.transition)
+                             for g in self._g],
+            "g_delta": self._g_delta.tolist(),
+            "vi_steps_cumulative": self._vi_steps.tolist(),
         }
 
     def column(self, name: str) -> np.ndarray:
@@ -254,9 +229,12 @@ class TransitionBatch:
         """Empirical (s, a, s') frequency tensor, normalized to total mass 1."""
         if len(self) == 0:
             raise ValueError("empty transition batch")
-        w = np.zeros((n_states, n_actions, n_states))
-        np.add.at(w, (self.states, self.actions, self.next_states), 1.0)
-        return w / len(self)
+        for index, size in ((self.states, n_states), (self.actions, n_actions),
+                            (self.next_states, n_states)):
+            if index.min() < 0 or index.max() >= size:
+                raise ValueError("transition batch indexes a state or action outside the table")
+        return _cell_counts(self.states, self.actions, self.next_states, n_states,
+                            n_actions) / len(self)
 
 
 def pool_batches(batches: Sequence[TransitionBatch]) -> TransitionBatch:
@@ -275,9 +253,9 @@ def _counts(index: np.ndarray, shape: tuple) -> np.ndarray:
     return np.bincount(index.ravel(), minlength=np.prod(shape)).reshape(shape).astype(float)
 
 
-def _cell_counts(states: np.ndarray, actions: np.ndarray, n_states: int, n_actions: int):
-    """(s, a, s') visit counts of rollouts given as states (n, H + 1), actions (n, H)."""
-    cells = (states[:, :-1] * n_actions + actions) * n_states + states[:, 1:]
+def _cell_counts(states, actions, next_states, n_states: int, n_actions: int) -> np.ndarray:
+    """(s, a, s') visit counts of equally shaped state, action and successor arrays."""
+    cells = (states * n_actions + actions) * n_states + next_states
     return _counts(cells, (n_states, n_actions, n_states))
 
 
@@ -293,8 +271,6 @@ def _replay_weights(replay) -> np.ndarray:
 
 def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
     """Normalize expert/negative data to a (s, a, s') weight tensor."""
-    if isinstance(data, OccupancyMeasure):
-        return data.rho
     if isinstance(data, TransitionBatch):
         return data.to_weights(n_states, n_actions)
     if isinstance(data, np.ndarray):
@@ -306,7 +282,7 @@ def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
         raise ValueError("no demonstrations given")
     if all(isinstance(t, Trajectory) for t in seq):
         return TransitionBatch.from_trajectories(seq).to_weights(n_states, n_actions)
-    raise TypeError("expected an OccupancyMeasure, TransitionBatch or trajectories")
+    raise TypeError("expected a weight tensor, TransitionBatch or trajectories")
 
 
 def _raw_f(g: np.ndarray, h: np.ndarray, state_only: bool, discount: float) -> np.ndarray:
@@ -450,7 +426,9 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
     theta array has a leading problem axis; theta[0] holds the learned reward
     tables.  `problem` maps the round's negatives and stacked log pi to a
     _Problem, and `rewards(theta, transition)` gives the policy step's
-    (B, S, A) collapsed rewards, solved as one `_solve_stack`.
+    (B, S, A) collapsed rewards, solved as one `_solve_stack`.  Each round's
+    losses, g changes, solver iterations, g and policy go into (problem,
+    iteration, ...) arrays, whose rows make the histories after the loop.
     Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
     Sampled mode trains one problem: `encode` turns each round's rollouts (int
     arrays, states (n, horizon + 1) and actions (n, horizon)) into a count
@@ -463,9 +441,10 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
     initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
     discount, horizon = mdps[0].discount, mdps[0].horizon
     policies = np.full(transition.shape[:-1], 1.0 / transition.shape[2])
-    histories = [TrainingHistory(mdp) for mdp in mdps]
+    rounds = (len(mdps), config.iterations)
+    losses, g_deltas, vi_steps = np.empty(rounds), np.empty(rounds), np.empty(rounds, dtype=int)
+    gs, policy_rows = np.empty(rounds + theta[0].shape[1:]), np.empty(rounds + policies.shape[1:])
     v_warm = None
-    vi_steps = np.zeros(len(mdps), dtype=int)
     replay: deque = deque(maxlen=config.replay_window)
     rng = np.random.default_rng(config.seed)
 
@@ -486,8 +465,8 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
         theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
         if not all(np.all(np.isfinite(t)) for t in theta):
             raise DivergenceError(iteration)
-        losses = round_problem.loss(theta).reshape(len(mdps))
-        g_deltas = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
+        losses[:, iteration] = round_problem.loss(theta).reshape(len(mdps))
+        g_deltas[:, iteration] = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
 
         solves = _solve_stack(transition, rewards(theta, transition), discount,
                               entropy_weight=config.entropy_weight, v_init=v_warm)
@@ -496,10 +475,10 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
                           f"{iteration} (residual {solves.residual[i]:.3g})", RuntimeWarning,
                           stacklevel=2)
         policies, v_warm = solves.policy, solves.v
-        vi_steps += solves.iterations_used
-        for i, history in enumerate(histories):
-            history.append(iteration, float(losses[i]), float(g_deltas[i]), int(vi_steps[i]),
-                           theta[0][i], policies[i])
+        vi_steps[:, iteration] = solves.iterations_used
+        gs[:, iteration], policy_rows[:, iteration] = theta[0], policies
+    histories = [TrainingHistory(mdp, *rows) for mdp, *rows in
+                 zip(mdps, losses, g_deltas, np.cumsum(vi_steps, axis=1), gs, policy_rows)]
     return theta, policies, histories
 
 
@@ -563,7 +542,8 @@ def airl_train(mdp: TabularMdp | Sequence[TabularMdp], demos,
     g_shape = (n_states,) if state_only else (n_states, n_actions)
     theta, policies, histories = _train(
         mdps, config, (np.zeros((len(mdps), *g_shape)), np.zeros((len(mdps), n_states))),
-        lambda states, actions: _cell_counts(states, actions, n_states, n_actions)[None],
+        lambda states, actions: _cell_counts(states[:, :-1], actions, states[:, 1:], n_states,
+                                             n_actions)[None],
         problem, rewards,
     )
     results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
@@ -610,21 +590,15 @@ class GanGclResult(NamedTuple):
     history: TrainingHistory
 
 
-def _episode_counts(states: np.ndarray, actions: np.ndarray, n_states, n_actions) -> np.ndarray:
-    """Step-count matrix of rollouts given as states (n, H + 1) and actions (n, H):
-    row i counts episode i's visits to each flattened (s, a)."""
-    episode = np.arange(len(actions))[:, None]
-    return _counts((episode * n_states + states[:, :-1]) * n_actions + actions,
-                   (len(actions), n_states * n_actions))
+def _episode_counts(episode: np.ndarray, states: np.ndarray, actions: np.ndarray,
+                    n_episodes: int, n_states: int, n_actions: int) -> np.ndarray:
+    """Step-count matrix: row e counts episode e's visits to each flattened (s, a).
 
-
-def _trajectory_counts(trajectories: Sequence[Trajectory], n_states, n_actions) -> np.ndarray:
-    """`_episode_counts` of trajectories, which may differ in length."""
-    episode = np.repeat(np.arange(len(trajectories)), [t.horizon for t in trajectories])
-    states = np.concatenate([t.states[:-1] for t in trajectories])
-    actions = np.concatenate([t.actions for t in trajectories])
+    The index arrays broadcast: rollouts pass `arange(n)[:, None]` with their
+    (n, H) states and actions, episodes of differing lengths flat arrays.
+    """
     return _counts((episode * n_states + states) * n_actions + actions,
-                   (len(trajectories), n_states * n_actions))
+                   (n_episodes, n_states * n_actions))
 
 
 def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
@@ -664,12 +638,16 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
     if not demos or not all(isinstance(t, Trajectory) for t in demos):
         raise ValueError("the trajectory baseline needs expert trajectories")
     n_states, n_actions = mdp.n_states, mdp.n_actions
-    counts_e = _trajectory_counts(demos, n_states, n_actions)
+    counts_e = _episode_counts(np.repeat(np.arange(len(demos)), [t.horizon for t in demos]),
+                               np.concatenate([t.states[:-1] for t in demos]),
+                               np.concatenate([t.actions for t in demos]),
+                               len(demos), n_states, n_actions)
     (f_steps,), (policy,), (history,) = _train(
         [mdp],
         config,
         (np.zeros((1, n_states, n_actions)),),
-        lambda states, actions: _episode_counts(states, actions, n_states, n_actions),
+        lambda states, actions: _episode_counts(np.arange(len(actions))[:, None], states[:, :-1],
+                                                actions, len(actions), n_states, n_actions),
         lambda pool, log_pi: _episode_problem(
             np.concatenate([counts_e, *pool]), len(counts_e), log_pi
         ),

@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +112,8 @@ def _non_negative(value) -> int:
     return value
 
 
-def _seed_flag(text: str) -> int:
-    """A `--seed` value: the flag's text read as an integer, then by `_non_negative`."""
+def _non_negative_flag(text: str) -> int:
+    """A `--seed` or `--iterations` value: the flag's text as an integer, by `_non_negative`."""
     try:
         return _non_negative(int(text))
     except ValueError as exc:
@@ -211,31 +211,20 @@ _EXPERIMENT_KEYS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description driving `train` and `transfer`."""
-
-    mdp_spec: dict
-    learner: LearnerConfig
-    transfer: dict | None
-    output_dir: Path
-    formats: tuple[str, ...]
+def load_experiment_config(path) -> dict:
+    """The experiment config driving `train` and `transfer`, by `_EXPERIMENT_KEYS`."""
+    return read_document(read_json(path, "config"), _EXPERIMENT_KEYS, "experiment config")
 
 
-def load_experiment_config(path) -> ExperimentConfig:
-    values = read_document(read_json(path, "config"), _EXPERIMENT_KEYS, "experiment config")
-    return ExperimentConfig(mdp_spec=values.pop("mdp"), **values)
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+def _apply_overrides(config: dict, args) -> dict:
     if getattr(args, "seed", None) is not None:
-        config.learner = replace(config.learner, seed=args.seed)
-        if "seed" in config.mdp_spec:
-            config.mdp_spec = dict(config.mdp_spec, seed=args.seed)
+        config["learner"] = replace(config["learner"], seed=args.seed)
+        if "seed" in config["mdp"]:
+            config["mdp"] = dict(config["mdp"], seed=args.seed)
     if getattr(args, "out", None) is not None:
-        config.output_dir = Path(args.out)
+        config["output_dir"] = Path(args.out)
     if getattr(args, "format", None) is not None:
-        config.formats = _parse_formats(args.format)
+        config["formats"] = _parse_formats(args.format)
     return config
 
 
@@ -374,17 +363,17 @@ def _train_once(mdp: TabularMdp, learner: LearnerConfig):
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(args.config), args)
-    mdp = _build_mdp(config.mdp_spec)
-    learned, history, doc = _train_once(mdp, config.learner)
+    mdp, learner = _build_mdp(config["mdp"]), config["learner"]
+    learned, history, doc = _train_once(mdp, learner)
 
-    with _outputs(config.output_dir) as write:
-        if "csv" in config.formats:
+    with _outputs(config["output_dir"]) as write:
+        if "csv" in config["formats"]:
             write("history.csv", history.to_csv_text())
             write("heatmap.csv", _heatmap_text(learned.values, mdp.n_actions))
-        if "json" in config.formats:
+        if "json" in config["formats"]:
             write("history.json", json_text(history.to_json_dict()))
         write("learned_reward.json", json_text(doc))
-    print(f"trained {config.learner.variant} for {config.learner.iterations} iterations")
+    print(f"trained {learner.variant} for {learner.iterations} iterations")
     print(f"recovery_error: {doc['recovery_error']:.6g}")
     return EXIT_OK
 
@@ -410,19 +399,20 @@ def _test_mdps(transfer: dict, mdp: TabularMdp) -> list[tuple[str, TabularMdp]]:
 
 def cmd_transfer(args) -> int:
     config = _apply_overrides(load_experiment_config(args.config), args)
-    if config.transfer is None:
+    transfer, learner = config["transfer"], config["learner"]
+    if transfer is None:
         raise ValueError("transfer command needs a 'transfer' block in the config")
-    if config.learner.variant == "gan_gcl_trajectory":
+    if learner.variant == "gan_gcl_trajectory":
         raise ValueError("transfer re-optimizes a reward table; use an airl_* variant")
-    train_mdp = _build_mdp(config.mdp_spec)
-    tests = _test_mdps(config.transfer, train_mdp)
-    recovery = run_recovery(train_mdp, config.learner.variant, config.learner)
+    train_mdp = _build_mdp(config["mdp"])
+    tests = _test_mdps(transfer, train_mdp)
+    recovery = run_recovery(train_mdp, learner.variant, learner)
 
-    with _outputs(config.output_dir) as write:
+    with _outputs(config["output_dir"]) as write:
         evaluations = [evaluate_on_new_dynamics(test_mdp, recovery.params.g,
-                                                entropy_weight=config.learner.entropy_weight)
+                                                entropy_weight=learner.entropy_weight)
                        for _, test_mdp in tests]
-        if "csv" in config.formats:
+        if "csv" in config["formats"]:
             for (label, _), evaluation in zip(tests, evaluations):
                 write(f"curve_{label}.csv", _curve_text(evaluation.curve))
             write("curve_aggregate.csv", _aggregate_text([e.curve for e in evaluations]))
@@ -430,7 +420,7 @@ def cmd_transfer(args) -> int:
                    for (label, _), e in zip(tests, evaluations)]
         scores = [r["normalized_score"] for r in results]
         summary = {
-            "variant": config.learner.variant,
+            "variant": learner.variant,
             "recovery_error": recovery.recovery_error,
             "learned_reward": reward_to_dict(recovery.params.g),
             "results": results,
@@ -439,17 +429,17 @@ def cmd_transfer(args) -> int:
             "max_score": float(np.max(scores)),
             "conventions": _conventions(train_mdp),
         }
-        if config.transfer["n_dynamics"] > 0:
+        if transfer["n_dynamics"] > 0:
             probe = disentanglement_probe(
                 train_mdp,
                 recovery.params.g,
-                config.transfer["n_dynamics"],
-                config.learner.seed,
-                entropy_weight=config.learner.entropy_weight,
+                transfer["n_dynamics"],
+                learner.seed,
+                entropy_weight=learner.entropy_weight,
             )
             summary["probe"] = probe._asdict()
         write("summary.json", json_text(summary))
-    print(f"transfer {config.learner.variant}: mean normalized score {summary['mean_score']:.4f}")
+    print(f"transfer {learner.variant}: mean normalized score {summary['mean_score']:.4f}")
     return EXIT_OK
 
 
@@ -566,6 +556,7 @@ def cmd_probe(args) -> int:
         doc = doc["learned_reward"]
     try:
         reward = reward_from_dict(doc)
+        replace(mdp, reward=reward)  # TabularMdp checks the table's shape against the MDP's
     except ValueError as exc:
         raise ValueError(f"invalid reward file {args.reward!r}: {exc}") from exc
     if args.out:
@@ -596,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--actions", type=int, help="random MDP: number of actions")
     gen.add_argument("--reward-state", type=int, default=0,
                      help="random MDP: state earning reward 1.0")
-    gen.add_argument("--seed", type=_seed_flag, default=0)
+    gen.add_argument("--seed", type=_non_negative_flag, default=0)
     gen.add_argument("--discount", type=float, default=0.9)
     gen.add_argument("--horizon", type=int, default=20)
     gen.add_argument("-o", "--out", required=True, help="output JSON path")
@@ -608,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True)
-        cmd.add_argument("--seed", type=_seed_flag, help="override the config seeds")
+        cmd.add_argument("--seed", type=_non_negative_flag, help="override the config seeds")
         cmd.add_argument("--out", help="override the config output directory")
         cmd.add_argument("--format", choices=["csv", "json", "both"])
         cmd.set_defaults(func=func)
@@ -622,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated train seeds (default 0,1,2,3,4)")
     repro.add_argument("--smoke", action="store_true",
                        help="0 training iterations; thresholds reported as skipped")
-    repro.add_argument("--iterations", type=int, default=REPRO_ITERATIONS)
+    repro.add_argument("--iterations", type=_non_negative_flag, default=REPRO_ITERATIONS)
     repro.add_argument("--disc-steps", type=int, default=REPRO_DISC_STEPS)
     repro.add_argument("--step-size", type=float, default=REPRO_STEP_SIZE)
     repro.set_defaults(func=cmd_reproduce_tabular)
@@ -631,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--mdp", required=True, help="MDP JSON file")
     probe.add_argument("--reward", required=True, help="reward-table JSON file")
     probe.add_argument("--n-dynamics", type=int, default=50)
-    probe.add_argument("--seed", type=_seed_flag, default=0)
+    probe.add_argument("--seed", type=_non_negative_flag, default=0)
     probe.add_argument("--out", help="optional JSON output path")
     probe.set_defaults(func=cmd_probe)
 

@@ -21,8 +21,7 @@ are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,7 +87,8 @@ class SoftSolution:
     where w is the entropy weight.  `iterations_used` counts solver
     iterations: soft Bellman backups, each but the last followed by one
     linear solve.  `residual` is the sup-norm change the last backup made to
-    the value table.
+    the value table.  A stack of solves has a leading row axis on every field
+    but `entropy_weight`; `row(i)` is one of its solves.
     """
 
     q: np.ndarray
@@ -98,6 +98,12 @@ class SoftSolution:
     residual: float
     converged: bool
     entropy_weight: float
+
+    def row(self, *index: int) -> SoftSolution:
+        """The solve at row `index`, with Python scalars; no index for an unbatched solve."""
+        return SoftSolution(self.q[index], self.v[index], self.policy[index],
+                            int(self.iterations_used[index]), float(self.residual[index]),
+                            bool(self.converged[index]), self.entropy_weight)
 
 
 def soft_value_iteration(
@@ -132,31 +138,12 @@ def soft_value_iteration(
     r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
     v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight, v_init)
     return _soft_solves(mdp.transition, r_sa, mdp.discount, v, tolerance, max_iters,
-                        entropy_weight).solution()
-
-
-class _Solves(NamedTuple):
-    """Soft solutions with leading row axes: q, v and policy as in SoftSolution,
-    and iterations_used, residual and converged as arrays over the rows."""
-
-    q: np.ndarray
-    v: np.ndarray
-    policy: np.ndarray
-    iterations_used: np.ndarray
-    residual: np.ndarray
-    converged: np.ndarray
-    entropy_weight: float
-
-    def solution(self, *row: int) -> SoftSolution:
-        """The SoftSolution at `row`; no index for an unbatched solve."""
-        return SoftSolution(self.q[row], self.v[row], self.policy[row],
-                            int(self.iterations_used[row]), float(self.residual[row]),
-                            bool(self.converged[row]), self.entropy_weight)
+                        entropy_weight).row()
 
 
 def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
                  tolerance: float = 1e-8, max_iters: int = 10_000, entropy_weight: float = 1.0,
-                 *, v_init: np.ndarray | None = None) -> _Solves:
+                 *, v_init: np.ndarray | None = None) -> SoftSolution:
     """`soft_value_iteration` of each row of (B, S, A, S) transitions under (B, S, A)
     collapsed rewards and (B, S) warm starts `v_init` or none, checked once and
     solved as one `_soft_solves` stack; row i has the bits of its own call."""
@@ -165,7 +152,8 @@ def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
         # a stack of one runs unbatched, whose numpy calls cost less
         one = _soft_solves(transition[0], r_sa[0], discount, v[0], tolerance, max_iters,
                            entropy_weight)
-        return _Solves(*(field[None] for field in one[:-1]), entropy_weight)
+        return SoftSolution(*(getattr(one, f.name)[None] for f in fields(one)[:-1]),
+                            entropy_weight)
     return _soft_solves(transition, r_sa, discount, v, tolerance, max_iters, entropy_weight)
 
 
@@ -182,7 +170,7 @@ def _per_row(op, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: np.ndarray,
-                 tolerance: float, max_iters: int, entropy_weight: float) -> _Solves:
+                 tolerance: float, max_iters: int, entropy_weight: float) -> SoftSolution:
     """`soft_value_iteration` of each row of a stack, in one loop.
 
     Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and start
@@ -223,8 +211,8 @@ def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: n
         order = np.argsort(np.concatenate([group[0] for group in groups]))
         iterations_used, q, v_new, residual = (
             np.concatenate([group[k] for group in groups])[order] for k in range(1, 5))
-    return _Solves(q, v_new, _soft_policy(q, v_new, w), iterations_used, residual,
-                   residual <= tolerance, w)
+    return SoftSolution(q, v_new, _soft_policy(q, v_new, w), iterations_used, residual,
+                        residual <= tolerance, w)
 
 
 def uniform_policy(mdp: TabularMdp) -> np.ndarray:
@@ -306,37 +294,19 @@ def sample_trajectories(mdp: TabularMdp, policy, n: int, seed: int) -> list[Traj
     return [Trajectory(s, a) for s, a in zip(states, actions)]
 
 
-@dataclass(frozen=True)
-class OccupancyMeasure:
-    """Discount-weighted visitation distribution over (s, a, s') triples."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.array(self.rho, dtype=float)
-        if rho.ndim != 3:
-            raise ValueError("occupancy needs a (s, a, s') tensor")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-
-    def state_marginal(self) -> np.ndarray:
-        return self.rho.sum(axis=(1, 2))
-
-    def state_action_marginal(self) -> np.ndarray:
-        return self.rho.sum(axis=2)
-
-
-def occupancy(mdp: TabularMdp, policy) -> OccupancyMeasure:
+def occupancy(mdp: TabularMdp, policy) -> np.ndarray:
     """Exact discounted occupancy of a policy over the MDP's horizon.
 
     Forward recursion over state marginals: d_0 is the initial distribution
     and d_{t+1} = d_t P_pi with P_pi[s, s'] = sum_a pi(a|s) T(s, a, s').  The
     discounted visits sum_t discount**t d_t over the horizon's steps give
-    rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'), normalized to total mass 1.
+    rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'), normalized to total mass 1,
+    returned as a read-only (S, A, S) array.
     """
-    return OccupancyMeasure(_occupancies(mdp.transition[None], mdp.initial_dist[None],
-                                         mdp.discount, mdp.horizon,
-                                         _check_policy(mdp, policy)[None])[0])
+    rho = _occupancies(mdp.transition[None], mdp.initial_dist[None], mdp.discount,
+                       mdp.horizon, _check_policy(mdp, policy)[None])[0]
+    rho.setflags(write=False)
+    return rho
 
 
 def _occupancies(transition: np.ndarray, initial_dist: np.ndarray, discount: float,

@@ -19,6 +19,7 @@ from .airl import (DiscriminatorParams, LearnerConfig, TrainingHistory, _stack_o
 from .mdp import RewardTable, TabularMdp, _transition_problems, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
+    SoftSolution,
     _check_solver,
     _soft_backup,
     _soft_policy,
@@ -56,6 +57,16 @@ REPRODUCTION_CRITERIA = (
 # The probe's argmax set holds each action within this of the state's top probability.
 PROBE_TIE_TOL = 1e-6
 
+# Expert episodes `run_recovery` samples in sampled mode.
+N_EXPERT_TRAJECTORIES = 64
+
+
+def _warn_unconverged(solution: SoftSolution, what: str) -> None:
+    """Warn when `solution` did not converge, naming `what`, at the caller's caller."""
+    if not solution.converged:
+        warnings.warn(f"{what} did not converge in {solution.iterations_used} iterations "
+                      f"(residual {solution.residual:.3g})", RuntimeWarning, stacklevel=3)
+
 
 def expert_demos(
     mdp: TabularMdp,
@@ -67,10 +78,12 @@ def expert_demos(
 ):
     """Demonstrations from the soft-optimal policy of the ground-truth reward.
 
-    Returns (demos, expert_solution): the exact expert occupancy in
-    exact_occupancy mode, sampled expert episodes otherwise.
+    Returns (demos, expert_solution): the exact expert occupancy, an (S, A, S)
+    array, in exact_occupancy mode, sampled expert episodes otherwise.  An
+    unconverged expert solve warns.
     """
     solution = soft_value_iteration(mdp, entropy_weight=entropy_weight)
+    _warn_unconverged(solution, "expert solve")
     return _demos(mdp, solution.policy, mode, n_trajectories, seed), solution
 
 
@@ -91,8 +104,8 @@ class RecoveryResult(NamedTuple):
     f_advantage_error: float
 
 
-def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str, config: LearnerConfig,
-                 *, n_expert_trajectories: int = 64) -> RecoveryResult | list[RecoveryResult]:
+def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str,
+                 config: LearnerConfig) -> RecoveryResult | list[RecoveryResult]:
     """Train on the MDP's own expert and measure reward recovery.
 
     recovery_error is the mean-centered sup-norm gap between the learned g and
@@ -103,7 +116,8 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str, config: L
     `mdp` is one TabularMdp, which returns one RecoveryResult, or a sequence
     of them, which returns a list: the experts are solved as one stack (each
     is `expert_demos`' solution) and trained as one stack by `airl_train`, so
-    each entry equals its own one-MDP call bit for bit.
+    each entry equals its own one-MDP call bit for bit.  Sampled mode draws
+    `N_EXPERT_TRAJECTORIES` expert episodes; an unconverged expert solve warns.
     """
     mdps, single = _stack_of(mdp, "run_recovery")
     config = replace(config, variant=variant)
@@ -111,8 +125,10 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str, config: L
     r_sa = np.stack([expected_state_action(mdp.reward, mdp.transition) for mdp in mdps])
     solves = _solve_stack(transition, r_sa, mdps[0].discount,
                           entropy_weight=config.entropy_weight)
-    experts = [solves.solution(i) for i in range(len(mdps))]
-    demos = [_demos(mdp, expert.policy, config.mode, n_expert_trajectories, config.seed)
+    experts = [solves.row(i) for i in range(len(mdps))]
+    for i, expert in enumerate(experts):
+        _warn_unconverged(expert, f"expert solve of problem {i}")
+    demos = [_demos(mdp, expert.policy, config.mode, N_EXPERT_TRAJECTORIES, config.seed)
              for mdp, expert in zip(mdps, experts)]
     results = airl_train(mdps, demos, config)
     recoveries = []
@@ -245,10 +261,7 @@ def evaluate_on_new_dynamics(
     """
     policies = _sweep_policies(test_mdp, learned_reward, entropy_weight)
     optimal = soft_value_iteration(test_mdp, entropy_weight=entropy_weight)
-    if not optimal.converged:
-        warnings.warn(f"ground-truth solve did not converge in {optimal.iterations_used} "
-                      f"iterations (residual {optimal.residual:.3g})", RuntimeWarning,
-                      stacklevel=2)
+    _warn_unconverged(optimal, "ground-truth solve")
     returns = evaluate_return(test_mdp, np.concatenate(
         [policies, optimal.policy[None], uniform_policy(test_mdp)[None]]))
     curve = _curve(returns[:-2])
@@ -291,9 +304,9 @@ def disentanglement_probe(
     candidate reward and under the ground truth, and compares per-state argmax
     action sets with a tie band of `PROBE_TIE_TOL`.  Returns the agreeing fraction
     and the per-dynamics verdicts in probe order.  Every solve runs in one
-    stacked `_solve_stack` call.  Raises ValueError for a negative
-    `n_dynamics`, when there is nothing to probe, or for an extra tensor of
-    the wrong shape or whose rows are not probability distributions.
+    stacked `_solve_stack` call; an unconverged solve warns.  Raises ValueError
+    for a negative `n_dynamics`, when there is nothing to probe, or for an
+    extra tensor of the wrong shape or whose rows are not distributions.
     """
     tensors = [np.asarray(t, dtype=float) for t in extra_dynamics]
     if n_dynamics < 0 or n_dynamics + len(tensors) == 0:
@@ -312,8 +325,12 @@ def disentanglement_probe(
     n = len(transition)
     r_sa = np.concatenate([expected_state_action(reward, transition),
                            expected_state_action(mdp.reward, transition)])
-    policies = _solve_stack(np.concatenate([transition, transition]), r_sa, mdp.discount,
-                            entropy_weight=entropy_weight).policy
+    solves = _solve_stack(np.concatenate([transition, transition]), r_sa, mdp.discount,
+                          entropy_weight=entropy_weight)
+    for i in np.flatnonzero(~solves.converged):
+        table = "candidate reward" if i < n else "ground truth"
+        _warn_unconverged(solves.row(i), f"probe solve of the {table} on dynamics {i % n}")
+    policies = solves.policy
     in_argmax_set = policies >= policies.max(axis=-1, keepdims=True) - PROBE_TIE_TOL
     agreements = (in_argmax_set[:n] == in_argmax_set[n:]).all(axis=(1, 2))
     return ProbeResult(fraction=float(np.mean(agreements)),

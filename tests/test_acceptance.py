@@ -213,8 +213,8 @@ def test_criterion_5_gradient_correctness(report):
             return p / p.sum(axis=1, keepdims=True)
 
         policy = soft_policy()
-        expert_w = occupancy(mdp, soft_policy()).rho
-        negative_w = occupancy(mdp, policy).rho
+        expert_w = occupancy(mdp, soft_policy())
+        negative_w = occupancy(mdp, policy)
         grad = discriminator_grad(params, policy, expert_w, negative_w)
         fd_g, fd_h = fd_gradient(params, policy, expert_w, negative_w)
         rel_g = np.abs(grad.g - fd_g) / np.maximum(np.abs(fd_g), 1e-8)

@@ -1,4 +1,3 @@
-import copy
 import json
 import pickle
 import warnings
@@ -21,7 +20,6 @@ from irl_lab.airl import (
     _episode_problem,
     _replay_weights,
     _sigmoid,
-    _trajectory_counts,
     airl_train,
     discriminator_grad,
     discriminator_loss,
@@ -201,8 +199,8 @@ class TestDiscriminatorLoss:
     def test_matched_odds_anchor(self, tiny_mdp):
         policy = softmax_policy(4, 3, 2)
         params = matched_params(policy)
-        we = occupancy(tiny_mdp, softmax_policy(5, 3, 2)).rho
-        wn = occupancy(tiny_mdp, policy).rho
+        we = occupancy(tiny_mdp, softmax_policy(5, 3, 2))
+        wn = occupancy(tiny_mdp, policy)
         npt.assert_allclose(discriminator_loss(params, policy, we, wn),
                             2.0 * np.log(2.0), atol=1e-12)
 
@@ -213,7 +211,7 @@ class TestDiscriminatorLoss:
         params = DiscriminatorParams(RewardTable("state_only", np.zeros(3)),
                                      np.zeros(3), 0.9)
         policy = uniform_policy(mdp)
-        rho = occupancy(mdp, policy).rho
+        rho = occupancy(mdp, policy)
         npt.assert_allclose(discriminator_loss(params, policy, rho, rho),
                             2.0 * np.log(2.0), atol=1e-12)
 
@@ -231,8 +229,8 @@ class TestDiscriminatorLoss:
 
     def test_matches_exhaustive_sum(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
-        we = occupancy(tiny_mdp, policy).rho
-        wn = occupancy(tiny_mdp, uniform_policy(tiny_mdp)).rho
+        we = occupancy(tiny_mdp, policy)
+        wn = occupancy(tiny_mdp, uniform_policy(tiny_mdp))
         params = random_params(6, 3, 2, "state_action")
         total = 0.0
         for s in range(3):
@@ -248,10 +246,10 @@ class TestDiscriminatorLoss:
         # pi(3|s) = 0 puts an infinite offset -log pi on those cells, where the
         # negative weight is 0; 0 * inf must count as 0, not NaN
         mdp = paper_tabular_mdp(0)
-        expert = occupancy(mdp, soft_value_iteration(mdp).policy).rho
+        expert = occupancy(mdp, soft_value_iteration(mdp).policy)
         policy = np.full((16, 4), 1.0 / 3.0)
         policy[:, 3] = 0.0
-        negatives = occupancy(mdp, policy).rho
+        negatives = occupancy(mdp, policy)
         assert not negatives[:, 3].any()
         params = random_params(8, 16, 4, "state_action")
         with np.errstate(divide="ignore"):
@@ -272,7 +270,7 @@ class TestDiscriminatorLoss:
         batch = TransitionBatch.from_trajectories(trajs)
         weights = batch.to_weights(3, 2)
         params = random_params(7, 3, 2)
-        negs = occupancy(tiny_mdp, policy).rho
+        negs = occupancy(tiny_mdp, policy)
         npt.assert_allclose(
             discriminator_loss(params, policy, batch, negs),
             discriminator_loss(params, policy, weights, negs),
@@ -291,8 +289,8 @@ class TestDiscriminatorGrad:
             kind = "state_only" if seed % 2 == 0 else "state_action"
             params = random_params(100 + seed, 4, n_actions, kind)
             policy = softmax_policy(200 + seed, 4, n_actions)
-            we = occupancy(mdp, softmax_policy(300 + seed, 4, n_actions)).rho
-            wn = occupancy(mdp, policy).rho
+            we = occupancy(mdp, softmax_policy(300 + seed, 4, n_actions))
+            wn = occupancy(mdp, policy)
             grad = discriminator_grad(params, policy, we, wn)
             fd_g, fd_h = fd_gradient(params, policy, we, wn)
             rel_g = np.abs(grad.g - fd_g) / np.maximum(np.abs(fd_g), 1e-8)
@@ -302,9 +300,9 @@ class TestDiscriminatorGrad:
 
     def test_tanh_form_matches_the_sigmoid_form(self, bench_mdp):
         # the step forms D * (w_e + w_n) - w_e as half * tanh(x / 2) + (half - w_e)
-        expert = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy).rho
+        expert = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy)
         policy = softmax_policy(3, 16, 4)
-        negatives = occupancy(bench_mdp, policy).rho
+        negatives = occupancy(bench_mdp, policy)
         for kind in ("state_only", "state_action"):
             params = random_params(8, 16, 4, kind, discount=bench_mdp.discount)
             x = f_table(params, 16, 4) - np.log(policy)[:, :, None]
@@ -318,7 +316,7 @@ class TestDiscriminatorGrad:
     def test_symmetric_optimum_has_zero_gradient(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
         params = matched_params(policy)
-        rho = occupancy(tiny_mdp, policy).rho
+        rho = occupancy(tiny_mdp, policy)
         grad = discriminator_grad(params, policy, rho, rho)
         assert np.max(np.abs(grad.g)) <= 1e-10
         assert np.max(np.abs(grad.h)) <= 1e-10
@@ -339,8 +337,8 @@ class TestDiscriminatorGrad:
         # p_hat = exp(f) * rho_pi(s) * T(s'|s,a) — checked through the chain
         # rule onto both tables
         policy = soft_value_iteration(tiny_mdp).policy
-        we = occupancy(tiny_mdp, softmax_policy(11, 3, 2)).rho
-        wp = occupancy(tiny_mdp, policy).rho
+        we = occupancy(tiny_mdp, softmax_policy(11, 3, 2))
+        wp = occupancy(tiny_mdp, policy)
         for kind in ("state_only", "state_action"):
             params = random_params(21, 3, 2, kind)
             f = f_table(params, 3, 2)
@@ -572,7 +570,7 @@ class TestAirlTrain:
             LearnerConfig(variant="airl_state_action", iterations=40),
         )
         learned_occ = occupancy(mdp, result.policy)
-        tv = 0.5 * np.abs(learned_occ.rho - expert_occ.rho).sum()
+        tv = 0.5 * np.abs(learned_occ - expert_occ).sum()
         assert tv <= 0.02
 
     def test_state_action_variant_learns_the_expert_advantage(self, bench_mdp):
@@ -736,11 +734,11 @@ class TestStackedTraining:
 def eager_history(mdp, history):
     """Each stored (g, policy) scored by single-policy calls, one iteration at a time."""
     true_return, reward_error = [], []
-    for r in history._rounds:
-        true_return.append(evaluate_return(mdp, r.policy, mdp.reward, include_entropy=False))
-        kind = "state_only" if r.g.ndim == 1 else "state_action"
+    for g, policy in zip(history._g, history._policy):
+        true_return.append(evaluate_return(mdp, policy, mdp.reward, include_entropy=False))
+        kind = "state_only" if g.ndim == 1 else "state_action"
         reward_error.append(
-            centered_reward_error(RewardTable(kind, r.g), mdp.reward, mdp.transition)
+            centered_reward_error(RewardTable(kind, g), mdp.reward, mdp.transition)
         )
     return true_return, reward_error
 
@@ -780,28 +778,17 @@ class TestLazyHistory:
             assert doc["true_return"] == true_return, key
             assert doc["reward_error"] == reward_error, key
             # the stored tables are the training's own
-            final = result.history._rounds[-1]
-            assert np.array_equal(final.policy, result.policy), key
+            assert np.array_equal(history._policy[-1], result.policy), key
             learned = result.scorer.f_step if key[0] == "gan_gcl_trajectory" \
                 else result.params.g.values
-            assert np.array_equal(final.g, learned), key
+            assert np.array_equal(history._g[-1], learned), key
 
-    def test_reads_repeat_and_see_later_appends(self, bench_mdp, runs):
-        history = copy.deepcopy(runs["airl_state_only", "exact_occupancy"].history)
+    def test_reads_repeat(self, runs):
+        history = runs["airl_state_only", "exact_occupancy"].history
         first = history.to_csv_text()
         assert history.to_csv_text() == first
-        last = history._rounds[-1]
-        g = last.g + 1.0
-        policy = uniform_policy(bench_mdp)
-        history.append(6, 0.5, 1.0, last.vi_steps_cumulative + 3, g, policy)
-        assert history.to_csv_text().splitlines()[:-1] == first.splitlines()
-        assert history.column("iteration")[-1] == 6
-        assert history.column("disc_loss")[-1] == 0.5
-        assert history.column("true_return")[-1] == evaluate_return(
-            bench_mdp, policy, bench_mdp.reward)
-        assert history.column("reward_error")[-1] == centered_reward_error(
-            RewardTable("state_only", g), bench_mdp.reward, bench_mdp.transition)
-        assert history.column("vi_steps_cumulative")[-1] == last.vi_steps_cumulative + 3
+        assert history.to_json_dict() == history.to_json_dict()
+        assert all(type(x) is int for x in history.column("vi_steps_cumulative").tolist())
 
     def test_editing_the_result_leaves_the_history_alone(self, tiny_mdp):
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
@@ -831,12 +818,19 @@ class TestTransitionBatch:
         manual_states = np.concatenate([t.states[:-1] for t in trajs])
         npt.assert_array_equal(batch.states, manual_states)
 
-    def test_to_weights_counts_and_normalizes(self):
+    def test_to_weights_counts_and_normalizes(self, bench_mdp):
         batch = TransitionBatch([0, 0, 1], [0, 0, 1], [1, 1, 0])
         w = batch.to_weights(2, 2)
         npt.assert_allclose(w[0, 0, 1], 2 / 3)
         npt.assert_allclose(w[1, 1, 0], 1 / 3)
         npt.assert_allclose(w.sum(), 1.0)
+        # a sampled batch, bit for bit against counts taken one step at a time
+        batch = TransitionBatch.from_trajectories(
+            sample_trajectories(bench_mdp, softmax_policy(6, 16, 4), 9, seed=3))
+        want = np.zeros((16, 4, 16))
+        for cell in zip(batch.states, batch.actions, batch.next_states):
+            want[cell] += 1.0
+        assert batch.to_weights(16, 4).tobytes() == (want / len(batch)).tobytes()
 
     def test_empty_batch_rejected(self):
         empty = TransitionBatch([], [], [])
@@ -853,16 +847,24 @@ class TestTransitionBatch:
         npt.assert_array_equal(pooled.actions, [1, 4])
         npt.assert_array_equal(pooled.next_states, [2, 5])
 
+    @pytest.mark.parametrize("cell", [(2, 0, 0), (0, 2, 0), (0, 0, 2), (-1, 0, 0), (0, -1, 0)])
+    def test_out_of_range_indices_rejected(self, cell):
+        # a flat cell index would land an out-of-range action in another cell
+        batch = TransitionBatch(*([0, c] for c in cell))
+        with pytest.raises(ValueError, match="outside the table"):
+            batch.to_weights(2, 2)
+
     def test_ragged_arrays_rejected(self):
         with pytest.raises(ValueError):
             TransitionBatch([0, 1], [0], [1, 2])
 
 
-def add_at_counts(trajectories, n_states, n_actions):
-    """The step-count matrix built one episode at a time with np.add.at."""
+def loop_counts(trajectories, n_states, n_actions):
+    """The step-count matrix built one step at a time."""
     counts = np.zeros((len(trajectories), n_states * n_actions))
     for i, t in enumerate(trajectories):
-        np.add.at(counts[i], t.states[:-1] * n_actions + t.actions, 1.0)
+        for s, a in t.steps:
+            counts[i, s * n_actions + a] += 1.0
     return counts
 
 
@@ -870,8 +872,9 @@ class TestReplayCounts:
     def test_replay_weights_equal_pooled_batch_weights(self, bench_mdp):
         policy = softmax_policy(3, 16, 4)
         seeds = (11, 12, 13)
-        replay = [_cell_counts(*_rollouts(bench_mdp, policy, 16, seed), 16, 4)
-                  for seed in seeds]
+        replay = [_cell_counts(states[:, :-1], actions, states[:, 1:], 16, 4)
+                  for states, actions in (_rollouts(bench_mdp, policy, 16, seed)
+                                          for seed in seeds)]
         batches = [
             TransitionBatch.from_trajectories(sample_trajectories(bench_mdp, policy, 16, seed))
             for seed in seeds
@@ -880,16 +883,18 @@ class TestReplayCounts:
             want = pool_batches(batches[:k]).to_weights(16, 4)
             assert np.array_equal(_replay_weights(replay[:k]), want)
 
-    def test_episode_counts_equal_the_add_at_rows(self, bench_mdp):
+    def test_episode_counts_equal_the_loop_rows(self, bench_mdp):
         policy = softmax_policy(4, 16, 4)
         states, actions = _rollouts(bench_mdp, policy, 12, 7)
         episodes = sample_trajectories(bench_mdp, policy, 12, seed=7)
-        want = add_at_counts(episodes, 16, 4)
-        assert np.array_equal(_episode_counts(states, actions, 16, 4), want)
-        assert np.array_equal(_trajectory_counts(episodes, 16, 4), want)
-        # demonstrations may differ in length
+        got = _episode_counts(np.arange(12)[:, None], states[:, :-1], actions, 12, 16, 4)
+        assert np.array_equal(got, loop_counts(episodes, 16, 4))
+        # demonstrations may differ in length, and pass as flat arrays
         ragged = [Trajectory(t.states[:k + 1], t.actions[:k]) for k, t in enumerate(episodes)]
-        assert np.array_equal(_trajectory_counts(ragged, 16, 4), add_at_counts(ragged, 16, 4))
+        got = _episode_counts(np.repeat(np.arange(12), np.arange(12)),
+                              np.concatenate([t.states[:-1] for t in ragged]),
+                              np.concatenate([t.actions for t in ragged]), 12, 16, 4)
+        assert np.array_equal(got, loop_counts(ragged, 16, 4))
 
 
 class TestGanGcl:
@@ -948,7 +953,7 @@ class TestGanGcl:
         policy = softmax_policy(seed, 4, 3)
         demos = sample_trajectories(mdp, softmax_policy(seed + 50, 4, 3), 5, seed=seed)
         negs = sample_trajectories(mdp, policy, 7, seed=seed + 1)
-        counts = _trajectory_counts(demos + negs, 4, 3)
+        counts = loop_counts(demos + negs, 4, 3)
         problem = _episode_problem(counts, len(demos), np.log(policy))
         f_step = np.random.default_rng(seed).normal(scale=0.5, size=(4, 3))
         return problem, f_step, policy, demos + negs

@@ -145,7 +145,7 @@ class TestGenerate:
         cfg = write_config(tmp_path / "c.json", mdp={
             "source": "generate", "kind": "random", "states": 5, "actions": 2,
             "reward_state": 3, "seed": 9})
-        built = _build_mdp(load_experiment_config(cfg).mdp_spec)
+        built = _build_mdp(load_experiment_config(cfg)["mdp"])
         assert json.loads(out.read_text()) == mdp_to_dict(built)
 
     @pytest.mark.parametrize("reward_state", ["5", "-1"])
@@ -721,6 +721,16 @@ class TestProbe:
                                   "--reward", str(reward_file), "--n-dynamics", "1")
         assert code == EXIT_USAGE and "invalid reward file" in stderr
 
+    def test_mis_shaped_reward_is_named(self, tmp_path, capsys):
+        # checked against the MDP before the probe broadcasts it over new dynamics
+        mdp_file, reward_file = self.make_inputs(tmp_path, capsys)
+        reward_file.write_text(json.dumps({"kind": "state_only", "values": [1.0, 0.0]}))
+        code, stdout, stderr = run_cli(capsys, "probe", "--mdp", str(mdp_file),
+                                       "--reward", str(reward_file), "--n-dynamics", "1")
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == (f"error: invalid reward file {str(reward_file)!r}: state_only "
+                          "reward table must have shape (16,), got (2,)\n")
+
     def test_invalid_mdp_file_is_numeric_error(self, tmp_path, capsys):
         _, reward_file = self.make_inputs(tmp_path, capsys)
         mdp_file = tmp_path / "undiscounted.json"
@@ -842,7 +852,8 @@ class TestWrongTypedJson:
 
 
 class TestNegativeSeeds:
-    """A negative seed exits 2 naming its key or flag, before any output is made."""
+    """A negative seed or iteration count exits 2 naming its key or flag, before any
+    output is made."""
 
     @pytest.mark.parametrize("argv, doc, named", [
         pytest.param(["train"],
@@ -863,6 +874,10 @@ class TestNegativeSeeds:
                       "--out", "run/probe.json"], None, "--seed", id="probe-flag"),
         pytest.param(["reproduce-tabular", "--seeds", "-5", "--smoke", "--out", "run"], None,
                      "--seeds", id="reproduce-seeds"),
+        pytest.param(["reproduce-tabular", "--iterations", "-5", "--out", "run"], None,
+                     "--iterations", id="reproduce-iterations"),
+        pytest.param(["reproduce-tabular", "--iterations", "-5", "--smoke", "--out", "run"], None,
+                     "--iterations", id="reproduce-iterations-smoke"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, argv, doc, named):
         monkeypatch.chdir(tmp_path)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irl_lab.airl import DiscriminatorParams, params_from_dict, params_to_dict
+from irl_lab.airl import (DiscriminatorParams, discriminator_grad, params_from_dict,
+                         params_to_dict)
 from irl_lab.cli import InvalidMdpError, _build_mdp, load_experiment_config
 from irl_lab.mdp import (
     RewardTable,
@@ -21,11 +22,12 @@ from irl_lab.mdp import (
     reward_to_dict,
     save_mdp,
 )
+from irl_lab.shaping import PotentialFn, shape_reward
 from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, evaluate_return,
                              occupancy, sample_trajectories, soft_value_iteration)
 
 from conftest import assert_same_solution, solve_rows
-from oracles import (enumerate_return, general_soft_backup, general_soft_policy,
+from oracles import (enumerate_return, fd_gradient, general_soft_backup, general_soft_policy,
                      loop_occupancy, loop_return, loop_sample_trajectories,
                      loop_soft_value_iteration)
 
@@ -100,14 +102,13 @@ def test_stacked_returns_match_the_loop_and_path_enumeration(
 def test_occupancy_is_a_distribution_matching_the_loop(case):
     mdp, policies = case
     for policy in policies:
-        measure = occupancy(mdp, policy)
-        rho = measure.rho
+        rho = occupancy(mdp, policy)
         assert rho.shape == (mdp.n_states, mdp.n_actions, mdp.n_states)
         assert np.all(rho >= 0)
         assert abs(rho.sum() - 1.0) <= 1e-12
         assert np.max(np.abs(rho - loop_occupancy(mdp, policy))) <= 1e-12
         # the next state is drawn from the dynamics given (s, a)
-        factored = measure.state_action_marginal()[:, :, None] * mdp.transition
+        factored = rho.sum(axis=2)[:, :, None] * mdp.transition
         assert np.max(np.abs(rho - factored)) <= 1e-15
 
 
@@ -185,7 +186,7 @@ def test_stacked_solves_equal_single_calls(case, max_iters, entropy_weight):
         kwargs = {"max_iters": max_iters, "entropy_weight": entropy_weight,
                   "v_init": None if v_init is None else v_init[i]}
         alone = soft_value_iteration(mdp, **kwargs)
-        assert_same_solution(stack.solution(i), alone)
+        assert_same_solution(stack.row(i), alone)
         assert_same_solution(alone, loop_soft_value_iteration(mdp, **kwargs))
 
 
@@ -218,7 +219,7 @@ def test_stacked_occupancies_equal_single_calls(case):
                        mdps[0].horizon, policies)
     assert rho.shape == (len(mdps),) + mdps[0].transition.shape
     for mdp, policy, row in zip(mdps, policies, rho):
-        assert row.tobytes() == occupancy(mdp, policy).rho.tobytes()
+        assert row.tobytes() == occupancy(mdp, policy).tobytes()
 
 
 def _through_json(doc):
@@ -248,6 +249,47 @@ def test_documents_round_trip(case, h_seed):
     back = params_from_dict(_through_json(params_to_dict(params)))
     assert back.g.kind == g.kind and np.array_equal(back.g.values, g.values)
     assert np.array_equal(back.h, h) and back.discount == mdp.discount
+
+
+@st.composite
+def discriminator_cases(draw):
+    """Parameters of either g kind on 1-6 states and 1-4 actions, a strictly positive
+    policy, and expert and negative (s, a, s') weights with some entries exactly 0."""
+    n_states = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["state_only", "state_action"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n_states,) if kind == "state_only" else (n_states, n_actions))
+    params = DiscriminatorParams(RewardTable(kind, g), rng.normal(size=n_states),
+                                 draw(st.floats(0.0, 0.999)))
+    policy = 0.5 * _distributions(rng, (n_states, n_actions), 0.5) + 0.5 / n_actions
+    cells = n_states * n_actions * n_states
+    expert, negatives = (_distributions(rng, (cells,), draw(st.sampled_from([0.0, 0.3, 0.7])))
+                         .reshape(n_states, n_actions, n_states) for _ in range(2))
+    return params, policy, expert, negatives
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=discriminator_cases())
+def test_discriminator_grad_matches_finite_differences(case):
+    params, policy, expert, negatives = case
+    grad = discriminator_grad(params, policy, expert, negatives)
+    fd_g, fd_h = fd_gradient(params, policy, expert, negatives)
+    assert grad.g.shape == fd_g.shape and grad.h.shape == fd_h.shape
+    assert np.max(np.abs(grad.g - fd_g)) <= 1e-7
+    assert np.max(np.abs(grad.h - fd_h)) <= 1e-7
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=mdps_and_policies(), phi_seed=st.integers(0, 2**32 - 1))
+def test_shaping_leaves_the_soft_optimal_policy_unchanged(case, phi_seed):
+    # r + discount * phi(s') - phi(s) shifts soft q and v by -phi(s), not the policy
+    mdp, _ = case
+    phi = PotentialFn(np.random.default_rng(phi_seed).normal(size=mdp.n_states))
+    shaped = shape_reward(mdp.reward, phi, mdp.discount, n_actions=mdp.n_actions)
+    policy = soft_value_iteration(mdp).policy
+    # each solve stops within its 1e-8 tolerance; a shaping error moves the policy far more
+    assert np.max(np.abs(soft_value_iteration(mdp, shaped).policy - policy)) <= 1e-6
 
 
 # Any JSON value: what a hand-edited config might hold in place of the right one.
@@ -316,6 +358,6 @@ def test_fuzzed_configs_raise_only_value_errors(config_dir, data):
     path = config_dir / "config.json"
     path.write_text(json.dumps(doc))
     try:
-        _build_mdp(load_experiment_config(path).mdp_spec)
+        _build_mdp(load_experiment_config(path)["mdp"])
     except (ValueError, InvalidMdpError):
         pass

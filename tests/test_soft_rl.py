@@ -19,7 +19,6 @@ from irl_lab.mdp import (
     random_mdp,
 )
 from irl_lab.soft_rl import (
-    OccupancyMeasure,
     _occupancies,
     _soft_backup,
     _solve_stack,
@@ -76,7 +75,7 @@ class TestSoftValueIteration:
         _, v, policy = backward_soft_recursion(mdp)
         npt.assert_allclose(sol.v, v, atol=1e-6)
         npt.assert_allclose(sol.policy, policy, atol=1e-6)
-        npt.assert_allclose(occupancy(mdp, sol.policy).rho, loop_occupancy(mdp, sol.policy),
+        npt.assert_allclose(occupancy(mdp, sol.policy), loop_occupancy(mdp, sol.policy),
                             atol=1e-12)
         for include_entropy in (False, True):
             npt.assert_allclose(evaluate_return(mdp, sol.policy, include_entropy=include_entropy),
@@ -208,7 +207,7 @@ class TestStackedSolves:
         assert len({solution.iterations_used for solution in alone}) > 1
         assert all(solution.converged for solution in alone)
         for i, (mdp, reward, kw) in enumerate(zip(mdps, rewards, kwargs)):
-            assert_same_solution(stack.solution(i), alone[i])
+            assert_same_solution(stack.row(i), alone[i])
             assert_same_solution(alone[i], loop_soft_value_iteration(mdp, reward, **kw))
 
     def test_row_at_max_iters_beside_converged_rows(self):
@@ -223,12 +222,12 @@ class TestStackedSolves:
         assert [solution.converged for solution in alone] == [False, True] * 4
         assert [solution.iterations_used for solution in alone[::2]] == [3] * 4
         for i, solution in enumerate(alone):
-            assert_same_solution(stack.solution(i), solution)
+            assert_same_solution(stack.row(i), solution)
 
     def test_stack_of_one_equals_the_call(self, bench_mdp):
         stack = solve_rows([bench_mdp], [None])
         assert stack.policy.shape == (1, 16, 4)
-        assert_same_solution(stack.solution(0), soft_value_iteration(bench_mdp))
+        assert_same_solution(stack.row(0), soft_value_iteration(bench_mdp))
 
     def test_bad_stacks_rejected(self, bench_mdp):
         # the entry checks the whole stack once, with soft_value_iteration's messages
@@ -296,7 +295,7 @@ class TestOccupancy:
             sol = soft_value_iteration(mdp)
             fast = occupancy(mdp, sol.policy)
             slow = loop_occupancy(mdp, sol.policy)
-            npt.assert_allclose(fast.rho, slow, atol=1e-10)
+            npt.assert_allclose(fast, slow, atol=1e-10)
 
     def test_stacked_rows_equal_single_calls(self):
         # one recursion over a stack of MDPs sharing horizon and discount
@@ -308,28 +307,26 @@ class TestOccupancy:
                            np.stack([mdp.initial_dist for mdp in mdps]), 0.9, 20, policies)
         assert rho.shape == (5, 16, 4, 16)
         for mdp, policy, row in zip(mdps, policies, rho):
-            assert row.tobytes() == occupancy(mdp, policy).rho.tobytes()
+            assert row.tobytes() == occupancy(mdp, policy).tobytes()
 
     def test_normalized_and_nonnegative(self, bench_mdp):
-        rho = occupancy(bench_mdp, uniform_policy(bench_mdp)).rho
+        rho = occupancy(bench_mdp, uniform_policy(bench_mdp))
         assert rho.shape == (16, 4, 16)
         npt.assert_allclose(rho.sum(), 1.0, atol=1e-12)
         assert (rho >= 0.0).all()
 
-    def test_marginals_are_consistent(self, bench_mdp):
-        sol = soft_value_iteration(bench_mdp)
-        occ = occupancy(bench_mdp, sol.policy)
-        npt.assert_allclose(occ.state_action_marginal(), occ.rho.sum(axis=2),
-                            atol=1e-15)
-        npt.assert_allclose(occ.state_marginal(), occ.rho.sum(axis=(1, 2)),
-                            atol=1e-15)
+    def test_is_a_read_only_array(self, bench_mdp):
+        rho = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy)
+        assert type(rho) is np.ndarray and not rho.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0, 0, 0] = 1.0
 
     def test_transition_factor(self, tiny_mdp):
         # rho(s,a,s') must factor as rho(s,a) * T(s'|s,a)
         policy = uniform_policy(tiny_mdp)
         occ = occupancy(tiny_mdp, policy)
-        rebuilt = occ.state_action_marginal()[:, :, None] * tiny_mdp.transition
-        npt.assert_allclose(occ.rho, rebuilt, atol=1e-14)
+        rebuilt = occ.sum(axis=2)[:, :, None] * tiny_mdp.transition
+        npt.assert_allclose(occ, rebuilt, atol=1e-14)
 
     def test_absorbing_start_concentrates_mass(self):
         t = np.zeros((2, 1, 2))
@@ -337,7 +334,7 @@ class TestOccupancy:
         t[1, 0, 1] = 1.0
         mdp = TabularMdp(2, 1, t, RewardTable("state_only", np.zeros(2)), 0.9,
                          np.array([1.0, 0.0]), horizon=5)
-        rho = occupancy(mdp, uniform_policy(mdp)).rho
+        rho = occupancy(mdp, uniform_policy(mdp))
         npt.assert_allclose(rho[0, 0, 0], 1.0, atol=1e-12)
         npt.assert_allclose(rho[1], 0.0, atol=1e-15)
 
@@ -436,7 +433,7 @@ class TestEvaluateReturn:
         occ = occupancy(bench_mdp, sol.policy)
         r_sa = bench_mdp.reward.values[:, None] * np.ones((1, 4))
         mass = sum(bench_mdp.discount**t for t in range(bench_mdp.horizon))
-        via_rho = mass * np.sum(occ.state_action_marginal() * r_sa)
+        via_rho = mass * np.sum(occ.sum(axis=2) * r_sa)
         direct = evaluate_return(bench_mdp, sol.policy)
         npt.assert_allclose(via_rho, direct, atol=1e-8)
 
@@ -494,5 +491,5 @@ class TestSampling:
             for t, (s, a) in enumerate(tr.steps):
                 counts[s, a, tr.states[t + 1]] += weights[t]
         counts /= counts.sum()
-        rho = occupancy(tiny_mdp, sol.policy).rho
+        rho = occupancy(tiny_mdp, sol.policy)
         assert np.max(np.abs(counts - rho)) < 0.02

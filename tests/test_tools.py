@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, directory=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -125,3 +126,30 @@ class TestSolvePairs:
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10
+
+
+class TestBenchmarkSpans:
+    def test_every_traced_name_installs_and_is_restored(self):
+        # the benchmark's tracer patches functions by name; a name a refactor
+        # deletes fails here rather than only in a traced benchmark run
+        spans = load_tool("spans", TOOLS.parent / "perfbench")
+        holders = [importlib.import_module("irl_lab")] + [
+            importlib.import_module(f"irl_lab.{name}") for name in spans.MODULES]
+        targets = []
+        for module_name, qualname, _ in spans.TARGETS:
+            owner_name, _, attr = qualname.rpartition(".")
+            module = importlib.import_module(f"irl_lab.{module_name}")
+            targets.append((getattr(module, owner_name) if owner_name else module, attr))
+        owners = holders + [owner for owner, _ in targets if owner not in holders]
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            assert all(getattr(owner, attr) is not before[owners.index(owner)][attr]
+                       for owner, attr in targets)
+        finally:
+            tracer.uninstall()
+        for owner, values in zip(owners, before):
+            after = dict(vars(owner))
+            assert after.keys() == values.keys()
+            assert all(after[key] is value for key, value in values.items()), owner

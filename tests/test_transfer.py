@@ -19,10 +19,10 @@ from irl_lab.mdp import (
 )
 from irl_lab.shaping import centered_reward_error
 from irl_lab.soft_rl import (
-    OccupancyMeasure,
     Trajectory,
     _soft_backup,
     evaluate_return,
+    occupancy,
     soft_value_iteration,
     uniform_policy,
 )
@@ -63,6 +63,19 @@ def det_recovery(deterministic_recoveries):
 CHUNK_BOUNDARIES = [1, 2, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65]
 
 
+def unconverged_warnings(caught):
+    """The messages of caught warnings up to their residual, each raised at its caller."""
+    assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
+    return [str(w.message).split(" (residual ")[0] for w in caught]
+
+
+def one_iteration_stacks(monkeypatch):
+    """Stop every stacked solve in transfer after one iteration."""
+    solve = irl_lab.transfer._solve_stack
+    monkeypatch.setattr(irl_lab.transfer, "_solve_stack",
+                        lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
+
+
 def sweep_residuals(mdp, reward, sweeps):
     """|v_k - v_{k-1}| of the first `sweeps` sweeps of plain value iteration, w = 1."""
     r_sa = expected_state_action(reward, mdp.transition)
@@ -78,9 +91,10 @@ def sweep_residuals(mdp, reward, sweeps):
 class TestExpertDemos:
     def test_exact_mode_returns_occupancy(self, tiny_mdp):
         demos, solution = expert_demos(tiny_mdp)
-        assert isinstance(demos, OccupancyMeasure)
+        assert demos.shape == (3, 2, 3) and not demos.flags.writeable
         assert solution.converged
-        npt.assert_allclose(demos.rho.sum(), 1.0, atol=1e-12)
+        assert demos.tobytes() == occupancy(tiny_mdp, solution.policy).tobytes()
+        npt.assert_allclose(demos.sum(), 1.0, atol=1e-12)
 
     def test_sampled_mode_returns_trajectories(self, tiny_mdp):
         demos, _ = expert_demos(tiny_mdp, "sampled", n_trajectories=9, seed=4)
@@ -92,6 +106,23 @@ class TestExpertDemos:
     def test_unknown_mode_rejected(self, tiny_mdp):
         with pytest.raises(ValueError, match="mode"):
             expert_demos(tiny_mdp, "bogus")
+
+    def test_unconverged_expert_solve_warns(self, tiny_mdp, monkeypatch):
+        def one_iteration(mdp, **kwargs):
+            return soft_value_iteration(mdp, max_iters=1, **kwargs)
+
+        monkeypatch.setattr(irl_lab.transfer, "soft_value_iteration", one_iteration)
+        for mode in ("exact_occupancy", "sampled"):
+            with pytest.warns(RuntimeWarning) as caught:
+                expert_demos(tiny_mdp, mode)
+            assert unconverged_warnings(caught) == ["expert solve did not converge in 1 iterations"]
+
+    def test_converged_default_calls_do_not_warn(self, tiny_mdp, bench_mdp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mdp in (tiny_mdp, bench_mdp):
+                expert_demos(mdp)
+                expert_demos(mdp, "sampled")
 
 
 class TestReoptimizeWithCurve:
@@ -340,6 +371,21 @@ class TestRunRecovery:
                 assert (row.history.column(name).tobytes()
                         == alone.history.column(name).tobytes()), name
 
+    def test_unconverged_expert_solves_warn(self, monkeypatch):
+        one_iteration_stacks(monkeypatch)
+        mdps = [paper_tabular_mdp(seed) for seed in range(3)]
+        with pytest.warns(RuntimeWarning) as caught:
+            run_recovery(mdps, "airl_state_only", LearnerConfig(iterations=1))
+        assert unconverged_warnings(caught) == [
+            f"expert solve of problem {i} did not converge in 1 iterations" for i in range(3)]
+
+    def test_converged_default_calls_do_not_warn(self, tiny_mdp):
+        mdps = [paper_tabular_mdp(seed) for seed in range(3)] + [deterministic_bench()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_recovery(mdps, "airl_state_action", LearnerConfig(iterations=2))
+            run_recovery(tiny_mdp, "airl_state_only", LearnerConfig(mode="sampled", iterations=2))
+
     def test_empty_stack_is_rejected(self):
         with pytest.raises(ValueError, match="run_recovery got an empty stack"):
             run_recovery([], "airl_state_only", LearnerConfig(iterations=1))
@@ -482,6 +528,22 @@ class TestDisentanglementProbe:
         probe = disentanglement_probe(tiny_mdp, tiny_mdp.reward, 0, seed=0,
                                       extra_dynamics=(tiny_mdp.transition,))
         assert probe.agreements == (True,)
+
+    def test_unconverged_solves_warn(self, tiny_mdp, monkeypatch):
+        one_iteration_stacks(monkeypatch)
+        with pytest.warns(RuntimeWarning) as caught:
+            disentanglement_probe(tiny_mdp, tiny_mdp.reward, 2, seed=0,
+                                  extra_dynamics=(tiny_mdp.transition,))
+        assert unconverged_warnings(caught) == [
+            f"probe solve of the {reward} on dynamics {k} did not converge in 1 iterations"
+            for reward in ("candidate reward", "ground truth") for k in range(3)]
+
+    def test_converged_default_calls_do_not_warn(self, bench_mdp):
+        # dense draws and a deterministic tensor, as the probe's callers pass them
+        extra = (deterministic_bench().transition,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disentanglement_probe(bench_mdp, bench_mdp.reward, 8, seed=0, extra_dynamics=extra)
 
 
 def tied_mdp():
