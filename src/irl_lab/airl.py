@@ -9,6 +9,8 @@ gradient descent.
 - AIRL: the rows are (s, a, s') cells, theta = (g, h) with g over states (or
   state-action pairs) and h a state shaping term, and Phi(theta) is
   f(s, a, s') = g(s[, a]) + discount * h(s') - h(s), applied by broadcasting.
+  A state-only g is an (S,) table, or, in a stack that mixes it with
+  state-action problems, an (S, A) table holding g(s) tied across actions.
   The offset -log pi(a|s) makes D = exp(f) / (exp(f) + pi(a|s)); w_e and w_n
   are (s, a, s') occupancy or empirical weights.
 - The trajectory baseline (``gan_gcl_trajectory``): the rows are episodes,
@@ -18,9 +20,9 @@ gradient descent.
 
 One loop trains both, re-solving the policy after each fit by warm-started
 soft value iteration on the learned reward.  In exact mode it trains a stack
-of AIRL problems at once, with a leading problem axis on theta, the weights
-and the offset, and re-solves every problem's policy in one stacked solve;
-each problem gets the bits of its own run.
+of AIRL problems at once, of either variant or both, with a leading problem
+axis on theta, the weights and the offset, and re-solves every problem's
+policy in one stacked solve; each problem gets the bits of its own run.
 """
 
 from __future__ import annotations
@@ -229,12 +231,17 @@ class TransitionBatch:
         """Empirical (s, a, s') frequency tensor, normalized to total mass 1."""
         if len(self) == 0:
             raise ValueError("empty transition batch")
-        for index, size in ((self.states, n_states), (self.actions, n_actions),
-                            (self.next_states, n_states)):
-            if index.min() < 0 or index.max() >= size:
-                raise ValueError("transition batch indexes a state or action outside the table")
+        _check_in_table((self.states, n_states), (self.actions, n_actions),
+                        (self.next_states, n_states))
         return _cell_counts(self.states, self.actions, self.next_states, n_states,
                             n_actions) / len(self)
+
+
+def _check_in_table(*indexes: tuple[np.ndarray, int]) -> None:
+    """Refuse an (index array, table size) pair with an index outside [0, size)."""
+    for index, size in indexes:
+        if len(index) and (index.min() < 0 or index.max() >= size):
+            raise ValueError("transition batch indexes a state or action outside the table")
 
 
 def pool_batches(batches: Sequence[TransitionBatch]) -> TransitionBatch:
@@ -285,15 +292,18 @@ def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
     raise TypeError("expected a weight tensor, TransitionBatch or trajectories")
 
 
-def _raw_f(g: np.ndarray, h: np.ndarray, state_only: bool, discount: float) -> np.ndarray:
-    """f over the (s, a, s') cells, broadcast; g and h may carry leading problem axes."""
-    g_part = g[..., None, None] if state_only else g[..., None]
+def _raw_f(g: np.ndarray, h: np.ndarray, discount: float) -> np.ndarray:
+    """f over the (s, a, s') cells, broadcast; g and h may carry leading problem axes.
+
+    g is a state table when it has h's axes, else a state-action table.
+    """
+    g_part = g[..., None, None] if g.ndim == h.ndim else g[..., None]
     return g_part + discount * h[..., None, None, :] - h[..., None, None]
 
 
 def f_table(params: DiscriminatorParams, n_states: int, n_actions: int) -> np.ndarray:
     """Dense (s, a, s') table of f = g + discount*h(s') - h(s)."""
-    raw = _raw_f(params.g.values, params.h, params.g.kind == "state_only", params.discount)
+    raw = _raw_f(params.g.values, params.h, params.discount)
     return np.ascontiguousarray(np.broadcast_to(raw, (n_states, n_actions, n_states)))
 
 
@@ -359,23 +369,33 @@ class _Problem:
         return theta
 
 
-def _chain_to_tables(dl_df, state_only: bool, discount: float):
+def _chain_to_tables(dl_df, tied: int | None, discount: float):
     """Chain a per-cell f gradient onto the g and h tables.
 
     g collects the cells sharing its index; h gets weight -1 at the current
     state and +discount at the successor.  Leading problem axes pass through.
+    `tied` is None when every g is a state table.  Otherwise g is a
+    state-action table, and the first `tied` problems of the stack are
+    state-only ones holding g(s) tied across actions: each gets its per-state
+    gradient copied across its actions, which keeps the copies equal.
     """
     per_state = dl_df.sum(axis=(-2, -1))
-    grad_g = per_state if state_only else dl_df.sum(axis=-1)
+    if tied is None:
+        grad_g = per_state
+    else:
+        grad_g = dl_df.sum(axis=-1)
+        if tied:
+            grad_g[:tied] = per_state[:tied, :, None]
     grad_h = discount * dl_df.sum(axis=(-3, -2)) - per_state
     return grad_g, grad_h
 
 
-def _cell_problem(state_only: bool, discount: float, log_pi, w_e, w_n) -> _Problem:
-    """AIRL rows: the (s, a, s') cells, theta = (g, h), offset -log pi(a|s)."""
+def _cell_problem(tied: int | None, discount: float, log_pi, w_e, w_n) -> _Problem:
+    """AIRL rows: the (s, a, s') cells, theta = (g, h), offset -log pi(a|s);
+    `tied` gives g's layout as `_chain_to_tables` takes it."""
     return _Problem(
-        lambda theta: _raw_f(*theta, state_only, discount),
-        lambda dl_df: _chain_to_tables(dl_df, state_only, discount),
+        lambda theta: _raw_f(*theta, discount),
+        lambda dl_df: _chain_to_tables(dl_df, tied, discount),
         -log_pi[..., None], w_e, w_n, (-3, -2, -1),
     )
 
@@ -385,7 +405,8 @@ def _params_problem(params: DiscriminatorParams, policy, expert, negatives):
     n_states, n_actions = policy.shape
     we = _as_weights(expert, n_states, n_actions)
     wn = _as_weights(negatives, n_states, n_actions)
-    problem = _cell_problem(params.g.kind == "state_only", params.discount, np.log(policy), we, wn)
+    problem = _cell_problem(None if params.g.kind == "state_only" else 0, params.discount,
+                            np.log(policy), we, wn)
     return problem, (params.g.values, params.h)
 
 
@@ -418,13 +439,26 @@ def _g_table(values: np.ndarray) -> RewardTable:
     return RewardTable("state_only" if values.ndim == 1 else "state_action", values)
 
 
-def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, encode,
-           problem, rewards):
+def _g_rows(g: np.ndarray, variants: Sequence[str]) -> list[np.ndarray]:
+    """Each problem's learned table from a stack of g rows, one row per entry of
+    `variants`; a state-only problem of a stack that mixes the variants holds
+    g(s) tied across actions, and gives the copy at action 0."""
+    mixed = len(set(variants)) > 1
+    return [row[..., 0] if mixed and variant == "airl_state_only" else row
+            for row, variant in zip(g, variants)]
+
+
+def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerConfig,
+           theta: tuple, encode, problem, rewards):
     """The one training loop over a stack of problems, one per MDP.
 
-    Returns the final theta and each problem's policy and history.  Every
-    theta array has a leading problem axis; theta[0] holds the learned reward
-    tables.  `problem` maps the round's negatives and stacked log pi to a
+    `variants` names each problem's variant; the problems of one variant are
+    adjacent, and a warning names a problem by its variant and its index among
+    them.  Returns the final theta and each problem's policy and history.
+    Every theta array has a leading problem axis; theta[0] holds the learned
+    reward tables, which `_g_rows` turns into each problem's g.  It raises
+    DivergenceError at the first iteration where any problem's theta stops
+    being finite.  `problem` maps the round's negatives and stacked log pi to a
     _Problem, and `rewards(theta, transition)` gives the policy step's
     (B, S, A) collapsed rewards, solved as one `_solve_stack`.  Each round's
     losses, g changes, solver iterations, g and policy go into (problem,
@@ -471,14 +505,15 @@ def _train(mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple, enco
         solves = _solve_stack(transition, rewards(theta, transition), discount,
                               entropy_weight=config.entropy_weight, v_init=v_warm)
         for i in np.flatnonzero(~solves.converged):
-            warnings.warn(f"policy step of problem {i} did not converge at iteration "
-                          f"{iteration} (residual {solves.residual[i]:.3g})", RuntimeWarning,
-                          stacklevel=2)
+            variant = variants[i]
+            warnings.warn(f"policy step of {variant} problem {i - variants.index(variant)} did "
+                          f"not converge at iteration {iteration} (residual "
+                          f"{solves.residual[i]:.3g})", RuntimeWarning, stacklevel=2)
         policies, v_warm = solves.policy, solves.v
         vi_steps[:, iteration] = solves.iterations_used
         gs[:, iteration], policy_rows[:, iteration] = theta[0], policies
-    histories = [TrainingHistory(mdp, *rows) for mdp, *rows in
-                 zip(mdps, losses, g_deltas, np.cumsum(vi_steps, axis=1), gs, policy_rows)]
+    histories = [TrainingHistory(mdp, *rows) for mdp, *rows in zip(
+        mdps, losses, g_deltas, np.cumsum(vi_steps, axis=1), _g_rows(gs, variants), policy_rows)]
     return theta, policies, histories
 
 
@@ -514,41 +549,67 @@ def airl_train(mdp: TabularMdp | Sequence[TabularMdp], demos,
     last `replay_window` iterations.  Raises DivergenceError if parameters
     stop being finite.
     """
-    if config.variant not in ("airl_state_only", "airl_state_action"):
-        raise ValueError("airl_train handles the airl_* variants only")
     mdps, single = _stack_of(mdp, "airl_train")
-    demos = [demos] if single else list(demos)
+    (results,) = _airl_train_stack(mdps, [demos] if single else list(demos),
+                                   (config.variant,), config)
+    return results[0] if single else results
+
+
+def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[str],
+                      config: LearnerConfig) -> list[list[AirlResult]]:
+    """Train each MDP under each of the distinct AIRL `variants` as one stack.
+
+    Returns one list of per-MDP results per variant, in the order given;
+    `demos` holds one entry per MDP, as `airl_train` takes them.  The stack's
+    rows are the MDPs under the state-only variant, then under the
+    state-action one.  A one-variant stack keeps its g layout, (B, S) or
+    (B, S, A); a mixed stack's g is (B, S, A), each state-only row holding
+    g(s) tied across its actions.  f then has the same operands in the same
+    order in both layouts, so every row keeps the bits of its own one-variant,
+    one-MDP run.
+    """
+    airl_variants = ("airl_state_only", "airl_state_action")
+    if any(v not in airl_variants for v in variants):
+        raise ValueError("airl_train handles the airl_* variants only")
+    if not variants or len(set(variants)) < len(variants):
+        raise ValueError("a stack trains each of one or more distinct variants once")
     if len(demos) != len(mdps):
         raise ValueError(f"a stack of {len(mdps)} MDPs needs as many demos, got {len(demos)}")
     n_states, n_actions, gamma = mdps[0].n_states, mdps[0].n_actions, mdps[0].discount
     weights = [_as_weights(d, n_states, n_actions) for d in demos]
     if any(w.sum() <= 0 for w in weights):
         raise ValueError("demonstrations carry no mass")
-    expert_w = np.stack(weights)
-    state_only = config.variant == "airl_state_only"
+    order = [v for v in airl_variants if v in variants]
+    row_variants = [v for v in order for _ in mdps]
+    tied = None if order == ["airl_state_only"] else row_variants.count("airl_state_only")
+    expert_w = np.stack(weights * len(order))
 
     def problem(negatives, log_pi):
         if config.mode == "sampled":
             negatives = _replay_weights(negatives)
-        return _cell_problem(state_only, gamma, log_pi, expert_w, negatives)
+        return _cell_problem(tied, gamma, log_pi, expert_w, negatives)
 
     def rewards(theta, transition):
         # Maximizing E[sum of (f - log pi)] is the entropy-regularized
         # objective with reward f(s, a, s'), collapsed to (s, a) by expectation
         # under the dynamics; the solver supplies -log pi as entropy.
-        f = np.broadcast_to(_raw_f(*theta, state_only, gamma), transition.shape)
+        f = np.broadcast_to(_raw_f(*theta, gamma), transition.shape)
         return np.einsum("bsap,bsap->bsa", transition, f)
 
-    g_shape = (n_states,) if state_only else (n_states, n_actions)
+    rows = len(row_variants)
+    g_shape = (n_states,) if tied is None else (n_states, n_actions)
     theta, policies, histories = _train(
-        mdps, config, (np.zeros((len(mdps), *g_shape)), np.zeros((len(mdps), n_states))),
+        mdps * len(order), row_variants, config,
+        (np.zeros((rows, *g_shape)), np.zeros((rows, n_states))),
         lambda states, actions: _cell_counts(states[:, :-1], actions, states[:, 1:], n_states,
                                              n_actions)[None],
         problem, rewards,
     )
     results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
-               for g, h, policy, history in zip(*theta, policies, histories)]
-    return results[0] if single else results
+               for g, h, policy, history in
+               zip(_g_rows(theta[0], row_variants), theta[1], policies, histories)]
+    by_variant = {v: results[k * len(mdps):(k + 1) * len(mdps)] for k, v in enumerate(order)}
+    return [by_variant[v] for v in variants]
 
 
 @dataclass(frozen=True)
@@ -638,12 +699,17 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
     if not demos or not all(isinstance(t, Trajectory) for t in demos):
         raise ValueError("the trajectory baseline needs expert trajectories")
     n_states, n_actions = mdp.n_states, mdp.n_actions
+    # the step counts index flat (episode, state, action) cells, so an index
+    # outside the table would land in another cell's count
+    _check_in_table((np.concatenate([t.states for t in demos]), n_states),
+                    (np.concatenate([t.actions for t in demos]), n_actions))
     counts_e = _episode_counts(np.repeat(np.arange(len(demos)), [t.horizon for t in demos]),
                                np.concatenate([t.states[:-1] for t in demos]),
                                np.concatenate([t.actions for t in demos]),
                                len(demos), n_states, n_actions)
     (f_steps,), (policy,), (history,) = _train(
         [mdp],
+        [config.variant],
         config,
         (np.zeros((1, n_states, n_actions)),),
         lambda states, actions: _episode_counts(np.arange(len(actions))[:, None], states[:, :-1],

@@ -447,8 +447,8 @@ def _reproduce_seeds(seeds: list[int], iterations: int, disc_steps: int,
                      step_size: float) -> list[dict]:
     """Recovery plus transfer for each seed of the 16-state reproduction.
 
-    Each variant trains every seed's MDP as one stack; each seed's learned
-    reward then transfers to its own test MDP.
+    Every seed's MDP trains under both variants as one stack; each seed's
+    learned reward then transfers to its own test MDP.
     """
     train_mdps = [paper_tabular_mdp(seed) for seed in seeds]
     test_mdps = [paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET) for seed in seeds]
@@ -456,8 +456,8 @@ def _reproduce_seeds(seeds: list[int], iterations: int, disc_steps: int,
                 for seed, mdp in zip(seeds, train_mdps)]
     learner = LearnerConfig(mode="exact_occupancy", iterations=iterations,
                             disc_steps_per_iter=disc_steps, disc_step_size=step_size)
-    for variant in _VARIANT_LABELS:
-        recoveries = run_recovery(train_mdps, variant, learner)
+    per_variant = run_recovery(train_mdps, tuple(_VARIANT_LABELS), learner)
+    for variant, recoveries in zip(_VARIANT_LABELS, per_variant):
         for out, test_mdp, recovery in zip(per_seed, test_mdps, recoveries):
             evaluation = evaluate_on_new_dynamics(test_mdp, recovery.params.g)
             out["variants"][variant] = {

@@ -9,13 +9,12 @@ shaping table h and the combined f stay behind.
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .airl import (DiscriminatorParams, LearnerConfig, TrainingHistory, _stack_of, airl_train,
-                   f_table)
+from .airl import (DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack,
+                   _stack_of, f_table)
 from .mdp import RewardTable, TabularMdp, _transition_problems, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
@@ -104,8 +103,8 @@ class RecoveryResult(NamedTuple):
     f_advantage_error: float
 
 
-def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str,
-                 config: LearnerConfig) -> RecoveryResult | list[RecoveryResult]:
+def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str | Sequence[str],
+                 config: LearnerConfig) -> RecoveryResult | list:
     """Train on the MDP's own expert and measure reward recovery.
 
     recovery_error is the mean-centered sup-norm gap between the learned g and
@@ -115,12 +114,20 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str,
 
     `mdp` is one TabularMdp, which returns one RecoveryResult, or a sequence
     of them, which returns a list: the experts are solved as one stack (each
-    is `expert_demos`' solution) and trained as one stack by `airl_train`, so
-    each entry equals its own one-MDP call bit for bit.  Sampled mode draws
-    `N_EXPERT_TRAJECTORIES` expert episodes; an unconverged expert solve warns.
+    is `expert_demos`' solution) and trained as one stack, so each entry
+    equals its own one-MDP call bit for bit.  `variant` is one variant name,
+    or a sequence of distinct AIRL variant names, which trains each MDP under
+    each of them as one stack from the experts solved once and returns one
+    result per variant, in the order given, each equal to its own
+    one-variant call bit for bit.  A sequence refuses sampled mode, which
+    trains one problem per run.  Sampled mode draws `N_EXPERT_TRAJECTORIES`
+    expert episodes; an unconverged expert solve warns.
     """
     mdps, single = _stack_of(mdp, "run_recovery")
-    config = replace(config, variant=variant)
+    one_variant = isinstance(variant, str)
+    variants = [variant] if one_variant else list(variant)
+    if not one_variant and config.mode == "sampled":
+        raise ValueError("sampled mode trains one problem per run; give run_recovery one variant")
     transition = np.stack([mdp.transition for mdp in mdps])
     r_sa = np.stack([expected_state_action(mdp.reward, mdp.transition) for mdp in mdps])
     solves = _solve_stack(transition, r_sa, mdps[0].discount,
@@ -130,14 +137,17 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str,
         _warn_unconverged(expert, f"expert solve of problem {i}")
     demos = [_demos(mdp, expert.policy, config.mode, N_EXPERT_TRAJECTORIES, config.seed)
              for mdp, expert in zip(mdps, experts)]
-    results = airl_train(mdps, demos, config)
-    recoveries = []
-    for mdp, expert, (params, policy, history) in zip(mdps, experts, results):
-        error = centered_reward_error(params.g, mdp.reward, mdp.transition)
-        f = f_table(params, mdp.n_states, mdp.n_actions)
-        f_adv_error = float(np.max(np.abs(f - advantage(expert)[:, :, None])))
-        recoveries.append(RecoveryResult(error, history, params, policy, f_adv_error))
-    return recoveries[0] if single else recoveries
+    advantages = [advantage(expert)[:, :, None] for expert in experts]
+    per_variant = []
+    for results in _airl_train_stack(mdps, demos, variants, config):
+        recoveries = []
+        for mdp, adv, (params, policy, history) in zip(mdps, advantages, results):
+            error = centered_reward_error(params.g, mdp.reward, mdp.transition)
+            f = f_table(params, mdp.n_states, mdp.n_actions)
+            f_adv_error = float(np.max(np.abs(f - adv)))
+            recoveries.append(RecoveryResult(error, history, params, policy, f_adv_error))
+        per_variant.append(recoveries[0] if single else recoveries)
+    return per_variant[0] if one_variant else per_variant
 
 
 class NewDynamicsEval(NamedTuple):

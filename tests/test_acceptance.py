@@ -88,17 +88,17 @@ def benchmark_runs():
     """Both variants trained on five benchmark seeds, with test-MDP evaluations.
 
     Shared by the recovery and transfer criteria so each training run happens
-    once; each variant trains its seeds as one stack.  Returns
+    once; every seed trains under both variants as one stack.  Returns
     ({variant: [(recovery, evaluation), ...]}, elapsed seconds).
     """
     start = time.perf_counter()
     train_mdps = [paper_tabular_mdp(seed) for seed in SEEDS]
     test_mdps = [paper_tabular_mdp(seed + TEST_SEED_OFFSET) for seed in SEEDS]
-    runs = {}
-    for variant in ("airl_state_only", "airl_state_action"):
-        recoveries = run_recovery(train_mdps, variant, LearnerConfig(variant=variant, **BENCH_ITERS))
-        runs[variant] = [(recovery, evaluate_on_new_dynamics(test_mdp, recovery.params.g))
-                         for test_mdp, recovery in zip(test_mdps, recoveries)]
+    variants = ("airl_state_only", "airl_state_action")
+    per_variant = run_recovery(train_mdps, variants, LearnerConfig(**BENCH_ITERS))
+    runs = {variant: [(recovery, evaluate_on_new_dynamics(test_mdp, recovery.params.g))
+                      for test_mdp, recovery in zip(test_mdps, recoveries)]
+            for variant, recoveries in zip(variants, per_variant)}
     return runs, time.perf_counter() - start
 
 

@@ -19,6 +19,7 @@ from irl_lab.airl import (
     _episode_counts,
     _episode_problem,
     _replay_weights,
+    _airl_train_stack,
     _sigmoid,
     airl_train,
     discriminator_grad,
@@ -474,25 +475,26 @@ class TestAirlTrain:
     def test_unconverged_policy_step_warns(self, tiny_mdp, monkeypatch):
         expert = soft_value_iteration(tiny_mdp).policy
         demos = sample_trajectories(tiny_mdp, expert, 8, seed=0)
-        runs = (
-            lambda: airl_train(tiny_mdp, demos, LearnerConfig(iterations=2)),
-            lambda: gan_gcl_train(tiny_mdp, demos, LearnerConfig(
+        runs = {
+            "airl_state_only": lambda: airl_train(tiny_mdp, demos, LearnerConfig(iterations=2)),
+            "gan_gcl_trajectory": lambda: gan_gcl_train(tiny_mdp, demos, LearnerConfig(
                 variant="gan_gcl_trajectory", mode="sampled", iterations=2,
                 n_policy_trajectories=4)),
-        )
+        }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for run in runs:
+            for run in runs.values():
                 run()
         solve = irl_lab.airl._solve_stack
         monkeypatch.setattr(irl_lab.airl, "_solve_stack",
                             lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
-        for run in runs:
+        for variant, run in runs.items():
             with pytest.warns(RuntimeWarning) as caught:
                 run()
             messages = [str(w.message) for w in caught]
             assert [m.split(" (residual ")[0] for m in messages] == [
-                f"policy step of problem 0 did not converge at iteration {i}" for i in range(2)
+                f"policy step of {variant} problem 0 did not converge at iteration {i}"
+                for i in range(2)
             ]
             assert all(float(m.split("residual ")[1].rstrip(")")) > 1e-8 for m in messages)
 
@@ -701,7 +703,7 @@ class TestStackedTraining:
         with pytest.warns(RuntimeWarning) as caught:
             airl_train(mdps, demos, LearnerConfig(iterations=2))
         assert [str(w.message).split(" (residual ")[0] for w in caught] == [
-            f"policy step of problem {i} did not converge at iteration {k}"
+            f"policy step of airl_state_only problem {i} did not converge at iteration {k}"
             for k in range(2) for i in range(len(mdps))
         ]
 
@@ -729,6 +731,84 @@ class TestStackedTraining:
     def test_empty_stack_is_rejected(self):
         with pytest.raises(ValueError, match="airl_train got an empty stack"):
             airl_train([], [], LearnerConfig(iterations=1))
+
+
+BOTH_VARIANTS = ("airl_state_only", "airl_state_action")
+
+
+class TestMixedStack:
+    """`_airl_train_stack` with both variants: each MDP trained under each as one stack."""
+
+    @pytest.mark.parametrize("variants", [BOTH_VARIANTS, BOTH_VARIANTS[::-1]])
+    def test_each_row_equals_its_own_one_variant_run(self, variants):
+        mdps, demos = stack_problems()
+        config = LearnerConfig(iterations=30, disc_step_size=0.2)
+        per_variant = _airl_train_stack(mdps, demos, variants, config)
+        assert len(per_variant) == 2
+        for variant, results in zip(variants, per_variant):
+            for mdp, demo, row in zip(mdps, demos, results):
+                alone = airl_train(mdp, demo, LearnerConfig(variant=variant, iterations=30,
+                                                            disc_step_size=0.2))
+                assert row.params.g.kind == alone.params.g.kind
+                assert row.params.g.values.shape == alone.params.g.values.shape
+                assert row.params.g.values.tobytes() == alone.params.g.values.tobytes()
+                assert row.params.h.tobytes() == alone.params.h.tobytes()
+                assert row.policy.tobytes() == alone.policy.tobytes()
+                for name in alone.history._columns():
+                    assert (row.history.column(name).tobytes()
+                            == alone.history.column(name).tobytes()), name
+
+    @pytest.mark.parametrize("variants, g_shape", [
+        (("airl_state_only",), (4, 16)),
+        (("airl_state_action",), (4, 16, 4)),
+        (BOTH_VARIANTS[::-1], (8, 16, 4)),
+    ])
+    def test_g_layout_follows_the_variants(self, monkeypatch, variants, g_shape):
+        # a one-variant stack keeps its own layout; a mixed stack puts its
+        # state-only rows first, each g(s) tied across the actions
+        mdps, demos = stack_problems()
+        fits = []
+        fit = irl_lab.airl._Problem.fit
+        monkeypatch.setattr(irl_lab.airl._Problem, "fit",
+                            lambda self, *args: fits.append(fit(self, *args)) or fits[-1])
+        _airl_train_stack(mdps, demos, variants, LearnerConfig(iterations=3))
+        assert len(fits) == 3
+        for g, _ in fits:
+            assert g.shape == g_shape
+            if len(variants) == 2:
+                npt.assert_array_equal(g[:4], np.broadcast_to(g[:4, :, :1], (4, 16, 4)))
+                assert not np.array_equal(g[4:], np.broadcast_to(g[4:, :, :1], (4, 16, 4)))
+
+    def test_the_first_divergence_of_any_row_stops_the_stack(self, monkeypatch):
+        # rows 0-3 train state-only, rows 4-7 state-action: NaN negatives at
+        # iteration 5 of state-only problem 1 and at iteration 2 of
+        # state-action problem 3 stop the stack at iteration 2, where the
+        # variants trained one after the other would stop at iteration 5
+        mdps, demos = stack_problems()
+        poisoned = {1: 5, 7: 2}
+        iterations = []
+        real_occupancies = irl_lab.airl._occupancies
+
+        def occupancies_with_nan(*args):
+            rho = real_occupancies(*args)
+            iterations.append(len(iterations))
+            for row, iteration in poisoned.items():
+                if len(rho) == 8 and iteration == iterations[-1]:
+                    rho[row] = np.nan
+            return rho
+
+        monkeypatch.setattr(irl_lab.airl, "_occupancies", occupancies_with_nan)
+        with pytest.raises(DivergenceError) as err:
+            _airl_train_stack(mdps, demos, BOTH_VARIANTS, LearnerConfig(iterations=8))
+        assert err.value.iteration == 2
+
+    def test_nan_demos_of_one_mdp_diverge_both_variants_at_iteration_0(self):
+        mdps, demos = stack_problems()
+        demos[1] = np.full((16, 4, 16), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iteration 0"):
+                _airl_train_stack(mdps, demos, BOTH_VARIANTS, LearnerConfig(iterations=3))
 
 
 def eager_history(mdp, history):
@@ -1020,6 +1100,19 @@ class TestGanGcl:
                 LearnerConfig(variant="gan_gcl_trajectory", mode="sampled",
                               iterations=1),
             )
+
+    @pytest.mark.parametrize("states, actions", [
+        ([0] * 21, [5] * 20),   # an action >= A would count in state 1's cells
+        ([0] * 21, [4] * 20),
+        ([20] * 21, [0] * 20),  # a state >= S
+        ([0] * 20 + [16], [0] * 20),
+        ([0] * 21, [0] * 19 + [-1]),
+        ([-1] + [0] * 20, [0] * 20),
+    ])
+    def test_demos_outside_the_table_are_rejected(self, states, actions):
+        config = LearnerConfig(variant="gan_gcl_trajectory", mode="sampled", iterations=1)
+        with pytest.raises(ValueError, match="indexes a state or action outside the table"):
+            gan_gcl_train(paper_tabular_mdp(0), [Trajectory(states, actions)], config)
 
     def test_benchmark_imitation_run_records_history(self, bench_mdp):
         # baseline comparison: the trajectory-level learner's imitation

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irl_lab.airl import (DiscriminatorParams, discriminator_grad, params_from_dict,
-                         params_to_dict)
+import irl_lab.airl
+from irl_lab.airl import (DiscriminatorParams, LearnerConfig, _airl_train_stack,
+                          discriminator_grad, params_from_dict, params_to_dict)
 from irl_lab.cli import InvalidMdpError, _build_mdp, load_experiment_config
 from irl_lab.mdp import (
     RewardTable,
@@ -278,6 +279,76 @@ def test_discriminator_grad_matches_finite_differences(case):
     assert grad.g.shape == fd_g.shape and grad.h.shape == fd_h.shape
     assert np.max(np.abs(grad.g - fd_g)) <= 1e-7
     assert np.max(np.abs(grad.h - fd_h)) <= 1e-7
+
+
+@st.composite
+def training_stacks(draw):
+    """One to three MDPs of one shape, discount and horizon on 1-6 states and
+    1-4 actions, with expert (s, a, s') weights; transitions, starts and
+    weights have some entries exactly 0."""
+    n_states = draw(st.integers(1, 6))
+    n_actions = draw(st.integers(1, 4))
+    discount = draw(st.floats(0.0, 0.999))
+    horizon = draw(st.integers(1, 25))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_states, n_actions, n_states)
+    mdps, demos = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        mdps.append(TabularMdp(n_states, n_actions, _distributions(rng, shape, zero_frac),
+                               RewardTable("state_only", rng.normal(size=n_states)), discount,
+                               _distributions(rng, (n_states,), zero_frac), horizon))
+        demos.append(_distributions(rng, (np.prod(shape),), zero_frac).reshape(shape))
+    return mdps, demos, draw(st.sampled_from([0.1, 1.0, 5.0]))
+
+
+def _record_rounds(monkeypatch, run):
+    """Each round's (problem, theta before and after the fit, policy-step
+    reward) of `run()`, with its result."""
+    fits, rewards = [], []
+    fit, solve = irl_lab.airl._Problem.fit, irl_lab.airl._solve_stack
+
+    def recording_fit(problem, theta, *args):
+        fits.append((problem, theta, fit(problem, theta, *args)))
+        return fits[-1][-1]
+
+    monkeypatch.setattr(irl_lab.airl._Problem, "fit", recording_fit)
+    monkeypatch.setattr(irl_lab.airl, "_solve_stack", lambda transition, r_sa, *args, **kwargs:
+                        rewards.append(r_sa) or solve(transition, r_sa, *args, **kwargs))
+    result = run()
+    monkeypatch.undo()
+    return list(zip(fits, rewards)), result
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=training_stacks())
+def test_tied_state_only_rows_equal_the_state_layout(case):
+    # a state-only row of a mixed stack holds g(s) tied across actions in an
+    # (S, A) table; its logits, fit, policy-step reward (the collapse of a
+    # materialized f rather than of one broadcast over actions) and policy
+    # must keep the bits of the (S,) layout
+    mdps, demos, step_size = case
+    n = len(mdps)
+    config = LearnerConfig(iterations=3, disc_steps_per_iter=2, disc_step_size=step_size)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        mixed_rounds, (mixed, _) = _record_rounds(monkeypatch, lambda: _airl_train_stack(
+            mdps, demos, ("airl_state_only", "airl_state_action"), config))
+        alone_rounds, (alone,) = _record_rounds(monkeypatch, lambda: _airl_train_stack(
+            mdps, demos, ("airl_state_only",), config))
+    assert len(mixed_rounds) == len(alone_rounds) == 3
+    for ((mp, m_in, m_out), m_reward), ((ap, a_in, a_out), a_reward) in zip(mixed_rounds,
+                                                                            alone_rounds):
+        assert m_in[0].shape == (2 * n, *mdps[0].transition.shape[:2])
+        assert a_in[0].shape == (n, mdps[0].n_states)
+        m_logits, a_logits = mp.phi(m_in) + mp.offset, ap.phi(a_in) + ap.offset
+        assert m_logits[:n].tobytes() == a_logits.tobytes()
+        assert m_out[0][:n].tobytes() == np.ascontiguousarray(
+            np.broadcast_to(a_out[0][..., None], m_out[0][:n].shape)).tobytes()
+        assert m_out[1][:n].tobytes() == a_out[1].tobytes()
+        assert m_reward[:n].tobytes() == a_reward.tobytes()
+    for row, want in zip(mixed, alone):
+        assert row.params.g.values.tobytes() == want.params.g.values.tobytes()
+        assert row.policy.tobytes() == want.policy.tobytes()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -120,9 +120,10 @@ class TestSolvePairs:
         checkout = TOOLS.parent
         assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == ("3 rounds, times per solve (cold, warm), per probe call and per "
-                            "reopt repetition")
-        assert [line.split(":")[0] for line in lines[1:]] == ["cold", "warm", "probe", "reopt"]
+        assert lines[0] == ("3 rounds, times per solve (cold, warm), per probe call, per "
+                            "reopt repetition and per recovery call")
+        assert [line.split(":")[0] for line in lines[1:]] == ["cold", "warm", "probe", "reopt",
+                                                              "recovery"]
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10

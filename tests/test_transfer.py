@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import replace
 
+import irl_lab.airl
 import irl_lab.transfer
 import numpy as np
 import numpy.testing as npt
@@ -370,6 +371,70 @@ class TestRunRecovery:
             for name in alone.history._columns():
                 assert (row.history.column(name).tobytes()
                         == alone.history.column(name).tobytes()), name
+
+    @pytest.mark.parametrize("variants", [("airl_state_only", "airl_state_action"),
+                                          ("airl_state_action", "airl_state_only")])
+    @pytest.mark.parametrize("stack", ["paper_and_deterministic", "tiny"])
+    def test_both_variants_as_one_stack_equal_each_one_variant_call(self, tiny_mdp, stack,
+                                                                     variants):
+        # the mixed stack ties each state-only g(s) across actions; every row
+        # must still equal its own one-variant, one-MDP run
+        if stack == "tiny":
+            mdp, mdps = tiny_mdp, [tiny_mdp]
+        else:
+            mdps = [paper_tabular_mdp(seed) for seed in range(3)] + [deterministic_bench(1)]
+            mdp = mdps
+        config = LearnerConfig(iterations=20, disc_step_size=0.2)
+        per_variant = run_recovery(mdp, variants, config)
+        assert len(per_variant) == len(variants)
+        for variant, results in zip(variants, per_variant):
+            rows = [results] if stack == "tiny" else results
+            assert len(rows) == len(mdps)
+            for one_mdp, row in zip(mdps, rows):
+                alone = run_recovery(one_mdp, variant, config)
+                assert row.params.g.kind == alone.params.g.kind == variant[len("airl_"):]
+                assert row.params.g.values.shape == alone.params.g.values.shape
+                assert row.params.g.values.tobytes() == alone.params.g.values.tobytes()
+                assert row.params.h.tobytes() == alone.params.h.tobytes()
+                assert row.policy.tobytes() == alone.policy.tobytes()
+                assert row.recovery_error == alone.recovery_error
+                assert row.f_advantage_error == alone.f_advantage_error
+                for name in alone.history._columns():
+                    assert (row.history.column(name).tobytes()
+                            == alone.history.column(name).tobytes()), name
+
+    def test_variant_sequence_refuses_sampled_mode(self, tiny_mdp, monkeypatch):
+        # refused before any expert is solved
+        monkeypatch.setattr(irl_lab.transfer, "_solve_stack", None)
+        config = LearnerConfig(mode="sampled", iterations=1)
+        for variants in (("airl_state_only", "airl_state_action"), ["airl_state_only"]):
+            with pytest.raises(ValueError, match="sampled mode trains one problem per run"):
+                run_recovery(tiny_mdp, variants, config)
+
+    @pytest.mark.parametrize("variants, message", [
+        (("airl_state_only", "airl_state_only"), "distinct variants"),
+        ((), "distinct variants"),
+        (("airl_state_only", "gan_gcl_trajectory"), "airl_\\* variants only"),
+    ])
+    def test_variant_sequence_must_name_distinct_airl_variants(self, tiny_mdp, variants,
+                                                               message):
+        with pytest.raises(ValueError, match=message):
+            run_recovery(tiny_mdp, variants, LearnerConfig(iterations=1))
+
+    def test_policy_step_warnings_name_the_variant_and_the_mdp(self, monkeypatch):
+        # the warning gives the MDP's index in the sequence, not the row's in the stack
+        mdps = [paper_tabular_mdp(seed) for seed in range(2)]
+        solve = irl_lab.airl._solve_stack
+        monkeypatch.setattr(irl_lab.airl, "_solve_stack",
+                            lambda *args, **kwargs: solve(*args, max_iters=1, **kwargs))
+        with pytest.warns(RuntimeWarning) as caught:
+            run_recovery(mdps, ("airl_state_action", "airl_state_only"),
+                         LearnerConfig(iterations=2))
+        assert [str(w.message).split(" (residual ")[0] for w in caught] == [
+            f"policy step of {variant} problem {i} did not converge at iteration {k}"
+            for k in range(2) for variant in ("airl_state_only", "airl_state_action")
+            for i in range(2)
+        ]
 
     def test_unconverged_expert_solves_warn(self, monkeypatch):
         one_iteration_stacks(monkeypatch)

@@ -1,4 +1,4 @@
-"""Time the soft solver of two checkouts in one process, in alternating rounds.
+"""Time solves and training of two checkouts in one process, in alternating rounds.
 
     python3 tools/solve_pairs.py PARENT_DIR CHANGE_DIR [--rounds N]
 
@@ -15,20 +15,25 @@ CPU.  Each round times, on each side:
   one-successor dynamics;
 - `reopt`: the re-optimization of a `reopt-probe` repetition: seed 3's
   advantage and shaped rewards each through `evaluate_on_new_dynamics` on its
-  4 dense test MDPs, 8 calls in all.
+  4 dense test MDPs, 8 calls in all;
+- `recovery`: the training and transfer of a `repro-exact` repetition,
+  `cli._reproduce_seeds([3], 25, 20, 0.2)`: seed 3 under both AIRL variants
+  for 25 iterations of 20 steps of size 0.2, each learned reward re-optimized
+  on its test MDP.
 
 A round times each call REPEATS times per side, the two sides taking turns,
 and keeps each side's fastest, which drops most interruptions by other
 processes.  Even rounds start with the parent, odd rounds with the change.
 For each timing it prints each side's median and fastest round (per solve,
-per probe call, or per 8-call reopt repetition) and the median over rounds
-of the change's time over the parent's.  Pin the process to one CPU
-(`taskset -c 0`) for steady numbers.
+per probe call, per 8-call reopt repetition or per recovery call) and the
+median over rounds of the change's time over the parent's.  Pin the process
+to one CPU (`taskset -c 0`) for steady numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import statistics
 import sys
@@ -42,6 +47,8 @@ REPEATS = 5
 # (Dirichlet draws, one-successor dynamics) of the probe and the dense test MDPs of the
 # re-optimization, as in a reopt-probe repetition
 PROBE_SEED, PROBE_DENSE, PROBE_DETERMINISTIC, REOPT_TEST_MDPS = 3, 8, 4, 4
+# (seeds, iterations, steps per iteration, step size) of the recovery call
+RECOVERY_ARGS = ([3], 25, 20, 0.2)
 
 
 def load(checkout: Path, name: str):
@@ -89,12 +96,17 @@ def timings(lab) -> dict:
             for test in tests:
                 lab.evaluate_on_new_dynamics(test, reward)
 
+    cli = importlib.import_module(f"{lab.__name__}.cli")
+
+    def recovery():
+        cli._reproduce_seeds(*RECOVERY_ARGS)
+
     return {"cold": (cold, len(mdps)), "warm": (warm, len(mdps)), "probe": (probe, 1),
-            "reopt": (reopt, 1)}
+            "reopt": (reopt, 1), "recovery": (recovery, 1)}
 
 
 def run(sides: dict, rounds: int) -> dict:
-    """Seconds per solve (or probe call): {timing: {side: [one value per round]}}."""
+    """Seconds per solve (or per call): {timing: {side: [one value per round]}}."""
     calls = {side: timings(lab) for side, lab in sides.items()}
     names = list(sides)
     times = {timing: {side: [] for side in names} for timing in calls[names[0]]}
@@ -121,7 +133,7 @@ def summary(times: dict) -> str:
     for timing, by_side in times.items():
         parent, change = by_side["parent"], by_side["change"]
         ratio = statistics.median(c / p for p, c in zip(parent, change))
-        unit, scale = ("ms", 1e3) if timing in ("probe", "reopt") else ("us", 1e6)
+        unit, scale = ("ms", 1e3) if timing in ("probe", "reopt", "recovery") else ("us", 1e6)
         lines.append(
             f"{timing}: parent median {statistics.median(parent) * scale:.1f} {unit} "
             f"(fastest {min(parent) * scale:.1f}), change median "
@@ -139,8 +151,8 @@ def main(argv=None) -> int:
     sides = {"parent": load(args.parent, "irl_lab_parent"),
              "change": load(args.change, "irl_lab_change")}
     times = run(sides, args.rounds)
-    print(f"{args.rounds} rounds, times per solve (cold, warm), per probe call and per "
-          "reopt repetition")
+    print(f"{args.rounds} rounds, times per solve (cold, warm), per probe call, per "
+          "reopt repetition and per recovery call")
     print(summary(times), end="")
     return 0
 
