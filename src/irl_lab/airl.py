@@ -116,15 +116,13 @@ class LearnerConfig:
     disc_step_size: float = 0.1
     replay_window: int = 20
     n_policy_trajectories: int = 64
-    entropy_weight: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         for name in ("iterations", "disc_steps_per_iter", "replay_window",
                      "n_policy_trajectories", "seed"):
             strict_int(getattr(self, name), name)
-        for name in ("disc_step_size", "entropy_weight"):
-            strict_float(getattr(self, name), name)
+        strict_float(self.disc_step_size, "disc_step_size")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in MODES:
@@ -134,14 +132,12 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.disc_steps_per_iter < 1:
             raise ValueError("disc_steps_per_iter must be at least 1")
-        if not self.disc_step_size > 0:
-            raise ValueError("disc_step_size must be positive")
+        if not 0 < self.disc_step_size < np.inf:
+            raise ValueError("disc_step_size must be a finite number > 0")
         if self.replay_window < 1:
             raise ValueError("replay_window must be at least 1")
         if self.n_policy_trajectories < 1:
             raise ValueError("n_policy_trajectories must be at least 1")
-        if not self.entropy_weight > 0:
-            raise ValueError("entropy_weight must be positive")
 
 
 class TrainingHistory:
@@ -502,8 +498,7 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
         losses[:, iteration] = round_problem.loss(theta).reshape(len(mdps))
         g_deltas[:, iteration] = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
 
-        solves = _solve_stack(transition, rewards(theta, transition), discount,
-                              entropy_weight=config.entropy_weight, v_init=v_warm)
+        solves = _solve_stack(transition, rewards(theta, transition), discount, v_init=v_warm)
         for i in np.flatnonzero(~solves.converged):
             variant = variants[i]
             warnings.warn(f"policy step of {variant} problem {i - variants.index(variant)} did "

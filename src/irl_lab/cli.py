@@ -122,7 +122,7 @@ def _non_negative_flag(text: str) -> int:
 
 _SHARED_KEYS = {"discount": (strict_float, 0.9), "horizon": (strict_int, 20)}
 
-# generate kind -> (generator, the keys it takes); `generate`'s flags share the key names.
+# generate kind -> (generator, its {key: (convert, default)}); `generate`'s flags share both.
 _MDP_KINDS = {
     "paper_tabular": (paper_tabular_mdp, {"seed": (_non_negative, 0), **_SHARED_KEYS}),
     "counterexample": (counterexample_mdp, {"variant": (_as_is, "original"), **_SHARED_KEYS}),
@@ -317,14 +317,16 @@ def cmd_generate(args) -> int:
         kind = "paper_tabular"
     elif args.variant is not None:
         kind = "counterexample"
-    elif args.states is not None or args.actions is not None:
-        if args.states is None or args.actions is None:
-            raise ValueError("--states and --actions must be given together")
+    elif args.states is not None and args.actions is not None:
         kind = "random"
     else:
-        raise ValueError("choose --paper-tabular, --counterexample or --states/--actions")
+        raise ValueError("choose --paper-tabular, --counterexample or --states with --actions")
     generate, keys = _MDP_KINDS[kind]
-    mdp = generate(**{key: getattr(args, key) for key in keys})
+    for name in ("seed", "states", "actions", "reward_state"):
+        if name not in keys and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to a {kind} MDP")
+    mdp = generate(**{key: default if getattr(args, key) is None else getattr(args, key)
+                      for key, (_, default) in keys.items()})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_mdp(mdp, out)
@@ -345,7 +347,6 @@ def _train_once(mdp: TabularMdp, learner: LearnerConfig):
             "sampled",
             n_trajectories=learner.n_policy_trajectories,
             seed=learner.seed,
-            entropy_weight=learner.entropy_weight,
         )
         scorer, _, history = gan_gcl_train(mdp, demos, learner)
         learned = RewardTable("state_action", scorer.f_step)
@@ -409,8 +410,7 @@ def cmd_transfer(args) -> int:
     recovery = run_recovery(train_mdp, learner.variant, learner)
 
     with _outputs(config["output_dir"]) as write:
-        evaluations = [evaluate_on_new_dynamics(test_mdp, recovery.params.g,
-                                                entropy_weight=learner.entropy_weight)
+        evaluations = [evaluate_on_new_dynamics(test_mdp, recovery.params.g)
                        for _, test_mdp in tests]
         if "csv" in config["formats"]:
             for (label, _), evaluation in zip(tests, evaluations):
@@ -435,7 +435,6 @@ def cmd_transfer(args) -> int:
                 recovery.params.g,
                 transfer["n_dynamics"],
                 learner.seed,
-                entropy_weight=learner.entropy_weight,
             )
             summary["probe"] = probe._asdict()
         write("summary.json", json_text(summary))
@@ -585,11 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="3-state MDP where state-action rewards mis-transfer")
     gen.add_argument("--states", type=int, help="random MDP: number of states")
     gen.add_argument("--actions", type=int, help="random MDP: number of actions")
-    gen.add_argument("--reward-state", type=int, default=0,
-                     help="random MDP: state earning reward 1.0")
-    gen.add_argument("--seed", type=_non_negative_flag, default=0)
-    gen.add_argument("--discount", type=float, default=0.9)
-    gen.add_argument("--horizon", type=int, default=20)
+    gen.add_argument("--reward-state", type=int, help="random MDP: state earning reward 1.0")
+    gen.add_argument("--seed", type=_non_negative_flag)
+    gen.add_argument("--discount", type=float)
+    gen.add_argument("--horizon", type=int)
     gen.add_argument("-o", "--out", required=True, help="output JSON path")
     gen.set_defaults(func=cmd_generate)
 

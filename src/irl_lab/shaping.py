@@ -55,7 +55,7 @@ def shape_reward(
 
 
 def advantage(solution) -> np.ndarray:
-    """Soft advantage Q - V of a solved MDP; equals entropy_weight * log policy."""
+    """Soft advantage Q - V of a solved MDP; equals log policy."""
     return solution.q - solution.v[:, None]
 
 

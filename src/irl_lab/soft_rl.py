@@ -28,37 +28,29 @@ import numpy as np
 from .mdp import RewardTable, TabularMdp, expected_state_action
 
 
-def _soft_backup(q: np.ndarray, w: float) -> np.ndarray:
-    """Soft maximum over actions, w * logsumexp(q / w), per state.
+def _soft_backup(q: np.ndarray) -> np.ndarray:
+    """Soft maximum over actions, logsumexp(q), per state.
 
     Broadcasts over leading axes.  Each row is shifted by its maximum before
     exponentiating, so no term overflows and the largest one is exactly 1.
-    At w == 1 the division and the product are skipped: both are exact no-ops.
     """
-    if w == 1.0:
-        z_max = q.max(axis=-1)
-        return z_max + np.log(np.exp(q - z_max[..., None]).sum(axis=-1))
-    z = q / w
-    z_max = z.max(axis=-1)
-    return w * (z_max + np.log(np.exp(z - z_max[..., None]).sum(axis=-1)))
+    q_max = q.max(axis=-1)
+    return q_max + np.log(np.exp(q - q_max[..., None]).sum(axis=-1))
 
 
-def _soft_policy(q: np.ndarray, v: np.ndarray, w: float) -> np.ndarray:
-    """Max-ent policy exp((q - v) / w) of a backup, rows renormalized to 1.
+def _soft_policy(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Max-ent policy exp(q - v) of a backup, rows renormalized to 1.
 
     Broadcasts over leading axes: a (K, S, A) stack of q with a (K, S) stack
-    of v gives K policies.  At w == 1 the exact division by w is skipped.
+    of v gives K policies.
     """
-    policy = q - v[..., None]
-    if w != 1.0:
-        policy /= w
-    np.exp(policy, out=policy)
+    policy = np.exp(q - v[..., None])
     policy /= policy.sum(axis=-1, keepdims=True)
     return policy
 
 
 def _check_solver(r_sa: np.ndarray, discount: float, tolerance: float, max_iters: int,
-                  entropy_weight: float, v_init: np.ndarray | None = None) -> np.ndarray:
+                  v_init: np.ndarray | None = None) -> np.ndarray:
     """Check the arguments of one soft solve, reward `r_sa` (S, A), or of a (B, S, A)
     stack of them; return the start values, `v_init` or zeros."""
     # written as `not x > 0` so that NaN is rejected too
@@ -66,8 +58,6 @@ def _check_solver(r_sa: np.ndarray, discount: float, tolerance: float, max_iters
         raise ValueError("tolerance must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not entropy_weight > 0:
-        raise ValueError("entropy_weight must be positive")
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     if not np.isfinite(r_sa).all():
@@ -83,12 +73,12 @@ def _check_solver(r_sa: np.ndarray, discount: float, tolerance: float, max_iters
 class SoftSolution:
     """Fixed point of the soft Bellman backup and its max-ent optimal policy.
 
-    Satisfies v = w * logsumexp(q / w) per state and policy = exp((q - v) / w),
-    where w is the entropy weight.  `iterations_used` counts solver
-    iterations: soft Bellman backups, each but the last followed by one
-    linear solve.  `residual` is the sup-norm change the last backup made to
-    the value table.  A stack of solves has a leading row axis on every field
-    but `entropy_weight`; `row(i)` is one of its solves.
+    Satisfies v = logsumexp(q) and policy = exp(q - v) per state: unit
+    temperature, as AIRL's discriminator assumes; temperature w on reward r has
+    w times the q and v of reward r / w.  `iterations_used` counts soft Bellman
+    backups, each but the last followed by one linear solve.  `residual` is the
+    sup-norm change the last backup made to the value table.  A stack of solves
+    has a leading row axis on every field; `row(i)` is one of its solves.
     """
 
     q: np.ndarray
@@ -97,13 +87,12 @@ class SoftSolution:
     iterations_used: int
     residual: float
     converged: bool
-    entropy_weight: float
 
     def row(self, *index: int) -> SoftSolution:
         """The solve at row `index`, with Python scalars; no index for an unbatched solve."""
         return SoftSolution(self.q[index], self.v[index], self.policy[index],
                             int(self.iterations_used[index]), float(self.residual[index]),
-                            bool(self.converged[index]), self.entropy_weight)
+                            bool(self.converged[index]))
 
 
 def soft_value_iteration(
@@ -111,17 +100,16 @@ def soft_value_iteration(
     reward: RewardTable | None = None,
     tolerance: float = 1e-8,
     max_iters: int = 10_000,
-    entropy_weight: float = 1.0,
     *,
     v_init: np.ndarray | None = None,
 ) -> SoftSolution:
     """Solve the soft Bellman equation by soft policy iteration.
 
     Each iteration is one backup, Q <- r(s,a) + discount * T @ V and
-    B(V) = w * logsumexp(Q / w, actions).  The solve stops once the sup-norm
+    B(V) = logsumexp(Q, actions).  The solve stops once the sup-norm
     change |B(V) - V| drops to `tolerance`.  Otherwise V is replaced by the
     exact soft value of the backup's softmax policy pi, the solution of
-    (I - discount * P_pi) V = r_pi + w * H_pi with
+    (I - discount * P_pi) V = r_pi + H_pi with
     P_pi[s, s'] = sum_a pi(a|s) T(s, a, s').  That policy-evaluation step is a
     Newton step on the soft Bellman equation, so a solve takes a handful of
     iterations where plain value iteration needs about
@@ -136,25 +124,22 @@ def soft_value_iteration(
     not a fixed point worth reporting.
     """
     r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
-    v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight, v_init)
-    return _soft_solves(mdp.transition, r_sa, mdp.discount, v, tolerance, max_iters,
-                        entropy_weight).row()
+    v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, v_init)
+    return _soft_solves(mdp.transition, r_sa, mdp.discount, v, tolerance, max_iters).row()
 
 
 def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
-                 tolerance: float = 1e-8, max_iters: int = 10_000, entropy_weight: float = 1.0,
+                 tolerance: float = 1e-8, max_iters: int = 10_000,
                  *, v_init: np.ndarray | None = None) -> SoftSolution:
     """`soft_value_iteration` of each row of (B, S, A, S) transitions under (B, S, A)
     collapsed rewards and (B, S) warm starts `v_init` or none, checked once and
     solved as one `_soft_solves` stack; row i has the bits of its own call."""
-    v = _check_solver(r_sa, discount, tolerance, max_iters, entropy_weight, v_init)
+    v = _check_solver(r_sa, discount, tolerance, max_iters, v_init)
     if len(r_sa) == 1:
         # a stack of one runs unbatched, whose numpy calls cost less
-        one = _soft_solves(transition[0], r_sa[0], discount, v[0], tolerance, max_iters,
-                           entropy_weight)
-        return SoftSolution(*(getattr(one, f.name)[None] for f in fields(one)[:-1]),
-                            entropy_weight)
-    return _soft_solves(transition, r_sa, discount, v, tolerance, max_iters, entropy_weight)
+        one = _soft_solves(transition[0], r_sa[0], discount, v[0], tolerance, max_iters)
+        return SoftSolution(*(getattr(one, f.name)[None] for f in fields(one)))
+    return _soft_solves(transition, r_sa, discount, v, tolerance, max_iters)
 
 
 def _per_row(op, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -170,7 +155,7 @@ def _per_row(op, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: np.ndarray,
-                 tolerance: float, max_iters: int, entropy_weight: float) -> SoftSolution:
+                 tolerance: float, max_iters: int) -> SoftSolution:
     """`soft_value_iteration` of each row of a stack, in one loop.
 
     Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and start
@@ -180,13 +165,12 @@ def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: n
     every row gets the bits of its own one-row solve.  Rows are copied out
     only in an iteration where some, but not all, stop.
     """
-    w = entropy_weight
     identity = np.eye(r_sa.shape[-2])
     # (row indices, iterations, q, v_new, residual) of each group of rows that stopped early
     stopped = []
     for iterations in range(1, max_iters + 1):
         q = r_sa + discount * _per_row(np.matmul, transition, v)
-        v_new = _soft_backup(q, w)
+        v_new = _soft_backup(q)
         residual = np.abs(v_new - v).max(axis=-1)
         stop = residual <= tolerance
         # an unbatched solve's flag is a numpy bool, counted without a numpy call
@@ -201,8 +185,8 @@ def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: n
             keep = ~stop
             rows, transition, r_sa = rows[keep], transition[keep], r_sa[keep]
             q, v_new, v = q[keep], v_new[keep], v[keep]
-        # r_pi + w * H_pi = sum_a pi * (q - w log pi) = v_new - gamma * P_pi @ v
-        p_pi = np.einsum("...sa,...sap->...sp", _soft_policy(q, v_new, w), transition)
+        # r_pi + H_pi = sum_a pi * (q - log pi) = v_new - gamma * P_pi @ v
+        p_pi = np.einsum("...sa,...sap->...sp", _soft_policy(q, v_new), transition)
         rhs = v_new - discount * _per_row(np.matmul, p_pi, v)
         v = _per_row(np.linalg.solve, identity - discount * p_pi, rhs)
     iterations_used = np.full(residual.shape, iterations)
@@ -211,8 +195,8 @@ def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: n
         order = np.argsort(np.concatenate([group[0] for group in groups]))
         iterations_used, q, v_new, residual = (
             np.concatenate([group[k] for group in groups])[order] for k in range(1, 5))
-    return SoftSolution(q, v_new, _soft_policy(q, v_new, w), iterations_used, residual,
-                        residual <= tolerance, w)
+    return SoftSolution(q, v_new, _soft_policy(q, v_new), iterations_used, residual,
+                        residual <= tolerance)
 
 
 def uniform_policy(mdp: TabularMdp) -> np.ndarray:
@@ -335,8 +319,6 @@ def evaluate_return(
     policy,
     reward: RewardTable | None = None,
     include_entropy: bool = False,
-    *,
-    entropy_weight: float = 1.0,
 ):
     """Exact expected discounted return over the MDP's horizon.
 
@@ -344,8 +326,8 @@ def evaluate_return(
     which gives an array of K returns.  Both run the same horizon loop, with
     the state distribution of every policy propagated as a row vector; each
     row of a stack gets exactly the bits its single-policy call gets.  With
-    `include_entropy`, each step also earns entropy_weight times the policy
-    entropy at the visited state.
+    `include_entropy`, each step also earns the policy entropy at the
+    visited state.
     """
     if reward is None:
         reward = mdp.reward
@@ -355,7 +337,7 @@ def evaluate_return(
     if include_entropy:
         # p * log p with 0 * log 0 taken as 0
         log_p = np.log(policy, out=np.zeros_like(policy), where=policy > 0)
-        per_state = per_state - entropy_weight * (policy * log_p).sum(axis=-1)
+        per_state = per_state - (policy * log_p).sum(axis=-1)
     step = np.einsum("...sa,sap->...sp", policy, mdp.transition)
     # visits[t] holds each policy's state distribution at step t as a 1 x S row
     visits = np.empty((mdp.horizon,) + step.shape[:-2] + (1, mdp.n_states))

@@ -73,7 +73,6 @@ def expert_demos(
     *,
     n_trajectories: int = 64,
     seed: int = 0,
-    entropy_weight: float = 1.0,
 ):
     """Demonstrations from the soft-optimal policy of the ground-truth reward.
 
@@ -81,7 +80,7 @@ def expert_demos(
     array, in exact_occupancy mode, sampled expert episodes otherwise.  An
     unconverged expert solve warns.
     """
-    solution = soft_value_iteration(mdp, entropy_weight=entropy_weight)
+    solution = soft_value_iteration(mdp)
     _warn_unconverged(solution, "expert solve")
     return _demos(mdp, solution.policy, mode, n_trajectories, seed), solution
 
@@ -130,8 +129,7 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str | Sequence
         raise ValueError("sampled mode trains one problem per run; give run_recovery one variant")
     transition = np.stack([mdp.transition for mdp in mdps])
     r_sa = np.stack([expected_state_action(mdp.reward, mdp.transition) for mdp in mdps])
-    solves = _solve_stack(transition, r_sa, mdps[0].discount,
-                          entropy_weight=config.entropy_weight)
+    solves = _solve_stack(transition, r_sa, mdps[0].discount)
     experts = [solves.row(i) for i in range(len(mdps))]
     for i, expert in enumerate(experts):
         _warn_unconverged(expert, f"expert solve of problem {i}")
@@ -173,8 +171,8 @@ class NewDynamicsEval(NamedTuple):
         return normalized_score(self.returns)
 
 
-def _sweep_policies(mdp: TabularMdp, reward: RewardTable, entropy_weight: float = 1.0,
-                    tolerance: float = 1e-8, max_iters: int = 10_000) -> np.ndarray:
+def _sweep_policies(mdp: TabularMdp, reward: RewardTable, tolerance: float = 1e-8,
+                    max_iters: int = 10_000) -> np.ndarray:
     """The softmax policy of each sweep of plain soft value iteration on `reward`,
     as a (sweeps, S, A) stack, up to the first sweep within `tolerance`.
 
@@ -187,7 +185,7 @@ def _sweep_policies(mdp: TabularMdp, reward: RewardTable, entropy_weight: float 
     are checked as `soft_value_iteration` checks them.
     """
     r_sa = expected_state_action(reward, mdp.transition)
-    v0 = _check_solver(r_sa, mdp.discount, tolerance, max_iters, entropy_weight)
+    v0 = _check_solver(r_sa, mdp.discount, tolerance, max_iters)
     transition, discount = mdp.transition, mdp.discount
     capacity = min(max_iters, 256)
     qs = np.empty((capacity,) + r_sa.shape)
@@ -205,7 +203,7 @@ def _sweep_policies(mdp: TabularMdp, reward: RewardTable, entropy_weight: float 
             np.matmul(transition, vs[k], out=tv)
             np.multiply(tv, discount, out=tv)
             np.add(r_sa, tv, out=qs[k])
-            vs[k + 1] = _soft_backup(qs[k], entropy_weight)
+            vs[k + 1] = _soft_backup(qs[k])
         residuals = np.abs(vs[done + 1:end + 1] - vs[done:end]).max(axis=-1)
         within = np.flatnonzero(residuals <= tolerance)
         if len(within):
@@ -217,7 +215,7 @@ def _sweep_policies(mdp: TabularMdp, reward: RewardTable, entropy_weight: float 
                           f"(residual {residuals[-1]:.3g})", RuntimeWarning, stacklevel=3)
             break
         chunk = min(2 * chunk, 32)
-    return _soft_policy(qs[:done], vs[1:done + 1], entropy_weight)
+    return _soft_policy(qs[:done], vs[1:done + 1])
 
 
 def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
@@ -231,7 +229,6 @@ def reoptimize_with_curve(
     mdp: TabularMdp,
     reward: RewardTable,
     *,
-    entropy_weight: float = 1.0,
     tolerance: float = 1e-8,
     max_iters: int = 10_000,
 ):
@@ -246,7 +243,7 @@ def reoptimize_with_curve(
     `soft_value_iteration` checks them; reaching `max_iters` above
     `tolerance` warns.
     """
-    policies = _sweep_policies(mdp, reward, entropy_weight, tolerance, max_iters)
+    policies = _sweep_policies(mdp, reward, tolerance, max_iters)
     return policies[-1].copy(), _curve(evaluate_return(mdp, policies, mdp.reward))
 
 
@@ -258,8 +255,6 @@ def _curve(returns: np.ndarray) -> tuple[tuple[int, float], ...]:
 def evaluate_on_new_dynamics(
     test_mdp: TabularMdp,
     learned_reward: RewardTable,
-    *,
-    entropy_weight: float = 1.0,
 ) -> NewDynamicsEval:
     """Re-optimize a learned reward on a test MDP and collect reference returns.
 
@@ -269,8 +264,8 @@ def evaluate_on_new_dynamics(
     own call.  Warns when the re-optimization or the ground-truth solve does
     not converge.
     """
-    policies = _sweep_policies(test_mdp, learned_reward, entropy_weight)
-    optimal = soft_value_iteration(test_mdp, entropy_weight=entropy_weight)
+    policies = _sweep_policies(test_mdp, learned_reward)
+    optimal = soft_value_iteration(test_mdp)
     _warn_unconverged(optimal, "ground-truth solve")
     returns = evaluate_return(test_mdp, np.concatenate(
         [policies, optimal.policy[None], uniform_policy(test_mdp)[None]]))
@@ -305,7 +300,6 @@ def disentanglement_probe(
     seed: int,
     *,
     extra_dynamics=(),
-    entropy_weight: float = 1.0,
 ) -> ProbeResult:
     """Check whether a reward ranks actions like the ground truth under new dynamics.
 
@@ -335,8 +329,7 @@ def disentanglement_probe(
     n = len(transition)
     r_sa = np.concatenate([expected_state_action(reward, transition),
                            expected_state_action(mdp.reward, transition)])
-    solves = _solve_stack(np.concatenate([transition, transition]), r_sa, mdp.discount,
-                          entropy_weight=entropy_weight)
+    solves = _solve_stack(np.concatenate([transition, transition]), r_sa, mdp.discount)
     for i in np.flatnonzero(~solves.converged):
         table = "candidate reward" if i < n else "ground truth"
         _warn_unconverged(solves.row(i), f"probe solve of the {table} on dynamics {i % n}")

@@ -63,11 +63,17 @@ def small_random_mdps(n_states_max=4, n_actions_max=3, seeds=range(20), horizon=
         )
 
 
+def at_temperature(reward: RewardTable, w: float) -> RewardTable:
+    """`reward` scaled by 1 / w.  Its unit-temperature solve is the temperature-w
+    solve of `reward` with q and v divided by w, and the same policy."""
+    return RewardTable(reward.kind, reward.values / w)
+
+
 def assert_same_solution(row, alone):
     """Two SoftSolutions equal bit for bit, arrays and scalars alike."""
     for name in ("q", "v", "policy"):
         assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
-    for name in ("iterations_used", "residual", "converged", "entropy_weight"):
+    for name in ("iterations_used", "residual", "converged"):
         assert getattr(row, name) == getattr(alone, name), name
 
 

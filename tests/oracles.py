@@ -5,9 +5,10 @@ deliberately avoiding the vectorized code paths under test.  `loop_return`,
 `loop_curve`, `loop_sample_trajectories`, `loop_soft_value_iteration` and
 `loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
 per-step, one-problem and per-dynamics forms of batched functions, kept to pin
-those functions' outputs bit for bit.  `general_soft_backup` and
-`general_soft_policy` are the soft backup and policy as written for any
-entropy weight, kept to pin the package's entropy-weight-1 shortcuts.
+those functions' outputs bit for bit.  `backward_soft_recursion`,
+`general_soft_backup`, `general_soft_policy`, `loop_return` and
+`enumerate_return` take any entropy weight (temperature) w, which the package
+fixes at 1; they check that temperature w is the reward scaled by 1 / w.
 """
 
 import math
@@ -123,7 +124,6 @@ def loop_return(
 def loop_curve(
     mdp: TabularMdp,
     reward: RewardTable,
-    entropy_weight: float = 1.0,
     tolerance: float = 1e-8,
     max_iters: int = 10_000,
 ):
@@ -138,10 +138,10 @@ def loop_curve(
     curve = []
     for sweep in range(1, max_iters + 1):
         q = r_sa + mdp.discount * (mdp.transition @ v)
-        v_new = _soft_backup(q, entropy_weight)
+        v_new = _soft_backup(q)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
-        policy = _soft_policy(q, v, entropy_weight)
+        policy = _soft_policy(q, v)
         curve.append((sweep, evaluate_return(mdp, policy, mdp.reward)))
         if residual <= tolerance:
             break
@@ -149,27 +149,27 @@ def loop_curve(
 
 
 def loop_soft_value_iteration(mdp: TabularMdp, reward: RewardTable | None = None,
-                              max_iters: int = 10_000, entropy_weight: float = 1.0,
-                              v_init=None, tolerance: float = 1e-8) -> SoftSolution:
+                              max_iters: int = 10_000, v_init=None,
+                              tolerance: float = 1e-8) -> SoftSolution:
     """Soft policy iteration on one problem's 2-D tables.
 
     The loop `soft_value_iteration` ran before it became the unbatched call
     of the stacked solver; the arguments are not checked.
     """
     r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
-    w, gamma = entropy_weight, mdp.discount
+    gamma = mdp.discount
     v = np.zeros(mdp.n_states) if v_init is None else np.array(v_init, dtype=float)
     identity = np.eye(mdp.n_states)
     for iterations in range(1, max_iters + 1):
         q = r_sa + gamma * (mdp.transition @ v)
-        v_new = _soft_backup(q, w)
+        v_new = _soft_backup(q)
         residual = float(np.max(np.abs(v_new - v)))
         converged = residual <= tolerance
         if converged or iterations == max_iters:
             break
-        p_pi = np.einsum("sa,sap->sp", _soft_policy(q, v_new, w), mdp.transition)
+        p_pi = np.einsum("sa,sap->sp", _soft_policy(q, v_new), mdp.transition)
         v = np.linalg.solve(identity - gamma * p_pi, v_new - gamma * (p_pi @ v))
-    return SoftSolution(q, v_new, _soft_policy(q, v_new, w), iterations, residual, converged, w)
+    return SoftSolution(q, v_new, _soft_policy(q, v_new), iterations, residual, converged)
 
 
 def _argmax_set(row: np.ndarray) -> frozenset[int]:
@@ -177,7 +177,7 @@ def _argmax_set(row: np.ndarray) -> frozenset[int]:
 
 
 def loop_probe(mdp: TabularMdp, reward: RewardTable, n_dynamics: int, seed: int, *,
-               extra_dynamics=(), entropy_weight: float = 1.0) -> ProbeResult:
+               extra_dynamics=()) -> ProbeResult:
     """The disentanglement probe one dynamics and one state at a time.
 
     Two `soft_value_iteration` calls per dynamics and a frozenset of argmax
@@ -193,8 +193,8 @@ def loop_probe(mdp: TabularMdp, reward: RewardTable, n_dynamics: int, seed: int,
     agreements = []
     for tensor in tensors:
         probe_mdp = replace(mdp, transition=tensor)
-        candidate = soft_value_iteration(probe_mdp, reward, entropy_weight=entropy_weight)
-        truth = soft_value_iteration(probe_mdp, entropy_weight=entropy_weight)
+        candidate = soft_value_iteration(probe_mdp, reward)
+        truth = soft_value_iteration(probe_mdp)
         agreements.append(all(
             _argmax_set(candidate.policy[s]) == _argmax_set(truth.policy[s])
             for s in range(mdp.n_states)

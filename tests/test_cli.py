@@ -157,6 +157,40 @@ class TestGenerate:
         assert code == EXIT_USAGE and "reward_state" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, kind", [
+        pytest.param(["--paper-tabular", "--states", "3", "--actions", "2"], "--states",
+                     "paper_tabular", id="paper-tabular-states"),
+        pytest.param(["--paper-tabular", "--actions", "2"], "--actions", "paper_tabular",
+                     id="paper-tabular-actions"),
+        pytest.param(["--paper-tabular", "--reward-state", "3"], "--reward-state",
+                     "paper_tabular", id="paper-tabular-reward-state"),
+        pytest.param(["--counterexample", "--seed", "4"], "--seed", "counterexample",
+                     id="counterexample-seed"),
+        pytest.param(["--counterexample", "modified", "--states", "3", "--actions", "2"],
+                     "--states", "counterexample", id="counterexample-states"),
+        pytest.param(["--counterexample", "--reward-state", "0"], "--reward-state",
+                     "counterexample", id="counterexample-reward-state"),
+    ])
+    def test_flag_the_kind_does_not_take_writes_nothing(self, tmp_path, capsys, argv, flag,
+                                                        kind):
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli(capsys, "generate", *argv, "-o", str(out))
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == f"error: {flag} does not apply to a {kind} MDP\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, block", [
+        (["--paper-tabular"], {"kind": "paper_tabular"}),
+        (["--counterexample"], {"kind": "counterexample"}),
+        (["--states", "5", "--actions", "3"], {"kind": "random", "states": 5, "actions": 3}),
+    ], ids=["paper-tabular", "counterexample", "random"])
+    def test_absent_flags_take_the_config_defaults(self, tmp_path, capsys, argv, block):
+        out = tmp_path / "m.json"
+        assert run_cli(capsys, "generate", *argv, "-o", str(out))[0] == EXIT_OK
+        cfg = write_config(tmp_path / "c.json", mdp={"source": "generate", **block})
+        built = _build_mdp(load_experiment_config(cfg)["mdp"])
+        assert json.loads(out.read_text()) == mdp_to_dict(built)
+
     def test_invalid_mdp_reported_and_flagged(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "generate", "--paper-tabular",
                                   "--discount", "1.0",
@@ -276,6 +310,15 @@ class TestTrain:
         code, _, stderr = run_cli(capsys, "train", "--config", str(cfg))
         assert code == EXIT_USAGE and "'step'" in stderr
 
+        # the temperature is fixed at 1: temperature w is the reward scaled by 1 / w
+        cfg.write_text(json.dumps({"mdp": {"source": "generate",
+                                           "kind": "paper_tabular"},
+                                   "learner": {"entropy_weight": 1.0},
+                                   "output_dir": str(tmp_path / "run")}))
+        code, _, stderr = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == EXIT_USAGE and "'entropy_weight'" in stderr
+        assert not (tmp_path / "run").exists()
+
         cfg.write_text(json.dumps({"mdp": {"source": "generate",
                                            "kind": "paper_tabular",
                                            "flavor": "hot"},
@@ -303,10 +346,11 @@ class TestTrain:
     def test_divergence_maps_to_numeric_exit(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "c.json", output_dir=str(out),
-                           learner={"iterations": 2, "disc_step_size": 1e309})
-        code, _, stderr = run_cli(capsys, "train", "--config", cfg)
+                           learner={"iterations": 2, "disc_step_size": 1.7e308})
+        with pytest.warns(RuntimeWarning, match="policy step .* did not converge"):
+            code, _, stderr = run_cli(capsys, "train", "--config", cfg)
         assert code == EXIT_NUMERIC
-        assert "diverged" in stderr and "iteration 0" in stderr
+        assert "diverged" in stderr and "iteration 1" in stderr
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("reward_state", [4, -1])
@@ -579,13 +623,18 @@ class TestReproduceTabular:
         assert "--seeds" in stderr and "repeats seed 0" in stderr
         assert not Path(out).exists()
 
-    def test_nan_step_size_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("step_size", ["nan", "inf"])
+    def test_non_finite_step_size_is_usage_error(self, tmp_path, capsys, step_size):
         # a NaN step size would otherwise land in manifest.json, which is then
-        # not valid JSON
+        # not valid JSON; an infinite one makes the first gradient step inf - inf
         out = tmp_path / "repro"
-        code, _, stderr = run_cli(capsys, "reproduce-tabular", "--out", str(out),
-                                  "--seeds", "0", "--smoke", "--step-size", "nan")
-        assert code == EXIT_USAGE and "disc_step_size" in stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, stderr = run_cli(capsys, "reproduce-tabular", "--out", str(out),
+                                      "--seeds", "0", "--iterations", "2",
+                                      "--step-size", step_size)
+        assert code == EXIT_USAGE
+        assert stderr == "error: disc_step_size must be a finite number > 0\n"
         assert not out.exists()
 
 
@@ -818,9 +867,8 @@ class TestWrongTypedJson:
                      dict(VALID_CONFIG, mdp=dict(VALID_CONFIG["mdp"], discount=True)),
                      id="config-bool-discount"),
         pytest.param("train", "config",
-                     dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": True,
-                                                 "entropy_weight": True}),
-                     id="config-bool-step-size-and-entropy-weight"),
+                     dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": True}),
+                     id="config-bool-step-size"),
         pytest.param("probe", "mdp", dict(VALID_MDP, discount="0.9"), id="mdp-string-discount"),
         pytest.param("probe", "mdp", dict(VALID_MDP, discount=10**400),
                      id="mdp-discount-too-large-for-a-float"),
@@ -828,8 +876,8 @@ class TestWrongTypedJson:
                      dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": float("nan")}),
                      id="config-nan-step-size"),
         pytest.param("train", "config",
-                     dict(VALID_CONFIG, learner={"iterations": 2, "entropy_weight": float("nan")}),
-                     id="config-nan-entropy-weight"),
+                     dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": float("inf")}),
+                     id="config-infinite-step-size"),
     ])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         command, slot, doc):
@@ -922,7 +970,7 @@ class TestNonFiniteNumbers:
             mdp={"source": "generate", "kind": "random", "states": 3, "actions": 2,
                  "seed": 0, "horizon": 4},
             learner={"variant": "airl_state_only", "mode": "sampled", "iterations": 6,
-                     "n_policy_trajectories": 8, "entropy_weight": 1e-5},
+                     "n_policy_trajectories": 8, "disc_step_size": 1e4},
         )
         assert run_cli(capsys, "train", "--config", cfg)[0] == EXIT_OK
         csv_losses = [line.split(",")[1]

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 import irl_lab.airl
 from irl_lab.airl import (DiscriminatorParams, LearnerConfig, _airl_train_stack,
@@ -27,10 +26,10 @@ from irl_lab.shaping import PotentialFn, shape_reward
 from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, evaluate_return,
                              occupancy, sample_trajectories, soft_value_iteration)
 
-from conftest import assert_same_solution, solve_rows
-from oracles import (enumerate_return, fd_gradient, general_soft_backup, general_soft_policy,
-                     loop_occupancy, loop_return, loop_sample_trajectories,
-                     loop_soft_value_iteration)
+from conftest import assert_same_solution, at_temperature, solve_rows
+from oracles import (backward_soft_recursion, enumerate_return, fd_gradient,
+                     general_soft_backup, general_soft_policy, loop_occupancy, loop_return,
+                     loop_sample_trajectories, loop_soft_value_iteration)
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -76,26 +75,52 @@ def mdps_and_policies(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=mdps_and_policies(), include_entropy=st.booleans(),
-       entropy_weight=st.sampled_from([1.0, 0.3]))
+       temperature=st.sampled_from([1.0, 0.3]))
 def test_stacked_returns_match_the_loop_and_path_enumeration(
-    case, include_entropy, entropy_weight
+    case, include_entropy, temperature
 ):
     mdp, policies = case
-    stacked = evaluate_return(mdp, policies, include_entropy=include_entropy,
-                              entropy_weight=entropy_weight)
+    # temperature 0.3 weighs the reward against the entropy as the reward scaled by 1 / 0.3
+    mdp = replace(mdp, reward=at_temperature(mdp.reward, temperature))
+    stacked = evaluate_return(mdp, policies, include_entropy=include_entropy)
     assert stacked.shape == (len(policies),)
     tractable = (mdp.n_states * mdp.n_actions) ** mdp.horizon <= MAX_ENUMERATED_PATHS
     for k, policy in enumerate(policies):
-        single = evaluate_return(mdp, policy, include_entropy=include_entropy,
-                                 entropy_weight=entropy_weight)
+        single = evaluate_return(mdp, policy, include_entropy=include_entropy)
         assert type(single) is float
         assert stacked[k] == single
-        assert single == loop_return(mdp, policy, include_entropy=include_entropy,
-                                     entropy_weight=entropy_weight)
+        assert single == loop_return(mdp, policy, include_entropy=include_entropy)
         if tractable:
-            want = enumerate_return(mdp, policy, include_entropy=include_entropy,
-                                    entropy_weight=entropy_weight)
+            want = enumerate_return(mdp, policy, include_entropy=include_entropy)
             assert abs(single - want) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=mdps_and_policies(), discount=st.floats(0.0, 0.9),
+       temperature=st.floats(0.2, 5.0))
+def test_a_temperature_is_a_reward_scale(case, discount, temperature):
+    # The package solves at unit temperature.  Soft value iteration at
+    # temperature w on reward r is w times the unit solve on r / w, with the
+    # same policy; the oracles take any w, and 300 sweeps converge at
+    # discount <= 0.9.  The solve runs to 1e-10, so its error is below 1e-8.
+    mdp, policies = case
+    mdp, w = replace(mdp, discount=discount), temperature
+    scaled = replace(mdp, reward=at_temperature(mdp.reward, w))
+    solution = soft_value_iteration(scaled, tolerance=1e-10)
+    q, v, policy = backward_soft_recursion(mdp, entropy_weight=w)
+    np.testing.assert_allclose(solution.q, q / w, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(solution.v, v / w, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(solution.policy, policy, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(w * _soft_backup(q / w), general_soft_backup(q, w),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_soft_policy(q / w, v / w), general_soft_policy(q, v, w),
+                               rtol=0, atol=1e-12)
+    # the entropy bonus is earned at unit weight: w times the scaled return
+    for pi in (*policies, solution.policy):
+        for include_entropy in (False, True):
+            got = w * evaluate_return(scaled, pi, include_entropy=include_entropy)
+            want = loop_return(mdp, pi, include_entropy=include_entropy, entropy_weight=w)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -134,27 +159,6 @@ def test_sampled_episodes_match_the_per_step_loop(case, n, seed):
 
 
 @st.composite
-def q_tables(draw):
-    """A (S, A) table or a (K, S, A) stack of them, 1-6 states, 1-4 actions, |q| <= 1e3."""
-    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)))
-    if draw(st.booleans()):
-        shape = (draw(st.integers(1, 3)),) + shape
-    return draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(q=q_tables(), v_shift=st.floats(-1e3, 1e3))
-def test_unit_entropy_weight_shortcuts_equal_the_general_formulas(q, v_shift):
-    v = general_soft_backup(q, 1.0)
-    assert _soft_backup(q, 1.0).tobytes() == v.tobytes()
-    # at the backup's own v, and at a shifted one whose terms may overflow to inf
-    for v_at in (v, v + v_shift):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _soft_policy(q, v_at, 1.0), general_soft_policy(q, v_at, 1.0)
-        assert got.tobytes() == want.tobytes()
-
-
-@st.composite
 def solve_stacks(draw):
     """One to five MDPs of one shape and discount, each with its own reward
     arity, some transition entries exactly 0, and warm starts or none."""
@@ -178,14 +182,14 @@ def solve_stacks(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=solve_stacks(), max_iters=st.sampled_from([1, 2, 3, 10_000]),
-       entropy_weight=st.sampled_from([1.0, 0.3]))
-def test_stacked_solves_equal_single_calls(case, max_iters, entropy_weight):
+       temperature=st.sampled_from([1.0, 0.3]))
+def test_stacked_solves_equal_single_calls(case, max_iters, temperature):
     mdps, v_init = case
-    stack = solve_rows(mdps, [None] * len(mdps), max_iters=max_iters,
-                       entropy_weight=entropy_weight, v_init=v_init)
+    # temperature 0.3 is each reward scaled by 1 / 0.3: sharper policies
+    mdps = [replace(mdp, reward=at_temperature(mdp.reward, temperature)) for mdp in mdps]
+    stack = solve_rows(mdps, [None] * len(mdps), max_iters=max_iters, v_init=v_init)
     for i, mdp in enumerate(mdps):
-        kwargs = {"max_iters": max_iters, "entropy_weight": entropy_weight,
-                  "v_init": None if v_init is None else v_init[i]}
+        kwargs = {"max_iters": max_iters, "v_init": None if v_init is None else v_init[i]}
         alone = soft_value_iteration(mdp, **kwargs)
         assert_same_solution(stack.row(i), alone)
         assert_same_solution(alone, loop_soft_value_iteration(mdp, **kwargs))
@@ -389,7 +393,7 @@ def _configs(draw, mdp_path: str):
         "learner": {
             "variant": "airl_state_action", "mode": "sampled", "iterations": 3,
             "disc_steps_per_iter": 2, "disc_step_size": 0.1, "replay_window": 2,
-            "n_policy_trajectories": 4, "entropy_weight": 1.0, "seed": 1,
+            "n_policy_trajectories": 4, "seed": 1,
         },
         "transfer": dict(draw(st.sampled_from([
             {"test_seeds": [1, 2], "n_dynamics": 2},

@@ -117,10 +117,6 @@ class TestAdvantage:
             sol = soft_value_iteration(mdp)
             npt.assert_allclose(advantage(sol), np.log(sol.policy), atol=1e-7)
 
-    def test_advantage_scales_with_entropy_weight(self, tiny_mdp):
-        sol = soft_value_iteration(tiny_mdp, entropy_weight=0.5)
-        npt.assert_allclose(advantage(sol), 0.5 * np.log(sol.policy), atol=1e-7)
-
 
 class TestCenteredComparisons:
     def test_mean_center_removes_the_mean(self):

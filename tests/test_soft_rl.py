@@ -29,7 +29,7 @@ from irl_lab.soft_rl import (
     uniform_policy,
 )
 
-from conftest import assert_same_solution, small_random_mdps, solve_rows
+from conftest import assert_same_solution, at_temperature, small_random_mdps, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, loop_occupancy, loop_return,
                      loop_soft_value_iteration)
 
@@ -99,15 +99,6 @@ class TestSoftValueIteration:
             flat.v, np.log(2.0) / (1.0 - tiny_mdp.discount), atol=1e-7
         )
 
-    def test_entropy_weight_sharpens_policy(self, tiny_mdp):
-        soft = soft_value_iteration(tiny_mdp, entropy_weight=1.0)
-        sharp = soft_value_iteration(tiny_mdp, entropy_weight=0.05)
-        # lower weight concentrates mass on the greedy action
-        assert sharp.policy.max(axis=1).min() >= soft.policy.max(axis=1).min()
-        q, v, policy = backward_soft_recursion(tiny_mdp, entropy_weight=0.05,
-                                               sweeps=600)
-        npt.assert_allclose(sharp.policy, policy, atol=1e-6)
-
     def test_v_init_warm_start_converges_immediately(self, tiny_mdp):
         cold = soft_value_iteration(tiny_mdp)
         warm = soft_value_iteration(tiny_mdp, v_init=cold.v)
@@ -125,8 +116,6 @@ class TestSoftValueIteration:
         assert sol.residual > 1e-8
 
     def test_invalid_arguments(self, tiny_mdp):
-        with pytest.raises(ValueError):
-            soft_value_iteration(tiny_mdp, entropy_weight=0.0)
         with pytest.raises(ValueError):
             soft_value_iteration(tiny_mdp, max_iters=0)
         with pytest.raises(ValueError, match="^v_init must have one entry per state$"):
@@ -150,7 +139,7 @@ class TestSoftValueIteration:
             assert sol.converged
             assert sol.iterations_used <= 10
             r_sa = expected_state_action(mdp.reward, mdp.transition)
-            again = _soft_backup(r_sa + discount * (mdp.transition @ sol.v), 1.0)
+            again = _soft_backup(r_sa + discount * (mdp.transition @ sol.v))
             assert np.max(np.abs(again - sol.v)) <= 1e-8
 
     def test_matches_slow_recursion_near_discount_one(self):
@@ -166,7 +155,7 @@ class TestSoftValueIteration:
         sol = soft_value_iteration(tiny_mdp, max_iters=1)
         assert not sol.converged
         assert sol.iterations_used == 1
-        b0 = _soft_backup(expected_state_action(tiny_mdp.reward, tiny_mdp.transition), 1.0)
+        b0 = _soft_backup(expected_state_action(tiny_mdp.reward, tiny_mdp.transition))
         assert sol.residual == np.max(np.abs(b0))
         npt.assert_array_equal(sol.v, b0)
 
@@ -174,7 +163,7 @@ class TestSoftValueIteration:
     def test_unconverged_solution_comes_from_the_last_backup(self, bench_mdp, max_iters):
         sol = soft_value_iteration(bench_mdp, max_iters=max_iters)
         assert not sol.converged
-        npt.assert_allclose(sol.v, _soft_backup(sol.q, 1.0), rtol=0, atol=1e-12)
+        npt.assert_allclose(sol.v, _soft_backup(sol.q), rtol=0, atol=1e-12)
         npt.assert_allclose(sol.policy, np.exp(sol.q - sol.v[:, None]), rtol=0, atol=1e-12)
 
 
@@ -194,13 +183,16 @@ class TestStackedSolves:
     """`_solve_stack`: every row leaves the loop where its own solve stops."""
 
     @pytest.mark.parametrize("warm", [False, True])
-    @pytest.mark.parametrize("entropy_weight", [1.0, 0.3])
-    def test_rows_equal_single_calls(self, warm, entropy_weight):
+    @pytest.mark.parametrize("temperature", [1.0, 0.3])
+    def test_rows_equal_single_calls(self, warm, temperature):
         mdps, rewards = zip(*stacked_solve_rows())
+        # temperature 0.3 is the reward scaled by 1 / 0.3: sharper policies
+        rewards = [at_temperature(mdp.reward if reward is None else reward, temperature)
+                   for mdp, reward in zip(mdps, rewards)]
         v_init = np.random.default_rng(1).normal(size=(len(mdps), 16)) if warm else None
-        stack = solve_rows(mdps, rewards, entropy_weight=entropy_weight, v_init=v_init)
+        stack = solve_rows(mdps, rewards, v_init=v_init)
         starts = v_init if warm else [None] * len(mdps)
-        kwargs = [{"entropy_weight": entropy_weight, "v_init": v} for v in starts]
+        kwargs = [{"v_init": v} for v in starts]
         alone = [soft_value_iteration(mdp, reward, **kw)
                  for mdp, reward, kw in zip(mdps, rewards, kwargs)]
         # the rows stop at different iterations, so rows leave a running stack
@@ -233,9 +225,6 @@ class TestStackedSolves:
         # the entry checks the whole stack once, with soft_value_iteration's messages
         transition = np.stack([bench_mdp.transition] * 2)
         r_sa = np.stack([expected_state_action(bench_mdp.reward, bench_mdp.transition)] * 2)
-        for weight in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="entropy_weight must be positive"):
-                _solve_stack(transition, r_sa, 0.9, entropy_weight=weight)
         for discount in (1.0, -0.1, np.nan):
             with pytest.raises(ValueError, match=r"discount must lie in \[0, 1\)"):
                 _solve_stack(transition, r_sa, discount)
@@ -255,8 +244,8 @@ class TestStackedSolves:
 
 
 class TestSoftBackup:
-    @pytest.mark.parametrize("entropy_weight", [0.5, 1.0, 2.0])
-    def test_matches_scipy_logsumexp(self, entropy_weight):
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+    def test_matches_scipy_logsumexp(self, temperature):
         special = pytest.importorskip("scipy.special")
         rng = np.random.default_rng(3)
         tables = [
@@ -269,10 +258,11 @@ class TestSoftBackup:
             np.array([[2.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-1e3, 1e3, 1e3]]),
             rng.normal(size=(6, 1)),  # a single action
         ]
-        w = entropy_weight
         for q in tables:
-            want = w * special.logsumexp(q / w, axis=1)
-            npt.assert_allclose(_soft_backup(q, w), want, rtol=1e-14, atol=1e-14)
+            # the backup at temperature w is w times the unit one of q / w
+            q = q / temperature
+            npt.assert_allclose(_soft_backup(q), special.logsumexp(q, axis=1),
+                                rtol=1e-14, atol=1e-14)
 
 
 def test_importing_the_package_loads_no_scipy():
@@ -373,14 +363,6 @@ class TestEvaluateReturn:
         horizon_mass = sum(tiny_mdp.discount**t for t in range(tiny_mdp.horizon))
         npt.assert_allclose(bonus - plain, np.log(2.0) * horizon_mass, atol=1e-10)
 
-    def test_entropy_weight_scales_bonus(self, tiny_mdp):
-        policy = uniform_policy(tiny_mdp)
-        plain = evaluate_return(tiny_mdp, policy)
-        b1 = evaluate_return(tiny_mdp, policy, include_entropy=True)
-        b2 = evaluate_return(tiny_mdp, policy, include_entropy=True,
-                             entropy_weight=2.0)
-        npt.assert_allclose(b2 - plain, 2.0 * (b1 - plain), atol=1e-10)
-
     def test_entropy_bonus_treats_zero_probability_as_zero(self, tiny_mdp):
         policy = np.array([[1.0, 0.0], [0.25, 0.75], [0.0, 1.0]])
         per_state = np.array([0.0, -(0.25 * np.log(0.25) + 0.75 * np.log(0.75)), 0.0])
@@ -398,17 +380,16 @@ class TestEvaluateReturn:
         stack[0] = uniform_policy(bench_mdp)
         stack[1] = np.eye(4)[rng.integers(0, 4, size=16)]
         stack[2] = soft_value_iteration(bench_mdp).policy
+        # temperature 0.7: the reward scaled by 1 / 0.7 against a unit entropy bonus
+        mdp = replace(bench_mdp, reward=at_temperature(bench_mdp.reward, 0.7))
         for include_entropy in (False, True):
-            got = evaluate_return(bench_mdp, stack, include_entropy=include_entropy,
-                                  entropy_weight=0.7)
+            got = evaluate_return(mdp, stack, include_entropy=include_entropy)
             assert got.shape == (5,)
             for k in range(5):
-                one = evaluate_return(bench_mdp, stack[k], include_entropy=include_entropy,
-                                      entropy_weight=0.7)
+                one = evaluate_return(mdp, stack[k], include_entropy=include_entropy)
                 assert type(one) is float
                 assert got[k] == one
-                assert one == loop_return(bench_mdp, stack[k], include_entropy=include_entropy,
-                                          entropy_weight=0.7)
+                assert one == loop_return(mdp, stack[k], include_entropy=include_entropy)
 
     def test_stack_shapes_checked(self, tiny_mdp):
         policy = uniform_policy(tiny_mdp)

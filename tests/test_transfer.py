@@ -38,6 +38,7 @@ from irl_lab.transfer import (
     run_recovery,
 )
 
+from conftest import at_temperature
 from oracles import loop_curve, loop_probe
 
 
@@ -78,12 +79,12 @@ def one_iteration_stacks(monkeypatch):
 
 
 def sweep_residuals(mdp, reward, sweeps):
-    """|v_k - v_{k-1}| of the first `sweeps` sweeps of plain value iteration, w = 1."""
+    """|v_k - v_{k-1}| of the first `sweeps` sweeps of plain value iteration."""
     r_sa = expected_state_action(reward, mdp.transition)
     v = np.zeros(mdp.n_states)
     residuals = []
     for _ in range(sweeps):
-        v_new = _soft_backup(r_sa + mdp.discount * (mdp.transition @ v), 1.0)
+        v_new = _soft_backup(r_sa + mdp.discount * (mdp.transition @ v))
         residuals.append(float(np.max(np.abs(v_new - v))))
         v = v_new
     return residuals
@@ -154,9 +155,10 @@ class TestReoptimizeWithCurve:
             mdp = request.getfixturevalue(mdp_name)
         rng = np.random.default_rng(5)
         candidate = RewardTable("state_action", rng.normal(size=(mdp.n_states, mdp.n_actions)))
-        for reward, weight in ((mdp.reward, 1.0), (candidate, 1.0), (candidate, 0.5)):
-            policy, curve = reoptimize_with_curve(mdp, reward, entropy_weight=weight)
-            want_policy, want_curve = loop_curve(mdp, reward, entropy_weight=weight)
+        # the candidate at temperature 0.5 too, as the candidate scaled by 2
+        for reward in (mdp.reward, candidate, at_temperature(candidate, 0.5)):
+            policy, curve = reoptimize_with_curve(mdp, reward)
+            want_policy, want_curve = loop_curve(mdp, reward)
             assert len(curve) == len(want_curve) > 1
             assert curve == want_curve
             assert all(type(x) is int and type(y) is float for x, y in curve)
@@ -203,12 +205,9 @@ class TestReoptimizeWithCurve:
         [
             pytest.param({"max_iters": 0}, None, id="max_iters=0"),
             pytest.param({"max_iters": -3}, None, id="max_iters=-3"),
-            pytest.param({"entropy_weight": 0.0}, None, id="entropy_weight=0"),
-            pytest.param({"entropy_weight": -1.0}, None, id="entropy_weight=-1"),
             pytest.param({"tolerance": 0.0}, None, id="tolerance=0"),
             pytest.param({"tolerance": -1e-8}, None, id="tolerance=-1e-8"),
             pytest.param({"tolerance": float("nan")}, None, id="tolerance=nan"),
-            pytest.param({"entropy_weight": float("nan")}, None, id="entropy_weight=nan"),
             pytest.param({}, 1.0, id="discount=1"),
             pytest.param({}, 1.5, id="discount=1.5"),
             pytest.param({}, -0.1, id="discount=-0.1"),
@@ -263,20 +262,23 @@ class TestEvaluateOnNewDynamics:
             ev.score
 
     @pytest.mark.parametrize("mdp_name", ["bench_mdp", "tiny_mdp", "deterministic"])
-    @pytest.mark.parametrize("weight", [1.0, 0.5])
-    def test_folded_scores_equal_their_own_calls(self, request, mdp_name, weight):
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_folded_scores_equal_their_own_calls(self, request, mdp_name, temperature):
         if mdp_name == "deterministic":
             mdp = deterministic_bench()
         else:
             mdp = request.getfixturevalue(mdp_name)
         rng = np.random.default_rng(6)
         candidate = RewardTable("state_action", rng.normal(size=(mdp.n_states, mdp.n_actions)))
-        ev = evaluate_on_new_dynamics(mdp, candidate, entropy_weight=weight)
-        optimal = soft_value_iteration(mdp, entropy_weight=weight).policy
+        # both rewards at the temperature, as the rewards scaled by its inverse
+        mdp = replace(mdp, reward=at_temperature(mdp.reward, temperature))
+        candidate = at_temperature(candidate, temperature)
+        ev = evaluate_on_new_dynamics(mdp, candidate)
+        optimal = soft_value_iteration(mdp).policy
         assert ev.ground_truth_optimal == evaluate_return(mdp, optimal)
         assert ev.uniform_random == evaluate_return(mdp, uniform_policy(mdp))
         assert all(type(x) is float for x in ev.returns.values())
-        want_policy, want_curve = loop_curve(mdp, candidate, entropy_weight=weight)
+        want_policy, want_curve = loop_curve(mdp, candidate)
         assert ev.curve == want_curve
         assert np.array_equal(ev.policy, want_policy)
         assert ev.policy.base is None
@@ -637,8 +639,10 @@ class TestProbeMatchesTheLoop:
             args = (counterexample_mdp("original"), counterexample_shaped_reward(), 5, 2)
             kwargs = {"extra_dynamics": (counterexample_mdp("modified").transition,)}
         else:
-            args = (tiny_mdp, tiny_mdp.reward, 3, 1)
-            kwargs = {"extra_dynamics": (tiny_mdp.transition,), "entropy_weight": 0.5}
+            # at temperature 0.5, as the reward scaled by 2
+            mdp = replace(tiny_mdp, reward=at_temperature(tiny_mdp.reward, 0.5))
+            args = (mdp, mdp.reward, 3, 1)
+            kwargs = {"extra_dynamics": (tiny_mdp.transition,)}
         assert disentanglement_probe(*args, **kwargs) == loop_probe(*args, **kwargs)
 
     def test_trained_reward(self, det_recovery):

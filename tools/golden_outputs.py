@@ -2,10 +2,10 @@
 
     python3 tools/golden_outputs.py OUTDIR
 
-Runs ten fixed commands in-process against the package in this checkout's
+Runs twelve fixed commands in-process against the package in this checkout's
 `src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the same with
-`--smoke`), `train` on `paper_tabular` seed 0 in exact and in sampled mode,
-`train` with the `gan_gcl_trajectory` baseline on a `random` MDP, `transfer`
+`--smoke`), `train` on `paper_tabular` seed 0 with each AIRL variant in exact
+and in sampled mode, `train` with the `gan_gcl_trajectory` baseline on a `random` MDP, `transfer`
 on three test seeds with a five-dynamics probe, `generate` for each MDP kind,
 and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
@@ -39,6 +39,18 @@ CONFIGS = {
                     "n_policy_trajectories": 16},
         "output_dir": "train_airl_sampled",
     },
+    "train_state_action.json": {
+        "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
+        "learner": {"variant": "airl_state_action", "iterations": 25,
+                    "disc_steps_per_iter": 20, "disc_step_size": 0.2},
+        "output_dir": "train_state_action",
+    },
+    "train_state_action_sampled.json": {
+        "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
+        "learner": {"variant": "airl_state_action", "mode": "sampled", "iterations": 25,
+                    "n_policy_trajectories": 16},
+        "output_dir": "train_state_action_sampled",
+    },
     "train_gan_gcl.json": {
         "mdp": {"source": "generate", "kind": "random", "states": 5, "actions": 2,
                 "seed": 3, "horizon": 8, "reward_state": 2},
@@ -70,6 +82,9 @@ COMMANDS = (
      ["reproduce-tabular", "--out", "reproduce_smoke", "--seeds", "0,1", "--smoke"]),
     ("train_paper_tabular", ["train", "--config", "configs/train_paper_tabular.json"]),
     ("train_airl_sampled", ["train", "--config", "configs/train_airl_sampled.json"]),
+    ("train_state_action", ["train", "--config", "configs/train_state_action.json"]),
+    ("train_state_action_sampled",
+     ["train", "--config", "configs/train_state_action_sampled.json"]),
     ("train_gan_gcl", ["train", "--config", "configs/train_gan_gcl.json"]),
     ("transfer", ["transfer", "--config", "configs/transfer.json"]),
     ("probe",
