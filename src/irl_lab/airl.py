@@ -53,15 +53,16 @@ def _sigmoid(x):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when training produces non-finite parameters."""
+    """Raised when training produces non-finite parameters or a non-finite policy step."""
 
-    def __init__(self, iteration: int):
-        # args stay (iteration,), so unpickling rebuilds this error
-        super().__init__(iteration)
+    def __init__(self, iteration: int, what: str = "discriminator parameters"):
+        # args stay (iteration, what), so unpickling rebuilds this error
+        super().__init__(iteration, what)
         self.iteration = iteration
+        self.what = what
 
     def __str__(self) -> str:
-        return f"non-finite discriminator parameters at iteration {self.iteration}"
+        return f"non-finite {self.what} at iteration {self.iteration}"
 
 
 @dataclass(frozen=True)
@@ -454,11 +455,13 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
     Every theta array has a leading problem axis; theta[0] holds the learned
     reward tables, which `_g_rows` turns into each problem's g.  It raises
     DivergenceError at the first iteration where any problem's theta stops
-    being finite.  `problem` maps the round's negatives and stacked log pi to a
-    _Problem, and `rewards(theta, transition)` gives the policy step's
-    (B, S, A) collapsed rewards, solved as one `_solve_stack`.  Each round's
-    losses, g changes, solver iterations, g and policy go into (problem,
-    iteration, ...) arrays, whose rows make the histories after the loop.
+    being finite, or where its policy step's residual or policy does, after
+    that step's non-convergence warnings.  `problem` maps the round's
+    negatives and stacked log pi to a _Problem, and `rewards(theta,
+    transition)` gives the policy step's (B, S, A) collapsed rewards, solved
+    as one `_solve_stack`.  Each round's losses, g changes, solver
+    iterations, g and policy go into (problem, iteration, ...) arrays, whose
+    rows make the histories after the loop.
     Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
     Sampled mode trains one problem: `encode` turns each round's rollouts (int
     arrays, states (n, horizon + 1) and actions (n, horizon)) into a count
@@ -504,6 +507,9 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
             warnings.warn(f"policy step of {variant} problem {i - variants.index(variant)} did "
                           f"not converge at iteration {iteration} (residual "
                           f"{solves.residual[i]:.3g})", RuntimeWarning, stacklevel=2)
+        # exact zeros in a policy are legal; a NaN or infinite residual or policy is not
+        if not (np.isfinite(solves.residual).all() and np.isfinite(solves.policy).all()):
+            raise DivergenceError(iteration, "policy step")
         policies, v_warm = solves.policy, solves.v
         vi_steps[:, iteration] = solves.iterations_used
         gs[:, iteration], policy_rows[:, iteration] = theta[0], policies
@@ -542,7 +548,7 @@ def airl_train(mdp: TabularMdp | Sequence[TabularMdp], demos,
     exact_occupancy mode negatives are the current policy's exact occupancy;
     in sampled mode, which trains one MDP, they are rollouts pooled over the
     last `replay_window` iterations.  Raises DivergenceError if parameters
-    stop being finite.
+    or a policy step stop being finite.
     """
     mdps, single = _stack_of(mdp, "airl_train")
     (results,) = _airl_train_stack(mdps, [demos] if single else list(demos),

@@ -342,12 +342,8 @@ def cmd_generate(args) -> int:
 def _train_once(mdp: TabularMdp, learner: LearnerConfig):
     """Run the configured learner; returns (learned reward, history, learned_reward.json)."""
     if learner.variant == "gan_gcl_trajectory":
-        demos, _ = expert_demos(
-            mdp,
-            "sampled",
-            n_trajectories=learner.n_policy_trajectories,
-            seed=learner.seed,
-        )
+        # as many expert episodes as sampled AIRL draws: N_EXPERT_TRAJECTORIES
+        demos, _ = expert_demos(mdp, "sampled", seed=learner.seed)
         scorer, _, history = gan_gcl_train(mdp, demos, learner)
         learned = RewardTable("state_action", scorer.f_step)
         error = centered_reward_error(learned, mdp.reward, mdp.transition)

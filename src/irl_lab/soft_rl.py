@@ -8,15 +8,17 @@ finite-horizon return evaluation of one policy or of a stack of policies in
 one pass.
 
 Sampling runs on int arrays.  One rollout call forms the start, policy and
-transition CDFs once and takes every uniform draw from one
-`random((2 * horizon + 1, n))` call: row 0 picks the start states, then each
-step uses one row for the actions and one for the next states, the same
-stream as one `random(n)` call per draw.  Each draw is compared with the CDF
-row of its episode's state, or state and action.  A row's cumulative sum has
-the same bits whether it is taken before or after the row is indexed, so the
-episodes are those of CDFs formed step by step.  `sample_trajectories` wraps
-the arrays as `Trajectory` objects; sampled-mode training reads them as they
-are.
+transition CDFs once, each row capped by setting its last entry to +inf, and
+takes every uniform draw from one `random((2 * horizon + 1, n))` call: row 0
+picks the start states, then each step uses one row for the actions and one
+for the next states, the same stream as one `random(n)` call per draw.  Each
+step fetches its CDF rows with `take`: the policy rows by state, and the rows
+of the transitions' (S * A, S) table by the flat index state * A + action.  A
+draw's index is the first crossing, the first entry of its row not below it.
+A row's cumulative sum has the same bits whether it is taken before or after
+the row is indexed, so the episodes are those of CDFs formed step by step.
+`sample_trajectories` wraps the arrays as `Trajectory` objects; sampled-mode
+training reads them as they are.
 """
 
 from __future__ import annotations
@@ -245,28 +247,37 @@ class Trajectory:
         return int(self.states[-1])
 
 
+def _capped_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, each row's last entry set to +inf."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf[..., -1] = np.inf
+    return cdf
+
+
 def _rollouts(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
     """`n` episodes as int arrays: states (n, horizon + 1) and actions (n, horizon).
 
-    The start, policy and transition CDFs are formed once and every uniform
-    draw comes from one `random((2 * horizon + 1, n))` call; see the module
-    docstring.  A draw's index is the number of CDF entries below it among all
-    but the row's last, which caps it at k - 1 (a cumulative sum of
-    non-negative terms never decreases, so a draw above the last entry is
-    above every other one too).
+    The start, policy and transition CDFs are formed once, capped at +inf, and
+    every uniform draw comes from one `random((2 * horizon + 1, n))` call; see
+    the module docstring.  A draw's index is `(u > row).argmin()`, the first
+    entry not below it; the cap makes it at most k - 1.  For a non-decreasing
+    row this is the number of entries below the draw among all but the last,
+    the rule of CDFs formed per step.  A row that turns NaN stops both rules
+    at its first NaN, which cumsum carries forward.
     """
-    horizon = mdp.horizon
-    start_cdf = np.cumsum(mdp.initial_dist)[:-1]
-    policy_cdf = np.cumsum(policy, axis=1)[:, :-1]
-    step_cdf = np.cumsum(mdp.transition, axis=2)[:, :, :-1]
+    horizon, n_actions = mdp.horizon, mdp.n_actions
+    start_cdf = _capped_cdf(mdp.initial_dist)
+    policy_cdf = _capped_cdf(policy)
+    step_cdf = _capped_cdf(mdp.transition.reshape(-1, mdp.n_states))
     u = np.random.default_rng(seed).random((2 * horizon + 1, n))[:, :, None]
     states = np.empty((n, horizon + 1), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
-    states[:, 0] = (u[0] > start_cdf).sum(axis=1)
+    states[:, 0] = (u[0] > start_cdf).argmin(axis=1)
     for t in range(horizon):
         current = states[:, t]
-        actions[:, t] = (u[2 * t + 1] > policy_cdf[current]).sum(axis=1)
-        states[:, t + 1] = (u[2 * t + 2] > step_cdf[current, actions[:, t]]).sum(axis=1)
+        actions[:, t] = (u[2 * t + 1] > policy_cdf.take(current, axis=0)).argmin(axis=1)
+        cell = current * n_actions + actions[:, t]
+        states[:, t + 1] = (u[2 * t + 2] > step_cdf.take(cell, axis=0)).argmin(axis=1)
     return states, actions
 
 

@@ -14,12 +14,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .airl import (DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack,
-                   _stack_of, f_table)
+                   _cell_counts, _stack_of, f_table)
 from .mdp import RewardTable, TabularMdp, _transition_problems, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
     SoftSolution,
     _check_solver,
+    _rollouts,
     _soft_backup,
     _soft_policy,
     _solve_stack,
@@ -56,7 +57,7 @@ REPRODUCTION_CRITERIA = (
 # The probe's argmax set holds each action within this of the state's top probability.
 PROBE_TIE_TOL = 1e-6
 
-# Expert episodes `run_recovery` samples in sampled mode.
+# Expert episodes sampled mode draws: `run_recovery`'s, and `expert_demos`' default.
 N_EXPERT_TRAJECTORIES = 64
 
 
@@ -71,7 +72,7 @@ def expert_demos(
     mdp: TabularMdp,
     mode: str = "exact_occupancy",
     *,
-    n_trajectories: int = 64,
+    n_trajectories: int = N_EXPERT_TRAJECTORIES,
     seed: int = 0,
 ):
     """Demonstrations from the soft-optimal policy of the ground-truth reward.
@@ -82,16 +83,22 @@ def expert_demos(
     """
     solution = soft_value_iteration(mdp)
     _warn_unconverged(solution, "expert solve")
-    return _demos(mdp, solution.policy, mode, n_trajectories, seed), solution
+    if mode == "exact_occupancy":
+        return occupancy(mdp, solution.policy), solution
+    if mode == "sampled":
+        return sample_trajectories(mdp, solution.policy, n_trajectories, seed), solution
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-def _demos(mdp: TabularMdp, policy: np.ndarray, mode: str, n_trajectories: int, seed: int):
-    """The demonstrations of `expert_demos` from the expert's policy."""
+def _demo_weights(mdp: TabularMdp, policy: np.ndarray, mode: str, seed: int) -> np.ndarray:
+    """`run_recovery`'s demonstrations as an (S, A, S) array: the exact occupancy, or
+    `N_EXPERT_TRAJECTORIES` sampled episodes as cell counts over their transitions,
+    the bits of `to_weights` on the episodes' `TransitionBatch`."""
     if mode == "exact_occupancy":
         return occupancy(mdp, policy)
-    if mode == "sampled":
-        return sample_trajectories(mdp, policy, n_trajectories, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    states, actions = _rollouts(mdp, policy, N_EXPERT_TRAJECTORIES, seed)
+    counts = _cell_counts(states[:, :-1], actions, states[:, 1:], mdp.n_states, mdp.n_actions)
+    return counts / actions.size
 
 
 class RecoveryResult(NamedTuple):
@@ -133,7 +140,7 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str | Sequence
     experts = [solves.row(i) for i in range(len(mdps))]
     for i, expert in enumerate(experts):
         _warn_unconverged(expert, f"expert solve of problem {i}")
-    demos = [_demos(mdp, expert.policy, config.mode, N_EXPERT_TRAJECTORIES, config.seed)
+    demos = [_demo_weights(mdp, expert.policy, config.mode, config.seed)
              for mdp, expert in zip(mdps, experts)]
     advantages = [advantage(expert)[:, :, None] for expert in experts]
     per_variant = []

@@ -51,6 +51,7 @@ from irl_lab.soft_rl import (
     soft_value_iteration,
     uniform_policy,
 )
+from irl_lab.transfer import N_EXPERT_TRAJECTORIES, run_recovery
 
 from oracles import fd_gradient, trajectory_probability
 
@@ -459,6 +460,9 @@ class TestAirlTrain:
         assert type(error) is DivergenceError
         assert str(error) == "non-finite discriminator parameters at iteration 3"
         assert error.iteration == 3
+        error = pickle.loads(pickle.dumps(DivergenceError(2, "policy step")))
+        assert str(error) == "non-finite policy step at iteration 2"
+        assert (error.iteration, error.what) == (2, "policy step")
 
     @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
     def test_nan_demos_diverge_without_runtime_warnings(self, tiny_mdp, variant):
@@ -497,6 +501,28 @@ class TestAirlTrain:
             ]
             assert all(float(m.split("residual ")[1].rstrip(")")) > 1e-8 for m in messages)
 
+    @pytest.mark.parametrize("step_size, mode, iteration", [
+        (1.7e308, "exact_occupancy", 0),
+        (1.7e308, "sampled", 0),
+        (1e308, "exact_occupancy", 1),
+        (1e308, "sampled", 2),
+    ])
+    def test_non_finite_policy_step_stops_training(self, step_size, mode, iteration):
+        # a huge finite step gives a reward whose soft backup overflows to NaN;
+        # training stops at that policy step, not a round later or never
+        mdp = random_mdp(4, 2, RewardTable("state_only", np.array([1.0, 0.0, 0.0, 0.0])),
+                         seed=3, horizon=8)
+        config = LearnerConfig(mode=mode, iterations=3, disc_step_size=step_size)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as err:
+                run_recovery(mdp, "airl_state_only", config)
+        assert str(err.value) == f"non-finite policy step at iteration {iteration}"
+        assert err.value.iteration == iteration
+        # the step's non-convergence warning comes before the error
+        assert str(caught[-1].message) == ("policy step of airl_state_only problem 0 did not "
+                                           f"converge at iteration {iteration} (residual nan)")
+
     @pytest.mark.parametrize("variant, mode", [
         ("airl_state_only", "exact_occupancy"),
         ("airl_state_action", "sampled"),
@@ -534,13 +560,22 @@ class TestAirlTrain:
         expert = soft_value_iteration(tiny_mdp).policy
         demos = occupancy(tiny_mdp, expert)
         episodes = sample_trajectories(tiny_mdp, expert, 8, seed=0)
+        configs = {variant: LearnerConfig(variant=variant, mode="sampled", iterations=3,
+                                          replay_window=2)
+                   for variant in ("airl_state_only", "airl_state_action")}
+        # run_recovery's expert demos, trained on as episode objects
+        expert_episodes = sample_trajectories(tiny_mdp, expert, N_EXPERT_TRAJECTORIES, seed=0)
+        wants = {variant: airl_train(tiny_mdp, expert_episodes, config)
+                 for variant, config in configs.items()}
         monkeypatch.setattr(irl_lab.airl, "pool_batches", unexpected)
         monkeypatch.setattr(TransitionBatch, "to_weights", unexpected)
         monkeypatch.setattr(Trajectory, "__post_init__", unexpected)
-        for variant in ("airl_state_only", "airl_state_action"):
-            result = airl_train(tiny_mdp, demos, LearnerConfig(
-                variant=variant, mode="sampled", iterations=3, replay_window=2))
-            assert len(result.history) == 3
+        for variant, config in configs.items():
+            assert len(airl_train(tiny_mdp, demos, config).history) == 3
+            # run_recovery keeps its sampled expert demos on counts, with the same bits
+            got = run_recovery(tiny_mdp, variant, config)
+            assert got.params.g.values.tobytes() == wants[variant].params.g.values.tobytes()
+            assert got.history.to_csv_text() == wants[variant].history.to_csv_text()
         result = gan_gcl_train(tiny_mdp, episodes, LearnerConfig(
             variant="gan_gcl_trajectory", mode="sampled", iterations=3, replay_window=2))
         assert len(result.history) == 3

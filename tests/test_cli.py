@@ -350,7 +350,7 @@ class TestTrain:
         with pytest.warns(RuntimeWarning, match="policy step .* did not converge"):
             code, _, stderr = run_cli(capsys, "train", "--config", cfg)
         assert code == EXIT_NUMERIC
-        assert "diverged" in stderr and "iteration 1" in stderr
+        assert "diverged" in stderr and "iteration 0" in stderr
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("reward_state", [4, -1])

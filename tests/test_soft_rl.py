@@ -20,6 +20,7 @@ from irl_lab.mdp import (
 )
 from irl_lab.soft_rl import (
     _occupancies,
+    _rollouts,
     _soft_backup,
     _solve_stack,
     evaluate_return,
@@ -31,7 +32,7 @@ from irl_lab.soft_rl import (
 
 from conftest import assert_same_solution, at_temperature, small_random_mdps, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, loop_occupancy, loop_return,
-                     loop_soft_value_iteration)
+                     loop_sample_trajectories, loop_soft_value_iteration)
 
 
 def two_state_bandit():
@@ -474,3 +475,70 @@ class TestSampling:
         counts /= counts.sum()
         rho = occupancy(tiny_mdp, sol.policy)
         assert np.max(np.abs(counts - rho)) < 0.02
+
+
+class _Draws:
+    """Generator stand-in whose `random` hands out chosen uniforms in stream order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.taken = 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.taken:self.taken + count].reshape(size)
+        self.taken += count
+        return out
+
+
+def _lookup_mdp(initial, policy_row, transition_row, horizon=1):
+    """An MDP whose every policy and transition row is the given one."""
+    n_states, n_actions = len(initial), len(policy_row)
+    transition = np.tile(transition_row, (n_states, n_actions, 1))
+    mdp = TabularMdp(n_states, n_actions, transition,
+                     RewardTable("state_only", np.zeros(n_states)), 0.9,
+                     np.array(initial, dtype=float), horizon)
+    return mdp, np.tile(policy_row, (n_states, 1))
+
+
+TOP_DRAW = np.nextafter(1.0, 0.0)  # the largest uniform `random` returns
+
+# (MDP, policy, draws in stream order, the states and actions they must give).
+# A stream is the n start draws, then per step n action and n successor draws.
+LOOKUP_CASES = {
+    # a draw equal to a CDF entry takes that entry's index
+    "draw-on-an-entry": (*_lookup_mdp([0.25] * 4, [0.5, 0.5], [0.25] * 4),
+                         [0.25, 0.5, 0.75, 0.5, 0.75, 0.25, 0.25, 0.5, 0.75],
+                         [[0, 0], [1, 1], [2, 2]], [[0], [1], [0]]),
+    # 0.0 is not above a leading zero entry, so it takes index 0 under both
+    # rules; the smallest positive draw passes the zeros
+    "zero-draw-on-leading-zeros": (*_lookup_mdp([0.0, 0.0, 1.0], [0.0, 0.5, 0.5],
+                                                [0.0, 0.0, 1.0]),
+                                   [0.0, 5e-324, 0.0, 5e-324, 0.0, 5e-324],
+                                   [[0, 0], [2, 2]], [[0], [1]]),
+    # ten 0.1 entries sum to TOP_DRAW; a draw at the ninth entry stays there
+    "ten-tenths": (*_lookup_mdp([1.0], [0.1] * 10, [1.0]),
+                   [0.5, 0.5, 0.5, TOP_DRAW, np.cumsum([0.1] * 10)[8], 0.9, 0.0, 0.5, TOP_DRAW],
+                   [[0, 0]] * 3, [[9], [8], [9]]),
+    # seven sevenths sum below TOP_DRAW: a draw above the total takes the last index
+    "draw-above-the-total": (*_lookup_mdp([1 / 7] * 7, [1.0], [1 / 7] * 7),
+                             [TOP_DRAW, np.cumsum([1 / 7] * 7)[5], 0.0, 0.3, TOP_DRAW, 0.5],
+                             [[6, 6], [5, 3]], [[0], [0]]),
+    "one-state-one-action": (*_lookup_mdp([1.0], [1.0], [1.0], horizon=3),
+                             [0.0, TOP_DRAW, 0.5, 0.25, 0.75, 0.1, 0.9],
+                             [[0, 0, 0, 0]], [[0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOKUP_CASES))
+def test_lookup_boundaries_match_the_per_step_loop(case, monkeypatch):
+    mdp, policy, draws, want_states, want_actions = LOOKUP_CASES[case]
+    n = len(want_states)
+    assert len(draws) == (2 * mdp.horizon + 1) * n
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(draws))
+    states, actions = _rollouts(mdp, policy, n, seed=0)
+    loop = loop_sample_trajectories(mdp, policy, n, seed=0)
+    npt.assert_array_equal(states, [episode.states for episode in loop])
+    npt.assert_array_equal(actions, [episode.actions for episode in loop])
+    npt.assert_array_equal(states, want_states)
+    npt.assert_array_equal(actions, want_actions)

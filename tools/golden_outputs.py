@@ -2,12 +2,14 @@
 
     python3 tools/golden_outputs.py OUTDIR
 
-Runs twelve fixed commands in-process against the package in this checkout's
-`src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the same with
-`--smoke`), `train` on `paper_tabular` seed 0 with each AIRL variant in exact
-and in sampled mode, `train` with the `gan_gcl_trajectory` baseline on a `random` MDP, `transfer`
-on three test seeds with a five-dynamics probe, `generate` for each MDP kind,
-and `probe`.
+Runs thirteen fixed commands in-process against the package in this
+checkout's `src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the
+same with `--smoke`), `train` on `paper_tabular` seed 0 with each AIRL variant
+in exact and in sampled mode, a sampled `train` on the `counterexample` MDP
+(deterministic rows with exact zeros, CDFs that reach 1 before their last
+entry, a point-mass start), `train` with the `gan_gcl_trajectory` baseline on
+a `random` MDP, `transfer` on three test seeds with a five-dynamics probe,
+`generate` for each MDP kind, and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
 OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
@@ -51,6 +53,12 @@ CONFIGS = {
                     "n_policy_trajectories": 16},
         "output_dir": "train_state_action_sampled",
     },
+    "train_counterexample_sampled.json": {
+        "mdp": {"source": "generate", "kind": "counterexample"},
+        "learner": {"variant": "airl_state_only", "mode": "sampled", "iterations": 25,
+                    "n_policy_trajectories": 16},
+        "output_dir": "train_counterexample_sampled",
+    },
     "train_gan_gcl.json": {
         "mdp": {"source": "generate", "kind": "random", "states": 5, "actions": 2,
                 "seed": 3, "horizon": 8, "reward_state": 2},
@@ -85,6 +93,8 @@ COMMANDS = (
     ("train_state_action", ["train", "--config", "configs/train_state_action.json"]),
     ("train_state_action_sampled",
      ["train", "--config", "configs/train_state_action_sampled.json"]),
+    ("train_counterexample_sampled",
+     ["train", "--config", "configs/train_counterexample_sampled.json"]),
     ("train_gan_gcl", ["train", "--config", "configs/train_gan_gcl.json"]),
     ("transfer", ["transfer", "--config", "configs/transfer.json"]),
     ("probe",
