@@ -19,10 +19,11 @@ gradient descent.
   through a zero-probability action).  Each side's episodes weigh 1/count.
 
 One loop trains both, re-solving the policy after each fit by warm-started
-soft value iteration on the learned reward.  In exact mode it trains a stack
-of AIRL problems at once, of either variant or both, with a leading problem
-axis on theta, the weights and the offset, and re-solves every problem's
-policy in one stacked solve; each problem gets the bits of its own run.
+soft value iteration on the learned reward.  It trains a stack of AIRL
+problems at once, in either mode and of either variant or both, with a
+leading problem axis on theta, the weights and the offset, and re-solves
+every problem's policy in one stacked solve; each problem gets the bits of
+its own run.  The trajectory baseline is a stack of one.
 """
 
 from __future__ import annotations
@@ -264,13 +265,13 @@ def _cell_counts(states, actions, next_states, n_states: int, n_actions: int) ->
 
 
 def _replay_weights(replay) -> np.ndarray:
-    """The replay's summed cell counts normalized to mass 1.
+    """The replay's summed (..., S, A, S) cell counts, each problem's normalized to mass 1.
 
     Equal bit for bit to `pool_batches` of the same rollouts followed by
     `to_weights`: the counts are integers, exact in float64.
     """
     counts = sum(replay)
-    return counts / counts.sum()
+    return counts / counts.sum(axis=(-3, -2, -1), keepdims=True)
 
 
 def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
@@ -455,21 +456,21 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
     Every theta array has a leading problem axis; theta[0] holds the learned
     reward tables, which `_g_rows` turns into each problem's g.  It raises
     DivergenceError at the first iteration where any problem's theta stops
-    being finite, or where its policy step's residual or policy does, after
-    that step's non-convergence warnings.  `problem` maps the round's
-    negatives and stacked log pi to a _Problem, and `rewards(theta,
+    being finite, or its policy step's reward, residual or policy does; a
+    solved step's non-convergence warnings come first.  `problem` maps the
+    round's negatives and stacked log pi to a _Problem, and `rewards(theta,
     transition)` gives the policy step's (B, S, A) collapsed rewards, solved
     as one `_solve_stack`.  Each round's losses, g changes, solver
     iterations, g and policy go into (problem, iteration, ...) arrays, whose
     rows make the histories after the loop.
     Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
-    Sampled mode trains one problem: `encode` turns each round's rollouts (int
-    arrays, states (n, horizon + 1) and actions (n, horizon)) into a count
-    array by one bincount, and the negatives are the replay deque of the last
-    `replay_window` of those (see `_replay_weights`).
+    Sampled mode draws one seed per round from `config.seed`'s generator, and
+    every problem rolls out under its own policy with that seed, so a
+    one-problem run draws the same episodes.  `encode` turns one problem's
+    rollouts (int arrays, states (n, horizon + 1) and actions (n, horizon))
+    into a count array by one bincount; the negatives are the replay deque of
+    the last `replay_window` stacks of those (see `_replay_weights`).
     """
-    if config.mode == "sampled" and len(mdps) != 1:
-        raise ValueError("sampled mode trains one problem per run")
     transition = np.stack([mdp.transition for mdp in mdps])
     initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
     discount, horizon = mdps[0].discount, mdps[0].horizon
@@ -485,23 +486,27 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
         if config.mode == "exact_occupancy":
             negatives = _occupancies(transition, initial_dist, discount, horizon, policies)
         else:
-            replay.append(encode(*_rollouts(
-                mdps[0], policies[0], config.n_policy_trajectories, int(rng.integers(2**63 - 1))
-            )))
+            seed = int(rng.integers(2**63 - 1))
+            replay.append(np.stack([encode(*_rollouts(mdp, policy, config.n_policy_trajectories,
+                                                      seed))
+                                    for mdp, policy in zip(mdps, policies)]))
             negatives = replay
 
-        # an underflowed policy entry gives log pi = -inf: an intended infinite offset
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(policies)
-        round_problem = problem(negatives, log_pi)
-        g_before = theta[0]
-        theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
-        if not all(np.all(np.isfinite(t)) for t in theta):
-            raise DivergenceError(iteration)
-        losses[:, iteration] = round_problem.loss(theta).reshape(len(mdps))
-        g_deltas[:, iteration] = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
-
-        solves = _solve_stack(transition, rewards(theta, transition), discount, v_init=v_warm)
+        # an underflowed policy entry gives log pi = -inf, an intended infinite
+        # offset; overflow in a diverging round is caught by the checks below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            round_problem = problem(negatives, np.log(policies))
+            g_before = theta[0]
+            theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
+            if not all(np.all(np.isfinite(t)) for t in theta):
+                raise DivergenceError(iteration)
+            losses[:, iteration] = round_problem.loss(theta).reshape(len(mdps))
+            g_deltas[:, iteration] = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
+            r_sa = rewards(theta, transition)
+            # finite tables can still collapse to an infinite reward
+            if not np.isfinite(r_sa).all():
+                raise DivergenceError(iteration, "policy step")
+            solves = _solve_stack(transition, r_sa, discount, v_init=v_warm)
         for i in np.flatnonzero(~solves.converged):
             variant = variants[i]
             warnings.warn(f"policy step of {variant} problem {i - variants.index(variant)} did "
@@ -546,9 +551,9 @@ def airl_train(mdp: TabularMdp | Sequence[TabularMdp], demos,
     bit.  `demos` (one per MDP of a sequence) may be an exact expert
     occupancy, a transition batch, or a list of trajectories.  In
     exact_occupancy mode negatives are the current policy's exact occupancy;
-    in sampled mode, which trains one MDP, they are rollouts pooled over the
-    last `replay_window` iterations.  Raises DivergenceError if parameters
-    or a policy step stop being finite.
+    in sampled mode they are rollouts pooled over the last `replay_window`
+    iterations, each round's drawn with one seed for every MDP of the stack.
+    Raises DivergenceError if parameters or a policy step stop being finite.
     """
     mdps, single = _stack_of(mdp, "airl_train")
     (results,) = _airl_train_stack(mdps, [demos] if single else list(demos),
@@ -603,7 +608,7 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
         mdps * len(order), row_variants, config,
         (np.zeros((rows, *g_shape)), np.zeros((rows, n_states))),
         lambda states, actions: _cell_counts(states[:, :-1], actions, states[:, 1:], n_states,
-                                             n_actions)[None],
+                                             n_actions),
         problem, rewards,
     )
     results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
@@ -716,7 +721,7 @@ def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerC
         lambda states, actions: _episode_counts(np.arange(len(actions))[:, None], states[:, :-1],
                                                 actions, len(actions), n_states, n_actions),
         lambda pool, log_pi: _episode_problem(
-            np.concatenate([counts_e, *pool]), len(counts_e), log_pi
+            np.concatenate([counts_e, *(counts[0] for counts in pool)]), len(counts_e), log_pi
         ),
         lambda theta, transition: theta[0],
     )

@@ -1,11 +1,11 @@
 """Entropy-regularized planning on tabular MDPs.
 
 Soft policy iteration (a soft Bellman backup, then the exact soft value of
-that backup's softmax policy by one linear solve), for one problem or for a
-stack of them in one loop whose rows each keep the bits of their own solve;
-trajectory sampling, the discounted occupancy measure, and exact
-finite-horizon return evaluation of one policy or of a stack of policies in
-one pass.
+that backup's softmax policy by one linear solve) on a stack of problems in
+one loop, where one problem is the stack of one and every row keeps the bits
+of its own solve; trajectory sampling, the discounted occupancy measure, and
+exact finite-horizon return evaluation of one policy or of a stack of
+policies in one pass.
 
 Sampling runs on int arrays.  One rollout call forms the start, policy and
 transition CDFs once, each row capped by setting its last entry to +inf, and
@@ -14,8 +14,8 @@ picks the start states, then each step uses one row for the actions and one
 for the next states, the same stream as one `random(n)` call per draw.  Each
 step fetches its CDF rows with `take`: the policy rows by state, and the rows
 of the transitions' (S * A, S) table by the flat index state * A + action.  A
-draw's index is the first crossing, the first entry of its row not below it.
-A row's cumulative sum has the same bits whether it is taken before or after
+draw's index is the first crossing, the first entry of its row above it.  A
+row's cumulative sum has the same bits whether it is taken before or after
 the row is indexed, so the episodes are those of CDFs formed step by step.
 `sample_trajectories` wraps the arrays as `Trajectory` objects; sampled-mode
 training reads them as they are.
@@ -23,7 +23,7 @@ training reads them as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class SoftSolution:
     w times the q and v of reward r / w.  `iterations_used` counts soft Bellman
     backups, each but the last followed by one linear solve.  `residual` is the
     sup-norm change the last backup made to the value table.  A stack of solves
-    has a leading row axis on every field; `row(i)` is one of its solves.
+    has a leading row axis on every field; `row(i)` is one of its solves, and
+    `soft_value_iteration` returns row 0 of its stack of one.
     """
 
     q: np.ndarray
@@ -90,11 +91,10 @@ class SoftSolution:
     residual: float
     converged: bool
 
-    def row(self, *index: int) -> SoftSolution:
-        """The solve at row `index`, with Python scalars; no index for an unbatched solve."""
-        return SoftSolution(self.q[index], self.v[index], self.policy[index],
-                            int(self.iterations_used[index]), float(self.residual[index]),
-                            bool(self.converged[index]))
+    def row(self, i: int) -> SoftSolution:
+        """The solve at row `i` of a stack, with Python scalars."""
+        return SoftSolution(self.q[i], self.v[i], self.policy[i], int(self.iterations_used[i]),
+                            float(self.residual[i]), bool(self.converged[i]))
 
 
 def soft_value_iteration(
@@ -127,70 +127,45 @@ def soft_value_iteration(
     """
     r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
     v = _check_solver(r_sa, mdp.discount, tolerance, max_iters, v_init)
-    return _soft_solves(mdp.transition, r_sa, mdp.discount, v, tolerance, max_iters).row()
+    return _solve_stack(mdp.transition[None], r_sa[None], mdp.discount, tolerance, max_iters,
+                        v_init=v[None]).row(0)
 
 
 def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
                  tolerance: float = 1e-8, max_iters: int = 10_000,
                  *, v_init: np.ndarray | None = None) -> SoftSolution:
-    """`soft_value_iteration` of each row of (B, S, A, S) transitions under (B, S, A)
-    collapsed rewards and (B, S) warm starts `v_init` or none, checked once and
-    solved as one `_soft_solves` stack; row i has the bits of its own call."""
+    """`soft_value_iteration` of each row of a stack, checked once and solved in one loop.
+
+    Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and warm
+    starts `v_init` (B, S) or none; one solve is the stack of one.  Each
+    iteration backs up the rows still running.  A row leaves the stack at the
+    iteration where it converges or reaches `max_iters`, so every row gets the
+    bits of its own one-row solve.  Rows are copied out only in an iteration
+    where some, but not all, stop.
+    """
     v = _check_solver(r_sa, discount, tolerance, max_iters, v_init)
-    if len(r_sa) == 1:
-        # a stack of one runs unbatched, whose numpy calls cost less
-        one = _soft_solves(transition[0], r_sa[0], discount, v[0], tolerance, max_iters)
-        return SoftSolution(*(getattr(one, f.name)[None] for f in fields(one)))
-    return _soft_solves(transition, r_sa, discount, v, tolerance, max_iters)
-
-
-def _per_row(op, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """op(a, x) of a matrix a and a vector x, or of each row of stacks of them.
-
-    A stack's x is (B, k); a is (B, n, k) or, like the transition tensor,
-    (B, S, n, k), whose every matrix takes the row's x.  An unbatched x takes
-    the plain 2-D form, which costs the one-row solve less per call.
-    """
-    if x.ndim == 1:
-        return op(a, x)
-    return op(a, x.reshape(x.shape[:1] + (1,) * (a.ndim - 3) + x.shape[1:] + (1,)))[..., 0]
-
-
-def _soft_solves(transition: np.ndarray, r_sa: np.ndarray, discount: float, v: np.ndarray,
-                 tolerance: float, max_iters: int) -> SoftSolution:
-    """`soft_value_iteration` of each row of a stack, in one loop.
-
-    Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and start
-    values (B, S), checked by `_check_solver`; without the B axis the call is
-    one solve.  Each iteration backs up the rows still running.  A row leaves
-    the stack at the iteration where it converges or reaches `max_iters`, so
-    every row gets the bits of its own one-row solve.  Rows are copied out
-    only in an iteration where some, but not all, stop.
-    """
     identity = np.eye(r_sa.shape[-2])
+    rows = np.arange(len(r_sa))
     # (row indices, iterations, q, v_new, residual) of each group of rows that stopped early
     stopped = []
     for iterations in range(1, max_iters + 1):
-        q = r_sa + discount * _per_row(np.matmul, transition, v)
+        q = r_sa + discount * (transition @ v[:, None, :, None])[..., 0]
         v_new = _soft_backup(q)
         residual = np.abs(v_new - v).max(axis=-1)
         stop = residual <= tolerance
-        # an unbatched solve's flag is a numpy bool, counted without a numpy call
-        n_stop = np.count_nonzero(stop) if stop.ndim else int(stop)
+        n_stop = np.count_nonzero(stop)
         if n_stop == stop.size or iterations == max_iters:
             break
         if n_stop:
-            if not stopped:
-                rows = np.arange(len(stop))
             stopped.append((rows[stop], np.full(n_stop, iterations), q[stop], v_new[stop],
                             residual[stop]))
             keep = ~stop
             rows, transition, r_sa = rows[keep], transition[keep], r_sa[keep]
             q, v_new, v = q[keep], v_new[keep], v[keep]
         # r_pi + H_pi = sum_a pi * (q - log pi) = v_new - gamma * P_pi @ v
-        p_pi = np.einsum("...sa,...sap->...sp", _soft_policy(q, v_new), transition)
-        rhs = v_new - discount * _per_row(np.matmul, p_pi, v)
-        v = _per_row(np.linalg.solve, identity - discount * p_pi, rhs)
+        p_pi = np.einsum("bsa,bsap->bsp", _soft_policy(q, v_new), transition)
+        rhs = v_new - discount * (p_pi @ v[..., None])[..., 0]
+        v = np.linalg.solve(identity - discount * p_pi, rhs[..., None])[..., 0]
     iterations_used = np.full(residual.shape, iterations)
     if stopped:
         groups = [*stopped, (rows, iterations_used, q, v_new, residual)]
@@ -259,9 +234,11 @@ def _rollouts(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
 
     The start, policy and transition CDFs are formed once, capped at +inf, and
     every uniform draw comes from one `random((2 * horizon + 1, n))` call; see
-    the module docstring.  A draw's index is `(u > row).argmin()`, the first
-    entry not below it; the cap makes it at most k - 1.  For a non-decreasing
-    row this is the number of entries below the draw among all but the last,
+    the module docstring.  A draw's index is `(u >= row).argmin()`, the first
+    entry above it; the cap makes it at most k - 1.  This is the inverse-CDF
+    rule of `Generator.choice` (`searchsorted` with side="right"), so no draw,
+    not even 0.0, lands on an entry of probability 0.  For a non-decreasing
+    row it is the number of entries not above the draw among all but the last,
     the rule of CDFs formed per step.  A row that turns NaN stops both rules
     at its first NaN, which cumsum carries forward.
     """
@@ -272,12 +249,12 @@ def _rollouts(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
     u = np.random.default_rng(seed).random((2 * horizon + 1, n))[:, :, None]
     states = np.empty((n, horizon + 1), dtype=np.int64)
     actions = np.empty((n, horizon), dtype=np.int64)
-    states[:, 0] = (u[0] > start_cdf).argmin(axis=1)
+    states[:, 0] = (u[0] >= start_cdf).argmin(axis=1)
     for t in range(horizon):
         current = states[:, t]
-        actions[:, t] = (u[2 * t + 1] > policy_cdf.take(current, axis=0)).argmin(axis=1)
+        actions[:, t] = (u[2 * t + 1] >= policy_cdf.take(current, axis=0)).argmin(axis=1)
         cell = current * n_actions + actions[:, t]
-        states[:, t + 1] = (u[2 * t + 2] > step_cdf.take(cell, axis=0)).argmin(axis=1)
+        states[:, t + 1] = (u[2 * t + 2] >= step_cdf.take(cell, axis=0)).argmin(axis=1)
     return states, actions
 
 

@@ -125,15 +125,13 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str | Sequence
     or a sequence of distinct AIRL variant names, which trains each MDP under
     each of them as one stack from the experts solved once and returns one
     result per variant, in the order given, each equal to its own
-    one-variant call bit for bit.  A sequence refuses sampled mode, which
-    trains one problem per run.  Sampled mode draws `N_EXPERT_TRAJECTORIES`
-    expert episodes; an unconverged expert solve warns.
+    one-variant call bit for bit.  Both forms hold in either mode.  Sampled
+    mode draws `N_EXPERT_TRAJECTORIES` expert episodes per MDP, each MDP's
+    with `config.seed`; an unconverged expert solve warns.
     """
     mdps, single = _stack_of(mdp, "run_recovery")
     one_variant = isinstance(variant, str)
     variants = [variant] if one_variant else list(variant)
-    if not one_variant and config.mode == "sampled":
-        raise ValueError("sampled mode trains one problem per run; give run_recovery one variant")
     transition = np.stack([mdp.transition for mdp in mdps])
     r_sa = np.stack([expected_state_action(mdp.reward, mdp.transition) for mdp in mdps])
     solves = _solve_stack(transition, r_sa, mdps[0].discount)

@@ -153,8 +153,8 @@ def loop_soft_value_iteration(mdp: TabularMdp, reward: RewardTable | None = None
                               tolerance: float = 1e-8) -> SoftSolution:
     """Soft policy iteration on one problem's 2-D tables.
 
-    The loop `soft_value_iteration` ran before it became the unbatched call
-    of the stacked solver; the arguments are not checked.
+    The loop `soft_value_iteration` ran before it became the stack-of-one
+    call of the stacked solver; the arguments are not checked.
     """
     r_sa = expected_state_action(mdp.reward if reward is None else reward, mdp.transition)
     gamma = mdp.discount
@@ -203,10 +203,11 @@ def loop_probe(mdp: TabularMdp, reward: RewardTable, n_dynamics: int, seed: int,
 
 
 def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Draw one index per row of a (n, k) probability matrix."""
+    """Draw one index per row of a (n, k) probability matrix: the first index whose
+    cumulative probability lies above the draw, the last index if none does."""
     cdf = np.cumsum(probs, axis=1)
     u = rng.random(len(probs))
-    idx = (u[:, None] > cdf).sum(axis=1)
+    idx = (u[:, None] >= cdf).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
 
 

@@ -501,27 +501,46 @@ class TestAirlTrain:
             ]
             assert all(float(m.split("residual ")[1].rstrip(")")) > 1e-8 for m in messages)
 
-    @pytest.mark.parametrize("step_size, mode, iteration", [
-        (1.7e308, "exact_occupancy", 0),
-        (1.7e308, "sampled", 0),
-        (1e308, "exact_occupancy", 1),
-        (1e308, "sampled", 2),
+    @pytest.mark.parametrize("step_size, variant, mode, what, iteration", [
+        (1.7e308, "airl_state_only", "exact_occupancy", "policy step", 0),
+        (1.7e308, "airl_state_only", "sampled", "policy step", 0),
+        (1e308, "airl_state_only", "exact_occupancy", "policy step", 1),
+        (1e308, "airl_state_only", "sampled", "policy step", 2),
+        (1.7e308, "airl_state_action", "sampled", "discriminator parameters", 1),
+        (1e308, "airl_state_action", "sampled", "discriminator parameters", 2),
     ])
-    def test_non_finite_policy_step_stops_training(self, step_size, mode, iteration):
-        # a huge finite step gives a reward whose soft backup overflows to NaN;
-        # training stops at that policy step, not a round later or never
+    def test_non_finite_policy_step_stops_training(self, step_size, variant, mode, what,
+                                                   iteration):
+        # a huge finite step gives a reward whose soft backup overflows to NaN,
+        # or a fit that overflows; training stops at that round, not a round
+        # later or never, and numpy's own overflow warnings stay silent
         mdp = random_mdp(4, 2, RewardTable("state_only", np.array([1.0, 0.0, 0.0, 0.0])),
                          seed=3, horizon=8)
         config = LearnerConfig(mode=mode, iterations=3, disc_step_size=step_size)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(DivergenceError) as err:
-                run_recovery(mdp, "airl_state_only", config)
-        assert str(err.value) == f"non-finite policy step at iteration {iteration}"
+                run_recovery(mdp, variant, config)
+        assert str(err.value) == f"non-finite {what} at iteration {iteration}"
         assert err.value.iteration == iteration
-        # the step's non-convergence warning comes before the error
-        assert str(caught[-1].message) == ("policy step of airl_state_only problem 0 did not "
-                                           f"converge at iteration {iteration} (residual nan)")
+        messages = [str(w.message) for w in caught]
+        assert not any("encountered in" in m for m in messages), messages
+        if what == "policy step":
+            # the step's non-convergence warning comes before the error
+            assert messages[-1] == (f"policy step of {variant} problem 0 did not "
+                                    f"converge at iteration {iteration} (residual nan)")
+
+    def test_infinite_policy_step_reward_stops_training(self):
+        # finite g and h whose f overflows when collapsed to (s, a): the
+        # round diverges, where the solver would refuse the reward as input
+        mdp = random_mdp(4, 2, RewardTable("state_only", np.array([1.0, 0.0, 0.0, 0.0])),
+                         seed=0, horizon=8)
+        config = LearnerConfig(mode="sampled", iterations=3, disc_step_size=5e307)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError, match="^non-finite policy step at iteration 2$"):
+                run_recovery(mdp, "airl_state_action", config)
+        assert not any("encountered in" in str(w.message) for w in caught)
 
     @pytest.mark.parametrize("variant, mode", [
         ("airl_state_only", "exact_occupancy"),
@@ -637,8 +656,21 @@ def stack_problems():
     return mdps, [occupancy(m, soft_value_iteration(m).policy) for m in mdps]
 
 
+def assert_same_run(row, alone, iterations):
+    """A stack's result equals the one-problem run's, bit for bit."""
+    assert row.params.g.kind == alone.params.g.kind
+    assert row.params.g.values.tobytes() == alone.params.g.values.tobytes()
+    assert row.params.h.tobytes() == alone.params.h.tobytes()
+    assert row.params.discount == alone.params.discount
+    assert row.policy.tobytes() == alone.policy.tobytes()
+    assert len(row.history) == iterations
+    for name in ("iteration", "disc_loss", "true_return", "reward_error", "g_delta",
+                 "vi_steps_cumulative"):
+        assert row.history.column(name).tobytes() == alone.history.column(name).tobytes(), name
+
+
 class TestStackedTraining:
-    """`airl_train`'s sequence form: several exact-mode problems trained as one stack."""
+    """`airl_train`'s sequence form: several problems trained as one stack."""
 
     @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
     def test_each_problem_equals_its_own_run(self, variant):
@@ -646,18 +678,8 @@ class TestStackedTraining:
         config = LearnerConfig(variant=variant, iterations=30, disc_step_size=0.2)
         stacked = airl_train(mdps, demos, config)
         assert len(stacked) == len(mdps)
-        names = ("iteration", "disc_loss", "true_return", "reward_error", "g_delta",
-                 "vi_steps_cumulative")
         for mdp, demo, row in zip(mdps, demos, stacked):
-            alone = airl_train(mdp, demo, config)
-            assert row.params.g.kind == alone.params.g.kind
-            assert row.params.g.values.tobytes() == alone.params.g.values.tobytes()
-            assert row.params.h.tobytes() == alone.params.h.tobytes()
-            assert row.params.discount == alone.params.discount
-            assert row.policy.tobytes() == alone.policy.tobytes()
-            assert len(row.history) == 30
-            for name in names:
-                assert row.history.column(name).tobytes() == alone.history.column(name).tobytes(), name
+            assert_same_run(row, airl_train(mdp, demo, config), 30)
 
     @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
     def test_nan_demos_in_one_problem_diverge_at_iteration_0(self, variant):
@@ -748,11 +770,19 @@ class TestStackedTraining:
             airl_train([mdps[0], paper_tabular_mdp(3, **other)], demos[:2],
                        LearnerConfig(iterations=1))
 
-    def test_sampled_mode_trains_one_problem(self, tiny_mdp):
-        demos = sample_trajectories(tiny_mdp, soft_value_iteration(tiny_mdp).policy, 8, seed=0)
-        with pytest.raises(ValueError, match="one problem"):
-            airl_train([tiny_mdp, tiny_mdp], [demos, demos],
-                       LearnerConfig(mode="sampled", iterations=1))
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    def test_sampled_stack_equals_each_own_run(self, variant):
+        # every round draws one rollout seed for the whole stack, which each
+        # problem's own run draws too; the replay keeps one count table per problem
+        mdps, _ = stack_problems()
+        demos = [sample_trajectories(m, soft_value_iteration(m).policy, 16, seed=i)
+                 for i, m in enumerate(mdps)]
+        config = LearnerConfig(variant=variant, mode="sampled", iterations=12,
+                               disc_step_size=0.2, replay_window=5, n_policy_trajectories=16)
+        stacked = airl_train(mdps, demos, config)
+        assert len(stacked) == len(mdps)
+        for mdp, demo, row in zip(mdps, demos, stacked):
+            assert_same_run(row, airl_train(mdp, demo, config), 12)
 
     @pytest.mark.parametrize("n_demos", [1, 4])
     def test_demos_must_match_the_stack(self, n_demos):

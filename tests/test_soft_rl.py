@@ -506,24 +506,25 @@ TOP_DRAW = np.nextafter(1.0, 0.0)  # the largest uniform `random` returns
 # (MDP, policy, draws in stream order, the states and actions they must give).
 # A stream is the n start draws, then per step n action and n successor draws.
 LOOKUP_CASES = {
-    # a draw equal to a CDF entry takes that entry's index
+    # a draw equal to a CDF entry takes the next index: an entry must lie above the draw
     "draw-on-an-entry": (*_lookup_mdp([0.25] * 4, [0.5, 0.5], [0.25] * 4),
                          [0.25, 0.5, 0.75, 0.5, 0.75, 0.25, 0.25, 0.5, 0.75],
-                         [[0, 0], [1, 1], [2, 2]], [[0], [1], [0]]),
-    # 0.0 is not above a leading zero entry, so it takes index 0 under both
-    # rules; the smallest positive draw passes the zeros
+                         [[1, 1], [2, 2], [3, 3]], [[1], [1], [0]]),
+    # 0.0 is not above a leading zero entry, so it passes the zeros as the
+    # smallest positive draw does: no draw takes a zero-probability index
     "zero-draw-on-leading-zeros": (*_lookup_mdp([0.0, 0.0, 1.0], [0.0, 0.5, 0.5],
                                                 [0.0, 0.0, 1.0]),
                                    [0.0, 5e-324, 0.0, 5e-324, 0.0, 5e-324],
-                                   [[0, 0], [2, 2]], [[0], [1]]),
-    # ten 0.1 entries sum to TOP_DRAW; a draw at the ninth entry stays there
+                                   [[2, 2], [2, 2]], [[1], [1]]),
+    # ten 0.1 entries sum to TOP_DRAW; a draw at the ninth entry passes it to the last
     "ten-tenths": (*_lookup_mdp([1.0], [0.1] * 10, [1.0]),
                    [0.5, 0.5, 0.5, TOP_DRAW, np.cumsum([0.1] * 10)[8], 0.9, 0.0, 0.5, TOP_DRAW],
-                   [[0, 0]] * 3, [[9], [8], [9]]),
-    # seven sevenths sum below TOP_DRAW: a draw above the total takes the last index
+                   [[0, 0]] * 3, [[9], [9], [9]]),
+    # seven sevenths sum below TOP_DRAW: a draw above the total, or at the
+    # sixth entry, takes the last index
     "draw-above-the-total": (*_lookup_mdp([1 / 7] * 7, [1.0], [1 / 7] * 7),
                              [TOP_DRAW, np.cumsum([1 / 7] * 7)[5], 0.0, 0.3, TOP_DRAW, 0.5],
-                             [[6, 6], [5, 3]], [[0], [0]]),
+                             [[6, 6], [6, 3]], [[0], [0]]),
     "one-state-one-action": (*_lookup_mdp([1.0], [1.0], [1.0], horizon=3),
                              [0.0, TOP_DRAW, 0.5, 0.25, 0.75, 0.1, 0.9],
                              [[0, 0, 0, 0]], [[0, 0, 0]]),

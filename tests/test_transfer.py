@@ -374,19 +374,22 @@ class TestRunRecovery:
                 assert (row.history.column(name).tobytes()
                         == alone.history.column(name).tobytes()), name
 
+    @pytest.mark.parametrize("mode", ["exact_occupancy", "sampled"])
     @pytest.mark.parametrize("variants", [("airl_state_only", "airl_state_action"),
                                           ("airl_state_action", "airl_state_only")])
     @pytest.mark.parametrize("stack", ["paper_and_deterministic", "tiny"])
     def test_both_variants_as_one_stack_equal_each_one_variant_call(self, tiny_mdp, stack,
-                                                                     variants):
+                                                                     variants, mode):
         # the mixed stack ties each state-only g(s) across actions; every row
-        # must still equal its own one-variant, one-MDP run
+        # must still equal its own one-variant, one-MDP run, and in sampled
+        # mode draw that run's expert episodes and rollouts
         if stack == "tiny":
             mdp, mdps = tiny_mdp, [tiny_mdp]
         else:
             mdps = [paper_tabular_mdp(seed) for seed in range(3)] + [deterministic_bench(1)]
             mdp = mdps
-        config = LearnerConfig(iterations=20, disc_step_size=0.2)
+        config = LearnerConfig(mode=mode, iterations=20, disc_step_size=0.2,
+                               n_policy_trajectories=16)
         per_variant = run_recovery(mdp, variants, config)
         assert len(per_variant) == len(variants)
         for variant, results in zip(variants, per_variant):
@@ -404,14 +407,6 @@ class TestRunRecovery:
                 for name in alone.history._columns():
                     assert (row.history.column(name).tobytes()
                             == alone.history.column(name).tobytes()), name
-
-    def test_variant_sequence_refuses_sampled_mode(self, tiny_mdp, monkeypatch):
-        # refused before any expert is solved
-        monkeypatch.setattr(irl_lab.transfer, "_solve_stack", None)
-        config = LearnerConfig(mode="sampled", iterations=1)
-        for variants in (("airl_state_only", "airl_state_action"), ["airl_state_only"]):
-            with pytest.raises(ValueError, match="sampled mode trains one problem per run"):
-                run_recovery(tiny_mdp, variants, config)
 
     @pytest.mark.parametrize("variants, message", [
         (("airl_state_only", "airl_state_only"), "distinct variants"),
