@@ -49,8 +49,8 @@ from .shaping import (
     shape_reward,
 )
 from .soft_rl import (
+    Rollouts,
     SoftSolution,
-    Trajectory,
     evaluate_return,
     occupancy,
     sample_trajectories,

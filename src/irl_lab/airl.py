@@ -39,7 +39,7 @@ from ._fmt import csv_text
 from .mdp import (REQUIRED, RewardTable, TabularMdp, float_array, read_document,
                   reward_from_dict, reward_to_dict, strict_float, strict_int)
 from .shaping import centered_reward_error
-from .soft_rl import Trajectory, _occupancies, _rollouts, _solve_stack, evaluate_return
+from .soft_rl import Rollouts, _occupancies, _rollouts, _solve_stack, evaluate_return
 
 VARIANTS = ("airl_state_only", "airl_state_action", "gan_gcl_trajectory")
 MODES = ("exact_occupancy", "sampled")
@@ -218,13 +218,6 @@ class TransitionBatch:
     def __len__(self) -> int:
         return len(self.states)
 
-    @classmethod
-    def from_trajectories(cls, trajectories: Sequence[Trajectory]) -> "TransitionBatch":
-        states = np.concatenate([t.states[:-1] for t in trajectories])
-        actions = np.concatenate([t.actions for t in trajectories])
-        next_states = np.concatenate([t.states[1:] for t in trajectories])
-        return cls(states, actions, next_states)
-
     def to_weights(self, n_states: int, n_actions: int) -> np.ndarray:
         """Empirical (s, a, s') frequency tensor, normalized to total mass 1."""
         if len(self) == 0:
@@ -239,7 +232,7 @@ def _check_in_table(*indexes: tuple[np.ndarray, int]) -> None:
     """Refuse an (index array, table size) pair with an index outside [0, size)."""
     for index, size in indexes:
         if len(index) and (index.min() < 0 or index.max() >= size):
-            raise ValueError("transition batch indexes a state or action outside the table")
+            raise ValueError("a sample indexes a state or action outside the table")
 
 
 def pool_batches(batches: Sequence[TransitionBatch]) -> TransitionBatch:
@@ -264,6 +257,11 @@ def _cell_counts(states, actions, next_states, n_states: int, n_actions: int) ->
     return _counts(cells, (n_states, n_actions, n_states))
 
 
+def _rollout_counts(states, actions, n_states: int, n_actions: int) -> np.ndarray:
+    """(s, a, s') visit counts of rollouts, states (n, H + 1) and actions (n, H)."""
+    return _cell_counts(states[:, :-1], actions, states[:, 1:], n_states, n_actions)
+
+
 def _replay_weights(replay) -> np.ndarray:
     """The replay's summed (..., S, A, S) cell counts, each problem's normalized to mass 1.
 
@@ -275,19 +273,17 @@ def _replay_weights(replay) -> np.ndarray:
 
 
 def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
-    """Normalize expert/negative data to a (s, a, s') weight tensor."""
-    if isinstance(data, TransitionBatch):
-        return data.to_weights(n_states, n_actions)
+    """Expert or negative data as an (s, a, s') weight tensor: an (S, A, S) array as
+    given, or `Rollouts` as their cell counts over n * H, the bits of `to_weights`
+    on the same transitions."""
     if isinstance(data, np.ndarray):
         if data.shape != (n_states, n_actions, n_states):
             raise ValueError("weight tensor has the wrong shape")
         return data
-    seq = list(data)
-    if not seq:
-        raise ValueError("no demonstrations given")
-    if all(isinstance(t, Trajectory) for t in seq):
-        return TransitionBatch.from_trajectories(seq).to_weights(n_states, n_actions)
-    raise TypeError("expected a weight tensor, TransitionBatch or trajectories")
+    if isinstance(data, Rollouts):
+        _check_in_table((data.states, n_states), (data.actions, n_actions))
+        return _rollout_counts(data.states, data.actions, n_states, n_actions) / data.actions.size
+    raise TypeError("expected an (S, A, S) weight tensor or Rollouts")
 
 
 def _raw_f(g: np.ndarray, h: np.ndarray, discount: float) -> np.ndarray:
@@ -548,8 +544,8 @@ def airl_train(mdp: TabularMdp | Sequence[TabularMdp], demos,
     `mdp` is one TabularMdp, giving one AirlResult, or a sequence of MDPs that
     share state and action counts, discount and horizon, trained as one stack
     and giving a list whose entries each equal their own one-MDP call bit for
-    bit.  `demos` (one per MDP of a sequence) may be an exact expert
-    occupancy, a transition batch, or a list of trajectories.  In
+    bit.  `demos` (one per MDP of a sequence) is an (S, A, S) weight tensor,
+    such as an exact expert occupancy, or sampled expert `Rollouts`.  In
     exact_occupancy mode negatives are the current policy's exact occupancy;
     in sampled mode they are rollouts pooled over the last `replay_window`
     iterations, each round's drawn with one seed for every MDP of the stack.
@@ -607,8 +603,7 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
     theta, policies, histories = _train(
         mdps * len(order), row_variants, config,
         (np.zeros((rows, *g_shape)), np.zeros((rows, n_states))),
-        lambda states, actions: _cell_counts(states[:, :-1], actions, states[:, 1:], n_states,
-                                             n_actions),
+        lambda states, actions: _rollout_counts(states, actions, n_states, n_actions),
         problem, rewards,
     )
     results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
@@ -625,7 +620,7 @@ class TrajectoryScorer:
     The dynamics and initial-state factors shared by expert and policy
     trajectory distributions cancel in the discriminator's odds ratio, so
     D(tau) = sigmoid(f(tau) - log pi(tau)) with f(tau) summing the table over
-    the episode's steps.
+    the episode's steps.  Each method scores `Rollouts`, one value per episode.
     """
 
     f_step: np.ndarray
@@ -637,18 +632,18 @@ class TrajectoryScorer:
         f_step.setflags(write=False)
         object.__setattr__(self, "f_step", f_step)
 
-    def f_of(self, trajectory: Trajectory) -> float:
-        return float(self.f_step[trajectory.states[:-1], trajectory.actions].sum())
+    def f_of(self, rollouts: Rollouts) -> np.ndarray:
+        return self.f_step[rollouts.states[:, :-1], rollouts.actions].sum(axis=1)
 
-    def log_policy_prob(self, trajectory: Trajectory, policy) -> float:
+    def log_policy_prob(self, rollouts: Rollouts, policy) -> np.ndarray:
         policy = np.asarray(policy, dtype=float)
-        return float(np.log(policy[trajectory.states[:-1], trajectory.actions]).sum())
+        return np.log(policy[rollouts.states[:, :-1], rollouts.actions]).sum(axis=1)
 
-    def log_odds(self, trajectory: Trajectory, policy) -> float:
-        return self.f_of(trajectory) - self.log_policy_prob(trajectory, policy)
+    def log_odds(self, rollouts: Rollouts, policy) -> np.ndarray:
+        return self.f_of(rollouts) - self.log_policy_prob(rollouts, policy)
 
-    def prob(self, trajectory: Trajectory, policy) -> float:
-        return float(_sigmoid(self.log_odds(trajectory, policy)))
+    def prob(self, rollouts: Rollouts, policy) -> np.ndarray:
+        return _sigmoid(self.log_odds(rollouts, policy))
 
 
 class GanGclResult(NamedTuple):
@@ -657,15 +652,12 @@ class GanGclResult(NamedTuple):
     history: TrainingHistory
 
 
-def _episode_counts(episode: np.ndarray, states: np.ndarray, actions: np.ndarray,
-                    n_episodes: int, n_states: int, n_actions: int) -> np.ndarray:
-    """Step-count matrix: row e counts episode e's visits to each flattened (s, a).
-
-    The index arrays broadcast: rollouts pass `arange(n)[:, None]` with their
-    (n, H) states and actions, episodes of differing lengths flat arrays.
-    """
-    return _counts((episode * n_states + states) * n_actions + actions,
-                   (n_episodes, n_states * n_actions))
+def _episode_counts(states, actions, n_states: int, n_actions: int) -> np.ndarray:
+    """Step-count matrix of rollouts, states (n, H + 1) and actions (n, H): row e
+    counts episode e's visits to each flattened (s, a)."""
+    episode = np.arange(len(actions))[:, None]
+    return _counts((episode * n_states + states[:, :-1]) * n_actions + actions,
+                   (len(actions), n_states * n_actions))
 
 
 def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
@@ -692,34 +684,26 @@ def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
     )
 
 
-def gan_gcl_train(mdp: TabularMdp, demos: Sequence[Trajectory], config: LearnerConfig) -> GanGclResult:
-    """Train the trajectory-level baseline discriminator (sampled mode only)."""
+def gan_gcl_train(mdp: TabularMdp, demos: Rollouts, config: LearnerConfig) -> GanGclResult:
+    """Train the trajectory-level baseline discriminator (sampled mode only) on the
+    expert's `Rollouts`, encoded as `_episode_counts` rows as each round's are."""
     if config.variant != "gan_gcl_trajectory":
         raise ValueError("gan_gcl_train handles the gan_gcl_trajectory variant only")
     if config.mode != "sampled":
         raise ValueError("the trajectory baseline only supports sampled mode")
-    try:
-        demos = list(demos)
-    except TypeError:
-        demos = []
-    if not demos or not all(isinstance(t, Trajectory) for t in demos):
-        raise ValueError("the trajectory baseline needs expert trajectories")
+    if not isinstance(demos, Rollouts):
+        raise ValueError("the trajectory baseline needs expert trajectories as Rollouts")
     n_states, n_actions = mdp.n_states, mdp.n_actions
     # the step counts index flat (episode, state, action) cells, so an index
     # outside the table would land in another cell's count
-    _check_in_table((np.concatenate([t.states for t in demos]), n_states),
-                    (np.concatenate([t.actions for t in demos]), n_actions))
-    counts_e = _episode_counts(np.repeat(np.arange(len(demos)), [t.horizon for t in demos]),
-                               np.concatenate([t.states[:-1] for t in demos]),
-                               np.concatenate([t.actions for t in demos]),
-                               len(demos), n_states, n_actions)
+    _check_in_table((demos.states, n_states), (demos.actions, n_actions))
+    counts_e = _episode_counts(demos.states, demos.actions, n_states, n_actions)
     (f_steps,), (policy,), (history,) = _train(
         [mdp],
         [config.variant],
         config,
         (np.zeros((1, n_states, n_actions)),),
-        lambda states, actions: _episode_counts(np.arange(len(actions))[:, None], states[:, :-1],
-                                                actions, len(actions), n_states, n_actions),
+        lambda states, actions: _episode_counts(states, actions, n_states, n_actions),
         lambda pool, log_pi: _episode_problem(
             np.concatenate([counts_e, *(counts[0] for counts in pool)]), len(counts_e), log_pi
         ),

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 reproduction threshold failure, 2 usage/config
 errors, 3 I/O failures, 4 numerical failures (training diverged, or an MDP
-fails validation).  `reproduce-tabular` trains all its seeds of one variant
-as one stack in this process.
+fails validation).  `reproduce-tabular` trains all its seeds under both
+variants as one stack in this process.
 """
 
 from __future__ import annotations

@@ -66,10 +66,19 @@ def mean_center(reward: RewardTable) -> RewardTable:
 
 
 def centered_sup_distance(a, b) -> float:
-    """Sup-norm distance between two arrays after removing each one's mean."""
+    """Sup-norm distance between two arrays after removing each one's mean.
+
+    Finite arrays that overflow the plain formula are compared at the exact
+    scale 2**-64 and the distance scaled back, so it is finite wherever it is
+    representable; every other input keeps the plain formula's bits.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.max(np.abs((a - a.mean()) - (b - b.mean()))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = float(np.max(np.abs((a - a.mean()) - (b - b.mean()))))
+    if np.isfinite(distance) or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return distance
+    return centered_sup_distance(a * 2.0**-64, b * 2.0**-64) * 2.0**64
 
 
 def centered_reward_error(learned: RewardTable, truth: RewardTable, transition) -> float:

@@ -17,8 +17,9 @@ of the transitions' (S * A, S) table by the flat index state * A + action.  A
 draw's index is the first crossing, the first entry of its row above it.  A
 row's cumulative sum has the same bits whether it is taken before or after
 the row is indexed, so the episodes are those of CDFs formed step by step.
-`sample_trajectories` wraps the arrays as `Trajectory` objects; sampled-mode
-training reads them as they are.
+`Rollouts` holds such a pair of arrays, the package's one episode type from
+the sampler to both learners; sampled-mode training reads its per-round
+rollouts as the bare arrays.
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ def _check_policy(mdp: TabularMdp, policy, *, stack: bool = False) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One sampled episode: `horizon` (state, action) pairs plus the final state."""
+class Rollouts:
+    """`n` sampled episodes of `H` steps as read-only int arrays: `states` (n, H + 1),
+    each row an episode's visited states with its final state last, and `actions` (n, H)."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -202,24 +204,13 @@ class Trajectory:
     def __post_init__(self):
         states = np.array(self.states, dtype=np.int64)
         actions = np.array(self.actions, dtype=np.int64)
-        if states.ndim != 1 or actions.ndim != 1 or len(states) != len(actions) + 1:
-            raise ValueError("a trajectory needs len(states) == len(actions) + 1")
+        if (actions.ndim != 2 or actions.size == 0
+                or states.shape != (len(actions), actions.shape[1] + 1)):
+            raise ValueError("rollouts need states (n, H + 1) and actions (n, H) with n, H >= 1")
         states.setflags(write=False)
         actions.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.actions)
-
-    @property
-    def steps(self) -> list[tuple[int, int]]:
-        return list(zip(self.states[:-1].tolist(), self.actions.tolist()))
-
-    @property
-    def final_state(self) -> int:
-        return int(self.states[-1])
 
 
 def _capped_cdf(p: np.ndarray) -> np.ndarray:
@@ -242,6 +233,8 @@ def _rollouts(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
     the rule of CDFs formed per step.  A row that turns NaN stops both rules
     at its first NaN, which cumsum carries forward.
     """
+    if n < 1:
+        raise ValueError("need at least one trajectory")
     horizon, n_actions = mdp.horizon, mdp.n_actions
     start_cdf = _capped_cdf(mdp.initial_dist)
     policy_cdf = _capped_cdf(policy)
@@ -258,12 +251,9 @@ def _rollouts(mdp: TabularMdp, policy: np.ndarray, n: int, seed: int):
     return states, actions
 
 
-def sample_trajectories(mdp: TabularMdp, policy, n: int, seed: int) -> list[Trajectory]:
+def sample_trajectories(mdp: TabularMdp, policy, n: int, seed: int) -> Rollouts:
     """Roll out `n` episodes of length mdp.horizon; deterministic per seed."""
-    if n < 1:
-        raise ValueError("need at least one trajectory")
-    states, actions = _rollouts(mdp, _check_policy(mdp, policy), n, seed)
-    return [Trajectory(s, a) for s, a in zip(states, actions)]
+    return Rollouts(*_rollouts(mdp, _check_policy(mdp, policy), n, seed))
 
 
 def occupancy(mdp: TabularMdp, policy) -> np.ndarray:

@@ -14,10 +14,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .airl import (DiscriminatorParams, LearnerConfig, TrainingHistory, _airl_train_stack,
-                   _cell_counts, _stack_of, f_table)
+                   _stack_of, f_table)
 from .mdp import RewardTable, TabularMdp, _transition_problems, expected_state_action
 from .shaping import advantage, centered_reward_error
 from .soft_rl import (
+    Rollouts,
     SoftSolution,
     _check_solver,
     _rollouts,
@@ -26,7 +27,6 @@ from .soft_rl import (
     _solve_stack,
     evaluate_return,
     occupancy,
-    sample_trajectories,
     soft_value_iteration,
     uniform_policy,
 )
@@ -78,27 +78,21 @@ def expert_demos(
     """Demonstrations from the soft-optimal policy of the ground-truth reward.
 
     Returns (demos, expert_solution): the exact expert occupancy, an (S, A, S)
-    array, in exact_occupancy mode, sampled expert episodes otherwise.  An
-    unconverged expert solve warns.
+    array, in exact_occupancy mode, `n_trajectories` sampled expert episodes
+    as `Rollouts` in sampled mode.  An unconverged expert solve warns.
     """
     solution = soft_value_iteration(mdp)
     _warn_unconverged(solution, "expert solve")
-    if mode == "exact_occupancy":
-        return occupancy(mdp, solution.policy), solution
-    if mode == "sampled":
-        return sample_trajectories(mdp, solution.policy, n_trajectories, seed), solution
-    raise ValueError(f"unknown mode {mode!r}")
+    return _demos(mdp, solution.policy, mode, n_trajectories, seed), solution
 
 
-def _demo_weights(mdp: TabularMdp, policy: np.ndarray, mode: str, seed: int) -> np.ndarray:
-    """`run_recovery`'s demonstrations as an (S, A, S) array: the exact occupancy, or
-    `N_EXPERT_TRAJECTORIES` sampled episodes as cell counts over their transitions,
-    the bits of `to_weights` on the episodes' `TransitionBatch`."""
+def _demos(mdp: TabularMdp, policy: np.ndarray, mode: str, n_trajectories: int, seed: int):
+    """`expert_demos`' demonstrations of an already solved expert `policy`."""
     if mode == "exact_occupancy":
         return occupancy(mdp, policy)
-    states, actions = _rollouts(mdp, policy, N_EXPERT_TRAJECTORIES, seed)
-    counts = _cell_counts(states[:, :-1], actions, states[:, 1:], mdp.n_states, mdp.n_actions)
-    return counts / actions.size
+    if mode == "sampled":
+        return Rollouts(*_rollouts(mdp, policy, n_trajectories, seed))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 class RecoveryResult(NamedTuple):
@@ -138,7 +132,7 @@ def run_recovery(mdp: TabularMdp | Sequence[TabularMdp], variant: str | Sequence
     experts = [solves.row(i) for i in range(len(mdps))]
     for i, expert in enumerate(experts):
         _warn_unconverged(expert, f"expert solve of problem {i}")
-    demos = [_demo_weights(mdp, expert.policy, config.mode, config.seed)
+    demos = [_demos(mdp, expert.policy, config.mode, N_EXPERT_TRAJECTORIES, config.seed)
              for mdp, expert in zip(mdps, experts)]
     advantages = [advantage(expert)[:, :, None] for expert in experts]
     per_variant = []

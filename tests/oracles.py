@@ -18,8 +18,8 @@ import numpy as np
 
 from irl_lab.airl import discriminator_loss, DiscriminatorParams
 from irl_lab.mdp import RewardTable, TabularMdp, expected_state_action
-from irl_lab.soft_rl import (SoftSolution, Trajectory, _soft_backup, _soft_policy,
-                             evaluate_return, soft_value_iteration)
+from irl_lab.soft_rl import (SoftSolution, _soft_backup, _soft_policy, evaluate_return,
+                             soft_value_iteration)
 from irl_lab.transfer import PROBE_TIE_TOL, ProbeResult
 
 
@@ -215,8 +215,8 @@ def loop_sample_trajectories(mdp: TabularMdp, policy: np.ndarray, n: int, seed: 
     """Episodes drawn one step at a time, each step's CDFs formed from its rows.
 
     One `rng.random(n)` call per draw: the start state, then each step's
-    action and next state.  `sample_trajectories` takes all of them from one
-    call and must give the same episodes.
+    action and next state.  Returns the (states, actions) arrays, which
+    `sample_trajectories` takes from one call and must give as its `Rollouts`.
     """
     rng = np.random.default_rng(seed)
     states = np.empty((n, mdp.horizon + 1), dtype=np.int64)
@@ -228,7 +228,7 @@ def loop_sample_trajectories(mdp: TabularMdp, policy: np.ndarray, n: int, seed: 
         current = _sample_categorical(rng, mdp.transition[current, acts])
         actions[:, t] = acts
         states[:, t + 1] = current
-    return [Trajectory(states[i], actions[i]) for i in range(n)]
+    return states, actions
 
 
 def loop_occupancy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
@@ -344,10 +344,11 @@ def fd_gradient(params: DiscriminatorParams, policy, expert, negatives, eps: flo
     return grad_g, grad_h
 
 
-def trajectory_probability(mdp: TabularMdp, policy: np.ndarray, traj) -> float:
-    """Exact probability of one sampled episode, dynamics factors included."""
-    p = float(mdp.initial_dist[traj.states[0]])
-    for t, (s, a) in enumerate(traj.steps):
-        sp = traj.states[t + 1]
+def trajectory_probability(mdp: TabularMdp, policy: np.ndarray, states, actions) -> float:
+    """Exact probability of one sampled episode, its states and actions rows, dynamics
+    factors included."""
+    p = float(mdp.initial_dist[states[0]])
+    for t, a in enumerate(actions):
+        s, sp = states[t], states[t + 1]
         p *= float(policy[s, a]) * float(mdp.transition[s, a, sp])
     return p

@@ -15,10 +15,11 @@ from irl_lab.airl import (
     LearnerConfig,
     TrajectoryScorer,
     TransitionBatch,
-    _cell_counts,
+    _as_weights,
     _episode_counts,
     _episode_problem,
     _replay_weights,
+    _rollout_counts,
     _airl_train_stack,
     _sigmoid,
     airl_train,
@@ -43,7 +44,7 @@ from irl_lab.mdp import (
 )
 from irl_lab.shaping import advantage, centered_reward_error
 from irl_lab.soft_rl import (
-    Trajectory,
+    Rollouts,
     _rollouts,
     evaluate_return,
     occupancy,
@@ -54,6 +55,12 @@ from irl_lab.soft_rl import (
 from irl_lab.transfer import N_EXPERT_TRAJECTORIES, run_recovery
 
 from oracles import fd_gradient, trajectory_probability
+
+
+def batch_of(rollouts):
+    """The rollouts' transitions as one `TransitionBatch`, episode by episode."""
+    return TransitionBatch(rollouts.states[:, :-1].ravel(), rollouts.actions.ravel(),
+                           rollouts.states[:, 1:].ravel())
 
 
 def softmax_policy(seed, n_states, n_actions, scale=1.0):
@@ -266,15 +273,14 @@ class TestDiscriminatorLoss:
                 + (negatives[:, :3] * np.logaddexp(0.0, x)).sum())
         npt.assert_allclose(loss, kept, rtol=1e-13)
 
-    def test_batches_and_weight_tensors_agree(self, tiny_mdp):
+    def test_rollouts_and_weight_tensors_agree(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
-        trajs = sample_trajectories(tiny_mdp, policy, 16, seed=0)
-        batch = TransitionBatch.from_trajectories(trajs)
-        weights = batch.to_weights(3, 2)
+        rollouts = sample_trajectories(tiny_mdp, policy, 16, seed=0)
+        weights = batch_of(rollouts).to_weights(3, 2)
         params = random_params(7, 3, 2)
         negs = occupancy(tiny_mdp, policy)
         npt.assert_allclose(
-            discriminator_loss(params, policy, batch, negs),
+            discriminator_loss(params, policy, rollouts, negs),
             discriminator_loss(params, policy, weights, negs),
             atol=1e-12,
         )
@@ -326,8 +332,8 @@ class TestDiscriminatorGrad:
     def test_unvisited_state_gets_no_gradient(self):
         mdp = random_mdp(4, 2, RewardTable("state_only", np.zeros(4)), seed=4)
         policy = uniform_policy(mdp)
-        expert = TransitionBatch([0, 1], [0, 1], [1, 2])
-        negatives = TransitionBatch([1, 2], [1, 0], [2, 0])
+        expert = TransitionBatch([0, 1], [0, 1], [1, 2]).to_weights(4, 2)
+        negatives = TransitionBatch([1, 2], [1, 0], [2, 0]).to_weights(4, 2)
         params = random_params(8, 4, 2)
         grad = discriminator_grad(params, policy, expert, negatives)
         assert grad.g[3] == 0.0
@@ -413,7 +419,11 @@ class TestAirlTrain:
                        LearnerConfig(variant="gan_gcl_trajectory", mode="sampled"))
 
     def test_empty_demos_rejected(self, tiny_mdp):
-        with pytest.raises(ValueError):
+        # no episodes is not a Rollouts, and an empty list is no demonstration type
+        with pytest.raises(ValueError, match="n, H >= 1"):
+            airl_train(tiny_mdp, Rollouts(np.zeros((0, 4)), np.zeros((0, 3))),
+                       LearnerConfig(iterations=1))
+        with pytest.raises(TypeError, match="weight tensor or Rollouts"):
             airl_train(tiny_mdp, [], LearnerConfig(iterations=1))
         with pytest.raises(ValueError, match="mass"):
             airl_train(tiny_mdp, np.zeros((3, 2, 3)), LearnerConfig(iterations=1))
@@ -542,6 +552,21 @@ class TestAirlTrain:
                 run_recovery(mdp, "airl_state_action", config)
         assert not any("encountered in" in str(w.message) for w in caught)
 
+    def test_huge_finite_tables_give_a_finite_recovery_error(self):
+        # a step size that drives g near -7.3e307 without diverging: the
+        # centered comparison's plain mean overflows, and it rescales instead
+        mdp = random_mdp(4, 2, RewardTable("state_only", np.array([1.0, 0.0, 0.0, 0.0])),
+                         seed=3, horizon=8)
+        config = LearnerConfig(mode="sampled", iterations=3, disc_step_size=3e307)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_recovery(mdp, "airl_state_action", config)
+            errors = result.history.column("reward_error")
+        assert np.abs(result.params.g.values).max() > 7e307
+        assert np.isfinite(result.recovery_error) and np.isfinite(errors).all()
+        assert errors[-1] == result.recovery_error
+        assert not any("encountered in" in str(w.message) for w in caught)
+
     @pytest.mark.parametrize("variant, mode", [
         ("airl_state_only", "exact_occupancy"),
         ("airl_state_action", "sampled"),
@@ -571,8 +596,8 @@ class TestAirlTrain:
         assert mode == "sampled" or np.all(np.isfinite(losses))
 
     def test_sampled_rounds_stay_on_count_arrays(self, tiny_mdp, monkeypatch):
-        # rollouts reach the discriminator as counts: no episode objects, no
-        # pooled batch and no per-batch weight tensor in the loop
+        # rollouts reach the discriminator as counts: no per-round episode
+        # objects, no pooled batch and no per-batch weight tensor in the loop
         def unexpected(*args, **kwargs):
             raise AssertionError("sampled round left the count arrays")
 
@@ -582,13 +607,15 @@ class TestAirlTrain:
         configs = {variant: LearnerConfig(variant=variant, mode="sampled", iterations=3,
                                           replay_window=2)
                    for variant in ("airl_state_only", "airl_state_action")}
-        # run_recovery's expert demos, trained on as episode objects
+        # run_recovery's expert demos, trained on as Rollouts
         expert_episodes = sample_trajectories(tiny_mdp, expert, N_EXPERT_TRAJECTORIES, seed=0)
         wants = {variant: airl_train(tiny_mdp, expert_episodes, config)
                  for variant, config in configs.items()}
         monkeypatch.setattr(irl_lab.airl, "pool_batches", unexpected)
         monkeypatch.setattr(TransitionBatch, "to_weights", unexpected)
-        monkeypatch.setattr(Trajectory, "__post_init__", unexpected)
+        built, post_init = [], Rollouts.__post_init__
+        monkeypatch.setattr(Rollouts, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
         for variant, config in configs.items():
             assert len(airl_train(tiny_mdp, demos, config).history) == 3
             # run_recovery keeps its sampled expert demos on counts, with the same bits
@@ -598,6 +625,8 @@ class TestAirlTrain:
         result = gan_gcl_train(tiny_mdp, episodes, LearnerConfig(
             variant="gan_gcl_trajectory", mode="sampled", iterations=3, replay_window=2))
         assert len(result.history) == 3
+        # the only episode objects built are run_recovery's expert demos, one per call
+        assert len(built) == len(configs)
 
     def test_history_contract(self, tiny_mdp):
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
@@ -955,12 +984,22 @@ class TestLazyHistory:
 
 
 class TestTransitionBatch:
-    def test_from_trajectories_concatenates_steps(self, tiny_mdp):
-        trajs = sample_trajectories(tiny_mdp, uniform_policy(tiny_mdp), 3, seed=2)
-        batch = TransitionBatch.from_trajectories(trajs)
-        assert len(batch) == 3 * tiny_mdp.horizon
-        manual_states = np.concatenate([t.states[:-1] for t in trajs])
-        npt.assert_array_equal(batch.states, manual_states)
+    def test_rollout_weights_equal_the_batch_weights(self, bench_mdp):
+        rollouts = sample_trajectories(bench_mdp, softmax_policy(5, 16, 4), 9, seed=2)
+        batch = batch_of(rollouts)
+        assert len(batch) == 9 * bench_mdp.horizon
+        npt.assert_array_equal(batch.states[:bench_mdp.horizon], rollouts.states[0, :-1])
+        got = _as_weights(rollouts, 16, 4)
+        assert got.tobytes() == batch.to_weights(16, 4).tobytes()
+
+    def test_weights_take_a_tensor_or_rollouts_only(self, tiny_mdp):
+        rollouts = sample_trajectories(tiny_mdp, uniform_policy(tiny_mdp), 3, seed=2)
+        for data in ([rollouts], list(zip(rollouts.states, rollouts.actions)),
+                     batch_of(rollouts)):
+            with pytest.raises(TypeError, match="weight tensor or Rollouts"):
+                _as_weights(data, 3, 2)
+        with pytest.raises(TypeError, match="weight tensor or Rollouts"):
+            airl_train(tiny_mdp, batch_of(rollouts), LearnerConfig(iterations=1))
 
     def test_to_weights_counts_and_normalizes(self, bench_mdp):
         batch = TransitionBatch([0, 0, 1], [0, 0, 1], [1, 1, 0])
@@ -969,8 +1008,7 @@ class TestTransitionBatch:
         npt.assert_allclose(w[1, 1, 0], 1 / 3)
         npt.assert_allclose(w.sum(), 1.0)
         # a sampled batch, bit for bit against counts taken one step at a time
-        batch = TransitionBatch.from_trajectories(
-            sample_trajectories(bench_mdp, softmax_policy(6, 16, 4), 9, seed=3))
+        batch = batch_of(sample_trajectories(bench_mdp, softmax_policy(6, 16, 4), 9, seed=3))
         want = np.zeros((16, 4, 16))
         for cell in zip(batch.states, batch.actions, batch.next_states):
             want[cell] += 1.0
@@ -1003,11 +1041,11 @@ class TestTransitionBatch:
             TransitionBatch([0, 1], [0], [1, 2])
 
 
-def loop_counts(trajectories, n_states, n_actions):
-    """The step-count matrix built one step at a time."""
-    counts = np.zeros((len(trajectories), n_states * n_actions))
-    for i, t in enumerate(trajectories):
-        for s, a in t.steps:
+def loop_counts(states, actions, n_states, n_actions):
+    """The step-count matrix of rollouts' array rows, built one step at a time."""
+    counts = np.zeros((len(actions), n_states * n_actions))
+    for i in range(len(actions)):
+        for s, a in zip(states[i], actions[i]):
             counts[i, s * n_actions + a] += 1.0
     return counts
 
@@ -1016,13 +1054,9 @@ class TestReplayCounts:
     def test_replay_weights_equal_pooled_batch_weights(self, bench_mdp):
         policy = softmax_policy(3, 16, 4)
         seeds = (11, 12, 13)
-        replay = [_cell_counts(states[:, :-1], actions, states[:, 1:], 16, 4)
-                  for states, actions in (_rollouts(bench_mdp, policy, 16, seed)
-                                          for seed in seeds)]
-        batches = [
-            TransitionBatch.from_trajectories(sample_trajectories(bench_mdp, policy, 16, seed))
-            for seed in seeds
-        ]
+        replay = [_rollout_counts(*_rollouts(bench_mdp, policy, 16, seed), 16, 4)
+                  for seed in seeds]
+        batches = [batch_of(sample_trajectories(bench_mdp, policy, 16, seed)) for seed in seeds]
         for k in range(1, len(seeds) + 1):
             want = pool_batches(batches[:k]).to_weights(16, 4)
             assert np.array_equal(_replay_weights(replay[:k]), want)
@@ -1030,15 +1064,8 @@ class TestReplayCounts:
     def test_episode_counts_equal_the_loop_rows(self, bench_mdp):
         policy = softmax_policy(4, 16, 4)
         states, actions = _rollouts(bench_mdp, policy, 12, 7)
-        episodes = sample_trajectories(bench_mdp, policy, 12, seed=7)
-        got = _episode_counts(np.arange(12)[:, None], states[:, :-1], actions, 12, 16, 4)
-        assert np.array_equal(got, loop_counts(episodes, 16, 4))
-        # demonstrations may differ in length, and pass as flat arrays
-        ragged = [Trajectory(t.states[:k + 1], t.actions[:k]) for k, t in enumerate(episodes)]
-        got = _episode_counts(np.repeat(np.arange(12), np.arange(12)),
-                              np.concatenate([t.states[:-1] for t in ragged]),
-                              np.concatenate([t.actions for t in ragged]), 12, 16, 4)
-        assert np.array_equal(got, loop_counts(ragged, 16, 4))
+        got = _episode_counts(states, actions, 16, 4)
+        assert np.array_equal(got, loop_counts(states, actions, 16, 4))
 
 
 class TestGanGcl:
@@ -1055,13 +1082,15 @@ class TestGanGcl:
         policy = softmax_policy(3, 3, 2)
         f_step = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2]])
         scorer = TrajectoryScorer(f_step)
-        trajs = sample_trajectories(mdp, policy, 2, seed=0)
-        for tr in trajs:
-            f_sum = sum(f_step[s, a] for s, a in tr.steps)
-            log_pi = sum(np.log(policy[s, a]) for s, a in tr.steps)
+        rollouts = sample_trajectories(mdp, policy, 2, seed=0)
+        probs, f_sums = scorer.prob(rollouts, policy), scorer.f_of(rollouts)
+        assert probs.shape == f_sums.shape == (2,)
+        for i, steps in enumerate(zip(rollouts.states, rollouts.actions)):
+            f_sum = sum(f_step[s, a] for s, a in zip(*steps))
+            log_pi = sum(np.log(policy[s, a]) for s, a in zip(*steps))
             expected = 1.0 / (1.0 + np.exp(-(f_sum - log_pi)))
-            npt.assert_allclose(scorer.prob(tr, policy), expected, atol=1e-12)
-            npt.assert_allclose(scorer.f_of(tr), f_sum, atol=1e-12)
+            npt.assert_allclose(probs[i], expected, atol=1e-12)
+            npt.assert_allclose(f_sums[i], f_sum, atol=1e-12)
 
     def test_dynamics_factors_cancel_in_the_odds(self):
         # the scorer's log-probability omits dynamics and start factors;
@@ -1069,13 +1098,15 @@ class TestGanGcl:
         mdp = self.two_step_mdp()
         policy = softmax_policy(8, 3, 2)
         scorer = TrajectoryScorer(np.zeros((3, 2)))
-        for tr in sample_trajectories(mdp, policy, 4, seed=1):
-            extra = mdp.initial_dist[tr.states[0]]
-            for t, (s, a) in enumerate(tr.steps):
-                extra *= mdp.transition[s, a, tr.states[t + 1]]
+        rollouts = sample_trajectories(mdp, policy, 4, seed=1)
+        log_probs = scorer.log_policy_prob(rollouts, policy)
+        for i, (states, actions) in enumerate(zip(rollouts.states, rollouts.actions)):
+            extra = mdp.initial_dist[states[0]]
+            for t, a in enumerate(actions):
+                extra *= mdp.transition[states[t], a, states[t + 1]]
             npt.assert_allclose(
-                np.exp(scorer.log_policy_prob(tr, policy)) * extra,
-                trajectory_probability(mdp, policy, tr),
+                np.exp(log_probs[i]) * extra,
+                trajectory_probability(mdp, policy, states, actions),
                 atol=1e-15,
             )
 
@@ -1085,11 +1116,10 @@ class TestGanGcl:
         scorer = TrajectoryScorer(np.log(policy))
         demos = sample_trajectories(mdp, policy, 6, seed=2)
         negs = sample_trajectories(mdp, policy, 6, seed=3)
-        loss = (np.mean([-np.log(scorer.prob(t, policy)) for t in demos])
-                + np.mean([-np.log1p(-scorer.prob(t, policy)) for t in negs]))
+        loss = (np.mean(-np.log(scorer.prob(demos, policy)))
+                + np.mean(-np.log1p(-scorer.prob(negs, policy))))
         npt.assert_allclose(loss, 2.0 * np.log(2.0), atol=1e-12)
-        for tr in demos:
-            npt.assert_allclose(scorer.prob(tr, policy), 0.5, atol=1e-12)
+        npt.assert_allclose(scorer.prob(demos, policy), 0.5, atol=1e-12)
 
     def episode_problem(self, seed):
         mdp = random_mdp(4, 3, RewardTable("state_only", np.zeros(4)), seed=seed,
@@ -1097,15 +1127,17 @@ class TestGanGcl:
         policy = softmax_policy(seed, 4, 3)
         demos = sample_trajectories(mdp, softmax_policy(seed + 50, 4, 3), 5, seed=seed)
         negs = sample_trajectories(mdp, policy, 7, seed=seed + 1)
-        counts = loop_counts(demos + negs, 4, 3)
-        problem = _episode_problem(counts, len(demos), np.log(policy))
+        episodes = Rollouts(np.concatenate([demos.states, negs.states]),
+                            np.concatenate([demos.actions, negs.actions]))
+        counts = loop_counts(episodes.states, episodes.actions, 4, 3)
+        problem = _episode_problem(counts, 5, np.log(policy))
         f_step = np.random.default_rng(seed).normal(scale=0.5, size=(4, 3))
-        return problem, f_step, policy, demos + negs
+        return problem, f_step, policy, episodes
 
     def test_row_logits_match_the_scorer(self):
         problem, f_step, policy, episodes = self.episode_problem(0)
         scorer = TrajectoryScorer(f_step)
-        expected = [scorer.log_odds(tr, policy) for tr in episodes]
+        expected = scorer.log_odds(episodes, policy)
         logits = problem.phi((f_step,)) + problem.offset
         npt.assert_allclose(logits, expected, rtol=0, atol=1e-12)
         # matched odds put D at 1/2 on every row; each side's weights sum to 1
@@ -1158,12 +1190,10 @@ class TestGanGcl:
                 LearnerConfig(variant="gan_gcl_trajectory",
                               mode="exact_occupancy", iterations=1),
             )
-        with pytest.raises(ValueError, match="trajectories"):
-            gan_gcl_train(
-                tiny_mdp, occupancy(tiny_mdp, expert),
-                LearnerConfig(variant="gan_gcl_trajectory", mode="sampled",
-                              iterations=1),
-            )
+        for data in (occupancy(tiny_mdp, expert), [demos]):
+            with pytest.raises(ValueError, match="trajectories as Rollouts"):
+                gan_gcl_train(tiny_mdp, data, LearnerConfig(variant="gan_gcl_trajectory",
+                                                            mode="sampled", iterations=1))
 
     @pytest.mark.parametrize("states, actions", [
         ([0] * 21, [5] * 20),   # an action >= A would count in state 1's cells
@@ -1174,9 +1204,13 @@ class TestGanGcl:
         ([-1] + [0] * 20, [0] * 20),
     ])
     def test_demos_outside_the_table_are_rejected(self, states, actions):
+        # both learners refuse them before training
+        mdp, demos = paper_tabular_mdp(0), Rollouts([states], [actions])
         config = LearnerConfig(variant="gan_gcl_trajectory", mode="sampled", iterations=1)
         with pytest.raises(ValueError, match="indexes a state or action outside the table"):
-            gan_gcl_train(paper_tabular_mdp(0), [Trajectory(states, actions)], config)
+            gan_gcl_train(mdp, demos, config)
+        with pytest.raises(ValueError, match="indexes a state or action outside the table"):
+            airl_train(mdp, demos, LearnerConfig(iterations=1))
 
     def test_benchmark_imitation_run_records_history(self, bench_mdp):
         # baseline comparison: the trajectory-level learner's imitation

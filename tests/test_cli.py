@@ -981,12 +981,21 @@ class TestNonFiniteNumbers:
             history["disc_loss"]
         read_strict_json(out / "learned_reward.json")
 
-    def test_reproduction_with_an_infinite_recovery_error(self, tmp_path, capsys):
-        out = tmp_path / "repro"
+    def test_reproduction_with_an_infinite_recovery_error(self, tmp_path, capsys, monkeypatch):
+        # a huge step drives g near -1e307, and finite tables compare finitely
+        out = tmp_path / "huge"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", str(out), "--seeds", "1",
                                  "--iterations", "2", "--step-size", "1e308")
+        assert code == EXIT_THRESHOLD
+        variant = read_strict_json(out / "manifest.json")["per_seed"][0]["variants"]
+        assert 1e306 < variant["airl_state_only"]["recovery_error"] < np.inf
+        # so an infinite error is injected: the manifest writes it as null
+        monkeypatch.setattr(irl_lab.transfer, "centered_reward_error", lambda *args: np.inf)
+        out = tmp_path / "repro"
+        code, _, _ = run_cli(capsys, "reproduce-tabular", "--out", str(out), "--seeds", "1",
+                             "--iterations", "2")
         assert code == EXIT_THRESHOLD
         manifest = read_strict_json(out / "manifest.json")
         block = manifest["experiments"]["recovery_state_only"]

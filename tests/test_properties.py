@@ -145,17 +145,15 @@ def test_sampled_episodes_match_the_per_step_loop(case, n, seed):
     # horizon 1 on every case, besides the drawn horizon
     for mdp in (mdp, replace(mdp, horizon=1)):
         for policy in policies:
-            episodes = sample_trajectories(mdp, policy, n, seed)
-            want = loop_sample_trajectories(mdp, policy, n, seed)
-            assert len(episodes) == n
-            for got, expected in zip(episodes, want):
-                assert got.horizon == mdp.horizon
-                assert np.array_equal(got.states, expected.states)
-                assert np.array_equal(got.actions, expected.actions)
-                # zero-probability starts, actions and successors are never drawn
-                assert mdp.initial_dist[got.states[0]] > 0
-                assert np.all(policy[got.states[:-1], got.actions] > 0)
-                assert np.all(mdp.transition[got.states[:-1], got.actions, got.states[1:]] > 0)
+            got = sample_trajectories(mdp, policy, n, seed)
+            want_states, want_actions = loop_sample_trajectories(mdp, policy, n, seed)
+            assert got.actions.shape == (n, mdp.horizon)
+            assert np.array_equal(got.states, want_states)
+            assert np.array_equal(got.actions, want_actions)
+            # zero-probability starts, actions and successors are never drawn
+            assert np.all(mdp.initial_dist[got.states[:, 0]] > 0)
+            assert np.all(policy[got.states[:, :-1], got.actions] > 0)
+            assert np.all(mdp.transition[got.states[:, :-1], got.actions, got.states[:, 1:]] > 0)
 
 
 @st.composite

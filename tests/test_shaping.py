@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -131,6 +133,29 @@ class TestCenteredComparisons:
         a = rng.normal(size=(4, 2))
         assert centered_sup_distance(a, a + 17.3) <= 1e-12
         assert centered_sup_distance(a, a * 2.0) > 0.1
+
+    def test_tables_near_the_float_limit_compare_finitely(self):
+        # the plain means overflow; both tables are rescaled by an exact power
+        # of two, silently, and a distance past the float range stays inf
+        a = np.array([1.5e308, 1.5e308, 1.0, -2.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            near = centered_sup_distance(a, np.zeros(4))
+            beyond = centered_sup_distance([1.7e308, -1.7e308], [-1.7e308, 1.7e308])
+            non_finite = centered_sup_distance([np.inf, 0.0], [0.0, 0.0])
+        assert not caught, [str(w.message) for w in caught]
+        scaled = a / 2.0**64
+        assert near == float(np.max(np.abs(scaled - scaled.mean()))) * 2.0**64
+        npt.assert_allclose(near, 7.5e307, rtol=1e-15)
+        assert beyond == np.inf
+        assert not np.isfinite(non_finite)
+
+    def test_ordinary_tables_keep_the_plain_bits(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-300, 1.0, 1e300):
+            a, b = scale * rng.normal(size=(2, 16, 4))
+            want = float(np.max(np.abs((a - a.mean()) - (b - b.mean()))))
+            assert centered_sup_distance(a, b) == want
 
     def test_reward_error_compares_across_kinds(self, tiny_mdp):
         # a transition table that's really state_only-plus-constant must be

@@ -19,6 +19,7 @@ from irl_lab.mdp import (
     random_mdp,
 )
 from irl_lab.soft_rl import (
+    Rollouts,
     _occupancies,
     _rollouts,
     _soft_backup,
@@ -422,14 +423,14 @@ class TestEvaluateReturn:
 
 class TestSampling:
     def test_shapes_and_support(self, bench_mdp):
-        trajs = sample_trajectories(bench_mdp, uniform_policy(bench_mdp), 7, seed=0)
-        assert len(trajs) == 7
-        for tr in trajs:
-            assert tr.states.shape == (bench_mdp.horizon + 1,)
-            assert tr.actions.shape == (bench_mdp.horizon,)
-            assert tr.states[0] == 1  # fixed start state of the benchmark family
+        rollouts = sample_trajectories(bench_mdp, uniform_policy(bench_mdp), 7, seed=0)
+        assert isinstance(rollouts, Rollouts)
+        assert rollouts.states.shape == (7, bench_mdp.horizon + 1)
+        assert rollouts.actions.shape == (7, bench_mdp.horizon)
+        assert (rollouts.states[:, 0] == 1).all()  # fixed start state of the benchmark family
+        for states, actions in zip(rollouts.states, rollouts.actions):
             for t in range(bench_mdp.horizon):
-                s, a, sp = tr.states[t], tr.actions[t], tr.states[t + 1]
+                s, a, sp = states[t], actions[t], states[t + 1]
                 assert bench_mdp.transition[s, a, sp] > 0.0
 
     def test_seed_determinism(self, bench_mdp):
@@ -437,9 +438,8 @@ class TestSampling:
         a = sample_trajectories(bench_mdp, policy, 5, seed=3)
         b = sample_trajectories(bench_mdp, policy, 5, seed=3)
         c = sample_trajectories(bench_mdp, policy, 5, seed=4)
-        assert all(np.array_equal(x.states, y.states) and
-                   np.array_equal(x.actions, y.actions) for x, y in zip(a, b))
-        assert any(not np.array_equal(x.states, y.states) for x, y in zip(a, c))
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.actions, b.actions)
+        assert not np.array_equal(a.states, c.states)
 
     def test_deterministic_mdp_and_policy_give_one_path(self):
         t = np.zeros((3, 2, 3))
@@ -449,32 +449,52 @@ class TestSampling:
                          np.array([1.0, 0.0, 0.0]), horizon=6)
         policy = np.zeros((3, 2))
         policy[:, 0] = 1.0
-        trajs = sample_trajectories(mdp, policy, 4, seed=9)
-        for tr in trajs:
-            npt.assert_array_equal(tr.states, [0, 1, 0, 1, 0, 1, 0])
-            npt.assert_array_equal(tr.actions, 0)
+        rollouts = sample_trajectories(mdp, policy, 4, seed=9)
+        npt.assert_array_equal(rollouts.states, [[0, 1, 0, 1, 0, 1, 0]] * 4)
+        npt.assert_array_equal(rollouts.actions, 0)
 
-    def test_trajectory_step_view(self, tiny_mdp):
-        (tr,) = sample_trajectories(tiny_mdp, uniform_policy(tiny_mdp), 1, seed=5)
-        steps = tr.steps
-        assert len(steps) == tiny_mdp.horizon
-        assert steps[0][0] == tr.states[0]
-        assert tr.final_state == tr.states[-1]
-        for t, (s, a) in enumerate(steps):
-            assert (s, a) == (tr.states[t], tr.actions[t])
+    def test_sampler_needs_an_episode(self, tiny_mdp):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least one trajectory"):
+                sample_trajectories(tiny_mdp, uniform_policy(tiny_mdp), n, seed=0)
 
     def test_empirical_frequencies_track_occupancy(self, tiny_mdp):
         # long-run check that sampling follows the analytic distribution
         sol = soft_value_iteration(tiny_mdp)
-        trajs = sample_trajectories(tiny_mdp, sol.policy, 4000, seed=1)
+        rollouts = sample_trajectories(tiny_mdp, sol.policy, 4000, seed=1)
         counts = np.zeros((3, 2, 3))
         weights = tiny_mdp.discount ** np.arange(tiny_mdp.horizon)
-        for tr in trajs:
-            for t, (s, a) in enumerate(tr.steps):
-                counts[s, a, tr.states[t + 1]] += weights[t]
+        for states, actions in zip(rollouts.states, rollouts.actions):
+            for t, a in enumerate(actions):
+                counts[states[t], a, states[t + 1]] += weights[t]
         counts /= counts.sum()
         rho = occupancy(tiny_mdp, sol.policy)
         assert np.max(np.abs(counts - rho)) < 0.02
+
+
+class TestRollouts:
+    def test_arrays_are_int_copies_and_read_only(self):
+        states = np.array([[0.0, 1.0, 2.0]])
+        rollouts = Rollouts(states, np.array([[1, 0]], dtype=np.int32))
+        assert rollouts.states.dtype == rollouts.actions.dtype == np.int64
+        npt.assert_array_equal(rollouts.states, [[0, 1, 2]])
+        states[0, 0] = 2.0
+        assert rollouts.states[0, 0] == 0 and states.flags.writeable
+        for array in (rollouts.states, rollouts.actions):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    @pytest.mark.parametrize("states, actions", [
+        (np.zeros((2, 3)), np.zeros((2, 3))),        # no final state
+        (np.zeros((2, 3)), np.zeros((3, 2))),        # more action rows than state rows
+        (np.zeros(3), np.zeros(2)),                  # one episode, not a row of them
+        (np.zeros((1, 2, 3)), np.zeros((1, 2, 2))),  # a stack of rollouts
+        (np.zeros((0, 3)), np.zeros((0, 2))),        # n = 0
+        (np.zeros((2, 1)), np.zeros((2, 0))),        # H = 0
+    ])
+    def test_shapes_checked(self, states, actions):
+        with pytest.raises(ValueError, match=r"states \(n, H \+ 1\) and actions \(n, H\)"):
+            Rollouts(states, actions)
 
 
 class _Draws:
@@ -538,8 +558,8 @@ def test_lookup_boundaries_match_the_per_step_loop(case, monkeypatch):
     assert len(draws) == (2 * mdp.horizon + 1) * n
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(draws))
     states, actions = _rollouts(mdp, policy, n, seed=0)
-    loop = loop_sample_trajectories(mdp, policy, n, seed=0)
-    npt.assert_array_equal(states, [episode.states for episode in loop])
-    npt.assert_array_equal(actions, [episode.actions for episode in loop])
+    loop_states, loop_actions = loop_sample_trajectories(mdp, policy, n, seed=0)
+    npt.assert_array_equal(states, loop_states)
+    npt.assert_array_equal(actions, loop_actions)
     npt.assert_array_equal(states, want_states)
     npt.assert_array_equal(actions, want_actions)

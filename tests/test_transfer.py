@@ -20,10 +20,11 @@ from irl_lab.mdp import (
 )
 from irl_lab.shaping import centered_reward_error
 from irl_lab.soft_rl import (
-    Trajectory,
+    Rollouts,
     _soft_backup,
     evaluate_return,
     occupancy,
+    sample_trajectories,
     soft_value_iteration,
     uniform_policy,
 )
@@ -98,12 +99,19 @@ class TestExpertDemos:
         assert demos.tobytes() == occupancy(tiny_mdp, solution.policy).tobytes()
         npt.assert_allclose(demos.sum(), 1.0, atol=1e-12)
 
-    def test_sampled_mode_returns_trajectories(self, tiny_mdp):
-        demos, _ = expert_demos(tiny_mdp, "sampled", n_trajectories=9, seed=4)
-        assert len(demos) == 9
-        assert all(isinstance(t, Trajectory) for t in demos)
+    def test_sampled_mode_returns_rollouts(self, tiny_mdp):
+        demos, solution = expert_demos(tiny_mdp, "sampled", n_trajectories=9, seed=4)
+        assert isinstance(demos, Rollouts)
+        assert demos.states.shape == (9, tiny_mdp.horizon + 1)
+        assert demos.actions.shape == (9, tiny_mdp.horizon)
+        # the sampler's episodes of the expert policy, drawn the same way
+        want = sample_trajectories(tiny_mdp, solution.policy, 9, seed=4)
+        assert np.array_equal(demos.states, want.states)
+        assert np.array_equal(demos.actions, want.actions)
         again, _ = expert_demos(tiny_mdp, "sampled", n_trajectories=9, seed=4)
-        assert all(np.array_equal(a.states, b.states) for a, b in zip(demos, again))
+        assert np.array_equal(demos.states, again.states)
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            expert_demos(tiny_mdp, "sampled", n_trajectories=0)
 
     def test_unknown_mode_rejected(self, tiny_mdp):
         with pytest.raises(ValueError, match="mode"):
