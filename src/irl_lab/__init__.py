@@ -45,7 +45,6 @@ from .shaping import (
     advantage,
     centered_reward_error,
     decompose_sum,
-    mean_center,
     shape_reward,
 )
 from .soft_rl import (

@@ -83,10 +83,6 @@ class DiscriminatorParams:
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
-    @property
-    def n_states(self) -> int:
-        return self.g.values.shape[0]
-
 
 def params_to_dict(params: DiscriminatorParams) -> dict:
     return {

@@ -438,19 +438,19 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_seeds(seeds: list[int], iterations: int, disc_steps: int,
-                     step_size: float) -> list[dict]:
+def _reproduce_seeds(seeds: list[int], iterations: int, step_size: float) -> tuple[list, dict]:
     """Recovery plus transfer for each seed of the 16-state reproduction.
 
     Every seed's MDP trains under both variants as one stack; each seed's
-    learned reward then transfers to its own test MDP.
+    learned reward then transfers to its own test MDP.  Returns the per-seed
+    results and the first train MDP's conventions.
     """
     train_mdps = [paper_tabular_mdp(seed) for seed in seeds]
     test_mdps = [paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET) for seed in seeds]
     per_seed = [{"seed": seed, "truth_heatmap": reward_to_dict(mdp.reward), "variants": {}}
                 for seed, mdp in zip(seeds, train_mdps)]
     learner = LearnerConfig(mode="exact_occupancy", iterations=iterations,
-                            disc_steps_per_iter=disc_steps, disc_step_size=step_size)
+                            disc_steps_per_iter=REPRO_DISC_STEPS, disc_step_size=step_size)
     per_variant = run_recovery(train_mdps, tuple(_VARIANT_LABELS), learner)
     for variant, recoveries in zip(_VARIANT_LABELS, per_variant):
         for out, test_mdp, recovery in zip(per_seed, test_mdps, recoveries):
@@ -463,7 +463,7 @@ def _reproduce_seeds(seeds: list[int], iterations: int, disc_steps: int,
                 "normalized_score": evaluation.score,
                 "curve": [[int(k), float(r)] for k, r in evaluation.curve],
             }
-    return per_seed
+    return per_seed, _conventions(train_mdps[0])
 
 
 # manifest.json's name for a per-seed key's value list; a statistic is named like max_error.
@@ -500,7 +500,7 @@ def cmd_reproduce_tabular(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--seeds must list distinct integers, comma-separated: {exc}") from exc
     iterations = 0 if args.smoke else args.iterations
-    per_seed = _reproduce_seeds(seeds, iterations, args.disc_steps, args.step_size)
+    per_seed, conventions = _reproduce_seeds(seeds, iterations, args.step_size)
 
     with _outputs(Path(args.out)) as write:
         for result in per_seed:
@@ -524,13 +524,13 @@ def cmd_reproduce_tabular(args) -> int:
             "smoke": bool(args.smoke),
             "learner": {
                 "iterations": iterations,
-                "disc_steps_per_iter": args.disc_steps,
+                "disc_steps_per_iter": REPRO_DISC_STEPS,
                 "disc_step_size": args.step_size,
                 "mode": "exact_occupancy",
             },
             "experiments": experiments,
             "all_pass": all_pass,
-            "conventions": _conventions(paper_tabular_mdp(seeds[0])),
+            "conventions": conventions,
             "per_seed": per_seed,
         }
         write("manifest.json", json_text(manifest))
@@ -608,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     repro.add_argument("--smoke", action="store_true",
                        help="0 training iterations; thresholds reported as skipped")
     repro.add_argument("--iterations", type=_non_negative_flag, default=REPRO_ITERATIONS)
-    repro.add_argument("--disc-steps", type=int, default=REPRO_DISC_STEPS)
     repro.add_argument("--step-size", type=float, default=REPRO_STEP_SIZE)
     repro.set_defaults(func=cmd_reproduce_tabular)
 

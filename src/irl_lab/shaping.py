@@ -59,12 +59,6 @@ def advantage(solution) -> np.ndarray:
     return solution.q - solution.v[:, None]
 
 
-def mean_center(reward: RewardTable) -> RewardTable:
-    """Subtract the arithmetic mean over all entries of the table."""
-    values = reward.values - reward.values.mean()
-    return RewardTable(reward.kind, values)
-
-
 def centered_sup_distance(a, b) -> float:
     """Sup-norm distance between two arrays after removing each one's mean.
 

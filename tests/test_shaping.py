@@ -18,7 +18,6 @@ from irl_lab.shaping import (
     centered_reward_error,
     centered_sup_distance,
     decompose_sum,
-    mean_center,
     shape_reward,
 )
 from irl_lab.soft_rl import soft_value_iteration
@@ -121,13 +120,6 @@ class TestAdvantage:
 
 
 class TestCenteredComparisons:
-    def test_mean_center_removes_the_mean(self):
-        r = RewardTable("state_action", np.array([[1.0, 3.0], [5.0, 7.0]]))
-        c = mean_center(r)
-        assert c.kind == "state_action"
-        npt.assert_allclose(c.values.mean(), 0.0, atol=1e-15)
-        npt.assert_allclose(c.values, r.values - 4.0)
-
     def test_constant_shift_is_invisible(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 2))

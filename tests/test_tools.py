@@ -123,15 +123,34 @@ class TestSolvePairs:
     def test_checkout_against_itself(self, capsys):
         solve_pairs = load_tool("solve_pairs")
         checkout = TOOLS.parent
-        assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "3"]) == 0
+        assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == ("3 rounds, times per solve (cold, warm), per probe call, per "
-                            "reopt repetition and per recovery call")
-        assert [line.split(":")[0] for line in lines[1:]] == ["cold", "warm", "probe", "reopt",
-                                                              "recovery"]
+        assert lines[0] == ("1 rounds, times per solve (cold, warm) and per repetition of each "
+                            "perfbench workload on instance 3")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe"]
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10
+
+    def test_sides_whose_outputs_differ_are_not_timed(self, monkeypatch, capsys):
+        # the workloads reach the package through its public names, so a change
+        # side that scores differently is caught before any timing is printed
+        solve_pairs = load_tool("solve_pairs")
+        load = solve_pairs.load
+
+        def load_changed(checkout, name):
+            package = load(checkout, name)
+            if name.endswith("change"):
+                score = package.normalized_score
+                monkeypatch.setattr(package, "normalized_score", lambda r: score(r) + 1.0)
+            return package
+
+        monkeypatch.setattr(solve_pairs, "load", load_changed)
+        checkout = str(TOOLS.parent)
+        with pytest.raises(SystemExit, match="reopt-probe: the sides' outputs differ"):
+            solve_pairs.main([checkout, checkout, "--rounds", "1"])
+        assert capsys.readouterr().out == ""
 
 
 class TestBenchmarkSpans:
