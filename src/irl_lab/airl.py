@@ -29,7 +29,6 @@ its own run.  The trajectory baseline is a stack of one.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -39,7 +38,8 @@ from ._fmt import csv_text
 from .mdp import (REQUIRED, RewardTable, TabularMdp, float_array, read_document,
                   reward_from_dict, reward_to_dict, strict_float, strict_int)
 from .shaping import centered_reward_error
-from .soft_rl import Rollouts, _occupancies, _rollouts, _solve_stack, evaluate_return
+from .soft_rl import (Rollouts, SoftSolution, _occupancies, _rollouts, _solve_stack,
+                      evaluate_return)
 
 VARIANTS = ("airl_state_only", "airl_state_action", "gan_gcl_trajectory")
 MODES = ("exact_occupancy", "sampled")
@@ -149,44 +149,51 @@ class TrainingHistory:
     - `vi_steps_cumulative` (JSON only), `SoftSolution.iterations_used` summed over
       the policy steps so far: solver iterations (a backup plus a linear solve).
 
-    Training passes the other columns and each round's g and policy as arrays
-    with one row per iteration.  Every read computes `true_return` and
-    `reward_error` from the g and policy rows, the returns by one stacked
-    `evaluate_return` call, so an unread history never computes them.
+    Training passes the `_StackRounds` its stack recorded, this history's
+    row in it and the row's g tables, one per iteration.  The first read
+    computes every column and keeps them; each read returns copies.
+    `true_return` and `reward_error` come from the row's g and policy
+    tables, the returns by one stacked `evaluate_return` call; `disc_loss`
+    and `g_delta` come from the stack's `diagnostics`, computed for every row
+    of the stack at the first read of any of its histories.  An unread
+    history computes none of them.
     """
 
-    def __init__(self, mdp: TabularMdp, disc_loss: np.ndarray, g_delta: np.ndarray,
-                 vi_steps_cumulative: np.ndarray, g: np.ndarray, policy: np.ndarray):
-        self._mdp, self._g, self._policy = mdp, g, policy
-        self._disc_loss, self._g_delta, self._vi_steps = disc_loss, g_delta, vi_steps_cumulative
+    def __init__(self, mdp: TabularMdp, stack: _StackRounds, row: int, g: np.ndarray):
+        self._mdp, self._stack, self._row, self._g = mdp, stack, row, g
+        self._policy = stack.policies[row]
+        self._read: dict[str, list] | None = None
 
     def __len__(self) -> int:
-        return len(self._disc_loss)
+        return len(self._g)
 
     def _columns(self) -> dict[str, list]:
-        """Every column by field name, in output order."""
-        mdp = self._mdp
-        returns = evaluate_return(mdp, self._policy, mdp.reward).tolist() if len(self) else []
-        return {
-            "iteration": list(range(len(self))),
-            "disc_loss": self._disc_loss.tolist(),
-            "true_return": returns,
-            "reward_error": [centered_reward_error(_g_table(g), mdp.reward, mdp.transition)
-                             for g in self._g],
-            "g_delta": self._g_delta.tolist(),
-            "vi_steps_cumulative": self._vi_steps.tolist(),
-        }
+        """Every column by field name, in output order, computed on the first call."""
+        if self._read is None:
+            mdp = self._mdp
+            returns = evaluate_return(mdp, self._policy, mdp.reward).tolist() if len(self) else []
+            disc_loss, g_delta = (rows[self._row].tolist() for rows in self._stack.diagnostics())
+            self._read = {
+                "iteration": list(range(len(self))),
+                "disc_loss": disc_loss,
+                "true_return": returns,
+                "reward_error": [centered_reward_error(_g_table(g), mdp.reward, mdp.transition)
+                                 for g in self._g],
+                "g_delta": g_delta,
+                "vi_steps_cumulative": np.cumsum(self._stack.vi_steps[self._row]).tolist(),
+            }
+        return self._read
 
     def column(self, name: str) -> np.ndarray:
         return np.array(self._columns()[name])
 
     def to_csv_text(self) -> str:
-        columns = self._columns()
+        columns = dict(self._columns())
         del columns["vi_steps_cumulative"]
         return csv_text(["iter", *list(columns)[1:]], zip(*columns.values()))
 
     def to_json_dict(self) -> dict:
-        columns = self._columns()
+        columns = {name: list(values) for name, values in self._columns().items()}
         columns["iter"] = columns.pop("iteration")
         return columns
 
@@ -313,6 +320,14 @@ def discriminator_prob(params: DiscriminatorParams, policy, s: int, a: int, sp: 
     return float(_sigmoid(x))
 
 
+def _softplus_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log(1 + exp(-x)), log(1 + exp(x))) from one libm pass, s = log(1 + exp(-|x|)),
+    as max(-x, 0) + s and max(x, 0) + s: the bits of np.logaddexp(0, -x) and
+    np.logaddexp(0, x), ties, signed zeros and infinities included."""
+    s = np.logaddexp(0.0, -np.abs(x))
+    return np.maximum(-x, 0.0) + s, np.maximum(x, 0.0) + s
+
+
 class _Problem:
     """One round's regression: logits phi(theta) + offset, weights w_e and w_n.
 
@@ -334,14 +349,15 @@ class _Problem:
     def loss(self, theta) -> np.ndarray:
         """sum(w_e * -log D) + sum(w_n * -log(1 - D)) per problem, computed in log space.
 
-        A row with pi(a|s) = 0 has an infinite offset, so -log(1 - D) is
-        infinite there while the row's negative weight is 0; such a row adds
-        0 (0 * log 0 = 0).  -log D is infinite only for infinite parameters.
+        -log D = log(1 + exp(-x)) and -log(1 - D) = log(1 + exp(x)) come from
+        one `_softplus_pair` pass.  A row with pi(a|s) = 0 has an infinite
+        offset, so -log(1 - D) is infinite there while the row's negative
+        weight is 0; such a row adds 0 (0 * log 0 = 0).  -log D is infinite
+        only for infinite parameters.
         """
-        x = self.phi(theta) + self.offset
-        neg = np.logaddexp(0.0, x)
+        pos, neg = _softplus_pair(self.phi(theta) + self.offset)
         neg[self.w_n == 0] = 0.0
-        return ((self.w_e * np.logaddexp(0.0, -x)).sum(axis=self.row_axes)
+        return ((self.w_e * pos).sum(axis=self.row_axes)
                 + (self.w_n * neg).sum(axis=self.row_axes))
 
     def grad(self, theta) -> tuple:
@@ -438,6 +454,78 @@ def _g_rows(g: np.ndarray, variants: Sequence[str]) -> list[np.ndarray]:
             for row, variant in zip(g, variants)]
 
 
+# an underflowed policy entry gives log pi = -inf, an intended infinite offset;
+# overflow in a diverging round is caught by the training loop's checks
+_ROUND_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
+class _StackRounds:
+    """What one training stack records each round, and the diagnostics read from it.
+
+    Each round records theta after the fit (every theta array as a
+    (problem, iteration, ...) array, so `theta[0]` holds the g rows), the
+    re-solved policies and the policy step's `iterations_used`; in sampled
+    mode `encodings` keeps every round's stacked rollout encodings, for as
+    long as a history of the stack lives, and round k's replay is the last
+    `replay_window` of them up to k.  `problem` builds a round's regression
+    for the loop and again for `diagnostics`, so both see the same bits.
+    """
+
+    def __init__(self, mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple,
+                 problem: Callable):
+        self.transition = np.stack([mdp.transition for mdp in mdps])
+        self.initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
+        self.discount, self.horizon = mdps[0].discount, mdps[0].horizon
+        self.mode, self.replay_window, self._problem = config.mode, config.replay_window, problem
+        self.uniform = np.full(self.transition.shape[:-1], 1.0 / self.transition.shape[2])
+        rounds = (len(mdps), config.iterations)
+        self.theta = tuple(np.empty(rounds + t.shape[1:]) for t in theta)
+        self.policies = np.empty(rounds + self.uniform.shape[1:])
+        self.vi_steps = np.empty(rounds, dtype=int)
+        self.encodings: list[np.ndarray] = []
+        self._diagnostics: tuple[np.ndarray, np.ndarray] | None = None
+
+    def problem(self, iteration: int, policies: np.ndarray) -> _Problem:
+        """Round `iteration`'s regression, given the (B, S, A) policies that entered it.
+
+        Exact mode's negatives are their stacked (s, a, s') occupancies,
+        sampled mode's the replay window of encodings.
+        """
+        if self.mode == "exact_occupancy":
+            negatives = _occupancies(self.transition, self.initial_dist, self.discount,
+                                     self.horizon, policies)
+        else:
+            negatives = self.encodings[max(0, iteration + 1 - self.replay_window):iteration + 1]
+        with np.errstate(**_ROUND_ERRSTATE):
+            return self._problem(negatives, np.log(policies))
+
+    def record(self, iteration: int, theta: tuple, solves: SoftSolution) -> None:
+        for rows, t in zip(self.theta, theta):
+            rows[:, iteration] = t
+        self.policies[:, iteration] = solves.policy
+        self.vi_steps[:, iteration] = solves.iterations_used
+
+    def diagnostics(self) -> tuple[np.ndarray, np.ndarray]:
+        """(disc_loss, g_delta), each a (problem, iteration) array, computed on the first call.
+
+        Round k's loss is that of its rebuilt problem at the theta its fit
+        ended at; its g change is max |g_k - g_(k-1)|, with g_(-1) = 0.
+        """
+        if self._diagnostics is None:
+            rounds = self.policies.shape[:2]
+            losses, policies = np.empty(rounds), self.uniform
+            for k in range(rounds[1]):
+                theta = tuple(rows[:, k] for rows in self.theta)
+                round_problem = self.problem(k, policies)
+                with np.errstate(**_ROUND_ERRSTATE):
+                    losses[:, k] = round_problem.loss(theta).reshape(rounds[0])
+                policies = self.policies[:, k]
+            g = self.theta[0]
+            g_delta = np.abs(np.diff(g, axis=1, prepend=0.0)).max(axis=tuple(range(2, g.ndim)))
+            self._diagnostics = losses, g_delta
+        return self._diagnostics
+
+
 def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerConfig,
            theta: tuple, encode, problem, rewards):
     """The one training loop over a stack of problems, one per MDP.
@@ -452,48 +540,34 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
     solved step's non-convergence warnings come first.  `problem` maps the
     round's negatives and stacked log pi to a _Problem, and `rewards(theta,
     transition)` gives the policy step's (B, S, A) collapsed rewards, solved
-    as one `_solve_stack`.  Each round's losses, g changes, solver
-    iterations, g and policy go into (problem, iteration, ...) arrays, whose
-    rows make the histories after the loop.
+    as one `_solve_stack`.  Each round records its theta, policies and
+    solver iterations in a `_StackRounds`, which the histories share, and
+    computes no loss: a history computes `disc_loss` and `g_delta` from the
+    record when first read.
     Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
     Sampled mode draws one seed per round from `config.seed`'s generator, and
     every problem rolls out under its own policy with that seed, so a
     one-problem run draws the same episodes.  `encode` turns one problem's
     rollouts (int arrays, states (n, horizon + 1) and actions (n, horizon))
-    into a count array by one bincount; the negatives are the replay deque of
-    the last `replay_window` stacks of those (see `_replay_weights`).
+    into a count array by one bincount; the negatives are the last
+    `replay_window` stacks of those (see `_replay_weights`).
     """
-    transition = np.stack([mdp.transition for mdp in mdps])
-    initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
-    discount, horizon = mdps[0].discount, mdps[0].horizon
-    policies = np.full(transition.shape[:-1], 1.0 / transition.shape[2])
-    rounds = (len(mdps), config.iterations)
-    losses, g_deltas, vi_steps = np.empty(rounds), np.empty(rounds), np.empty(rounds, dtype=int)
-    gs, policy_rows = np.empty(rounds + theta[0].shape[1:]), np.empty(rounds + policies.shape[1:])
+    stack = _StackRounds(mdps, config, theta, problem)
+    transition, discount, policies = stack.transition, stack.discount, stack.uniform
     v_warm = None
-    replay: deque = deque(maxlen=config.replay_window)
     rng = np.random.default_rng(config.seed)
 
     for iteration in range(config.iterations):
-        if config.mode == "exact_occupancy":
-            negatives = _occupancies(transition, initial_dist, discount, horizon, policies)
-        else:
+        if config.mode == "sampled":
             seed = int(rng.integers(2**63 - 1))
-            replay.append(np.stack([encode(*_rollouts(mdp, policy, config.n_policy_trajectories,
-                                                      seed))
-                                    for mdp, policy in zip(mdps, policies)]))
-            negatives = replay
-
-        # an underflowed policy entry gives log pi = -inf, an intended infinite
-        # offset; overflow in a diverging round is caught by the checks below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            round_problem = problem(negatives, np.log(policies))
-            g_before = theta[0]
+            stack.encodings.append(np.stack([
+                encode(*_rollouts(mdp, policy, config.n_policy_trajectories, seed))
+                for mdp, policy in zip(mdps, policies)]))
+        round_problem = stack.problem(iteration, policies)
+        with np.errstate(**_ROUND_ERRSTATE):
             theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
             if not all(np.all(np.isfinite(t)) for t in theta):
                 raise DivergenceError(iteration)
-            losses[:, iteration] = round_problem.loss(theta).reshape(len(mdps))
-            g_deltas[:, iteration] = np.abs(theta[0] - g_before).reshape(len(mdps), -1).max(axis=1)
             r_sa = rewards(theta, transition)
             # finite tables can still collapse to an infinite reward
             if not np.isfinite(r_sa).all():
@@ -508,10 +582,9 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
         if not (np.isfinite(solves.residual).all() and np.isfinite(solves.policy).all()):
             raise DivergenceError(iteration, "policy step")
         policies, v_warm = solves.policy, solves.v
-        vi_steps[:, iteration] = solves.iterations_used
-        gs[:, iteration], policy_rows[:, iteration] = theta[0], policies
-    histories = [TrainingHistory(mdp, *rows) for mdp, *rows in zip(
-        mdps, losses, g_deltas, np.cumsum(vi_steps, axis=1), _g_rows(gs, variants), policy_rows)]
+        stack.record(iteration, theta, solves)
+    histories = [TrainingHistory(mdp, stack, row, g)
+                 for row, (mdp, g) in enumerate(zip(mdps, _g_rows(stack.theta[0], variants)))]
     return theta, policies, histories
 
 

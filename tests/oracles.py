@@ -5,7 +5,8 @@ deliberately avoiding the vectorized code paths under test.  `loop_return`,
 `loop_curve`, `loop_sample_trajectories`, `loop_soft_value_iteration` and
 `loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
 per-step, one-problem and per-dynamics forms of batched functions, kept to pin
-those functions' outputs bit for bit.  `backward_soft_recursion`,
+those functions' outputs bit for bit; so is `two_pass_loss`, the earlier
+two-pass form of the discriminator loss.  `backward_soft_recursion`,
 `general_soft_backup`, `general_soft_policy`, `loop_return` and
 `enumerate_return` take any entropy weight (temperature) w, which the package
 fixes at 1; they check that temperature w is the reward scaled by 1 / w.
@@ -352,3 +353,14 @@ def trajectory_probability(mdp: TabularMdp, policy: np.ndarray, states, actions)
         s, sp = states[t], states[t + 1]
         p *= float(policy[s, a]) * float(mdp.transition[s, a, sp])
     return p
+
+
+def two_pass_loss(problem, theta) -> np.ndarray:
+    """A training round's discriminator loss at theta, by two logaddexp passes:
+    sum(w_e * logaddexp(0, -x)) + sum(w_n * logaddexp(0, x)) over the problem's
+    rows, x = phi(theta) + offset, with the w_n term 0 where w_n = 0."""
+    x = problem.phi(theta) + problem.offset
+    neg = np.logaddexp(0.0, x)
+    neg[problem.w_n == 0] = 0.0
+    return ((problem.w_e * np.logaddexp(0.0, -x)).sum(axis=problem.row_axes)
+            + (problem.w_n * neg).sum(axis=problem.row_axes))

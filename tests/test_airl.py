@@ -54,7 +54,7 @@ from irl_lab.soft_rl import (
 )
 from irl_lab.transfer import N_EXPERT_TRAJECTORIES, run_recovery
 
-from oracles import fd_gradient, trajectory_probability
+from oracles import fd_gradient, trajectory_probability, two_pass_loss
 
 
 def batch_of(rollouts):
@@ -916,6 +916,22 @@ def eager_history(mdp, history):
     return true_return, reward_error
 
 
+def record_fits(monkeypatch) -> list:
+    """Each training round's (problem, fitted theta), recorded by wrapping `_Problem.fit`."""
+    fits, fit = [], irl_lab.airl._Problem.fit
+    monkeypatch.setattr(irl_lab.airl._Problem, "fit",
+                        lambda self, *args: fits.append((self, fit(self, *args))) or fits[-1][1])
+    return fits
+
+
+def assert_losses_of_fits(histories, fits, iterations):
+    """Row i's `disc_loss` is row i of each recorded round's two-pass loss, bit for bit."""
+    assert len(fits) == iterations
+    for row, history in enumerate(histories):
+        want = [np.reshape(two_pass_loss(problem, theta), -1)[row] for problem, theta in fits]
+        assert history.column("disc_loss").tobytes() == np.array(want).tobytes(), row
+
+
 class TestLazyHistory:
     @pytest.fixture(scope="class")
     def runs(self, bench_mdp):
@@ -960,7 +976,15 @@ class TestLazyHistory:
         history = runs["airl_state_only", "exact_occupancy"].history
         first = history.to_csv_text()
         assert history.to_csv_text() == first
-        assert history.to_json_dict() == history.to_json_dict()
+        doc = history.to_json_dict()
+        assert history.to_json_dict() == doc
+        # each read hands out copies of the kept columns
+        want = json.dumps(doc)
+        doc["disc_loss"][0] = None
+        del doc["g_delta"]
+        history.column("true_return")[0] = np.nan
+        assert json.dumps(history.to_json_dict()) == want
+        assert history.to_csv_text() == first
         assert all(type(x) is int for x in history.column("vi_steps_cumulative").tolist())
 
     def test_editing_the_result_leaves_the_history_alone(self, tiny_mdp):
@@ -970,17 +994,55 @@ class TestLazyHistory:
         result.policy[:] = uniform_policy(tiny_mdp)
         assert result.history.to_csv_text() == before
 
-    def test_training_computes_no_diagnostics_until_read(self, tiny_mdp, monkeypatch):
+    @pytest.mark.parametrize("variant, mode", [("airl_state_only", "exact_occupancy"),
+                                               ("airl_state_action", "sampled"),
+                                               ("gan_gcl_trajectory", "sampled")])
+    def test_training_computes_no_diagnostics_until_read(self, tiny_mdp, monkeypatch,
+                                                         variant, mode):
         def unexpected(*args, **kwargs):
             raise AssertionError("history diagnostic computed before a read")
 
-        demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
+        expert = soft_value_iteration(tiny_mdp).policy
+        config = LearnerConfig(variant=variant, mode=mode, iterations=4, replay_window=2,
+                               n_policy_trajectories=8)
+        train = gan_gcl_train if variant == "gan_gcl_trajectory" else airl_train
+        demos = (sample_trajectories(tiny_mdp, expert, 8, seed=1) if mode == "sampled"
+                 else occupancy(tiny_mdp, expert))
         monkeypatch.setattr(irl_lab.airl, "evaluate_return", unexpected)
         monkeypatch.setattr(irl_lab.airl, "centered_reward_error", unexpected)
-        result = airl_train(tiny_mdp, demos, LearnerConfig(iterations=4))
+        monkeypatch.setattr(irl_lab.airl._Problem, "loss", unexpected)
+        result = train(tiny_mdp, demos, config)
         assert len(result.history) == 4
         with pytest.raises(AssertionError, match="before a read"):
             result.history.to_csv_text()
+        monkeypatch.undo()
+        assert np.all(np.isfinite(result.history.column("disc_loss")))
+
+    @pytest.mark.parametrize("mode", ["exact_occupancy", "sampled"])
+    def test_mixed_stack_losses_equal_the_two_pass_loss(self, monkeypatch, mode):
+        # each round's loss, computed at the first read, has the bits of the
+        # two-pass loss of the problem the round fit, at the theta it fit;
+        # the sampled run's replay window wraps
+        mdps, demos = stack_problems()
+        mdps = mdps[:2]
+        if mode == "sampled":
+            demos = [sample_trajectories(m, soft_value_iteration(m).policy, 16, seed=i)
+                     for i, m in enumerate(mdps)]
+        config = LearnerConfig(mode=mode, iterations=7, disc_step_size=0.2, replay_window=3,
+                               n_policy_trajectories=16)
+        fits = record_fits(monkeypatch)
+        per_variant = _airl_train_stack(mdps, demos[:2], BOTH_VARIANTS, config)
+        monkeypatch.undo()
+        assert_losses_of_fits([r.history for results in per_variant for r in results], fits, 7)
+
+    def test_baseline_losses_equal_the_two_pass_loss(self, bench_mdp, monkeypatch):
+        demos = sample_trajectories(bench_mdp, soft_value_iteration(bench_mdp).policy, 16, seed=4)
+        config = LearnerConfig(variant="gan_gcl_trajectory", mode="sampled", iterations=7,
+                               replay_window=3, n_policy_trajectories=16, seed=2)
+        fits = record_fits(monkeypatch)
+        result = gan_gcl_train(bench_mdp, demos, config)
+        monkeypatch.undo()
+        assert_losses_of_fits([result.history], fits, 7)
 
 
 class TestTransitionBatch:

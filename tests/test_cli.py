@@ -216,6 +216,17 @@ class TestTrain:
         hist_doc = json.loads((out / "history.json").read_text())
         assert len(hist_doc["disc_loss"]) == 5
 
+    def test_history_is_computed_once_for_both_formats(self, tmp_path, capsys, monkeypatch):
+        # history.csv and history.json come from one read of the columns
+        calls, evaluate = [], irl_lab.airl.evaluate_return
+        monkeypatch.setattr(irl_lab.airl, "evaluate_return",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out))
+        assert run_cli(capsys, "train", "--config", cfg)[0] == EXIT_OK
+        assert (out / "history.csv").exists() and (out / "history.json").exists()
+        assert len(calls) == 1
+
     def test_zero_iterations_yields_a_zero_heatmap(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "c.json", output_dir=str(out),
@@ -559,6 +570,7 @@ class TestReproduceTabular:
 
         monkeypatch.setattr(irl_lab.airl, "evaluate_return", unexpected)
         monkeypatch.setattr(irl_lab.airl, "centered_reward_error", unexpected)
+        monkeypatch.setattr(irl_lab.airl._Problem, "loss", unexpected)
         assert run_cli(capsys, *args, str(patched))[0] == plain_code == EXIT_THRESHOLD
         files = sorted(p.name for p in plain.iterdir())
         assert sorted(p.name for p in patched.iterdir()) == files

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import irl_lab.airl
 from irl_lab.airl import (DiscriminatorParams, LearnerConfig, _airl_train_stack,
-                          discriminator_grad, params_from_dict, params_to_dict)
+                          _softplus_pair, discriminator_grad, params_from_dict, params_to_dict)
 from irl_lab.cli import InvalidMdpError, _build_mdp, load_experiment_config
 from irl_lab.mdp import (
     RewardTable,
@@ -281,6 +281,23 @@ def test_discriminator_grad_matches_finite_differences(case):
     assert grad.g.shape == fd_g.shape and grad.h.shape == fd_h.shape
     assert np.max(np.abs(grad.g - fd_g)) <= 1e-7
     assert np.max(np.abs(grad.h - fd_h)) <= 1e-7
+
+
+_SIGNED_MAGNITUDES = st.builds(lambda m, negative: -m if negative else m,
+                               st.floats(1e-300, 1e300), st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                                 _SIGNED_MAGNITUDES, st.floats(allow_nan=False)),
+                       min_size=1, max_size=64))
+def test_one_pass_softplus_pair_is_two_logaddexp_calls(values):
+    # the discriminator loss takes both log(1 + exp(-x)) and log(1 + exp(x))
+    # from one softplus pass; each must keep the bits of its own logaddexp
+    x = np.array(values)
+    pos, neg = _softplus_pair(x)
+    assert pos.view(np.int64).tolist() == np.logaddexp(0.0, -x).view(np.int64).tolist()
+    assert neg.view(np.int64).tolist() == np.logaddexp(0.0, x).view(np.int64).tolist()
 
 
 @st.composite

@@ -126,9 +126,9 @@ class TestSolvePairs:
         assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ("1 rounds, times per solve (cold, warm) and per repetition of each "
-                            "perfbench workload on instance 3")
+                            "perfbench workload and of history-read on instance 3")
         assert [line.split(":")[0] for line in lines[1:]] == [
-            "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe"]
+            "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe", "history-read"]
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10
@@ -136,21 +136,33 @@ class TestSolvePairs:
     def test_sides_whose_outputs_differ_are_not_timed(self, monkeypatch, capsys):
         # the workloads reach the package through its public names, so a change
         # side that scores differently is caught before any timing is printed
-        solve_pairs = load_tool("solve_pairs")
-        load = solve_pairs.load
+        assert_change_is_caught(monkeypatch, capsys, "reopt-probe", lambda package: (
+            package, "normalized_score", 1.0))
 
-        def load_changed(checkout, name):
-            package = load(checkout, name)
-            if name.endswith("change"):
-                score = package.normalized_score
-                monkeypatch.setattr(package, "normalized_score", lambda r: score(r) + 1.0)
-            return package
+    def test_history_reads_that_differ_are_not_timed(self, monkeypatch, capsys):
+        assert_change_is_caught(monkeypatch, capsys, "history-read", lambda package: (
+            package.TrainingHistory, "to_csv_text", "\n"))
 
-        monkeypatch.setattr(solve_pairs, "load", load_changed)
-        checkout = str(TOOLS.parent)
-        with pytest.raises(SystemExit, match="reopt-probe: the sides' outputs differ"):
-            solve_pairs.main([checkout, checkout, "--rounds", "1"])
-        assert capsys.readouterr().out == ""
+
+def assert_change_is_caught(monkeypatch, capsys, timing: str, target_of) -> None:
+    """solve_pairs stops at `timing`, printing nothing, when the change side's
+    (owner, attribute, extra) from `target_of(package)` returns its value plus extra."""
+    solve_pairs = load_tool("solve_pairs")
+    load = solve_pairs.load
+
+    def load_changed(checkout, name):
+        package = load(checkout, name)
+        if name.endswith("change"):
+            owner, attr, extra = target_of(package)
+            original = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args: original(*args) + extra)
+        return package
+
+    monkeypatch.setattr(solve_pairs, "load", load_changed)
+    checkout = str(TOOLS.parent)
+    with pytest.raises(SystemExit, match=f"{timing}: the sides' outputs differ"):
+        solve_pairs.main([checkout, checkout, "--rounds", "1"])
+    assert capsys.readouterr().out == ""
 
 
 class TestBenchmarkSpans:

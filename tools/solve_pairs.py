@@ -13,14 +13,19 @@ public API and `cli.main`.  Each round times, on each side:
 - `warm`: the same solves started from the soft values of the reward scaled by
   0.9, as a training round's policy step starts from the last round's;
 - one repetition of each benchmark workload (`repro-exact`, `sampled-replay`,
-  `reopt-probe`) on pool instance 3.
+  `reopt-probe`) on pool instance 3;
+- `history-read`: one exact and one sampled state-only `run_recovery` on
+  instance 3 (25 iterations, 20 discriminator steps of 0.2), each history then
+  read by `to_csv_text()` and `to_json_dict()`.  No benchmark workload reads a
+  history, so this row is where the cost of a read shows.
 
-A warm-up call of each first checks that both sides' workload operations
-(key, outputs, error) are equal and none raised, and stops the tool if not:
-timing code that does different work measures nothing.  A round times each
-call REPEATS times per side, the sides taking turns, and keeps each side's
-fastest, which drops most interruptions by other processes; even rounds start
-with the parent, odd rounds with the change.  It prints each side's median and
+A warm-up call of each first checks that both sides' operations (key,
+outputs, error; for `history-read`, each mode's CSV and JSON texts) are equal
+and none raised, and stops the tool if not: timing code that does different
+work measures nothing.  A round times each call REPEATS times per side, the
+sides taking turns, and keeps each side's fastest, which drops most
+interruptions by other processes; even rounds start with the parent, odd
+rounds with the change.  It prints each side's median and
 fastest round (per solve or per workload repetition) and the median over
 rounds of the change's time over the parent's.  Pin the process to one CPU
 (`taskset -c 0`) for steady numbers.
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
+import json
 import statistics
 import sys
 import tempfile
@@ -40,6 +46,8 @@ from pathlib import Path
 SEEDS = range(8)
 REPEATS = 5
 INSTANCE = 3
+HISTORY_ARGS = dict(variant="airl_state_only", iterations=25, disc_steps_per_iter=20,
+                    disc_step_size=0.2)
 WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -87,9 +95,22 @@ def timings(lab, workdir: Path) -> dict:
         for m, v in zip(mdps, starts):
             lab.soft_value_iteration(m, v_init=v)
 
+    workloads = bound_workloads(lab)
+    history_mdp = lab.paper_tabular_mdp(INSTANCE)
+
+    def history_read():
+        ops = []
+        for mode in ("exact_occupancy", "sampled"):
+            config = lab.LearnerConfig(mode=mode, **HISTORY_ARGS)
+            history = lab.run_recovery(history_mdp, config.variant, config).history
+            ops.append(workloads.Op(mode, {"csv": history.to_csv_text(),
+                                           "json": json.dumps(history.to_json_dict())}))
+        return ops
+
     calls = {"cold": (cold, len(mdps)), "warm": (warm, len(mdps))}
-    for name, workload in bound_workloads(lab).WORKLOADS.items():
+    for name, workload in workloads.WORKLOADS.items():
         calls[name] = (functools.partial(workload.run, workload.setup([INSTANCE], workdir), 0), 1)
+    calls["history-read"] = (history_read, 1)
     return calls
 
 
@@ -152,7 +173,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="solve-pairs-") as workdir:
         times = run(sides, args.rounds, Path(workdir))
     print(f"{args.rounds} rounds, times per solve (cold, warm) and per repetition of each "
-          f"perfbench workload on instance {INSTANCE}")
+          f"perfbench workload and of history-read on instance {INSTANCE}")
     print(summary(times), end="")
     return 0
 
