@@ -21,19 +21,27 @@ def _cell(value) -> str:
     return str(value)
 
 
+# `_cell` for the exact types the package's tables hold, by one lookup; an
+# instance of any other type, a subclass included, goes through `_cell`'s checks
+_CELL_OF_TYPE = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str, bool: str,
+                 str: str}
+
+
 def csv_text(header, rows, comment: str | None = None) -> str:
     """Render a CSV document with LF line endings.
 
     Floats are written at 17 significant digits so that reading them back
     reproduces the exact double.  `comment` becomes a single leading line
-    starting with '#'.
+    starting with '#'.  Each cell is formatted by `_CELL_OF_TYPE`'s entry for
+    its exact type, or by `_cell` for any other type, with the same text.
     """
     lines = []
     if comment:
         lines.append("# " + comment)
     lines.append(",".join(str(h) for h in header))
+    cell_of_type = _CELL_OF_TYPE.get
     for row in rows:
-        lines.append(",".join(_cell(c) for c in row))
+        lines.append(",".join([cell_of_type(type(c), _cell)(c) for c in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -28,6 +28,7 @@ its own run.  The trajectory baseline is a stack of one.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -336,15 +337,19 @@ class _Problem:
     before them index a stack of independent problems, whose fits never mix.
     The per-row gradient D * (w_e + w_n) - w_e equals
     half * tanh(x / 2) + (half - w_e) with half = (w_e + w_n) / 2; the row-sized
-    terms that do not depend on theta are formed once, here.
+    terms that do not depend on theta are formed once, by the first `grad`, so
+    a problem only a loss is taken from forms none of them.
     """
 
     def __init__(self, phi: Callable, phi_t: Callable, offset, w_e, w_n, row_axes):
         self.phi, self.phi_t = phi, phi_t
         self.offset, self.w_e, self.w_n, self.row_axes = offset, w_e, w_n, row_axes
-        self._half_offset = 0.5 * offset
-        self._half = 0.5 * (w_e + w_n)
-        self._bias = self._half - w_e
+
+    @functools.cached_property
+    def _grad_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offset / 2, half, half - w_e), the gradient's terms that do not depend on theta."""
+        half = 0.5 * (self.w_e + self.w_n)
+        return 0.5 * self.offset, half, half - self.w_e
 
     def loss(self, theta) -> np.ndarray:
         """sum(w_e * -log D) + sum(w_n * -log(1 - D)) per problem, computed in log space.
@@ -362,11 +367,12 @@ class _Problem:
 
     def grad(self, theta) -> tuple:
         """Phi^T (D * (w_e + w_n) - w_e), with D = sigmoid(x) = (1 + tanh(x / 2)) / 2."""
+        half_offset, half, bias = self._grad_terms
         # in place on one row-sized array: the same operations, fewer allocations
-        dl_dx = 0.5 * self.phi(theta) + self._half_offset
+        dl_dx = 0.5 * self.phi(theta) + half_offset
         np.tanh(dl_dx, out=dl_dx)
-        dl_dx *= self._half
-        dl_dx += self._bias
+        dl_dx *= half
+        dl_dx += bias
         return self.phi_t(dl_dx)
 
     def fit(self, theta, steps: int, step_size: float) -> tuple:
@@ -458,6 +464,10 @@ def _g_rows(g: np.ndarray, variants: Sequence[str]) -> list[np.ndarray]:
 # overflow in a diverging round is caught by the training loop's checks
 _ROUND_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 
+# (round, problem) rows per `_occupancies` call of a history read, at 16x4
+# about 32 KB each
+_OCCUPANCY_ROWS = 128
+
 
 class _StackRounds:
     """What one training stack records each round, and the diagnostics read from it.
@@ -485,15 +495,16 @@ class _StackRounds:
         self.encodings: list[np.ndarray] = []
         self._diagnostics: tuple[np.ndarray, np.ndarray] | None = None
 
-    def problem(self, iteration: int, policies: np.ndarray) -> _Problem:
+    def problem(self, iteration: int, policies: np.ndarray, negatives=None) -> _Problem:
         """Round `iteration`'s regression, given the (B, S, A) policies that entered it.
 
-        Exact mode's negatives are their stacked (s, a, s') occupancies,
-        sampled mode's the replay window of encodings.
+        Exact mode's negatives are their stacked (s, a, s') occupancies, unless
+        given; sampled mode's are the replay window of encodings.
         """
         if self.mode == "exact_occupancy":
-            negatives = _occupancies(self.transition, self.initial_dist, self.discount,
-                                     self.horizon, policies)
+            if negatives is None:
+                negatives = _occupancies(self.transition, self.initial_dist, self.discount,
+                                         self.horizon, policies)
         else:
             negatives = self.encodings[max(0, iteration + 1 - self.replay_window):iteration + 1]
         with np.errstate(**_ROUND_ERRSTATE):
@@ -505,21 +516,42 @@ class _StackRounds:
         self.policies[:, iteration] = solves.policy
         self.vi_steps[:, iteration] = solves.iterations_used
 
+    def _round_occupancies(self, entering: np.ndarray) -> np.ndarray:
+        """The occupancies of (B, K, S, A) policies that entered K rounds, as (K, B, S, A, S),
+        from one `_occupancies` call over the (round, problem) rows."""
+        n_rounds = entering.shape[1]
+        tiled = (n_rounds,) + self.transition.shape
+        return _occupancies(
+            np.broadcast_to(self.transition, tiled).reshape(-1, *tiled[2:]),
+            np.broadcast_to(self.initial_dist, tiled[:3]).reshape(-1, tiled[2]),
+            self.discount, self.horizon,
+            entering.swapaxes(0, 1).reshape(-1, *entering.shape[2:]),
+        ).reshape(tiled)
+
     def diagnostics(self) -> tuple[np.ndarray, np.ndarray]:
         """(disc_loss, g_delta), each a (problem, iteration) array, computed on the first call.
 
         Round k's loss is that of its rebuilt problem at the theta its fit
-        ended at; its g change is max |g_k - g_(k-1)|, with g_(-1) = 0.
+        ended at; its g change is max |g_k - g_(k-1)|, with g_(-1) = 0.  In
+        exact mode the rounds' occupancies come from one `_occupancies` call
+        per chunk of rounds, about `_OCCUPANCY_ROWS` (round, problem) rows, each
+        row with the bits of the loop's own call.
         """
         if self._diagnostics is None:
-            rounds = self.policies.shape[:2]
-            losses, policies = np.empty(rounds), self.uniform
-            for k in range(rounds[1]):
-                theta = tuple(rows[:, k] for rows in self.theta)
-                round_problem = self.problem(k, policies)
-                with np.errstate(**_ROUND_ERRSTATE):
-                    losses[:, k] = round_problem.loss(theta).reshape(rounds[0])
-                policies = self.policies[:, k]
+            n_problems, n_rounds = self.policies.shape[:2]
+            # the policies that entered each round: uniform, then each round's re-solve
+            entering = np.concatenate([self.uniform[:, None], self.policies[:, :-1]], axis=1)
+            losses = np.empty((n_problems, n_rounds))
+            chunk = max(1, _OCCUPANCY_ROWS // n_problems)
+            for start in range(0, n_rounds, chunk):
+                rounds = range(start, min(start + chunk, n_rounds))
+                occupancies = (self._round_occupancies(entering[:, start:rounds.stop])
+                               if self.mode == "exact_occupancy" else [None] * len(rounds))
+                for k, negatives in zip(rounds, occupancies):
+                    theta = tuple(rows[:, k] for rows in self.theta)
+                    round_problem = self.problem(k, entering[:, k], negatives)
+                    with np.errstate(**_ROUND_ERRSTATE):
+                        losses[:, k] = round_problem.loss(theta).reshape(n_problems)
             g = self.theta[0]
             g_delta = np.abs(np.diff(g, axis=1, prepend=0.0)).max(axis=tuple(range(2, g.ndim)))
             self._diagnostics = losses, g_delta

@@ -170,51 +170,88 @@ class NewDynamicsEval(NamedTuple):
         return normalized_score(self.returns)
 
 
-def _sweep_policies(mdp: TabularMdp, reward: RewardTable, tolerance: float = 1e-8,
-                    max_iters: int = 10_000) -> np.ndarray:
-    """The softmax policy of each sweep of plain soft value iteration on `reward`,
-    as a (sweeps, S, A) stack, up to the first sweep within `tolerance`.
+def _sweep_policies(mdps: Sequence[TabularMdp], rewards: Sequence[RewardTable],
+                    tolerance: float = 1e-8, max_iters: int = 10_000, *,
+                    name_rows: bool) -> list[np.ndarray]:
+    """The softmax policy of each sweep of plain soft value iteration, one row per
+    (MDP, reward) pair, as a (sweeps, S, A) stack per row up to the row's first
+    sweep within `tolerance`.
 
-    Each sweep's q and v go into buffers that double when full.  Convergence
-    is tested once per chunk of 1, 2, 4, ... up to 32 sweeps, by one
-    |v_k - v_{k-1}| maximum over the chunk; sweeps computed past the first one
-    within tolerance are dropped.  Maximum and subtraction are exact, so each
-    kept sweep and the stopping sweep are those of a loop that tests every
-    sweep.  Warns when `max_iters` sweeps end above tolerance.  The arguments
-    are checked as `soft_value_iteration` checks them.
+    Every row sweeps in one loop; one row is a stack of one.  A sweep's product
+    is one gemv per (row, state): (B, S, A, S) @ (B, 1, S, 1), or, while one
+    row is left, the same gemvs as (S, A, S) @ (S,) on 2-D views of the
+    stack, which cost what a one-row loop costs.  Each sweep's q and v go into
+    buffers that double when full.  Convergence is tested once per chunk of 1,
+    2, 4, ... up to 32 sweeps, by one |v_k - v_{k-1}| maximum per row and
+    sweep; a row leaves the stack after the chunk that holds its first sweep
+    within tolerance, and its sweeps past that one are dropped.  Maximum and
+    subtraction are exact, so each row's kept sweeps and stopping sweep are
+    those of a one-row loop that tests every sweep.  Warns for each row whose
+    `max_iters` sweeps end above tolerance, naming the row when `name_rows`.
+    Each row's arguments are checked as `soft_value_iteration` checks them;
+    the MDPs must share their state and action counts.
     """
-    r_sa = expected_state_action(reward, mdp.transition)
-    v0 = _check_solver(r_sa, mdp.discount, tolerance, max_iters)
-    transition, discount = mdp.transition, mdp.discount
+    r_sa = [expected_state_action(reward, mdp.transition) for mdp, reward in zip(mdps, rewards)]
+    for mdp, row_r_sa in zip(mdps, r_sa):
+        _check_solver(row_r_sa, mdp.discount, tolerance, max_iters)
+    transition, r_sa = _stacked([mdp.transition for mdp in mdps]), _stacked(r_sa)
+    rows = list(range(len(mdps)))  # the pair each row of the stack sweeps for
+    policies = [None] * len(mdps)
     capacity = min(max_iters, 256)
     qs = np.empty((capacity,) + r_sa.shape)
-    # vs[k] is the value table after k sweeps; vs[0] is the start
-    vs = np.empty((capacity + 1,) + v0.shape)
-    vs[0] = v0
-    tv = np.empty_like(r_sa)
+    # vs[k] holds every row's value table after k sweeps; vs[0] is the start
+    vs = np.zeros((capacity + 1,) + r_sa.shape[:-1])
+    sweep = None  # the sweep's operands, set again whenever the stack or its buffers change
     done, chunk = 0, 1
     while True:
         end = min(done + chunk, max_iters)
         if end > capacity:
             capacity = min(2 * capacity, max_iters)
-            qs, vs = _grown(qs, capacity), _grown(vs, capacity + 1)
+            qs, vs, sweep = _grown(qs, capacity), _grown(vs, capacity + 1), None
+        if sweep is None:
+            tv = np.empty_like(r_sa)
+            if len(rows) == 1:
+                sweep = (transition[0], vs[:, 0], tv[0], tv[0], mdps[rows[0]].discount,
+                         r_sa[0], qs[:, 0], vs[:, 0])
+            else:
+                discount = np.array([mdps[i].discount for i in rows])[:, None, None]
+                sweep = (transition, vs[:, :, None, :, None], tv[..., None], tv, discount,
+                         r_sa, qs, vs)
+        matrices, vectors, product, tv_view, gamma, reward, q, v = sweep
         for k in range(done, end):
-            np.matmul(transition, vs[k], out=tv)
-            np.multiply(tv, discount, out=tv)
-            np.add(r_sa, tv, out=qs[k])
-            vs[k + 1] = _soft_backup(qs[k])
+            np.matmul(matrices, vectors[k], out=product)
+            np.multiply(tv_view, gamma, out=tv_view)
+            np.add(reward, tv_view, out=q[k])
+            v[k + 1] = _soft_backup(q[k])
         residuals = np.abs(vs[done + 1:end + 1] - vs[done:end]).max(axis=-1)
-        within = np.flatnonzero(residuals <= tolerance)
-        if len(within):
-            done += int(within[0]) + 1
-            break
-        done = end
-        if done == max_iters:
-            warnings.warn(f"plain value iteration did not converge in {done} sweeps "
-                          f"(residual {residuals[-1]:.3g})", RuntimeWarning, stacklevel=3)
-            break
-        chunk = min(2 * chunk, 32)
-    return _soft_policy(qs[:done], vs[1:done + 1])
+        within = residuals <= tolerance
+        if end < max_iters and not within.any():
+            done, chunk = end, min(2 * chunk, 32)
+            continue
+        keep = []
+        for j, hits in enumerate(within.T.tolist()):
+            if True in hits:
+                sweeps = done + hits.index(True) + 1
+            elif end == max_iters:
+                sweeps = end
+                row = f" of row {rows[j]}" if name_rows else ""
+                warnings.warn(f"plain value iteration{row} did not converge in {end} sweeps "
+                              f"(residual {residuals[-1, j]:.3g})", RuntimeWarning, stacklevel=3)
+            else:
+                keep.append(j)
+                continue
+            policies[rows[j]] = _soft_policy(qs[:sweeps, j], vs[1:sweeps + 1, j])
+        if not keep:
+            return policies
+        rows = [rows[j] for j in keep]
+        transition, r_sa = transition[keep], r_sa[keep]
+        qs, vs, sweep = qs[:, keep], vs[:, keep], None
+        done, chunk = end, min(2 * chunk, 32)
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """`np.stack(arrays)`; of one array, a view of it with a leading axis of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
@@ -242,7 +279,7 @@ def reoptimize_with_curve(
     `soft_value_iteration` checks them; reaching `max_iters` above
     `tolerance` warns.
     """
-    policies = _sweep_policies(mdp, reward, tolerance, max_iters)
+    (policies,) = _sweep_policies([mdp], [reward], tolerance, max_iters, name_rows=False)
     return policies[-1].copy(), _curve(evaluate_return(mdp, policies, mdp.reward))
 
 
@@ -252,31 +289,76 @@ def _curve(returns: np.ndarray) -> tuple[tuple[int, float], ...]:
 
 
 def evaluate_on_new_dynamics(
-    test_mdp: TabularMdp,
-    learned_reward: RewardTable,
-) -> NewDynamicsEval:
+    test_mdp: TabularMdp | Sequence[TabularMdp],
+    learned_reward: RewardTable | Sequence[RewardTable],
+) -> NewDynamicsEval | list[NewDynamicsEval]:
     """Re-optimize a learned reward on a test MDP and collect reference returns.
 
-    The re-optimization is `reoptimize_with_curve`'s, with its defaults.  The
-    sweeps' policies, the ground-truth soft optimum and the uniform policy are
-    scored by one stacked `evaluate_return` call, each row with the bits of its
-    own call.  Warns when the re-optimization or the ground-truth solve does
-    not converge.
+    Takes one test MDP and one learned reward, which gives one
+    NewDynamicsEval, or matching sequences of them, one row per pair, which
+    give a list; the test MDPs of a sequence must share state and action
+    counts.  The re-optimization is `reoptimize_with_curve`'s, with its
+    defaults, and every row's sweeps run in one `_sweep_policies` loop.  Each
+    distinct test MDP (by identity) gets one ground-truth soft optimum, the
+    optima of all of them solved by one `_solve_stack` per discount, and one
+    stacked `evaluate_return` call that scores its rows' sweep policies, its
+    optimum and the uniform policy, each row with the bits of its own call.
+    So every row equals its own one-pair call bit for bit.  Warns for each
+    row whose re-optimization or ground-truth solve does not converge, naming
+    the row when given sequences.
     """
-    policies = _sweep_policies(test_mdp, learned_reward)
-    optimal = soft_value_iteration(test_mdp)
-    _warn_unconverged(optimal, "ground-truth solve")
-    returns = evaluate_return(test_mdp, np.concatenate(
-        [policies, optimal.policy[None], uniform_policy(test_mdp)[None]]))
-    curve = _curve(returns[:-2])
-    return NewDynamicsEval(
-        ground_truth_optimal=float(returns[-2]),
-        # the curve's last point is the true return of the last sweep's policy
-        reoptimized_on_learned=curve[-1][1],
-        uniform_random=float(returns[-1]),
-        curve=curve,
-        policy=policies[-1].copy(),
-    )
+    single = isinstance(test_mdp, TabularMdp)
+    tests = [test_mdp] if single else list(test_mdp)
+    rewards = [learned_reward] if single else list(learned_reward)
+    if not tests or len(tests) != len(rewards):
+        raise ValueError("evaluate_on_new_dynamics takes one learned reward per test MDP, "
+                         f"and at least one: got {len(tests)} MDPs and {len(rewards)} rewards")
+    if len({mdp.transition.shape for mdp in tests}) > 1:
+        raise ValueError("stacked test MDPs must share state and action counts")
+    policies = _sweep_policies(tests, rewards, name_rows=not single)
+    # each distinct test MDP with the rows evaluated on it
+    groups: dict[int, tuple[TabularMdp, list[int]]] = {}
+    for i, mdp in enumerate(tests):
+        groups.setdefault(id(mdp), (mdp, []))[1].append(i)
+    groups = list(groups.values())
+    evaluations = [None] * len(tests)
+    for (mdp, rows), optimal in zip(groups, _ground_truth_solves([mdp for mdp, _ in groups])):
+        if not optimal.converged:
+            for i in rows:
+                _warn_unconverged(optimal, "ground-truth solve" if single
+                                  else f"ground-truth solve of row {i}")
+        returns = evaluate_return(mdp, np.concatenate(
+            [*(policies[i] for i in rows), optimal.policy[None], uniform_policy(mdp)[None]]))
+        start = 0
+        for i in rows:
+            curve = _curve(returns[start:start + len(policies[i])])
+            start += len(policies[i])
+            evaluations[i] = NewDynamicsEval(
+                ground_truth_optimal=float(returns[-2]),
+                # the curve's last point is the true return of the last sweep's policy
+                reoptimized_on_learned=curve[-1][1],
+                uniform_random=float(returns[-1]),
+                curve=curve,
+                policy=policies[i][-1].copy(),
+            )
+    return evaluations[0] if single else evaluations
+
+
+def _ground_truth_solves(mdps: list[TabularMdp]) -> list[SoftSolution]:
+    """Each MDP's `soft_value_iteration` of its own reward, the MDPs of one discount
+    solved as one `_solve_stack`."""
+    solutions = [None] * len(mdps)
+    by_discount: dict[float, list[int]] = {}
+    for i, mdp in enumerate(mdps):
+        by_discount.setdefault(mdp.discount, []).append(i)
+    for discount, members in by_discount.items():
+        solves = _solve_stack(
+            _stacked([mdps[i].transition for i in members]),
+            _stacked([expected_state_action(mdps[i].reward, mdps[i].transition)
+                      for i in members]), discount)
+        for k, i in enumerate(members):
+            solutions[i] = solves.row(k)
+    return solutions
 
 
 def normalized_score(returns: dict) -> float:

@@ -84,3 +84,19 @@ def solve_rows(mdps, rewards, **kwargs):
                                            mdp.transition)
                      for mdp, reward in zip(mdps, rewards)])
     return _solve_stack(transition, r_sa, mdps[0].discount, **kwargs)
+
+
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap `owner.name` for the test; returns the list of (args, kwargs) of its calls."""
+    calls, original = [], getattr(owner, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+def unexpected_call(*args, **kwargs):
+    raise AssertionError("called a function the code under test should not call")

@@ -5,8 +5,9 @@ deliberately avoiding the vectorized code paths under test.  `loop_return`,
 `loop_curve`, `loop_sample_trajectories`, `loop_soft_value_iteration` and
 `loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
 per-step, one-problem and per-dynamics forms of batched functions, kept to pin
-those functions' outputs bit for bit; so is `two_pass_loss`, the earlier
-two-pass form of the discriminator loss.  `backward_soft_recursion`,
+those functions' outputs bit for bit; so are `two_pass_loss`, the earlier
+two-pass form of the discriminator loss, and `chain_cell`, the earlier CSV
+cell formatter.  `backward_soft_recursion`,
 `general_soft_backup`, `general_soft_policy`, `loop_return` and
 `enumerate_return` take any entropy weight (temperature) w, which the package
 fixes at 1; they check that temperature w is the reward scaled by 1 / w.
@@ -364,3 +365,14 @@ def two_pass_loss(problem, theta) -> np.ndarray:
     neg[problem.w_n == 0] = 0.0
     return ((problem.w_e * np.logaddexp(0.0, -x)).sum(axis=problem.row_axes)
             + (problem.w_n * neg).sum(axis=problem.row_axes))
+
+
+def chain_cell(value) -> str:
+    """A CSV cell's text by the isinstance checks `csv_text` made for every cell."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    return str(value)

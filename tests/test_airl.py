@@ -18,6 +18,7 @@ from irl_lab.airl import (
     _as_weights,
     _episode_counts,
     _episode_problem,
+    _params_problem,
     _replay_weights,
     _rollout_counts,
     _airl_train_stack,
@@ -54,6 +55,7 @@ from irl_lab.soft_rl import (
 )
 from irl_lab.transfer import N_EXPERT_TRAJECTORIES, run_recovery
 
+from conftest import record_calls
 from oracles import fd_gradient, trajectory_probability, two_pass_loss
 
 
@@ -320,6 +322,29 @@ class TestDiscriminatorGrad:
             grad = discriminator_grad(params, policy, expert, negatives)
             npt.assert_allclose(grad.g, want_g, rtol=0, atol=1e-15)
             npt.assert_allclose(grad.h, want_h, rtol=0, atol=1e-15)
+
+    def test_only_a_gradient_forms_the_gradient_terms(self, bench_mdp):
+        # a problem only a loss is taken from, as a history read rebuilds each
+        # round's, forms no row-sized gradient terms; the first grad forms them once
+        expert = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy)
+        policy = softmax_policy(3, 16, 4)
+        negatives = occupancy(bench_mdp, policy)
+        params = random_params(8, 16, 4, "state_action", discount=bench_mdp.discount)
+        problem, theta = _params_problem(params, policy, expert, negatives)
+
+        def arrays():
+            return {name for name, value in vars(problem).items()
+                    if isinstance(value, np.ndarray)}
+
+        problem.loss(theta)
+        assert arrays() == {"offset", "w_e", "w_n"}
+        first = problem.grad(theta)
+        terms = problem._grad_terms
+        second = problem.grad(theta)
+        assert problem._grad_terms is terms
+        want = discriminator_grad(params, policy, expert, negatives)
+        for got in (first, second):
+            assert [t.tobytes() for t in got] == [want.g.tobytes(), want.h.tobytes()]
 
     def test_symmetric_optimum_has_zero_gradient(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
@@ -1034,6 +1059,22 @@ class TestLazyHistory:
         per_variant = _airl_train_stack(mdps, demos[:2], BOTH_VARIANTS, config)
         monkeypatch.undo()
         assert_losses_of_fits([r.history for results in per_variant for r in results], fits, 7)
+
+    @pytest.mark.parametrize("rows_per_call", [1, 8, 12, 28])
+    def test_exact_losses_from_chunks_of_rounds(self, monkeypatch, rows_per_call):
+        # a read takes the rounds' occupancies in calls of about rows_per_call
+        # (round, problem) rows: four problems over 7 rounds read 1, 2, 3 or 7
+        # rounds per call, the last call a short one where 7 is no multiple
+        mdps, demos = stack_problems()
+        fits = record_fits(monkeypatch)
+        results = airl_train(mdps, demos, LearnerConfig(iterations=7, disc_step_size=0.2))
+        monkeypatch.undo()
+        monkeypatch.setattr(irl_lab.airl, "_OCCUPANCY_ROWS", rows_per_call)
+        calls = record_calls(monkeypatch, irl_lab.airl, "_occupancies")
+        assert_losses_of_fits([r.history for r in results], fits, 7)
+        per_call = max(1, rows_per_call // 4)
+        assert [len(args[-1]) for args, _ in calls] == [
+            4 * min(per_call, 7 - start) for start in range(0, 7, per_call)]
 
     def test_baseline_losses_equal_the_two_pass_loss(self, bench_mdp, monkeypatch):
         demos = sample_trajectories(bench_mdp, soft_value_iteration(bench_mdp).policy, 16, seed=4)

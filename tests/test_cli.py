@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import multiprocessing.process
@@ -36,6 +37,8 @@ from irl_lab.transfer import (
     TRANSFER_MAX_MEAN_SCORE_STATE_ACTION,
     TRANSFER_MIN_MEAN_SCORE_STATE_ONLY,
 )
+
+from conftest import record_calls
 
 
 def run_cli(capsys, *args):
@@ -594,6 +597,17 @@ class TestReproduceTabular:
             manifest = json.loads((alone / "manifest.json").read_text())
             assert json_text(per_seed[i]) == json_text(manifest["per_seed"][0])
 
+    def test_every_row_is_evaluated_in_one_call(self, tmp_path, capsys, monkeypatch):
+        # two seeds under two variants: four (test MDP, learned reward) rows
+        calls = record_calls(monkeypatch, irl_lab.cli, "evaluate_on_new_dynamics")
+        assert run_cli(capsys, "reproduce-tabular", "--out", str(tmp_path / "repro"),
+                       "--seeds", "0,1", "--smoke")[0] == EXIT_OK
+        assert len(calls) == 1
+        (test_mdps, rewards), _ = calls[0]
+        assert len(test_mdps) == len(rewards) == 4
+        # each seed's test MDP serves both of its variants' rows
+        assert test_mdps[0] is test_mdps[2] and test_mdps[1] is test_mdps[3]
+
     def test_worker_pool_matches_serial_run(self, tmp_path, capsys):
         # seeds split over worker processes, one run per seed, give the files
         # of the one-process run on all of them
@@ -1054,6 +1068,36 @@ class TestMalformedJsonFiles:
 class TestEntryPoints:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "fabricate")[0] == EXIT_USAGE
+
+    def test_main_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def record(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+        smoke = ["reproduce-tabular", "--seeds", "0", "--smoke", "--out"]
+        assert run_cli(capsys, *smoke, str(tmp_path / "first"))[0] == EXIT_OK
+        # a usage error after a successful call is still one, and parsing goes on after it
+        code, _, stderr = run_cli(capsys, "reproduce-tabular", "--seeds", "0")
+        assert code == EXIT_USAGE
+        assert "the following arguments are required: --out" in stderr
+        assert run_cli(capsys, *smoke, str(tmp_path / "second"))[0] == EXIT_OK
+        assert len(parsers) == 3
+        assert all(parser is parsers[0] for parser in parsers)
+
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the benchmark's tracer wraps command functions after main has run
+        assert run_cli(capsys, "fabricate")[0] == EXIT_USAGE
+        calls = []
+        monkeypatch.setattr(irl_lab.cli, "cmd_reproduce_tabular",
+                            lambda args: calls.append(args.seeds) or EXIT_OK)
+        out = str(tmp_path / "repro")
+        assert run_cli(capsys, "reproduce-tabular", "--out", out, "--seeds", "3")[0] == EXIT_OK
+        assert calls == ["3"]
 
     def test_help_exits_cleanly(self, capsys):
         assert run_cli(capsys, "--help")[0] == EXIT_OK

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import irl_lab.airl
+from irl_lab._fmt import csv_text
 from irl_lab.airl import (DiscriminatorParams, LearnerConfig, _airl_train_stack,
                           _softplus_pair, discriminator_grad, params_from_dict, params_to_dict)
 from irl_lab.cli import InvalidMdpError, _build_mdp, load_experiment_config
@@ -29,7 +30,7 @@ from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, evaluate_
 from conftest import assert_same_solution, at_temperature, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, fd_gradient,
                      general_soft_backup, general_soft_policy, loop_occupancy, loop_return,
-                     loop_sample_trajectories, loop_soft_value_iteration)
+                     loop_sample_trajectories, loop_soft_value_iteration, chain_cell)
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -451,3 +452,30 @@ def test_fuzzed_configs_raise_only_value_errors(config_dir, data):
         _build_mdp(load_experiment_config(path)["mdp"])
     except (ValueError, InvalidMdpError):
         pass
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+CSV_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     np.float64(-0.0), np.float64(5e-324), np.float32(-0.0), np.float16(1.5)]),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(CSV_CELLS, max_size=6), max_size=5),
+       st.one_of(st.none(), st.text(max_size=8)))
+def test_csv_cells_keep_the_checked_format(rows, comment):
+    # each cell by a lookup on its exact type gives the text of the isinstance chain
+    lines = ["# " + comment] if comment else []
+    lines.append("a,b")
+    lines += [",".join(chain_cell(c) for c in row) for row in rows]
+    assert csv_text(["a", "b"], rows, comment=comment) == "\n".join(lines) + "\n"

@@ -126,9 +126,10 @@ class TestSolvePairs:
         assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ("1 rounds, times per solve (cold, warm) and per repetition of each "
-                            "perfbench workload and of history-read on instance 3")
+                            "perfbench workload and of each history read on instance 3")
         assert [line.split(":")[0] for line in lines[1:]] == [
-            "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe", "history-read"]
+            "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe",
+            "history-read-exact", "history-read-sampled"]
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10
@@ -140,7 +141,8 @@ class TestSolvePairs:
             package, "normalized_score", 1.0))
 
     def test_history_reads_that_differ_are_not_timed(self, monkeypatch, capsys):
-        assert_change_is_caught(monkeypatch, capsys, "history-read", lambda package: (
+        # the exact read is checked first, so it names the row that differs
+        assert_change_is_caught(monkeypatch, capsys, "history-read-exact", lambda package: (
             package.TrainingHistory, "to_csv_text", "\n"))
 
 

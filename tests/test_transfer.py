@@ -18,7 +18,7 @@ from irl_lab.mdp import (
     random_deterministic_mdp,
     random_mdp,
 )
-from irl_lab.shaping import centered_reward_error
+from irl_lab.shaping import PotentialFn, advantage, centered_reward_error, shape_reward
 from irl_lab.soft_rl import (
     Rollouts,
     _soft_backup,
@@ -39,7 +39,7 @@ from irl_lab.transfer import (
     run_recovery,
 )
 
-from conftest import at_temperature
+from conftest import at_temperature, record_calls, unexpected_call
 from oracles import loop_curve, loop_probe
 
 
@@ -305,13 +305,12 @@ class TestEvaluateOnNewDynamics:
         assert len(ev.curve) == 10_000
 
     def test_unconverged_ground_truth_solve_warns(self, bench_mdp, monkeypatch):
-        def one_iteration(mdp, **kwargs):
-            return soft_value_iteration(mdp, max_iters=1, **kwargs)
-
-        monkeypatch.setattr(irl_lab.transfer, "soft_value_iteration", one_iteration)
-        with pytest.warns(RuntimeWarning,
-                          match=r"ground-truth solve did not converge in 1 iterations"):
+        # the ground-truth optimum is a stacked solve, so the cap goes there
+        one_iteration_stacks(monkeypatch)
+        with pytest.warns(RuntimeWarning) as caught:
             evaluate_on_new_dynamics(bench_mdp, bench_mdp.reward)
+        assert unconverged_warnings(caught) == [
+            "ground-truth solve did not converge in 1 iterations"]
 
     def test_degenerate_span_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -325,6 +324,95 @@ class TestEvaluateOnNewDynamics:
         npt.assert_allclose(normalized_score(returns), 0.5)
         returns["reoptimized_on_learned"] = 3.0
         npt.assert_allclose(normalized_score(returns), 1.0)
+
+
+def one_sweep_and_shaped(mdp):
+    """Two candidate rewards on `mdp`: its soft advantage, whose plain value
+    iteration stops after one sweep, and a shaped truth, which takes many."""
+    adv = RewardTable("state_action", advantage(soft_value_iteration(mdp)))
+    phi = PotentialFn(np.random.default_rng(3).normal(size=mdp.n_states))
+    return adv, shape_reward(mdp.reward, phi, mdp.discount, n_actions=mdp.n_actions)
+
+
+def assert_same_eval(row, alone):
+    """Two NewDynamicsEvals equal bit for bit: curve, the three returns and policy."""
+    assert row.curve == alone.curve
+    assert row.returns == alone.returns
+    assert row.policy.tobytes() == alone.policy.tobytes()
+    assert row.policy.base is None
+
+
+class TestStackedEvaluation:
+    def test_rewards_on_one_test_mdp_equal_their_own_calls(self, bench_mdp):
+        rewards = one_sweep_and_shaped(bench_mdp)
+        stacked = evaluate_on_new_dynamics([bench_mdp] * 2, rewards)
+        assert len(stacked[0].curve) == 1
+        assert len(stacked[1].curve) > 150
+        for row, reward in zip(stacked, rewards):
+            assert_same_eval(row, evaluate_on_new_dynamics(bench_mdp, reward))
+
+    def test_rows_on_distinct_test_mdps_equal_their_own_calls(self, bench_mdp):
+        # a test MDP used by two rows out of order, and one at its own discount
+        other = paper_tabular_mdp(1001)
+        slower = replace(paper_tabular_mdp(1002), discount=0.8)
+        rng = np.random.default_rng(8)
+        candidate = RewardTable("state_action", rng.normal(size=(16, 4)))
+        tests = [bench_mdp, other, bench_mdp, slower, other]
+        rewards = [candidate, other.reward, one_sweep_and_shaped(bench_mdp)[0], slower.reward,
+                   candidate]
+        stacked = evaluate_on_new_dynamics(tests, rewards)
+        assert len(stacked) == 5
+        for row, test, reward in zip(stacked, tests, rewards):
+            assert_same_eval(row, evaluate_on_new_dynamics(test, reward))
+
+    def test_one_row_sequence_is_a_list_of_the_one_pair_call(self, tiny_mdp):
+        (row,) = evaluate_on_new_dynamics((tiny_mdp,), (tiny_mdp.reward,))
+        assert_same_eval(row, evaluate_on_new_dynamics(tiny_mdp, tiny_mdp.reward))
+
+    def test_each_test_mdp_is_solved_and_scored_once(self, bench_mdp, monkeypatch):
+        other = paper_tabular_mdp(1001)
+        solves = record_calls(monkeypatch, irl_lab.transfer, "_solve_stack")
+        scorings = record_calls(monkeypatch, irl_lab.transfer, "evaluate_return")
+        monkeypatch.setattr(irl_lab.transfer, "soft_value_iteration", unexpected_call)
+        evaluate_on_new_dynamics([bench_mdp, other, bench_mdp], [bench_mdp.reward] * 3)
+        # one stacked ground-truth solve of both test MDPs, which share a discount
+        assert [len(args[0]) for args, _ in solves] == [2]
+        assert [args[0] for args, _ in scorings] == [bench_mdp, other]
+
+    def test_a_row_at_max_iters_warns_and_names_its_row(self, bench_mdp):
+        # plain value iteration at discount 0.9999 needs far more than 10,000 sweeps
+        slow = replace(bench_mdp, discount=0.9999)
+        with pytest.warns(RuntimeWarning) as caught:
+            stacked = evaluate_on_new_dynamics([bench_mdp, slow, bench_mdp],
+                                               [bench_mdp.reward, slow.reward,
+                                                one_sweep_and_shaped(bench_mdp)[0]])
+        assert unconverged_warnings(caught) == [
+            "plain value iteration of row 1 did not converge in 10000 sweeps"]
+        assert [len(ev.curve) for ev in stacked[1:]] == [10_000, 1]
+
+    def test_unconverged_ground_truth_solves_warn_per_row(self, bench_mdp, monkeypatch):
+        one_iteration_stacks(monkeypatch)
+        other = paper_tabular_mdp(1001)
+        with pytest.warns(RuntimeWarning) as caught:
+            evaluate_on_new_dynamics([bench_mdp, other, bench_mdp], [bench_mdp.reward] * 3)
+        assert unconverged_warnings(caught) == [
+            f"ground-truth solve of row {i} did not converge in 1 iterations"
+            for i in (0, 2, 1)]
+
+    def test_converged_rows_do_not_warn(self, bench_mdp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate_on_new_dynamics([bench_mdp, paper_tabular_mdp(1001)],
+                                     one_sweep_and_shaped(bench_mdp))
+
+    @pytest.mark.parametrize("n_tests, n_rewards", [(2, 0), (2, 1), (2, 3), (0, 0)])
+    def test_rewards_must_match_the_test_mdps(self, bench_mdp, n_tests, n_rewards):
+        with pytest.raises(ValueError, match="one learned reward per test MDP"):
+            evaluate_on_new_dynamics([bench_mdp] * n_tests, [bench_mdp.reward] * n_rewards)
+
+    def test_stacked_test_mdps_must_share_their_shape(self, bench_mdp, tiny_mdp):
+        with pytest.raises(ValueError, match="share state and action counts"):
+            evaluate_on_new_dynamics([bench_mdp, tiny_mdp], [bench_mdp.reward, tiny_mdp.reward])
 
 
 class TestRunRecovery:

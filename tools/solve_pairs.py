@@ -14,13 +14,14 @@ public API and `cli.main`.  Each round times, on each side:
   0.9, as a training round's policy step starts from the last round's;
 - one repetition of each benchmark workload (`repro-exact`, `sampled-replay`,
   `reopt-probe`) on pool instance 3;
-- `history-read`: one exact and one sampled state-only `run_recovery` on
-  instance 3 (25 iterations, 20 discriminator steps of 0.2), each history then
-  read by `to_csv_text()` and `to_json_dict()`.  No benchmark workload reads a
-  history, so this row is where the cost of a read shows.
+- `history-read-exact` and `history-read-sampled`: one state-only
+  `run_recovery` on instance 3 (25 iterations, 20 discriminator steps of
+  0.2) in exact or sampled mode, its history then read by `to_csv_text()`
+  and `to_json_dict()`.  No benchmark workload reads a history, so these
+  rows are where the cost of a read shows, one row per mode.
 
 A warm-up call of each first checks that both sides' operations (key,
-outputs, error; for `history-read`, each mode's CSV and JSON texts) are equal
+outputs, error; for a history read, its CSV and JSON texts) are equal
 and none raised, and stops the tool if not: timing code that does different
 work measures nothing.  A round times each call REPEATS times per side, the
 sides taking turns, and keeps each side's fastest, which drops most
@@ -98,19 +99,17 @@ def timings(lab, workdir: Path) -> dict:
     workloads = bound_workloads(lab)
     history_mdp = lab.paper_tabular_mdp(INSTANCE)
 
-    def history_read():
-        ops = []
-        for mode in ("exact_occupancy", "sampled"):
-            config = lab.LearnerConfig(mode=mode, **HISTORY_ARGS)
-            history = lab.run_recovery(history_mdp, config.variant, config).history
-            ops.append(workloads.Op(mode, {"csv": history.to_csv_text(),
-                                           "json": json.dumps(history.to_json_dict())}))
-        return ops
+    def history_read(mode: str):
+        config = lab.LearnerConfig(mode=mode, **HISTORY_ARGS)
+        history = lab.run_recovery(history_mdp, config.variant, config).history
+        return [workloads.Op(mode, {"csv": history.to_csv_text(),
+                                    "json": json.dumps(history.to_json_dict())})]
 
     calls = {"cold": (cold, len(mdps)), "warm": (warm, len(mdps))}
     for name, workload in workloads.WORKLOADS.items():
         calls[name] = (functools.partial(workload.run, workload.setup([INSTANCE], workdir), 0), 1)
-    calls["history-read"] = (history_read, 1)
+    for name, mode in (("exact", "exact_occupancy"), ("sampled", "sampled")):
+        calls[f"history-read-{name}"] = (functools.partial(history_read, mode), 1)
     return calls
 
 
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="solve-pairs-") as workdir:
         times = run(sides, args.rounds, Path(workdir))
     print(f"{args.rounds} rounds, times per solve (cold, warm) and per repetition of each "
-          f"perfbench workload and of history-read on instance {INSTANCE}")
+          f"perfbench workload and of each history read on instance {INSTANCE}")
     print(summary(times), end="")
     return 0
 
