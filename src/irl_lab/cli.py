@@ -407,8 +407,8 @@ def cmd_transfer(args) -> int:
     recovery = run_recovery(train_mdp, learner.variant, learner)
 
     with _outputs(config["output_dir"]) as write:
-        evaluations = evaluate_on_new_dynamics([test_mdp for _, test_mdp in tests],
-                                               [recovery.params.g] * len(tests))
+        evaluations = [evaluate_on_new_dynamics(test_mdp, recovery.params.g)
+                       for _, test_mdp in tests]
         if "csv" in config["formats"]:
             for (label, _), evaluation in zip(tests, evaluations):
                 write(f"curve_{label}.csv", _curve_text(evaluation.curve))
@@ -443,8 +443,8 @@ def _reproduce_seeds(seeds: list[int], iterations: int, step_size: float) -> tup
     """Recovery plus transfer for each seed of the 16-state reproduction.
 
     Every seed's MDP trains under both variants as one stack; each seed's
-    learned rewards then transfer to its own test MDP, every (seed, variant)
-    row in one `evaluate_on_new_dynamics` call.  Returns the per-seed
+    learned rewards then transfer to its own test MDP, both variants' rewards
+    in one `evaluate_on_new_dynamics` call per seed.  Returns the per-seed
     results and the first train MDP's conventions.
     """
     train_mdps = [paper_tabular_mdp(seed) for seed in seeds]
@@ -454,20 +454,17 @@ def _reproduce_seeds(seeds: list[int], iterations: int, step_size: float) -> tup
     learner = LearnerConfig(mode="exact_occupancy", iterations=iterations,
                             disc_steps_per_iter=REPRO_DISC_STEPS, disc_step_size=step_size)
     per_variant = run_recovery(train_mdps, tuple(_VARIANT_LABELS), learner)
-    rows = [(variant, out, recovery)
-            for variant, recoveries in zip(_VARIANT_LABELS, per_variant)
-            for out, recovery in zip(per_seed, recoveries)]
-    evaluations = evaluate_on_new_dynamics(test_mdps * len(_VARIANT_LABELS),
-                                           [recovery.params.g for _, _, recovery in rows])
-    for (variant, out, recovery), evaluation in zip(rows, evaluations):
-        out["variants"][variant] = {
-            "recovery_error": recovery.recovery_error,
-            "f_advantage_error": recovery.f_advantage_error,
-            "learned_reward": reward_to_dict(recovery.params.g),
-            "returns": evaluation.returns,
-            "normalized_score": evaluation.score,
-            "curve": [[int(k), float(r)] for k, r in evaluation.curve],
-        }
+    for out, test_mdp, recoveries in zip(per_seed, test_mdps, zip(*per_variant)):
+        evaluations = evaluate_on_new_dynamics(test_mdp, [r.params.g for r in recoveries])
+        for variant, recovery, evaluation in zip(_VARIANT_LABELS, recoveries, evaluations):
+            out["variants"][variant] = {
+                "recovery_error": recovery.recovery_error,
+                "f_advantage_error": recovery.f_advantage_error,
+                "learned_reward": reward_to_dict(recovery.params.g),
+                "returns": evaluation.returns,
+                "normalized_score": evaluation.score,
+                "curve": [[int(k), float(r)] for k, r in evaluation.curve],
+            }
     return per_seed, _conventions(train_mdps[0])
 
 

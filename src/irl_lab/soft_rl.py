@@ -188,7 +188,8 @@ def _check_policy(mdp: TabularMdp, policy, *, stack: bool = False) -> np.ndarray
     if policy.ndim not in ndims or policy.shape[-2:] != (mdp.n_states, mdp.n_actions):
         stacked = "(K, n_states, n_actions) or " if stack else ""
         raise ValueError(f"policy must have shape {stacked}(n_states, n_actions)")
-    if (policy < 0).any() or np.max(np.abs(policy.sum(axis=-1) - 1.0)) > 1e-8:
+    # written as `not x <= 1e-8` so that NaN rows are rejected too
+    if (policy < 0).any() or not np.max(np.abs(policy.sum(axis=-1) - 1.0)) <= 1e-8:
         raise ValueError("policy rows must be probability distributions")
     return policy
 

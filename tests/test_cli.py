@@ -22,6 +22,7 @@ from irl_lab.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_USAGE,
+    REPRO_TEST_SEED_OFFSET,
     _aggregate_curves,
     _build_mdp,
     _criteria_blocks,
@@ -29,7 +30,8 @@ from irl_lab.cli import (
     main,
 )
 from irl_lab._fmt import json_text
-from irl_lab.mdp import RewardTable, load_mdp, mdp_to_dict, random_mdp, save_mdp
+from irl_lab.mdp import (RewardTable, load_mdp, mdp_to_dict, paper_tabular_mdp, random_mdp,
+                         save_mdp)
 from irl_lab.transfer import (
     RECOVERY_MAX_ERROR_STATE_ONLY,
     RECOVERY_MAX_F_ADVANTAGE_ERROR,
@@ -597,16 +599,14 @@ class TestReproduceTabular:
             manifest = json.loads((alone / "manifest.json").read_text())
             assert json_text(per_seed[i]) == json_text(manifest["per_seed"][0])
 
-    def test_every_row_is_evaluated_in_one_call(self, tmp_path, capsys, monkeypatch):
-        # two seeds under two variants: four (test MDP, learned reward) rows
+    def test_each_seed_is_evaluated_in_one_call(self, tmp_path, capsys, monkeypatch):
+        # two seeds under two variants: one call per seed's test MDP, one reward per variant
         calls = record_calls(monkeypatch, irl_lab.cli, "evaluate_on_new_dynamics")
         assert run_cli(capsys, "reproduce-tabular", "--out", str(tmp_path / "repro"),
                        "--seeds", "0,1", "--smoke")[0] == EXIT_OK
-        assert len(calls) == 1
-        (test_mdps, rewards), _ = calls[0]
-        assert len(test_mdps) == len(rewards) == 4
-        # each seed's test MDP serves both of its variants' rows
-        assert test_mdps[0] is test_mdps[2] and test_mdps[1] is test_mdps[3]
+        assert [len(rewards) for (_, rewards), _ in calls] == [2, 2]
+        assert [mdp_to_dict(test_mdp) for (test_mdp, _), _ in calls] == [
+            mdp_to_dict(paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET)) for seed in (0, 1)]
 
     def test_worker_pool_matches_serial_run(self, tmp_path, capsys):
         # seeds split over worker processes, one run per seed, give the files

@@ -409,6 +409,20 @@ class TestEvaluateReturn:
         with pytest.raises(ValueError, match="shape"):
             sample_trajectories(tiny_mdp, np.stack([policy]), 2, seed=0)
 
+    @pytest.mark.parametrize("call", [
+        evaluate_return,
+        lambda mdp, policy: evaluate_return(mdp, policy[None]),
+        occupancy,
+        lambda mdp, policy: sample_trajectories(mdp, policy, 2, seed=0),
+    ], ids=["return", "stacked_return", "occupancy", "sampling"])
+    def test_a_nan_policy_row_is_rejected(self, call):
+        # a NaN row sum is not above the tolerance either, so the check must reject it
+        mdp = paper_tabular_mdp(0)
+        policy = uniform_policy(mdp)
+        policy[3] = np.nan
+        with pytest.raises(ValueError, match="distributions"):
+            call(mdp, policy)
+
     def test_agrees_with_occupancy_contraction(self, bench_mdp):
         # undiscounted-normalization detail: evaluate_return discounts by
         # gamma^t while rho is renormalized, so rescale by the horizon mass

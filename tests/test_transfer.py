@@ -343,76 +343,65 @@ def assert_same_eval(row, alone):
 
 
 class TestStackedEvaluation:
-    def test_rewards_on_one_test_mdp_equal_their_own_calls(self, bench_mdp):
-        rewards = one_sweep_and_shaped(bench_mdp)
-        stacked = evaluate_on_new_dynamics([bench_mdp] * 2, rewards)
-        assert len(stacked[0].curve) == 1
-        assert len(stacked[1].curve) > 150
-        for row, reward in zip(stacked, rewards):
-            assert_same_eval(row, evaluate_on_new_dynamics(bench_mdp, reward))
-
-    def test_rows_on_distinct_test_mdps_equal_their_own_calls(self, bench_mdp):
-        # a test MDP used by two rows out of order, and one at its own discount
-        other = paper_tabular_mdp(1001)
-        slower = replace(paper_tabular_mdp(1002), discount=0.8)
+    @pytest.mark.parametrize("slower", [False, True])
+    def test_rewards_equal_their_own_calls(self, bench_mdp, slower):
+        # the one-sweep advantage stops while the shaped reward sweeps on; a test
+        # MDP at discount 0.8 stops every row sooner
+        mdp = replace(paper_tabular_mdp(1002), discount=0.8) if slower else bench_mdp
         rng = np.random.default_rng(8)
         candidate = RewardTable("state_action", rng.normal(size=(16, 4)))
-        tests = [bench_mdp, other, bench_mdp, slower, other]
-        rewards = [candidate, other.reward, one_sweep_and_shaped(bench_mdp)[0], slower.reward,
-                   candidate]
-        stacked = evaluate_on_new_dynamics(tests, rewards)
-        assert len(stacked) == 5
-        for row, test, reward in zip(stacked, tests, rewards):
-            assert_same_eval(row, evaluate_on_new_dynamics(test, reward))
+        rewards = [*one_sweep_and_shaped(mdp), candidate]
+        stacked = evaluate_on_new_dynamics(mdp, rewards)
+        assert len(stacked) == 3
+        assert len(stacked[0].curve) == 1
+        assert len(stacked[1].curve) > (50 if slower else 150)
+        for row, reward in zip(stacked, rewards):
+            assert_same_eval(row, evaluate_on_new_dynamics(mdp, reward))
 
-    def test_one_row_sequence_is_a_list_of_the_one_pair_call(self, tiny_mdp):
-        (row,) = evaluate_on_new_dynamics((tiny_mdp,), (tiny_mdp.reward,))
+    def test_one_row_sequence_is_a_list_of_the_one_reward_call(self, tiny_mdp):
+        (row,) = evaluate_on_new_dynamics(tiny_mdp, (tiny_mdp.reward,))
         assert_same_eval(row, evaluate_on_new_dynamics(tiny_mdp, tiny_mdp.reward))
 
-    def test_each_test_mdp_is_solved_and_scored_once(self, bench_mdp, monkeypatch):
-        other = paper_tabular_mdp(1001)
+    def test_the_test_mdp_is_solved_and_scored_once(self, bench_mdp, monkeypatch):
         solves = record_calls(monkeypatch, irl_lab.transfer, "_solve_stack")
         scorings = record_calls(monkeypatch, irl_lab.transfer, "evaluate_return")
         monkeypatch.setattr(irl_lab.transfer, "soft_value_iteration", unexpected_call)
-        evaluate_on_new_dynamics([bench_mdp, other, bench_mdp], [bench_mdp.reward] * 3)
-        # one stacked ground-truth solve of both test MDPs, which share a discount
-        assert [len(args[0]) for args, _ in solves] == [2]
-        assert [args[0] for args, _ in scorings] == [bench_mdp, other]
+        stacked = evaluate_on_new_dynamics(bench_mdp, one_sweep_and_shaped(bench_mdp))
+        assert [len(args[0]) for args, _ in solves] == [1]
+        # every row's sweep policies, then the optimum and the uniform policy
+        assert [(args[0], len(args[1])) for args, _ in scorings] == [
+            (bench_mdp, sum(len(ev.curve) for ev in stacked) + 2)]
 
     def test_a_row_at_max_iters_warns_and_names_its_row(self, bench_mdp):
         # plain value iteration at discount 0.9999 needs far more than 10,000 sweeps
         slow = replace(bench_mdp, discount=0.9999)
+        adv = one_sweep_and_shaped(slow)[0]
         with pytest.warns(RuntimeWarning) as caught:
-            stacked = evaluate_on_new_dynamics([bench_mdp, slow, bench_mdp],
-                                               [bench_mdp.reward, slow.reward,
-                                                one_sweep_and_shaped(bench_mdp)[0]])
+            stacked = evaluate_on_new_dynamics(slow, [adv, slow.reward, adv])
         assert unconverged_warnings(caught) == [
             "plain value iteration of row 1 did not converge in 10000 sweeps"]
-        assert [len(ev.curve) for ev in stacked[1:]] == [10_000, 1]
+        assert [len(ev.curve) for ev in stacked] == [1, 10_000, 1]
 
-    def test_unconverged_ground_truth_solves_warn_per_row(self, bench_mdp, monkeypatch):
+    def test_an_unconverged_ground_truth_solve_warns_once(self, bench_mdp, monkeypatch):
         one_iteration_stacks(monkeypatch)
-        other = paper_tabular_mdp(1001)
         with pytest.warns(RuntimeWarning) as caught:
-            evaluate_on_new_dynamics([bench_mdp, other, bench_mdp], [bench_mdp.reward] * 3)
+            evaluate_on_new_dynamics(bench_mdp, [bench_mdp.reward] * 3)
         assert unconverged_warnings(caught) == [
-            f"ground-truth solve of row {i} did not converge in 1 iterations"
-            for i in (0, 2, 1)]
+            "ground-truth solve did not converge in 1 iterations"]
 
     def test_converged_rows_do_not_warn(self, bench_mdp):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            evaluate_on_new_dynamics([bench_mdp, paper_tabular_mdp(1001)],
-                                     one_sweep_and_shaped(bench_mdp))
+            evaluate_on_new_dynamics(bench_mdp, one_sweep_and_shaped(bench_mdp))
 
-    @pytest.mark.parametrize("n_tests, n_rewards", [(2, 0), (2, 1), (2, 3), (0, 0)])
-    def test_rewards_must_match_the_test_mdps(self, bench_mdp, n_tests, n_rewards):
-        with pytest.raises(ValueError, match="one learned reward per test MDP"):
-            evaluate_on_new_dynamics([bench_mdp] * n_tests, [bench_mdp.reward] * n_rewards)
+    def test_an_empty_sequence_is_refused(self, bench_mdp):
+        with pytest.raises(ValueError, match="at least one learned reward"):
+            evaluate_on_new_dynamics(bench_mdp, [])
 
-    def test_stacked_test_mdps_must_share_their_shape(self, bench_mdp, tiny_mdp):
-        with pytest.raises(ValueError, match="share state and action counts"):
-            evaluate_on_new_dynamics([bench_mdp, tiny_mdp], [bench_mdp.reward, tiny_mdp.reward])
+    def test_every_row_is_checked(self, bench_mdp):
+        bad = RewardTable("state_only", np.full(16, np.inf))
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_on_new_dynamics(bench_mdp, [bench_mdp.reward, bad])
 
 
 class TestRunRecovery:

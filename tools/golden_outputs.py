@@ -2,14 +2,16 @@
 
     python3 tools/golden_outputs.py OUTDIR
 
-Runs thirteen fixed commands in-process against the package in this
+Runs fifteen fixed commands in-process against the package in this
 checkout's `src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the
 same with `--smoke`), `train` on `paper_tabular` seed 0 with each AIRL variant
 in exact and in sampled mode, a sampled `train` on the `counterexample` MDP
 (deterministic rows with exact zeros, CDFs that reach 1 before their last
 entry, a point-mass start), `train` with the `gan_gcl_trajectory` baseline on
 a `random` MDP, `transfer` on three test seeds with a five-dynamics probe,
-`generate` for each MDP kind, and `probe`.
+`generate` for each MDP kind and for `paper_tabular` seed 1002 at discount
+0.8, a `transfer` over three test MDP files at discounts 0.8, 0.9 and 0.8,
+and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
 OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
@@ -73,12 +75,24 @@ CONFIGS = {
         "transfer": {"test_seeds": [1000, 1001, 1002], "n_dynamics": 5},
         "output_dir": "transfer",
     },
+    "transfer_discounts.json": {
+        "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
+        "learner": {"variant": "airl_state_action", "iterations": 25,
+                    "disc_steps_per_iter": 20, "disc_step_size": 0.2},
+        "transfer": {"test_mdp_paths": ["generate/paper_tabular_discount_08.json",
+                                        "generate/paper_tabular.json",
+                                        "generate/paper_tabular_discount_08.json"]},
+        "output_dir": "transfer_discounts",
+    },
 }
 
 # (name, argv); later commands read files that earlier ones wrote.
 COMMANDS = (
     ("generate_paper_tabular",
      ["generate", "--paper-tabular", "--seed", "0", "-o", "generate/paper_tabular.json"]),
+    ("generate_paper_tabular_discount_08",
+     ["generate", "--paper-tabular", "--seed", "1002", "--discount", "0.8",
+      "-o", "generate/paper_tabular_discount_08.json"]),
     ("generate_counterexample",
      ["generate", "--counterexample", "modified", "-o", "generate/counterexample.json"]),
     ("generate_random",
@@ -97,6 +111,7 @@ COMMANDS = (
      ["train", "--config", "configs/train_counterexample_sampled.json"]),
     ("train_gan_gcl", ["train", "--config", "configs/train_gan_gcl.json"]),
     ("transfer", ["transfer", "--config", "configs/transfer.json"]),
+    ("transfer_discounts", ["transfer", "--config", "configs/transfer_discounts.json"]),
     ("probe",
      ["probe", "--mdp", "generate/paper_tabular.json",
       "--reward", "train_paper_tabular/learned_reward.json",
