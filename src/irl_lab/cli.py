@@ -642,7 +642,8 @@ def main(argv=None) -> int:
         for problem in exc.args:
             print(f"invalid: {problem}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a MemoryError is a size too large to allocate, such as an iteration count
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

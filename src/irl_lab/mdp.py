@@ -449,10 +449,11 @@ def save_mdp(mdp: TabularMdp, path) -> None:
 
 
 def read_json(path, what: str):
-    """The JSON document in file `path`; text that is not UTF-8 JSON raises ValueError naming it."""
+    """The JSON document in file `path`; text that is not UTF-8 JSON, or nests too deep for
+    the decoder, raises ValueError naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
 
 

@@ -138,17 +138,15 @@ def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
     """`soft_value_iteration` of each row of a stack, checked once and solved in one loop.
 
     Takes transitions (B, S, A, S), rewards collapsed to (B, S, A) and warm
-    starts `v_init` (B, S) or none; one solve is the stack of one.  Each
-    iteration backs up the rows still running.  A row leaves the stack at the
-    iteration where it converges or reaches `max_iters`, so every row gets the
-    bits of its own one-row solve.  Rows are copied out only in an iteration
-    where some, but not all, stop.
+    starts `v_init` (B, S) or none; one solve is the stack of one.  Rows stay in
+    the stack: a converged row keeps the values it stopped from, so it repeats
+    its stopping backup bit for bit and gets the bits of its own one-row solve.
+    A step that leaves all values unchanged byte for byte would repeat forever,
+    so the loop ends there with the outcome of `max_iters` iterations.
     """
     v = _check_solver(r_sa, discount, tolerance, max_iters, v_init)
     identity = np.eye(r_sa.shape[-2])
-    rows = np.arange(len(r_sa))
-    # (row indices, iterations, q, v_new, residual) of each group of rows that stopped early
-    stopped = []
+    first_stop = None  # each row's first stopping iteration, once some rows stop early
     for iterations in range(1, max_iters + 1):
         q = r_sa + discount * (transition @ v[:, None, :, None])[..., 0]
         v_new = _soft_backup(q)
@@ -157,22 +155,23 @@ def _solve_stack(transition: np.ndarray, r_sa: np.ndarray, discount: float,
         n_stop = np.count_nonzero(stop)
         if n_stop == stop.size or iterations == max_iters:
             break
-        if n_stop:
-            stopped.append((rows[stop], np.full(n_stop, iterations), q[stop], v_new[stop],
-                            residual[stop]))
-            keep = ~stop
-            rows, transition, r_sa = rows[keep], transition[keep], r_sa[keep]
-            q, v_new, v = q[keep], v_new[keep], v[keep]
         # r_pi + H_pi = sum_a pi * (q - log pi) = v_new - gamma * P_pi @ v
         p_pi = np.einsum("bsa,bsap->bsp", _soft_policy(q, v_new), transition)
         rhs = v_new - discount * (p_pi @ v[..., None])[..., 0]
-        v = np.linalg.solve(identity - discount * p_pi, rhs[..., None])[..., 0]
-    iterations_used = np.full(residual.shape, iterations)
-    if stopped:
-        groups = [*stopped, (rows, iterations_used, q, v_new, residual)]
-        order = np.argsort(np.concatenate([group[0] for group in groups]))
-        iterations_used, q, v_new, residual = (
-            np.concatenate([group[k] for group in groups])[order] for k in range(1, 5))
+        v_next = np.linalg.solve(identity - discount * p_pi, rhs[..., None])[..., 0]
+        if n_stop:
+            if first_stop is None:
+                first_stop = np.full(len(r_sa), max_iters)
+            np.minimum(first_stop, iterations, out=first_stop, where=stop)
+            v_next[stop] = v[stop]
+        # bytes, not ==: NaN rows must match themselves and -0.0 must not match 0.0
+        if v_next.tobytes() == v.tobytes():
+            iterations = max_iters  # the outcome every later iteration would repeat
+            break
+        v = v_next
+    iterations_used = np.full(len(r_sa), iterations)
+    if first_stop is not None:
+        np.minimum(iterations_used, first_stop, out=iterations_used)
     return SoftSolution(q, v_new, _soft_policy(q, v_new), iterations_used, residual,
                         residual <= tolerance)
 

@@ -70,10 +70,11 @@ def at_temperature(reward: RewardTable, w: float) -> RewardTable:
 
 
 def assert_same_solution(row, alone):
-    """Two SoftSolutions equal bit for bit, arrays and scalars alike."""
-    for name in ("q", "v", "policy"):
-        assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
-    for name in ("iterations_used", "residual", "converged"):
+    """Two SoftSolutions equal bit for bit, arrays and scalars alike (a NaN residual too)."""
+    for name in ("q", "v", "policy", "residual"):
+        assert (np.asarray(getattr(row, name)).tobytes()
+                == np.asarray(getattr(alone, name)).tobytes()), name
+    for name in ("iterations_used", "converged"):
         assert getattr(row, name) == getattr(alone, name), name
 
 

@@ -904,6 +904,11 @@ class TestWrongTypedJson:
         pytest.param("train", "config",
                      dict(VALID_CONFIG, learner={"iterations": 2, "disc_step_size": float("inf")}),
                      id="config-infinite-step-size"),
+        # nested deeper than the decoder's recursion limit; a str is written as the file's text
+        pytest.param("train", "config", '{"learner": ' + "[" * 100_000 + "}",
+                     id="config-nested-too-deep"),
+        pytest.param("probe", "mdp", "[" * 100_000, id="mdp-nested-too-deep"),
+        pytest.param("probe", "reward", "[" * 100_000, id="reward-nested-too-deep"),
     ])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         command, slot, doc):
@@ -911,7 +916,8 @@ class TestWrongTypedJson:
         inputs = {"mdp": VALID_MDP, "reward": VALID_REWARD, "config": VALID_CONFIG}
         inputs[slot] = doc
         for name, content in inputs.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / f"{name}.json").write_text(text)
         before = set(tmp_path.rglob("*"))
         if command == "probe":
             argv = ["probe", "--mdp", "mdp.json", "--reward", "reward.json",
@@ -921,6 +927,35 @@ class TestWrongTypedJson:
         code, _, stderr = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+        assert set(tmp_path.rglob("*")) == before
+
+
+class TestTooLargeToAllocate:
+    """A size whose arrays exceed the 128 TiB of a 64-bit user address space fails its
+    allocation at once on any machine: a usage error, never a traceback."""
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["reproduce-tabular", "--seeds", "0", "--iterations", str(10**12),
+                      "--out", "out"], None, id="reproduce-tabular-iterations"),
+        pytest.param(["train", "--config", "config.json"],
+                     dict(VALID_CONFIG, learner={"iterations": 10**13}), id="train-iterations"),
+        pytest.param(["generate", "--states", "1000000", "--actions", "1000",
+                      "-o", "big.json"], None, id="generate-states-actions"),
+        pytest.param(["probe", "--mdp", "mdp.json", "--reward", "reward.json",
+                      "--n-dynamics", str(10**12), "--out", "probe.json"], None,
+                     id="probe-n-dynamics"),
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, config):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mdp.json").write_text(json.dumps(VALID_MDP))
+        (tmp_path / "reward.json").write_text(json.dumps(VALID_REWARD))
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+        before = set(tmp_path.rglob("*"))
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: Unable to allocate")
         assert "Traceback" not in stderr
         assert set(tmp_path.rglob("*")) == before
 

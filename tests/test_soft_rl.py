@@ -31,7 +31,8 @@ from irl_lab.soft_rl import (
     uniform_policy,
 )
 
-from conftest import assert_same_solution, at_temperature, small_random_mdps, solve_rows
+from conftest import (assert_same_solution, at_temperature, record_calls, small_random_mdps,
+                      solve_rows)
 from oracles import (backward_soft_recursion, enumerate_return, loop_occupancy, loop_return,
                      loop_sample_trajectories, loop_soft_value_iteration)
 
@@ -181,8 +182,19 @@ def stacked_solve_rows():
     return [(mdp, reward) for mdp in dense + one_successor for reward in rewards]
 
 
+def stuck_solve_rows():
+    """(MDP, reward) pairs whose solves reach a byte-level fixed point without converging:
+    a reward near 1e292 whose values settle near 1e293, and two that overflow to NaN."""
+    mdp = random_mdp(4, 2, RewardTable("state_only", np.eye(4)[0]), seed=3, horizon=8)
+    huge = np.full((4, 2), 1e292)
+    huge[1, 0] = -3e291
+    return {"stuck": (mdp, RewardTable("state_action", huge)),
+            **{name: (mdp, RewardTable("state_action", np.full((4, 2), float(name))))
+               for name in ("1e308", "1.7e308")}}
+
+
 class TestStackedSolves:
-    """`_solve_stack`: every row leaves the loop where its own solve stops."""
+    """`_solve_stack`: every row stays in the stack and keeps the bits of its own solve."""
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("temperature", [1.0, 0.3])
@@ -197,7 +209,7 @@ class TestStackedSolves:
         kwargs = [{"v_init": v} for v in starts]
         alone = [soft_value_iteration(mdp, reward, **kw)
                  for mdp, reward, kw in zip(mdps, rewards, kwargs)]
-        # the rows stop at different iterations, so rows leave a running stack
+        # the rows stop at different iterations, so stopped rows stay in a running stack
         assert len({solution.iterations_used for solution in alone}) > 1
         assert all(solution.converged for solution in alone)
         for i, (mdp, reward, kw) in enumerate(zip(mdps, rewards, kwargs)):
@@ -215,6 +227,37 @@ class TestStackedSolves:
                  for mdp, reward, v in zip(mdps, rewards, v_init)]
         assert [solution.converged for solution in alone] == [False, True] * 4
         assert [solution.iterations_used for solution in alone[::2]] == [3] * 4
+        for i, solution in enumerate(alone):
+            assert_same_solution(stack.row(i), solution)
+
+    @pytest.mark.parametrize("name, backups", [("stuck", 6), ("1e308", 4), ("1.7e308", 4)])
+    def test_solve_at_a_fixed_point_ends_with_the_outcome_of_max_iters(self, monkeypatch,
+                                                                        name, backups):
+        # a step that leaves the values unchanged byte for byte, with huge or NaN
+        # values, would repeat in every later iteration: the loop ends there
+        mdp, reward = stuck_solve_rows()[name]
+        calls = record_calls(monkeypatch, irl_lab.soft_rl, "_soft_backup")
+        with np.errstate(all="ignore"):
+            solution = soft_value_iteration(mdp, reward, max_iters=300)
+            oracle = loop_soft_value_iteration(mdp, reward, max_iters=300)
+        assert len(calls) == backups
+        assert solution.iterations_used == 300 and not solution.converged
+        assert_same_solution(solution, oracle)
+
+    def test_rows_at_a_fixed_point_beside_converging_rows(self):
+        rows = list(stuck_solve_rows().values())
+        for seed in range(4, 7):
+            mdp = random_mdp(4, 2, RewardTable("state_only", np.eye(4)[seed % 4]), seed=seed,
+                             horizon=8)
+            normal = np.random.default_rng(seed).normal(size=(4, 2))
+            rows += [(mdp, None), (mdp, RewardTable("state_action", normal))]
+        mdps, rewards = zip(*rows)
+        # converged rows stay in the stack while the others run to their fixed points
+        with np.errstate(all="ignore"):
+            stack = solve_rows(mdps, rewards, max_iters=300)
+            alone = [soft_value_iteration(mdp, reward, max_iters=300)
+                     for mdp, reward in zip(mdps, rewards)]
+        assert [solution.converged for solution in alone] == [False] * 3 + [True] * 6
         for i, solution in enumerate(alone):
             assert_same_solution(stack.row(i), solution)
 

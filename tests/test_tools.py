@@ -33,12 +33,12 @@ class TestGoldenOutputs:
         out = tmp_path / "golden"
         assert golden_outputs.main([str(out)]) == 0
         names = [name for name, _ in golden_outputs.COMMANDS]
-        assert len(names) == 15
+        assert len(names) == 16
         # reproduce_tabular fails its thresholds: criteria 1-2 are not met
         exits = {name: (out / "runs" / f"{name}.exit").read_text() for name in names}
         assert exits == {name: "1\n" if name == "reproduce_tabular" else "0\n"
                          for name in names}
-        assert sum(path.is_file() for path in out.rglob("*")) == 118
+        assert sum(path.is_file() for path in out.rglob("*")) == 126
         assert golden_outputs.main([str(out)]) == 2  # refuses a non-empty OUTDIR
 
 

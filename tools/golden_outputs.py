@@ -2,19 +2,21 @@
 
     python3 tools/golden_outputs.py OUTDIR
 
-Runs fifteen fixed commands in-process against the package in this
+Runs sixteen fixed commands in-process against the package in this
 checkout's `src/`: `reproduce-tabular` (25 iterations on seeds 0,1, and the
 same with `--smoke`), `train` on `paper_tabular` seed 0 with each AIRL variant
 in exact and in sampled mode, a sampled `train` on the `counterexample` MDP
 (deterministic rows with exact zeros, CDFs that reach 1 before their last
 entry, a point-mass start), `train` with the `gan_gcl_trajectory` baseline on
-a `random` MDP, `transfer` on three test seeds with a five-dynamics probe,
-`generate` for each MDP kind and for `paper_tabular` seed 1002 at discount
-0.8, a `transfer` over three test MDP files at discounts 0.8, 0.9 and 0.8,
-and `probe`.
+a `random` MDP, a sampled `train` whose discriminator step of 3e307 leaves
+policy steps stuck at huge values without converging, `transfer` on three
+test seeds with a five-dynamics probe, `generate` for each MDP kind and for
+`paper_tabular` seed 1002 at discount 0.8, a `transfer` over three test MDP
+files at discounts 0.8, 0.9 and 0.8, and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
-OUTDIR, so two output sets compare with `diff -r OUTDIR_A OUTDIR_B`.
+OUTDIR, and stderr is written without this checkout's path, so two output sets
+compare with `diff -r OUTDIR_A OUTDIR_B`.
 The two-seed `reproduce-tabular` runs train both seeds as one stack.  OUTDIR
 must be empty or absent.
 """
@@ -68,6 +70,13 @@ CONFIGS = {
                     "iterations": 6, "n_policy_trajectories": 8},
         "output_dir": "train_gan_gcl",
     },
+    "train_stuck_policy_step.json": {
+        "mdp": {"source": "generate", "kind": "random", "states": 4, "actions": 2,
+                "seed": 3, "horizon": 8, "reward_state": 0},
+        "learner": {"variant": "airl_state_action", "mode": "sampled", "iterations": 3,
+                    "disc_step_size": 3e307},
+        "output_dir": "train_stuck_policy_step",
+    },
     "transfer.json": {
         "mdp": {"source": "generate", "kind": "paper_tabular", "seed": 0},
         "learner": {"variant": "airl_state_only", "iterations": 25,
@@ -110,6 +119,7 @@ COMMANDS = (
     ("train_counterexample_sampled",
      ["train", "--config", "configs/train_counterexample_sampled.json"]),
     ("train_gan_gcl", ["train", "--config", "configs/train_gan_gcl.json"]),
+    ("train_stuck_policy_step", ["train", "--config", "configs/train_stuck_policy_step.json"]),
     ("transfer", ["transfer", "--config", "configs/transfer.json"]),
     ("transfer_discounts", ["transfer", "--config", "configs/transfer_discounts.json"]),
     ("probe",
@@ -135,7 +145,8 @@ def write_golden(outdir: Path) -> None:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = irl_lab.cli.main(argv)
             Path("runs", f"{name}.stdout").write_text(stdout.getvalue())
-            Path("runs", f"{name}.stderr").write_text(stderr.getvalue())
+            Path("runs", f"{name}.stderr").write_text(
+                stderr.getvalue().replace(str(SRC.parent) + os.sep, ""))
             Path("runs", f"{name}.exit").write_text(f"{code}\n")
             print(f"{name}: exit {code}")
     finally:
