@@ -330,86 +330,96 @@ def _softplus_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Problem:
-    """One round's regression: logits phi(theta) + offset, weights w_e and w_n.
+    """One round's regression: logits x(theta), weights w_e and w_n.
 
-    theta is a tuple of arrays; `phi_t` maps a per-row vector back to a tuple
-    shaped like theta.  One problem's rows span the logits' `row_axes`; axes
-    before them index a stack of independent problems, whose fits never mix.
-    The per-row gradient D * (w_e + w_n) - w_e equals
-    half * tanh(x / 2) + (half - w_e) with half = (w_e + w_n) / 2; the row-sized
-    terms that do not depend on theta are formed once, by the first `grad`, so
-    a problem only a loss is taken from forms none of them.
+    theta is a tuple of arrays; `half_logits(theta, out)` gives x / 2, into the
+    row-sized array `out` if given, and the linear `phi_t` maps a per-row
+    vector back to a tuple shaped like theta.  One problem's rows span the
+    logits' `row_axes`; axes before them index a stack of independent
+    problems, whose fits never mix.  The per-row gradient D * (w_e + w_n) - w_e
+    equals half * tanh(x / 2) + (half - w_e) with half = (w_e + w_n) / 2, so the
+    gradient is phi_t(half * tanh(x / 2)) plus phi_t(half - w_e), a constant
+    that the first `grad` forms with half: a problem only a loss is taken from
+    forms neither.  `fit` writes every step's x / 2 into one buffer.
     """
 
-    def __init__(self, phi: Callable, phi_t: Callable, offset, w_e, w_n, row_axes):
-        self.phi, self.phi_t = phi, phi_t
-        self.offset, self.w_e, self.w_n, self.row_axes = offset, w_e, w_n, row_axes
+    def __init__(self, half_logits: Callable, phi_t: Callable, w_e, w_n, row_axes):
+        self.half_logits, self.phi_t = half_logits, phi_t
+        self.w_e, self.w_n, self.row_axes = w_e, w_n, row_axes
 
     @functools.cached_property
-    def _grad_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(offset / 2, half, half - w_e), the gradient's terms that do not depend on theta."""
+    def _grad_terms(self) -> tuple[np.ndarray, tuple]:
+        """(half, phi_t(half - w_e)), the gradient's terms that do not depend on theta."""
         half = 0.5 * (self.w_e + self.w_n)
-        return 0.5 * self.offset, half, half - self.w_e
+        return half, self.phi_t(half - self.w_e)
+
+    def logits(self, theta) -> np.ndarray:
+        """x, twice the half logits the gradient steps on."""
+        return 2.0 * self.half_logits(theta)
 
     def loss(self, theta) -> np.ndarray:
         """sum(w_e * -log D) + sum(w_n * -log(1 - D)) per problem, computed in log space.
 
         -log D = log(1 + exp(-x)) and -log(1 - D) = log(1 + exp(x)) come from
         one `_softplus_pair` pass.  A row with pi(a|s) = 0 has an infinite
-        offset, so -log(1 - D) is infinite there while the row's negative
+        logit, so -log(1 - D) is infinite there while the row's negative
         weight is 0; such a row adds 0 (0 * log 0 = 0).  -log D is infinite
         only for infinite parameters.
         """
-        pos, neg = _softplus_pair(self.phi(theta) + self.offset)
+        pos, neg = _softplus_pair(self.logits(theta))
         neg[self.w_n == 0] = 0.0
         return ((self.w_e * pos).sum(axis=self.row_axes)
                 + (self.w_n * neg).sum(axis=self.row_axes))
 
-    def grad(self, theta) -> tuple:
-        """Phi^T (D * (w_e + w_n) - w_e), with D = sigmoid(x) = (1 + tanh(x / 2)) / 2."""
-        half_offset, half, bias = self._grad_terms
-        # in place on one row-sized array: the same operations, fewer allocations
-        dl_dx = 0.5 * self.phi(theta) + half_offset
+    def grad(self, theta, out=None) -> tuple:
+        """Phi^T (D * (w_e + w_n) - w_e), with D = sigmoid(x) = (1 + tanh(x / 2)) / 2;
+        x / 2 goes into `out` when given, and tanh and the product work in place."""
+        half, chained_bias = self._grad_terms
+        dl_dx = self.half_logits(theta, out)
         np.tanh(dl_dx, out=dl_dx)
         dl_dx *= half
-        dl_dx += bias
-        return self.phi_t(dl_dx)
+        return tuple(map(np.add, self.phi_t(dl_dx), chained_bias))
 
     def fit(self, theta, steps: int, step_size: float) -> tuple:
+        buffer = np.empty_like(self._grad_terms[0])
         for _ in range(steps):
-            theta = tuple(t - step_size * g for t, g in zip(theta, self.grad(theta)))
+            theta = tuple(t - step_size * g for t, g in zip(theta, self.grad(theta, buffer)))
         return theta
 
 
-def _chain_to_tables(dl_df, tied: int | None, discount: float):
-    """Chain a per-cell f gradient onto the g and h tables.
+def _cell_problem(tied: int | None, discount: float, log_pi, w_e, w_n) -> _Problem:
+    """AIRL rows: the (s, a, s') cells, theta = (g, h), logits f - log pi(a|s).
 
-    g collects the cells sharing its index; h gets weight -1 at the current
-    state and +discount at the successor.  Leading problem axes pass through.
-    `tied` is None when every g is a state table.  Otherwise g is a
-    state-action table, and the first `tied` problems of the stack are
-    state-only ones holding g(s) tied across actions: each gets its per-state
-    gradient copied across its actions, which keeps the copies equal.
+    x / 2 is an (s, a) table, (g - h(s) - log pi) / 2, plus an s' table,
+    (discount / 2) h(s'), added by one broadcast.  The chain gives g the sum of
+    the cells sharing its index, and h weight -1 at the current state and
+    +discount at the successor; leading problem axes pass through.  On the
+    (..., S * A, S) view of the cells, products with ones sum each (s, a)'s
+    successors and each successor's (s, a) cells; a state's sum adds its (s, a)
+    sums in every layout.  `tied` is None when every g is a state table.
+    Otherwise g is a state-action table, and the first `tied` problems of the
+    stack are state-only ones holding g(s) tied across actions, each given its
+    per-state gradient on every action: the bits of the state layout.
     """
-    per_state = dl_df.sum(axis=(-2, -1))
-    if tied is None:
-        grad_g = per_state
-    else:
-        grad_g = dl_df.sum(axis=-1)
+    n_states, n_actions = log_pi.shape[-2:]
+    by_action, by_successor, by_cell = map(np.ones, (n_actions, n_states, n_states * n_actions))
+
+    def half_logits(theta, out=None):
+        g, h = theta
+        g_sa = g[..., None] if g.ndim == h.ndim else g
+        return np.add((0.5 * (g_sa - h[..., None] - log_pi))[..., None],
+                      (0.5 * discount) * h[..., None, None, :], out=out)
+
+    def chain(dl_df):
+        cells = dl_df.reshape(*dl_df.shape[:-3], n_states * n_actions, n_states)
+        per_sa = (cells @ by_successor).reshape(dl_df.shape[:-1])
+        per_state = per_sa @ by_action
+        grad_g = per_state if tied is None else per_sa
         if tied:
             grad_g[:tied] = per_state[:tied, :, None]
-    grad_h = discount * dl_df.sum(axis=(-3, -2)) - per_state
-    return grad_g, grad_h
+        return grad_g, discount * (by_cell @ cells) - per_state
 
-
-def _cell_problem(tied: int | None, discount: float, log_pi, w_e, w_n) -> _Problem:
-    """AIRL rows: the (s, a, s') cells, theta = (g, h), offset -log pi(a|s);
-    `tied` gives g's layout as `_chain_to_tables` takes it."""
-    return _Problem(
-        lambda theta: _raw_f(*theta, discount),
-        lambda dl_df: _chain_to_tables(dl_df, tied, discount),
-        -log_pi[..., None], w_e, w_n, (-3, -2, -1),
-    )
+    return _Problem(half_logits, chain, w_e, w_n, (-3, -2, -1))
 
 
 def _params_problem(params: DiscriminatorParams, policy, expert, negatives):
@@ -764,7 +774,7 @@ def _episode_counts(states, actions, n_states: int, n_actions: int) -> np.ndarra
 def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
     """Trajectory rows: the first `n_expert` count rows are expert, the rest negative.
 
-    An episode's offset is -sum of log pi over its steps.  One that visits a
+    An episode's logit is its f plus the offset -sum of log pi over its steps.  One
     zero-probability (s, a) cell has probability 0 under pi, so its offset is
     +inf, as the cell problem's is; the other rows skip those cells, which
     they never visit, so a policy without zeros gives the plain product.
@@ -776,12 +786,12 @@ def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
     w_n[n_expert:] = 1.0 / (len(counts) - n_expert)
     log_pi_flat = log_pi.ravel()
     impossible = np.isneginf(log_pi_flat)
-    offset = -(counts @ np.where(impossible, 0.0, log_pi_flat))
-    offset[counts[:, impossible].any(axis=1)] = np.inf
+    half_offset = -0.5 * (counts @ np.where(impossible, 0.0, log_pi_flat))
+    half_offset[counts[:, impossible].any(axis=1)] = np.inf
     return _Problem(
-        lambda theta: counts @ theta[0].ravel(),
+        lambda theta, out=None: np.add(0.5 * (counts @ theta[0].ravel()), half_offset, out=out),
         lambda dl_dx: ((dl_dx @ counts).reshape(log_pi.shape),),
-        offset, w_e, w_n, -1,
+        w_e, w_n, -1,
     )
 
 

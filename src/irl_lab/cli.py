@@ -439,13 +439,14 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_seeds(seeds: list[int], iterations: int, step_size: float) -> tuple[list, dict]:
+def _reproduce_seeds(seeds: list[int], iterations: int,
+                     step_size: float) -> tuple[list, TabularMdp]:
     """Recovery plus transfer for each seed of the 16-state reproduction.
 
     Every seed's MDP trains under both variants as one stack; each seed's
     learned rewards then transfer to its own test MDP, both variants' rewards
     in one `evaluate_on_new_dynamics` call per seed.  Returns the per-seed
-    results and the first train MDP's conventions.
+    results and the first train MDP.
     """
     train_mdps = [paper_tabular_mdp(seed) for seed in seeds]
     test_mdps = [paper_tabular_mdp(seed + REPRO_TEST_SEED_OFFSET) for seed in seeds]
@@ -465,7 +466,7 @@ def _reproduce_seeds(seeds: list[int], iterations: int, step_size: float) -> tup
                 "normalized_score": evaluation.score,
                 "curve": [[int(k), float(r)] for k, r in evaluation.curve],
             }
-    return per_seed, _conventions(train_mdps[0])
+    return per_seed, train_mdps[0]
 
 
 # manifest.json's name for a per-seed key's value list; a statistic is named like max_error.
@@ -502,17 +503,17 @@ def cmd_reproduce_tabular(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--seeds must list distinct integers, comma-separated: {exc}") from exc
     iterations = 0 if args.smoke else args.iterations
-    per_seed, conventions = _reproduce_seeds(seeds, iterations, args.step_size)
+    per_seed, train_mdp = _reproduce_seeds(seeds, iterations, args.step_size)
 
     with _outputs(Path(args.out)) as write:
         for result in per_seed:
             seed = result["seed"]
             truth = result["truth_heatmap"]["values"]
-            write(f"heatmap_truth_seed{seed}.csv", _heatmap_text(truth, 4))
+            write(f"heatmap_truth_seed{seed}.csv", _heatmap_text(truth, train_mdp.n_actions))
             for variant, label in _VARIANT_LABELS.items():
                 block = result["variants"][variant]
-                write(f"heatmap_{label}_seed{seed}.csv",
-                      _heatmap_text(block["learned_reward"]["values"], 4))
+                write(f"heatmap_{label}_seed{seed}.csv", _heatmap_text(
+                    block["learned_reward"]["values"], train_mdp.n_actions))
                 write(f"curve_{label}_seed{seed}.csv", _curve_text(block["curve"]))
         for variant, label in _VARIANT_LABELS.items():
             curves = [r["variants"][variant]["curve"] for r in per_seed]
@@ -532,7 +533,7 @@ def cmd_reproduce_tabular(args) -> int:
             },
             "experiments": experiments,
             "all_pass": all_pass,
-            "conventions": conventions,
+            "conventions": _conventions(train_mdp),
             "per_seed": per_seed,
         }
         write("manifest.json", json_text(manifest))

@@ -359,8 +359,8 @@ def trajectory_probability(mdp: TabularMdp, policy: np.ndarray, states, actions)
 def two_pass_loss(problem, theta) -> np.ndarray:
     """A training round's discriminator loss at theta, by two logaddexp passes:
     sum(w_e * logaddexp(0, -x)) + sum(w_n * logaddexp(0, x)) over the problem's
-    rows, x = phi(theta) + offset, with the w_n term 0 where w_n = 0."""
-    x = problem.phi(theta) + problem.offset
+    rows, x = problem.logits(theta), with the w_n term 0 where w_n = 0."""
+    x = problem.logits(theta)
     neg = np.logaddexp(0.0, x)
     neg[problem.w_n == 0] = 0.0
     return ((problem.w_e * np.logaddexp(0.0, -x)).sum(axis=problem.row_axes)

@@ -16,6 +16,7 @@ from irl_lab.airl import (
     TrajectoryScorer,
     TransitionBatch,
     _as_weights,
+    _cell_problem,
     _episode_counts,
     _episode_problem,
     _params_problem,
@@ -309,10 +310,12 @@ class TestDiscriminatorGrad:
             assert rel_h.max() <= 1e-4
 
     def test_tanh_form_matches_the_sigmoid_form(self, bench_mdp):
-        # the step forms D * (w_e + w_n) - w_e as half * tanh(x / 2) + (half - w_e)
+        # the step forms D * (w_e + w_n) - w_e as half * tanh(x / 2) + (half - w_e),
+        # with the chain of the constant half - w_e added to the tables' gradient
         expert = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy)
         policy = softmax_policy(3, 16, 4)
         negatives = occupancy(bench_mdp, policy)
+        wants = {}
         for kind in ("state_only", "state_action"):
             params = random_params(8, 16, 4, kind, discount=bench_mdp.discount)
             x = f_table(params, 16, 4) - np.log(policy)[:, :, None]
@@ -322,10 +325,21 @@ class TestDiscriminatorGrad:
             grad = discriminator_grad(params, policy, expert, negatives)
             npt.assert_allclose(grad.g, want_g, rtol=0, atol=1e-15)
             npt.assert_allclose(grad.h, want_h, rtol=0, atol=1e-15)
+            wants[kind] = params, want_g, want_h
+        # a mixed stack: the state-only row holds g(s) tied across the actions
+        (so, so_g, so_h), (sa, sa_g, sa_h) = wants.values()
+        g = np.stack([np.broadcast_to(so.g.values[:, None], (16, 4)), sa.g.values])
+        problem = _cell_problem(1, bench_mdp.discount, np.log(np.stack([policy] * 2)),
+                                np.stack([expert] * 2), np.stack([negatives] * 2))
+        grad_g, grad_h = problem.grad((g, np.stack([so.h, sa.h])))
+        npt.assert_allclose(grad_g[0], np.broadcast_to(so_g[:, None], (16, 4)), rtol=0,
+                            atol=1e-15)
+        npt.assert_allclose(grad_g[1], sa_g, rtol=0, atol=1e-15)
+        npt.assert_allclose(grad_h, np.stack([so_h, sa_h]), rtol=0, atol=1e-15)
 
     def test_only_a_gradient_forms_the_gradient_terms(self, bench_mdp):
         # a problem only a loss is taken from, as a history read rebuilds each
-        # round's, forms no row-sized gradient terms; the first grad forms them once
+        # round's, forms no gradient terms; the first grad forms them once
         expert = occupancy(bench_mdp, soft_value_iteration(bench_mdp).policy)
         policy = softmax_policy(3, 16, 4)
         negatives = occupancy(bench_mdp, policy)
@@ -337,7 +351,7 @@ class TestDiscriminatorGrad:
                     if isinstance(value, np.ndarray)}
 
         problem.loss(theta)
-        assert arrays() == {"offset", "w_e", "w_n"}
+        assert arrays() == {"w_e", "w_n"} and "_grad_terms" not in vars(problem)
         first = problem.grad(theta)
         terms = problem._grad_terms
         second = problem.grad(theta)
@@ -387,6 +401,61 @@ class TestDiscriminatorGrad:
             grad = discriminator_grad(params, policy, we, wp)
             npt.assert_allclose(grad.g, expected_g, atol=1e-8)
             npt.assert_allclose(grad.h, expected_h, atol=1e-8)
+
+
+def cell_stack(width, seed=0):
+    """`width` random 16x4 problems: (log pi with a zero-probability action in each
+    row, expert and negative weights with zeros, g as state tables, g as
+    state-action tables, h)."""
+    rng = np.random.default_rng(seed)
+    policy = rng.dirichlet(np.ones(4), size=(width, 16))
+    policy[:, 0] = [0.0, 0.4, 0.3, 0.3]
+    weights = rng.dirichlet(np.ones(16 * 4 * 16), size=(2, width)).reshape(2, width, 16, 4, 16)
+    weights[:, :, :, :, 5] = 0.0
+    weights[1, :, 0, 0] = 0.0  # pi(0|0) = 0: no negative mass there
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(policy)
+    g_sa, h = rng.normal(scale=0.5, size=(width, 16, 4)), rng.normal(scale=0.5, size=(width, 16))
+    return log_pi, weights[0], weights[1], g_sa[..., 0], g_sa, h
+
+
+class TestCellFit:
+    """`_cell_problem`'s gradient descent on stacks of every layout."""
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 10, 60])
+    @pytest.mark.parametrize("layout", ["state_only", "state_action", "mixed"])
+    def test_every_row_equals_its_own_one_row_fit(self, width, layout):
+        # a mixed stack's state-only rows come first, each holding g(s) tied
+        # across the actions; each one-row fit runs in its own variant's layout
+        log_pi, w_e, w_n, g_s, g_sa, h = cell_stack(width)
+        n_state_only = {"state_only": width, "state_action": 0, "mixed": (width + 1) // 2}[layout]
+        tied = None if layout == "state_only" else n_state_only
+        g = g_s if tied is None else np.concatenate(
+            [np.broadcast_to(g_s[:tied, :, None], (tied, 16, 4)), g_sa[tied:]])
+        fit_g, fit_h = _cell_problem(tied, 0.9, log_pi, w_e, w_n).fit((g, h), 5, 0.3)
+        for i in range(width):
+            row = slice(i, i + 1)
+            state_only = i < n_state_only
+            alone_g, alone_h = _cell_problem(None if state_only else 0, 0.9, log_pi[row],
+                                             w_e[row], w_n[row]).fit(
+                ((g_s if state_only else g_sa)[row], h[row]), 5, 0.3)
+            if state_only and tied is not None:
+                alone_g = np.broadcast_to(alone_g[..., None], (1, 16, 4))
+            assert fit_g[row].tobytes() == np.ascontiguousarray(alone_g).tobytes(), i
+            assert fit_h[row].tobytes() == alone_h.tobytes(), i
+
+    def test_fit_leaves_its_theta_alone(self):
+        log_pi, w_e, w_n, g_s, _, h = cell_stack(3)
+        counts = np.random.default_rng(1).integers(0, 4, size=(9, 12)).astype(float)
+        for problem, theta in [
+            (_cell_problem(None, 0.9, log_pi, w_e, w_n), (g_s, h)),
+            (_episode_problem(counts, 4, np.log(softmax_policy(2, 4, 3))),
+             (np.random.default_rng(2).normal(size=(4, 3)),)),
+        ]:
+            before = [t.copy() for t in theta]
+            fitted = problem.fit(theta, 4, 0.3)
+            assert not any(np.array_equal(t, f) for t, f in zip(theta, fitted))
+            assert [t.tobytes() for t in theta] == [t.tobytes() for t in before]
 
 
 class TestExtractReward:
@@ -1241,7 +1310,7 @@ class TestGanGcl:
         problem, f_step, policy, episodes = self.episode_problem(0)
         scorer = TrajectoryScorer(f_step)
         expected = scorer.log_odds(episodes, policy)
-        logits = problem.phi((f_step,)) + problem.offset
+        logits = problem.logits((f_step,))
         npt.assert_allclose(logits, expected, rtol=0, atol=1e-12)
         # matched odds put D at 1/2 on every row; each side's weights sum to 1
         npt.assert_allclose(problem.loss((np.log(policy),)), 2 * np.log(2.0), atol=1e-12)
@@ -1253,10 +1322,11 @@ class TestGanGcl:
         # two expert episodes, one of them through the zero-probability cell
         counts = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
         problem = _episode_problem(counts, 2, log_pi)
-        assert problem.offset[0] == np.inf
-        assert problem.offset[1] == problem.offset[2] == -2.0 * np.log(0.5)
+        offset = problem.logits((np.zeros((1, 3)),))  # the logits at theta = 0
+        assert offset[0] == np.inf
+        assert offset[1] == offset[2] == -2.0 * np.log(0.5)
         theta = (np.array([[0.3, -0.2, 0.1]]),)
-        x = problem.phi(theta) + problem.offset
+        x = problem.logits(theta)
         want = 0.5 * np.logaddexp(0.0, -x[1]) + np.logaddexp(0.0, x[2])
         npt.assert_allclose(problem.loss(theta), want, rtol=1e-15)
         assert np.all(np.isfinite(problem.grad(theta)[0]))
@@ -1265,7 +1335,8 @@ class TestGanGcl:
         policy = softmax_policy(2, 4, 3)
         counts = np.random.default_rng(2).integers(0, 4, size=(9, 12)).astype(float)
         problem = _episode_problem(counts, 4, np.log(policy))
-        assert np.array_equal(problem.offset, -(counts @ np.log(policy).ravel()))
+        assert np.array_equal(problem.logits((np.zeros((4, 3)),)),
+                              -(counts @ np.log(policy).ravel()))
 
     def test_gradient_matches_central_differences(self):
         eps = 1e-5

@@ -360,7 +360,7 @@ def test_tied_state_only_rows_equal_the_state_layout(case):
                                                                             alone_rounds):
         assert m_in[0].shape == (2 * n, *mdps[0].transition.shape[:2])
         assert a_in[0].shape == (n, mdps[0].n_states)
-        m_logits, a_logits = mp.phi(m_in) + mp.offset, ap.phi(a_in) + ap.offset
+        m_logits, a_logits = mp.logits(m_in), ap.logits(a_in)
         assert m_logits[:n].tobytes() == a_logits.tobytes()
         assert m_out[0][:n].tobytes() == np.ascontiguousarray(
             np.broadcast_to(a_out[0][..., None], m_out[0][:n].shape)).tobytes()

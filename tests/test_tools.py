@@ -41,6 +41,16 @@ class TestGoldenOutputs:
         assert sum(path.is_file() for path in out.rglob("*")) == 126
         assert golden_outputs.main([str(out)]) == 2  # refuses a non-empty OUTDIR
 
+    def test_stderr_keeps_no_checkout_path_or_line_number(self):
+        # a warning names its file without a line number, so moved code shows no difference
+        golden_outputs = load_tool("golden_outputs")
+        airl = golden_outputs.SRC / "irl_lab" / "airl.py"
+        stderr = (f"{airl}:704: RuntimeWarning: residual 2.5e+291\n  theta = _train(\n"
+                  "/usr/lib/numpy/_methods.py:52: RuntimeWarning: overflow\n")
+        assert golden_outputs.portable_stderr(stderr) == (
+            "src/irl_lab/airl.py: RuntimeWarning: residual 2.5e+291\n  theta = _train(\n"
+            "/usr/lib/numpy/_methods.py: RuntimeWarning: overflow\n")
+
 
 class TestGoldenDiff:
     def test_numeric_differences_are_reported_not_fatal(self, tmp_path, capsys):

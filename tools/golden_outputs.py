@@ -15,8 +15,10 @@ test seeds with a five-dynamics probe, `generate` for each MDP kind and for
 files at discounts 0.8, 0.9 and 0.8, and `probe`.
 Every artifact lands under OUTDIR, and so do each command's stdout, stderr and
 exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
-OUTDIR, and stderr is written without this checkout's path, so two output sets
-compare with `diff -r OUTDIR_A OUTDIR_B`.
+OUTDIR, and stderr is written without this checkout's path or the line numbers
+of warnings (`airl.py:704:` becomes `airl.py:`), so two output sets compare
+with `diff -r OUTDIR_A OUTDIR_B` and code that only moves lines shows no
+difference.
 The two-seed `reproduce-tabular` runs train both seeds as one stack.  OUTDIR
 must be empty or absent.
 """
@@ -27,6 +29,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -129,6 +132,11 @@ COMMANDS = (
 )
 
 
+def portable_stderr(text: str) -> str:
+    """`text` without this checkout's path or the line numbers of warnings."""
+    return re.sub(r"\.py:\d+:", ".py:", text.replace(str(SRC.parent) + os.sep, ""))
+
+
 def write_golden(outdir: Path) -> None:
     sys.path.insert(0, str(SRC))
     import irl_lab.cli
@@ -145,8 +153,7 @@ def write_golden(outdir: Path) -> None:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = irl_lab.cli.main(argv)
             Path("runs", f"{name}.stdout").write_text(stdout.getvalue())
-            Path("runs", f"{name}.stderr").write_text(
-                stderr.getvalue().replace(str(SRC.parent) + os.sep, ""))
+            Path("runs", f"{name}.stderr").write_text(portable_stderr(stderr.getvalue()))
             Path("runs", f"{name}.exit").write_text(f"{code}\n")
             print(f"{name}: exit {code}")
     finally:

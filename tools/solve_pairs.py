@@ -23,7 +23,10 @@ public API and `cli.main`.  Each round times, on each side:
 A warm-up call of each first checks that both sides' operations (key,
 outputs, error; for a history read, its CSV and JSON texts) are equal
 and none raised, and stops the tool if not: timing code that does different
-work measures nothing.  A round times each call REPEATS times per side, the
+work measures nothing.  So it refuses a change whose outputs differ in any
+bit, as one that reorders floating-point sums does; time such a change with
+`tools/bench_pairs.py`, which runs each checkout's own benchmark.  A round
+times each call REPEATS times per side, the
 sides taking turns, and keeps each side's fastest, which drops most
 interruptions by other processes; even rounds start with the parent, odd
 rounds with the change.  It prints each side's median and
