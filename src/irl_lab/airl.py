@@ -9,8 +9,7 @@ gradient descent.
 - AIRL: the rows are (s, a, s') cells, theta = (g, h) with g over states (or
   state-action pairs) and h a state shaping term, and Phi(theta) is
   f(s, a, s') = g(s[, a]) + discount * h(s') - h(s), applied by broadcasting.
-  A state-only g is an (S,) table, or, in a stack that mixes it with
-  state-action problems, an (S, A) table holding g(s) tied across actions.
+  Every problem holds g as an (S, A) table, a state-only g tied across actions.
   The offset -log pi(a|s) makes D = exp(f) / (exp(f) + pi(a|s)); w_e and w_n
   are (s, a, s') occupancy or empirical weights.
 - The trajectory baseline (``gan_gcl_trajectory``): the rows are episodes,
@@ -291,17 +290,13 @@ def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
 
 
 def _raw_f(g: np.ndarray, h: np.ndarray, discount: float) -> np.ndarray:
-    """f over the (s, a, s') cells, broadcast; g and h may carry leading problem axes.
-
-    g is a state table when it has h's axes, else a state-action table.
-    """
-    g_part = g[..., None, None] if g.ndim == h.ndim else g[..., None]
-    return g_part + discount * h[..., None, None, :] - h[..., None, None]
+    """f over the (s, a, s') cells, broadcast, from an (..., S, A) or (..., S, 1) g."""
+    return g[..., None] + discount * h[..., None, None, :] - h[..., None, None]
 
 
 def f_table(params: DiscriminatorParams, n_states: int, n_actions: int) -> np.ndarray:
     """Dense (s, a, s') table of f = g + discount*h(s') - h(s)."""
-    raw = _raw_f(params.g.values, params.h, params.discount)
+    raw = _raw_f(params.g.values.reshape(n_states, -1), params.h, params.discount)
     return np.ascontiguousarray(np.broadcast_to(raw, (n_states, n_actions, n_states)))
 
 
@@ -317,7 +312,8 @@ def f_value(params: DiscriminatorParams, s: int, a: int, sp: int) -> float:
 def discriminator_prob(params: DiscriminatorParams, policy, s: int, a: int, sp: int) -> float:
     """D(s, a, s') = exp(f) / (exp(f) + pi(a|s)), evaluated stably."""
     policy = np.asarray(policy, dtype=float)
-    x = f_value(params, s, a, sp) - float(np.log(policy[s, a]))
+    with np.errstate(divide="ignore"):
+        x = f_value(params, s, a, sp) - float(np.log(policy[s, a]))
     return float(_sigmoid(x))
 
 
@@ -387,55 +383,57 @@ class _Problem:
         return theta
 
 
-def _cell_problem(tied: int | None, discount: float, log_pi, w_e, w_n) -> _Problem:
+def _cell_problem(tied: int, discount: float, log_pi, w_e, w_n) -> _Problem:
     """AIRL rows: the (s, a, s') cells, theta = (g, h), logits f - log pi(a|s).
 
-    x / 2 is an (s, a) table, (g - h(s) - log pi) / 2, plus an s' table,
-    (discount / 2) h(s'), added by one broadcast.  The chain gives g the sum of
-    the cells sharing its index, and h weight -1 at the current state and
-    +discount at the successor; leading problem axes pass through.  On the
-    (..., S * A, S) view of the cells, products with ones sum each (s, a)'s
-    successors and each successor's (s, a) cells; a state's sum adds its (s, a)
-    sums in every layout.  `tied` is None when every g is a state table.
-    Otherwise g is a state-action table, and the first `tied` problems of the
-    stack are state-only ones holding g(s) tied across actions, each given its
-    per-state gradient on every action: the bits of the state layout.
+    Every argument has a leading problem axis, and g is a (B, S, A) table.  The
+    first `tied` problems of the stack are state-only ones, each holding g(s)
+    tied across actions.  x / 2 is an (s, a) table, (g - h(s) - log pi) / 2,
+    plus an s' table, (discount / 2) h(s'), added by one broadcast.  The chain
+    gives g the sum of the cells sharing its index, and h weight -1 at the
+    current state and +discount at the successor.  On the (B, S * A, S) view of
+    the cells, products with ones sum each (s, a)'s successors and each
+    successor's (s, a) cells; a state's sum adds its (s, a) sums, and a tied
+    row's g gets its per-state sum on every action.
     """
     n_states, n_actions = log_pi.shape[-2:]
     by_action, by_successor, by_cell = map(np.ones, (n_actions, n_states, n_states * n_actions))
 
     def half_logits(theta, out=None):
         g, h = theta
-        g_sa = g[..., None] if g.ndim == h.ndim else g
-        return np.add((0.5 * (g_sa - h[..., None] - log_pi))[..., None],
+        return np.add((0.5 * (g - h[..., None] - log_pi))[..., None],
                       (0.5 * discount) * h[..., None, None, :], out=out)
 
     def chain(dl_df):
         cells = dl_df.reshape(*dl_df.shape[:-3], n_states * n_actions, n_states)
         per_sa = (cells @ by_successor).reshape(dl_df.shape[:-1])
         per_state = per_sa @ by_action
-        grad_g = per_state if tied is None else per_sa
         if tied:
-            grad_g[:tied] = per_state[:tied, :, None]
-        return grad_g, discount * (by_cell @ cells) - per_state
+            per_sa[:tied] = per_state[:tied, :, None]
+        return per_sa, discount * (by_cell @ cells) - per_state
 
     return _Problem(half_logits, chain, w_e, w_n, (-3, -2, -1))
 
 
 def _params_problem(params: DiscriminatorParams, policy, expert, negatives):
+    """`params`' regression as a stack of one, with theta; a state-only g is tied
+    across actions, as in training."""
     policy = np.asarray(policy, dtype=float)
     n_states, n_actions = policy.shape
     we = _as_weights(expert, n_states, n_actions)
     wn = _as_weights(negatives, n_states, n_actions)
-    problem = _cell_problem(None if params.g.kind == "state_only" else 0, params.discount,
-                            np.log(policy), we, wn)
-    return problem, (params.g.values, params.h)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(policy)
+    problem = _cell_problem(int(params.g.kind == "state_only"), params.discount, log_pi[None],
+                            we[None], wn[None])
+    g = np.broadcast_to(params.g.values.reshape(n_states, -1), (n_states, n_actions))
+    return problem, (g[None], params.h[None])
 
 
 def discriminator_loss(params: DiscriminatorParams, policy, expert, negatives) -> float:
     """Binary logistic loss: -E_expert[log D] - E_negatives[log(1 - D)]."""
     problem, theta = _params_problem(params, policy, expert, negatives)
-    return float(problem.loss(theta))
+    return float(problem.loss(theta)[0])
 
 
 class DiscGrad(NamedTuple):
@@ -446,15 +444,16 @@ class DiscGrad(NamedTuple):
 def discriminator_grad(params: DiscriminatorParams, policy, expert, negatives) -> DiscGrad:
     """Analytic gradient of the logistic loss in the two tables."""
     problem, theta = _params_problem(params, policy, expert, negatives)
-    return DiscGrad(*problem.grad(theta))
+    (grad_g,), (grad_h,) = problem.grad(theta)
+    return DiscGrad(grad_g[:, 0] if params.g.kind == "state_only" else grad_g, grad_h)
 
 
 def extract_reward(params: DiscriminatorParams, policy) -> RewardTable:
     """Recovered reward log D - log(1 - D), which reduces to f - log pi exactly."""
-    policy = np.asarray(policy, dtype=float)
-    n_states, n_actions = policy.shape
-    values = f_table(params, n_states, n_actions) - np.log(policy)[:, :, None]
-    return RewardTable("transition", values)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(np.asarray(policy, dtype=float))
+    n_states, n_actions = log_pi.shape
+    return RewardTable("transition", f_table(params, n_states, n_actions) - log_pi[:, :, None])
 
 
 def _g_table(values: np.ndarray) -> RewardTable:
@@ -462,12 +461,10 @@ def _g_table(values: np.ndarray) -> RewardTable:
 
 
 def _g_rows(g: np.ndarray, variants: Sequence[str]) -> list[np.ndarray]:
-    """Each problem's learned table from a stack of g rows, one row per entry of
-    `variants`; a state-only problem of a stack that mixes the variants holds
-    g(s) tied across actions, and gives the copy at action 0."""
-    mixed = len(set(variants)) > 1
-    return [row[..., 0] if mixed and variant == "airl_state_only" else row
-            for row, variant in zip(g, variants)]
+    """Each problem's learned table from a stack of (..., S, A) g rows, one row per
+    entry of `variants`; a state-only problem holds g(s) tied across actions,
+    and gives the copy at action 0."""
+    return [row[..., 0] if v == "airl_state_only" else row for row, v in zip(g, variants)]
 
 
 # an underflowed policy entry gives log pi = -inf, an intended infinite offset;
@@ -675,11 +672,9 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
     Returns one list of per-MDP results per variant, in the order given;
     `demos` holds one entry per MDP, as `airl_train` takes them.  The stack's
     rows are the MDPs under the state-only variant, then under the
-    state-action one.  A one-variant stack keeps its g layout, (B, S) or
-    (B, S, A); a mixed stack's g is (B, S, A), each state-only row holding
-    g(s) tied across its actions.  f then has the same operands in the same
-    order in both layouts, so every row keeps the bits of its own one-variant,
-    one-MDP run.
+    state-action one.  Every stack's g is (B, S, A), each state-only row
+    holding g(s) tied across its actions, so every row keeps the bits of its
+    own one-variant, one-MDP run.
     """
     airl_variants = ("airl_state_only", "airl_state_action")
     if any(v not in airl_variants for v in variants):
@@ -694,7 +689,7 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
         raise ValueError("demonstrations carry no mass")
     order = [v for v in airl_variants if v in variants]
     row_variants = [v for v in order for _ in mdps]
-    tied = None if order == ["airl_state_only"] else row_variants.count("airl_state_only")
+    tied = row_variants.count("airl_state_only")
     expert_w = np.stack(weights * len(order))
 
     def problem(negatives, log_pi):
@@ -710,10 +705,9 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
         return np.einsum("bsap,bsap->bsa", transition, f)
 
     rows = len(row_variants)
-    g_shape = (n_states,) if tied is None else (n_states, n_actions)
     theta, policies, histories = _train(
         mdps * len(order), row_variants, config,
-        (np.zeros((rows, *g_shape)), np.zeros((rows, n_states))),
+        (np.zeros((rows, n_states, n_actions)), np.zeros((rows, n_states))),
         lambda states, actions: _rollout_counts(states, actions, n_states, n_actions),
         problem, rewards,
     )

@@ -253,7 +253,12 @@ def _heatmap_text(values: np.ndarray, n_actions: int) -> str:
     grid = np.asarray(values, dtype=float)
     if grid.ndim == 1:
         grid = np.broadcast_to(grid[:, None], (len(grid), n_actions))
-    grid = grid - grid.mean()
+    with np.errstate(over="ignore"):
+        mean = grid.mean()
+    if not np.isfinite(mean) and np.isfinite(grid).all():
+        # a finite table's sum can overflow; its mean at the exact scale 2**-64 does not
+        mean = (grid * 2.0**-64).mean() * 2.0**64
+    grid = grid - mean
     header = ["state"] + [f"action_{a}" for a in range(grid.shape[1])]
     rows = [[s] + [grid[s, a] for a in range(grid.shape[1])] for s in range(grid.shape[0])]
     return csv_text(

@@ -6,8 +6,10 @@ deliberately avoiding the vectorized code paths under test.  `loop_return`,
 `loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
 per-step, one-problem and per-dynamics forms of batched functions, kept to pin
 those functions' outputs bit for bit; so are `two_pass_loss`, the earlier
-two-pass form of the discriminator loss, and `chain_cell`, the earlier CSV
-cell formatter.  `backward_soft_recursion`,
+two-pass form of the discriminator loss, `state_layout_f` and
+`state_layout_fit`, the earlier AIRL arithmetic on a state-only g held as an
+(..., S) table, and `chain_cell`, the earlier CSV cell formatter.
+`backward_soft_recursion`,
 `general_soft_backup`, `general_soft_policy`, `loop_return` and
 `enumerate_return` take any entropy weight (temperature) w, which the package
 fixes at 1; they check that temperature w is the reward scaled by 1 / w.
@@ -365,6 +367,42 @@ def two_pass_loss(problem, theta) -> np.ndarray:
     neg[problem.w_n == 0] = 0.0
     return ((problem.w_e * np.logaddexp(0.0, -x)).sum(axis=problem.row_axes)
             + (problem.w_n * neg).sum(axis=problem.row_axes))
+
+
+def state_layout_f(g, h, discount: float) -> np.ndarray:
+    """f = g(s) + discount * h(s') - h(s) over the (s, a, s') cells, broadcast, from
+    a state-only g as an (..., S) table; g and h may carry leading problem axes."""
+    return g[..., None, None] + discount * h[..., None, None, :] - h[..., None, None]
+
+
+def state_layout_half_logits(g, h, discount: float, log_pi) -> np.ndarray:
+    """x / 2 of the AIRL cells for a state-only g as an (..., S) table:
+    (g[..., None] - h(s) - log pi) / 2 plus (discount / 2) h(s'), by one broadcast."""
+    return np.add((0.5 * (g[..., None] - h[..., None] - log_pi))[..., None],
+                  (0.5 * discount) * h[..., None, None, :])
+
+
+def state_layout_fit(g, h, discount: float, log_pi, w_e, w_n, steps: int, step_size: float):
+    """(g, h) after `steps` gradient steps of the AIRL cell regression, g an (..., S)
+    table: the per-cell gradient half * tanh(x / 2) + (half - w_e), half =
+    (w_e + w_n) / 2, chained to g by per-state sums (the per-(s, a) sums, then
+    their sums over actions) and to h by discount * per-successor sums minus
+    the per-state sums."""
+    n_states, n_actions = log_pi.shape[-2:]
+    by_action, by_successor, by_cell = map(np.ones, (n_actions, n_states, n_states * n_actions))
+
+    def chain(dl_df):
+        cells = dl_df.reshape(*dl_df.shape[:-3], n_states * n_actions, n_states)
+        per_state = (cells @ by_successor).reshape(dl_df.shape[:-1]) @ by_action
+        return per_state, discount * (by_cell @ cells) - per_state
+
+    half = 0.5 * (w_e + w_n)
+    constant = chain(half - w_e)
+    for _ in range(steps):
+        dl_dx = np.tanh(state_layout_half_logits(g, h, discount, log_pi)) * half
+        grad_g, grad_h = map(np.add, chain(dl_dx), constant)
+        g, h = g - step_size * grad_g, h - step_size * grad_h
+    return g, h
 
 
 def chain_cell(value) -> str:

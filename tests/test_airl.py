@@ -57,7 +57,7 @@ from irl_lab.soft_rl import (
 from irl_lab.transfer import N_EXPERT_TRAJECTORIES, run_recovery
 
 from conftest import record_calls
-from oracles import fd_gradient, trajectory_probability, two_pass_loss
+from oracles import fd_gradient, state_layout_fit, trajectory_probability, two_pass_loss
 
 
 def batch_of(rollouts):
@@ -264,9 +264,8 @@ class TestDiscriminatorLoss:
         negatives = occupancy(mdp, policy)
         assert not negatives[:, 3].any()
         params = random_params(8, 16, 4, "state_action")
-        with np.errstate(divide="ignore"):
-            loss = discriminator_loss(params, policy, expert, negatives)
-            grad = discriminator_grad(params, policy, expert, negatives)
+        loss = discriminator_loss(params, policy, expert, negatives)
+        grad = discriminator_grad(params, policy, expert, negatives)
         assert np.isfinite(loss)
         assert all(np.isfinite(g).all() for g in grad)
         # the loss over the other cells alone: the dropped expert cells have
@@ -275,6 +274,26 @@ class TestDiscriminatorLoss:
         kept = ((expert[:, :3] * np.logaddexp(0.0, -x)).sum()
                 + (negatives[:, :3] * np.logaddexp(0.0, x)).sum())
         npt.assert_allclose(loss, kept, rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["state_only", "state_action"])
+    def test_public_functions_take_log_zero_silently(self, kind):
+        # log pi(3|s) = -inf is an intended infinite offset, as in training:
+        # each public function gives its value without a divide-by-zero warning
+        mdp = paper_tabular_mdp(0)
+        expert = occupancy(mdp, soft_value_iteration(mdp).policy)
+        policy = np.full((16, 4), 1.0 / 3.0)
+        policy[:, 3] = 0.0
+        negatives = occupancy(mdp, policy)
+        params = random_params(8, 16, 4, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = discriminator_loss(params, policy, expert, negatives)
+            grad = discriminator_grad(params, policy, expert, negatives)
+            reward = extract_reward(params, policy)
+            prob = discriminator_prob(params, policy, 0, 3, 1)
+        assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grad)
+        assert np.all(reward.values[:, 3] == np.inf)
+        assert prob == 1.0
 
     def test_rollouts_and_weight_tensors_agree(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy
@@ -419,36 +438,41 @@ def cell_stack(width, seed=0):
     return log_pi, weights[0], weights[1], g_sa[..., 0], g_sa, h
 
 
+def tied_g(g_s, g_sa, tied):
+    """A stack's (B, S, A) g: the first `tied` rows g_s tied across the actions, the rest g_sa."""
+    return np.concatenate([np.repeat(g_s[:tied, :, None], g_sa.shape[-1], axis=-1),
+                           g_sa[tied:]])
+
+
 class TestCellFit:
-    """`_cell_problem`'s gradient descent on stacks of every layout."""
+    """`_cell_problem`'s gradient descent on state-only, state-action and mixed stacks."""
 
     @pytest.mark.parametrize("width", [1, 2, 5, 10, 60])
     @pytest.mark.parametrize("layout", ["state_only", "state_action", "mixed"])
     def test_every_row_equals_its_own_one_row_fit(self, width, layout):
-        # a mixed stack's state-only rows come first, each holding g(s) tied
-        # across the actions; each one-row fit runs in its own variant's layout
+        # the state-only rows come first, each holding g(s) tied across the
+        # actions and keeping the bits of a g held as a state table
         log_pi, w_e, w_n, g_s, g_sa, h = cell_stack(width)
-        n_state_only = {"state_only": width, "state_action": 0, "mixed": (width + 1) // 2}[layout]
-        tied = None if layout == "state_only" else n_state_only
-        g = g_s if tied is None else np.concatenate(
-            [np.broadcast_to(g_s[:tied, :, None], (tied, 16, 4)), g_sa[tied:]])
+        tied = {"state_only": width, "state_action": 0, "mixed": (width + 1) // 2}[layout]
+        g = tied_g(g_s, g_sa, tied)
         fit_g, fit_h = _cell_problem(tied, 0.9, log_pi, w_e, w_n).fit((g, h), 5, 0.3)
         for i in range(width):
             row = slice(i, i + 1)
-            state_only = i < n_state_only
-            alone_g, alone_h = _cell_problem(None if state_only else 0, 0.9, log_pi[row],
-                                             w_e[row], w_n[row]).fit(
-                ((g_s if state_only else g_sa)[row], h[row]), 5, 0.3)
-            if state_only and tied is not None:
-                alone_g = np.broadcast_to(alone_g[..., None], (1, 16, 4))
-            assert fit_g[row].tobytes() == np.ascontiguousarray(alone_g).tobytes(), i
+            alone_g, alone_h = _cell_problem(int(i < tied), 0.9, log_pi[row], w_e[row],
+                                             w_n[row]).fit((g[row], h[row]), 5, 0.3)
+            assert fit_g[row].tobytes() == alone_g.tobytes(), i
             assert fit_h[row].tobytes() == alone_h.tobytes(), i
+        if tied:
+            state_g, state_h = state_layout_fit(g_s[:tied], h[:tied], 0.9, log_pi[:tied],
+                                                w_e[:tied], w_n[:tied], 5, 0.3)
+            assert fit_g[:tied].tobytes() == np.repeat(state_g[..., None], 4, axis=-1).tobytes()
+            assert fit_h[:tied].tobytes() == state_h.tobytes()
 
     def test_fit_leaves_its_theta_alone(self):
-        log_pi, w_e, w_n, g_s, _, h = cell_stack(3)
+        log_pi, w_e, w_n, g_s, g_sa, h = cell_stack(3)
         counts = np.random.default_rng(1).integers(0, 4, size=(9, 12)).astype(float)
         for problem, theta in [
-            (_cell_problem(None, 0.9, log_pi, w_e, w_n), (g_s, h)),
+            (_cell_problem(2, 0.9, log_pi, w_e, w_n), (tied_g(g_s, g_sa, 2), h)),
             (_episode_problem(counts, 4, np.log(softmax_policy(2, 4, 3))),
              (np.random.default_rng(2).normal(size=(4, 3)),)),
         ]:
@@ -482,8 +506,7 @@ class TestExtractReward:
 
     def test_zero_probability_action_gives_plus_inf_for_every_next_state(self):
         policy = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
-        with np.errstate(divide="ignore"):
-            values = extract_reward(random_params(61, 3, 2, "state_action"), policy).values
+        values = extract_reward(random_params(61, 3, 2, "state_action"), policy).values
         infinite = np.zeros_like(values, dtype=bool)
         infinite[0, 1] = True
         assert np.all(values[infinite] == np.inf)
@@ -866,8 +889,9 @@ class TestStackedTraining:
         for (g, h), r_sa in zip(fits, rewards):
             assert r_sa.shape == (n_rows, 16, 4)
             for i, mdp in enumerate(mdps):
-                kind = "state_only" if variant == "airl_state_only" else "state_action"
-                params = DiscriminatorParams(RewardTable(kind, g[i]), h[i], mdp.discount)
+                table = (RewardTable("state_only", g[i][:, 0]) if variant == "airl_state_only"
+                         else RewardTable("state_action", g[i]))
+                params = DiscriminatorParams(table, h[i], mdp.discount)
                 f = RewardTable("transition", f_table(params, 16, 4))
                 want = expected_state_action(f, mdp.transition)
                 assert r_sa[i].tobytes() == want.tobytes()
@@ -946,13 +970,13 @@ class TestMixedStack:
                             == alone.history.column(name).tobytes()), name
 
     @pytest.mark.parametrize("variants, g_shape", [
-        (("airl_state_only",), (4, 16)),
+        (("airl_state_only",), (4, 16, 4)),
         (("airl_state_action",), (4, 16, 4)),
         (BOTH_VARIANTS[::-1], (8, 16, 4)),
     ])
     def test_g_layout_follows_the_variants(self, monkeypatch, variants, g_shape):
-        # a one-variant stack keeps its own layout; a mixed stack puts its
-        # state-only rows first, each g(s) tied across the actions
+        # every stack holds g as (B, S, A) tables, its state-only rows first,
+        # each g(s) tied across the actions
         mdps, demos = stack_problems()
         fits = []
         fit = irl_lab.airl._Problem.fit
@@ -960,11 +984,12 @@ class TestMixedStack:
                             lambda self, *args: fits.append(fit(self, *args)) or fits[-1])
         _airl_train_stack(mdps, demos, variants, LearnerConfig(iterations=3))
         assert len(fits) == 3
+        tied = 4 if "airl_state_only" in variants else 0
         for g, _ in fits:
             assert g.shape == g_shape
-            if len(variants) == 2:
-                npt.assert_array_equal(g[:4], np.broadcast_to(g[:4, :, :1], (4, 16, 4)))
-                assert not np.array_equal(g[4:], np.broadcast_to(g[4:, :, :1], (4, 16, 4)))
+            npt.assert_array_equal(g[:tied], np.broadcast_to(g[:tied, :, :1], (tied, 16, 4)))
+            assert not any(np.array_equal(row, np.broadcast_to(row[:, :1], (16, 4)))
+                           for row in g[tied:])
 
     def test_the_first_divergence_of_any_row_stops_the_stack(self, monkeypatch):
         # rows 0-3 train state-only, rows 4-7 state-action: NaN negatives at

@@ -26,6 +26,7 @@ from irl_lab.cli import (
     _aggregate_curves,
     _build_mdp,
     _criteria_blocks,
+    _heatmap_text,
     load_experiment_config,
     main,
 )
@@ -241,6 +242,20 @@ class TestTrain:
         npt_all_zero = np.max(np.abs(grid)) == 0.0
         assert npt_all_zero
         assert len((out / "history.csv").read_text().splitlines()) == 1
+
+    def test_huge_finite_table_gives_a_finite_heatmap(self, tmp_path):
+        # the sum of this table overflows; its mean, taken at the scale 2**-64,
+        # does not, and every centred cell stays finite
+        values = np.array([[-4.6e307, -5.7e305], [5.3e305, -6.8e307],
+                           [9.5e305, -6.6e307], [-7.3e307, -2.3e306]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = _heatmap_text(values, 2)
+        (tmp_path / "heatmap.csv").write_text(text)
+        grid = read_grid(tmp_path / "heatmap.csv")
+        mean = (values * 2.0**-64).mean() * 2.0**64
+        assert np.isfinite(grid).all()
+        assert grid.tolist() == (values - mean).tolist()
 
     def test_benchmark_heatmap_peaks_at_the_rewarded_state(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

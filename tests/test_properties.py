@@ -30,7 +30,8 @@ from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, evaluate_
 from conftest import assert_same_solution, at_temperature, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, fd_gradient,
                      general_soft_backup, general_soft_policy, loop_occupancy, loop_return,
-                     loop_sample_trajectories, loop_soft_value_iteration, chain_cell)
+                     loop_sample_trajectories, loop_soft_value_iteration, chain_cell,
+                     state_layout_f, state_layout_fit, state_layout_half_logits)
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -323,32 +324,36 @@ def training_stacks(draw):
 
 
 def _record_rounds(monkeypatch, run):
-    """Each round's (problem, theta before and after the fit, policy-step
-    reward) of `run()`, with its result."""
-    fits, rewards = [], []
-    fit, solve = irl_lab.airl._Problem.fit, irl_lab.airl._solve_stack
+    """Each round's (`_cell_problem` arguments, problem, theta before and after
+    the fit, policy-step reward) of `run()`, with its result."""
+    cells, fits, rewards = [], [], []
+    cell_problem, fit, solve = (irl_lab.airl._cell_problem, irl_lab.airl._Problem.fit,
+                                irl_lab.airl._solve_stack)
 
     def recording_fit(problem, theta, *args):
         fits.append((problem, theta, fit(problem, theta, *args)))
         return fits[-1][-1]
 
+    monkeypatch.setattr(irl_lab.airl, "_cell_problem",
+                        lambda *args: cells.append(args) or cell_problem(*args))
     monkeypatch.setattr(irl_lab.airl._Problem, "fit", recording_fit)
     monkeypatch.setattr(irl_lab.airl, "_solve_stack", lambda transition, r_sa, *args, **kwargs:
                         rewards.append(r_sa) or solve(transition, r_sa, *args, **kwargs))
     result = run()
     monkeypatch.undo()
-    return list(zip(fits, rewards)), result
+    return [(args, *fit_, reward) for args, fit_, reward in zip(cells, fits, rewards)], result
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=training_stacks())
 def test_tied_state_only_rows_equal_the_state_layout(case):
-    # a state-only row of a mixed stack holds g(s) tied across actions in an
-    # (S, A) table; its logits, fit, policy-step reward (the collapse of a
-    # materialized f rather than of one broadcast over actions) and policy
-    # must keep the bits of the (S,) layout
+    # a state-only row, alone or in a mixed stack, holds g(s) tied across
+    # actions in an (S, A) table; its logits, fit, policy-step reward (the
+    # collapse of a materialized f rather than of one broadcast over actions)
+    # and policy must keep the bits of g held as an (S,) table
     mdps, demos, step_size = case
     n = len(mdps)
+    transition = np.stack([mdp.transition for mdp in mdps])
     config = LearnerConfig(iterations=3, disc_steps_per_iter=2, disc_step_size=step_size)
     with pytest.MonkeyPatch.context() as monkeypatch:
         mixed_rounds, (mixed, _) = _record_rounds(monkeypatch, lambda: _airl_train_stack(
@@ -356,16 +361,20 @@ def test_tied_state_only_rows_equal_the_state_layout(case):
         alone_rounds, (alone,) = _record_rounds(monkeypatch, lambda: _airl_train_stack(
             mdps, demos, ("airl_state_only",), config))
     assert len(mixed_rounds) == len(alone_rounds) == 3
-    for ((mp, m_in, m_out), m_reward), ((ap, a_in, a_out), a_reward) in zip(mixed_rounds,
-                                                                            alone_rounds):
-        assert m_in[0].shape == (2 * n, *mdps[0].transition.shape[:2])
-        assert a_in[0].shape == (n, mdps[0].n_states)
-        m_logits, a_logits = mp.logits(m_in), ap.logits(a_in)
-        assert m_logits[:n].tobytes() == a_logits.tobytes()
-        assert m_out[0][:n].tobytes() == np.ascontiguousarray(
-            np.broadcast_to(a_out[0][..., None], m_out[0][:n].shape)).tobytes()
-        assert m_out[1][:n].tobytes() == a_out[1].tobytes()
-        assert m_reward[:n].tobytes() == a_reward.tobytes()
+    for rounds, width in ((mixed_rounds, 2 * n), (alone_rounds, n)):
+        for (tied, discount, *cells), problem, theta, (g, h), reward in rounds:
+            assert tied == n and theta[0].shape == (width, *transition.shape[1:3])
+            g_s, h_s = theta[0][:n, :, 0], theta[1][:n]
+            log_pi, w_e, w_n = (a[:n] for a in cells)
+            want_x = 2.0 * state_layout_half_logits(g_s, h_s, discount, log_pi)
+            assert problem.logits(theta)[:n].tobytes() == want_x.tobytes()
+            want_g, want_h = state_layout_fit(g_s, h_s, discount, log_pi, w_e, w_n,
+                                              config.disc_steps_per_iter, step_size)
+            assert g[:n].tobytes() == np.repeat(want_g[..., None], g.shape[-1], -1).tobytes()
+            assert h[:n].tobytes() == want_h.tobytes()
+            f = np.broadcast_to(state_layout_f(want_g, want_h, discount), transition.shape)
+            want_reward = np.einsum("bsap,bsap->bsa", transition, f)
+            assert reward[:n].tobytes() == want_reward.tobytes()
     for row, want in zip(mixed, alone):
         assert row.params.g.values.tobytes() == want.params.g.values.tobytes()
         assert row.policy.tobytes() == want.policy.tobytes()

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,14 @@ class TestGoldenOutputs:
         assert exits == {name: "1\n" if name == "reproduce_tabular" else "0\n"
                          for name in names}
         assert sum(path.is_file() for path in out.rglob("*")) == 126
+        # the stuck run's warnings reach its stderr even though pytest records
+        # warnings: one per policy step, without a line number
+        lines = (out / "runs" / "train_stuck_policy_step.stderr").read_text().splitlines()
+        assert len(lines) == 6
+        for k, line in enumerate(lines[::2]):
+            assert re.fullmatch(r"src/irl_lab/airl\.py: RuntimeWarning: policy step of "
+                                r"airl_state_action problem 0 did not converge at iteration "
+                                rf"{k} \(residual [^)]+\)", line), line
         assert golden_outputs.main([str(out)]) == 2  # refuses a non-empty OUTDIR
 
     def test_stderr_keeps_no_checkout_path_or_line_number(self):

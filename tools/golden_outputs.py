@@ -18,7 +18,9 @@ exit code (`runs/<name>.{stdout,stderr,exit}`).  All paths are relative to
 OUTDIR, and stderr is written without this checkout's path or the line numbers
 of warnings (`airl.py:704:` becomes `airl.py:`), so two output sets compare
 with `diff -r OUTDIR_A OUTDIR_B` and code that only moves lines shows no
-difference.
+difference.  Each command runs under Python's default warning filter with a
+handler that writes every warning to the command's stderr, so a caller that
+records warnings itself, as pytest does, still gets them there.
 The two-seed `reproduce-tabular` runs train both seeds as one stack.  OUTDIR
 must be empty or absent.
 """
@@ -31,6 +33,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -137,6 +140,13 @@ def portable_stderr(text: str) -> str:
     return re.sub(r"\.py:\d+:", ".py:", text.replace(str(SRC.parent) + os.sep, ""))
 
 
+def _show_on(stream):
+    """A `warnings.showwarning` that writes each warning to `stream`."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        stream.write(warnings.formatwarning(message, category, filename, lineno, line))
+    return show
+
+
 def write_golden(outdir: Path) -> None:
     sys.path.insert(0, str(SRC))
     import irl_lab.cli
@@ -150,7 +160,10 @@ def write_golden(outdir: Path) -> None:
     try:
         for name, argv in COMMANDS:
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+                  warnings.catch_warnings()):
+                warnings.simplefilter("default")
+                warnings.showwarning = _show_on(stderr)
                 code = irl_lab.cli.main(argv)
             Path("runs", f"{name}.stdout").write_text(stdout.getvalue())
             Path("runs", f"{name}.stderr").write_text(portable_stderr(stderr.getvalue()))
