@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._fmt import csv_text
-from .mdp import (REQUIRED, RewardTable, TabularMdp, float_array, read_document,
+from .mdp import (REQUIRED, RewardTable, TabularMdp, _freeze, float_array, read_document,
                   reward_from_dict, reward_to_dict, strict_float, strict_int)
-from .shaping import centered_reward_error
+from .shaping import _shaped, centered_reward_error
 from .soft_rl import (Rollouts, SoftSolution, _occupancies, _rollouts, _solve_stack,
                       evaluate_return)
 
@@ -77,11 +77,9 @@ class DiscriminatorParams:
     def __post_init__(self):
         if self.g.kind == "transition":
             raise ValueError("g must be a state_only or state_action table")
-        h = np.array(self.h, dtype=float)
+        h = _freeze(self, "h")
         if h.ndim != 1 or h.shape[0] != self.g.values.shape[0]:
             raise ValueError("h needs one entry per state")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
 
 
 def params_to_dict(params: DiscriminatorParams) -> dict:
@@ -207,16 +205,10 @@ class TransitionBatch:
     next_states: np.ndarray
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=np.int64)
-        actions = np.array(self.actions, dtype=np.int64)
-        next_states = np.array(self.next_states, dtype=np.int64)
+        states, actions, next_states = (_freeze(self, name, np.int64)
+                                        for name in ("states", "actions", "next_states"))
         if not (states.shape == actions.shape == next_states.shape) or states.ndim != 1:
             raise ValueError("batch arrays must be 1-d and equally long")
-        for arr in (states, actions, next_states):
-            arr.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "next_states", next_states)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -289,15 +281,10 @@ def _as_weights(data, n_states: int, n_actions: int) -> np.ndarray:
     raise TypeError("expected an (S, A, S) weight tensor or Rollouts")
 
 
-def _raw_f(g: np.ndarray, h: np.ndarray, discount: float) -> np.ndarray:
-    """f over the (s, a, s') cells, broadcast, from an (..., S, A) or (..., S, 1) g."""
-    return g[..., None] + discount * h[..., None, None, :] - h[..., None, None]
-
-
 def f_table(params: DiscriminatorParams, n_states: int, n_actions: int) -> np.ndarray:
-    """Dense (s, a, s') table of f = g + discount*h(s') - h(s)."""
-    raw = _raw_f(params.g.values.reshape(n_states, -1), params.h, params.discount)
-    return np.ascontiguousarray(np.broadcast_to(raw, (n_states, n_actions, n_states)))
+    """Dense (s, a, s') table of f = g + discount*h(s') - h(s): g shaped by the potential h."""
+    f = _shaped(params.g.cells, params.h, params.discount)
+    return np.ascontiguousarray(np.broadcast_to(f, (n_states, n_actions, n_states)))
 
 
 def f_value(params: DiscriminatorParams, s: int, a: int, sp: int) -> float:
@@ -701,7 +688,8 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
         # Maximizing E[sum of (f - log pi)] is the entropy-regularized
         # objective with reward f(s, a, s'), collapsed to (s, a) by expectation
         # under the dynamics; the solver supplies -log pi as entropy.
-        f = np.broadcast_to(_raw_f(*theta, gamma), transition.shape)
+        g, h = theta
+        f = np.broadcast_to(_shaped(g[..., None], h, gamma), transition.shape)
         return np.einsum("bsap,bsap->bsa", transition, f)
 
     rows = len(row_variants)
@@ -731,18 +719,16 @@ class TrajectoryScorer:
     f_step: np.ndarray
 
     def __post_init__(self):
-        f_step = np.array(self.f_step, dtype=float)
-        if f_step.ndim != 2:
+        if _freeze(self, "f_step").ndim != 2:
             raise ValueError("f_step must be a (s, a) table")
-        f_step.setflags(write=False)
-        object.__setattr__(self, "f_step", f_step)
 
     def f_of(self, rollouts: Rollouts) -> np.ndarray:
         return self.f_step[rollouts.states[:, :-1], rollouts.actions].sum(axis=1)
 
     def log_policy_prob(self, rollouts: Rollouts, policy) -> np.ndarray:
         policy = np.asarray(policy, dtype=float)
-        return np.log(policy[rollouts.states[:, :-1], rollouts.actions]).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            return np.log(policy[rollouts.states[:, :-1], rollouts.actions]).sum(axis=1)
 
     def log_odds(self, rollouts: Rollouts, policy) -> np.ndarray:
         return self.f_of(rollouts) - self.log_policy_prob(rollouts, policy)

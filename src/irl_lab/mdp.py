@@ -3,6 +3,8 @@
 Construction and validation of transition/reward tables, seeded random
 generators for benchmark families, self-transition augmentation, the
 linked-state decomposability analysis, and JSON (de)serialization.
+Records hold read-only C-contiguous copies of their arrays (`_freeze`), and a
+reward table's `cells` lay any kind on (s, a, s') axes for one broadcast.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _freeze(record, name: str, dtype=float) -> np.ndarray:
+    """Set field `name` of the frozen dataclass `record` to a read-only C-contiguous copy
+    of its value, and return the copy."""
+    arr = _readonly(getattr(record, name), dtype)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class RewardTable:
     """Reward table at one of three arities: r(s), r(s,a) or r(s,a,s')."""
@@ -107,13 +117,12 @@ class RewardTable:
     def __post_init__(self):
         if self.kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}")
-        arr = _readonly(self.values)
+        arr = _freeze(self, "values")
         want = _ARITY[self.kind]
         if arr.ndim != want:
             raise ValueError(
                 f"{self.kind} reward needs a {want}-d table, got {arr.ndim}-d"
             )
-        object.__setattr__(self, "values", arr)
 
     @property
     def arity(self) -> int:
@@ -127,18 +136,10 @@ class RewardTable:
             )
         return float(self.values[index])
 
-    def as_transition(self, n_states: int, n_actions: int) -> np.ndarray:
-        """Broadcast to a dense (s, a, s') tensor."""
-        v = self.values
-        if v.shape[0] != n_states:
-            raise ValueError("reward table does not match n_states")
-        if self.kind == "state_only":
-            return np.broadcast_to(v[:, None, None], (n_states, n_actions, n_states)).copy()
-        if v.shape[1] != n_actions:
-            raise ValueError("reward table does not match n_actions")
-        if self.kind == "state_action":
-            return np.broadcast_to(v[:, :, None], (n_states, n_actions, n_states)).copy()
-        return v.copy()
+    @property
+    def cells(self) -> np.ndarray:
+        """The values as a read-only (s, a, s') view: (S, 1, 1), (S, A, 1) or (S, A, S)."""
+        return self.values.reshape(self.values.shape + (1,) * (3 - self.arity))
 
 
 def expected_state_action(reward: RewardTable, transition: np.ndarray) -> np.ndarray:
@@ -178,8 +179,8 @@ class TabularMdp:
             raise ValueError("n_states and n_actions must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        transition = _readonly(self.transition)
-        initial = _readonly(self.initial_dist)
+        transition = _freeze(self, "transition")
+        initial = _freeze(self, "initial_dist")
         shape = (self.n_states, self.n_actions, self.n_states)
         if transition.shape != shape:
             raise ValueError(f"transition tensor must have shape {shape}, got {transition.shape}")
@@ -195,8 +196,6 @@ class TabularMdp:
                 f"{self.reward.kind} reward table must have shape {want}, "
                 f"got {self.reward.values.shape}"
             )
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "initial_dist", initial)
 
 
 def _transition_problems(transition: np.ndarray) -> list[str]:
@@ -333,29 +332,16 @@ class DecompositionReport:
 
 def decomposability_check(mdp: TabularMdp) -> DecompositionReport:
     """Partition states by the linked relation and report decomposability."""
-    reach = one_step_reach(mdp)
-    # linked[x, y]: some state reaches both x and y in one step (any actions).
-    linked = (reach[:, :, None] & reach[:, None, :]).any(axis=0)
-
-    parent = list(range(mdp.n_states))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in range(mdp.n_states):
-        for y in range(x + 1, mdp.n_states):
-            if linked[x, y]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
-
-    groups: dict[int, list[int]] = {}
-    for s in range(mdp.n_states):
-        groups.setdefault(find(s), []).append(s)
-    classes = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
+    reach = one_step_reach(mdp).astype(float)
+    # linked[x, y]: x is y, or some state reaches both x and y in one step
+    linked = (reach.T @ reach > 0) | np.eye(mdp.n_states, dtype=bool)
+    # a reflexive relation's square only grows; once it stops, it is transitive
+    size = 0
+    while linked.sum() > size:
+        size = linked.sum()
+        step = linked.astype(float)
+        linked = step @ step > 0
+    classes = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in linked}))
     return DecompositionReport(is_decomposable=len(classes) == 1, linked_classes=classes)
 
 

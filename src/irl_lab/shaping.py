@@ -1,8 +1,10 @@
 """Potential-based reward shaping and sum decompositions.
 
 Shaped rewards r'(s,a,s') = r + discount*phi(s') - phi(s) leave soft-optimal
-policies unchanged; `decompose_sum` inverts tables of the form
-f(s) + g(s') on a transition support.
+policies unchanged.  `_shaped` is that formula on (s, a, s') cells, so it
+serves `shape_reward` and AIRL's f = g + discount*h(s') - h(s) alike;
+`decompose_sum` inverts tables of the form f(s) + g(s') on a transition
+support.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import RewardTable, expected_state_action
+from .mdp import RewardTable, _freeze, expected_state_action
 
 
 @dataclass(frozen=True)
@@ -22,13 +24,17 @@ class PotentialFn:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
+        phi = _freeze(self, "phi")
         if phi.ndim != 1:
             raise ValueError("potential needs one value per state")
         if not np.all(np.isfinite(phi)):
             raise ValueError("potential entries must be finite")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+
+
+def _shaped(r: np.ndarray, phi: np.ndarray, discount: float) -> np.ndarray:
+    """r + discount * phi(s') - phi(s) on (..., s, a, s') cells, broadcast from r's
+    cells, sized 1 on the axes it does not read, and an (..., S) potential."""
+    return r + discount * phi[..., None, None, :] - phi[..., None, None]
 
 
 def shape_reward(
@@ -49,9 +55,10 @@ def shape_reward(
             raise ValueError("shaping a state_only reward needs n_actions")
     else:
         n_actions = reward.values.shape[1]
-    base = reward.as_transition(n_states, n_actions)
-    shaped = base + discount * phi.phi[None, None, :] - phi.phi[:, None, None]
-    return RewardTable("transition", shaped)
+    if reward.values.shape[0] != n_states:
+        raise ValueError("reward table does not match n_states")
+    shaped = _shaped(reward.cells, phi.phi, discount)
+    return RewardTable("transition", np.broadcast_to(shaped, (n_states, n_actions, n_states)))
 
 
 def advantage(solution) -> np.ndarray:
@@ -104,7 +111,8 @@ def decompose_sum(h_sum, support, *, tol: float = 1e-8) -> SumDecomposition:
     The support must come from decomposable dynamics for the split to be
     unique up to a constant; the gauge is pinned by f[0] = 0.  Supports whose
     constraint graph is disconnected (non-decomposable dynamics) and tables
-    that are inconsistent beyond `tol` are reported infeasible.
+    that are inconsistent beyond `tol`, or not finite on the support, are
+    reported infeasible.
     """
     table = np.asarray(h_sum, dtype=float)
     mask = np.asarray(support, dtype=bool)
@@ -114,36 +122,28 @@ def decompose_sum(h_sum, support, *, tol: float = 1e-8) -> SumDecomposition:
         raise ValueError("support mask must match the table shape")
     n = table.shape[0]
 
-    f = np.full(n, np.nan)
-    g = np.full(n, np.nan)
-    f[0] = 0.0
-    queue = deque([("row", 0)])
-    while queue:
-        side, i = queue.popleft()
-        if side == "row":
-            for j in np.nonzero(mask[i])[0]:
-                if np.isnan(g[j]):
-                    g[j] = table[i, j] - f[i]
-                    queue.append(("col", int(j)))
-        else:
-            for j in np.nonzero(mask[:, i])[0]:
-                if np.isnan(f[j]):
-                    f[j] = table[j, i] - g[i]
-                    queue.append(("row", int(j)))
-
-    if np.isnan(f).any() or np.isnan(g).any():
-        return SumDecomposition(
-            feasible=False,
-            f=None,
-            g=None,
-            reason="support constraint graph is disconnected; the split is not determined",
-        )
-    residual = float(np.max(np.abs((f[:, None] + g[None, :] - table)[mask])))
-    if residual > tol:
-        return SumDecomposition(
-            feasible=False,
-            f=None,
-            g=None,
-            reason=f"table is not a sum f(s) + g(s') on the support (residual {residual:.3g})",
-        )
+    # split[0] is f over the rows and split[1] g over the columns, each entry set
+    # once, from a set entry across a supported pair; known marks the set ones
+    split, known = np.zeros((2, n)), np.zeros((2, n), dtype=bool)
+    known[0, 0] = True
+    sides = ((mask, table), (mask.T, table.T))
+    queue = deque([(0, 0)])
+    # a NaN or infinite entry spreads NaN silently and fails the residual test
+    with np.errstate(invalid="ignore"):
+        while queue:
+            side, i = queue.popleft()
+            (links, entries), other = sides[side], 1 - side
+            for j in np.flatnonzero(links[i] & ~known[other]):
+                known[other, j] = True
+                split[other, j] = entries[i, j] - split[side, i]
+                queue.append((other, j))
+        f, g = split
+        if not known.all():
+            return SumDecomposition(False, None, None, "support constraint graph is "
+                                    "disconnected; the split is not determined")
+        residual = float(np.max(np.abs((f[:, None] + g[None, :] - table)[mask])))
+    # written as `not x <= tol` so that a NaN residual counts as inconsistent
+    if not residual <= tol:
+        return SumDecomposition(False, None, None, "table is not a sum f(s) + g(s') on the "
+                                f"support (residual {residual:.3g})")
     return SumDecomposition(feasible=True, f=f, g=g)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import RewardTable, TabularMdp, expected_state_action
+from .mdp import RewardTable, TabularMdp, _freeze, expected_state_action
 
 
 def _soft_backup(q: np.ndarray) -> np.ndarray:
@@ -202,15 +202,10 @@ class Rollouts:
     actions: np.ndarray
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=np.int64)
-        actions = np.array(self.actions, dtype=np.int64)
+        states, actions = (_freeze(self, name, np.int64) for name in ("states", "actions"))
         if (actions.ndim != 2 or actions.size == 0
                 or states.shape != (len(actions), actions.shape[1] + 1)):
             raise ValueError("rollouts need states (n, H + 1) and actions (n, H) with n, H >= 1")
-        states.setflags(write=False)
-        actions.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
 
 
 def _capped_cdf(p: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ per-step, one-problem and per-dynamics forms of batched functions, kept to pin
 those functions' outputs bit for bit; so are `two_pass_loss`, the earlier
 two-pass form of the discriminator loss, `state_layout_f` and
 `state_layout_fit`, the earlier AIRL arithmetic on a state-only g held as an
-(..., S) table, and `chain_cell`, the earlier CSV cell formatter.
+(..., S) table, `chain_cell`, the earlier CSV cell formatter, and
+`dense_shape_reward`, the earlier `shape_reward` through a dense (s, a, s') copy.
 `backward_soft_recursion`,
 `general_soft_backup`, `general_soft_policy`, `loop_return` and
 `enumerate_return` take any entropy weight (temperature) w, which the package
@@ -320,6 +321,20 @@ def warshall_linked_classes(mdp: TabularMdp, eps: float = 1e-12):
             assigned[t] = True
         classes.append(tuple(sorted(cls)))
     return tuple(sorted(classes))
+
+
+def dense_shape_reward(reward: RewardTable, phi: np.ndarray, discount: float,
+                       n_actions: int) -> np.ndarray:
+    """r(s, a, s') + discount * phi(s') - phi(s) on the dense (s, a, s') copy of the
+    reward that the deleted `RewardTable.as_transition` made."""
+    n_states, v = len(phi), reward.values
+    if reward.kind == "state_only":
+        base = np.broadcast_to(v[:, None, None], (n_states, n_actions, n_states)).copy()
+    elif reward.kind == "state_action":
+        base = np.broadcast_to(v[:, :, None], (n_states, n_actions, n_states)).copy()
+    else:
+        base = v.copy()
+    return base + discount * phi[None, None, :] - phi[:, None, None]
 
 
 def fd_gradient(params: DiscriminatorParams, policy, expert, negatives, eps: float = 1e-5):

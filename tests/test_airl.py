@@ -44,7 +44,7 @@ from irl_lab.mdp import (
     random_deterministic_mdp,
     random_mdp,
 )
-from irl_lab.shaping import advantage, centered_reward_error
+from irl_lab.shaping import PotentialFn, advantage, centered_reward_error, shape_reward
 from irl_lab.soft_rl import (
     Rollouts,
     _rollouts,
@@ -129,6 +129,12 @@ class TestFValue:
             for s, a, sp in [(0, 0, 0), (1, 2, 3), (3, 1, 2)]:
                 npt.assert_allclose(table[s, a, sp], f_value(params, s, a, sp),
                                     atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["state_only", "state_action"])
+    def test_f_table_is_g_shaped_by_h(self, kind):
+        params = random_params(6, 5, 3, kind)
+        shaped = shape_reward(params.g, PotentialFn(params.h), params.discount, n_actions=3)
+        assert np.array_equal(f_table(params, 5, 3), shaped.values)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +300,20 @@ class TestDiscriminatorLoss:
         assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grad)
         assert np.all(reward.values[:, 3] == np.inf)
         assert prob == 1.0
+
+    def test_trajectory_scorer_takes_log_zero_silently(self):
+        # an episode through an action of probability 0 has log pi(tau) = -inf
+        policy = np.array([[0.5, 0.5], [1.0, 0.0]])
+        rollouts = Rollouts(np.array([[0, 1], [1, 0]]), np.array([[1], [1]]))
+        scorer = TrajectoryScorer(np.array([[0.0, 2.0], [1.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_pi = scorer.log_policy_prob(rollouts, policy)
+            log_odds = scorer.log_odds(rollouts, policy)
+            prob = scorer.prob(rollouts, policy)
+        npt.assert_array_equal(log_pi, [np.log(0.5), -np.inf])
+        npt.assert_array_equal(log_odds, [2.0 - np.log(0.5), np.inf])
+        assert prob[1] == 1.0 and 0.0 < prob[0] < 1.0
 
     def test_rollouts_and_weight_tensors_agree(self, tiny_mdp):
         policy = soft_value_iteration(tiny_mdp).policy

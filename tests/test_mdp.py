@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -25,8 +26,9 @@ from irl_lab.mdp import (
     save_mdp,
     validate_mdp,
 )
+from irl_lab.airl import DiscriminatorParams, TrajectoryScorer, TransitionBatch
 from irl_lab.shaping import shape_reward, PotentialFn
-from irl_lab.soft_rl import soft_value_iteration
+from irl_lab.soft_rl import Rollouts, soft_value_iteration
 
 from conftest import small_random_mdps
 from oracles import warshall_linked_classes
@@ -88,6 +90,52 @@ class TestRewardTable:
         collapsed = expected_state_action(RewardTable("transition", table), mdp.transition)
         manual = np.einsum("sap,sap->sa", mdp.transition, table)
         npt.assert_allclose(collapsed, manual, atol=1e-15)
+
+
+def built_record(name):
+    """(record of class `name`, {array field: the array it was built from}); each
+    input is a writable strided view of its own buffer, so not C-contiguous."""
+    def strided(values):
+        return np.repeat(np.asarray(values), 2, axis=0)[::2]
+
+    rng = np.random.default_rng(0)
+    values, vector = strided(rng.normal(size=(3, 2, 3))), strided(np.full(3, 1.0 / 3.0))
+    if name == "RewardTable":
+        return RewardTable("transition", values), {"values": values}
+    if name == "TabularMdp":
+        transition = strided(rng.dirichlet(np.ones(3), size=(3, 2)))
+        mdp = TabularMdp(3, 2, transition, state_reward(3), 0.9, vector)
+        return mdp, {"transition": transition, "initial_dist": vector}
+    if name == "DiscriminatorParams":
+        return DiscriminatorParams(state_reward(3), vector, 0.9), {"h": vector}
+    if name == "TransitionBatch":
+        columns = {"states": strided([0, 1]), "actions": strided([1, 0]),
+                   "next_states": strided([2, 2])}
+        return TransitionBatch(**columns), columns
+    if name == "TrajectoryScorer":
+        f_step = strided(rng.normal(size=(3, 2)))
+        return TrajectoryScorer(f_step), {"f_step": f_step}
+    if name == "Rollouts":
+        states, actions = strided([[0, 1, 2], [2, 2, 0]]), strided([[1, 0], [0, 1]])
+        return Rollouts(states, actions), {"states": states, "actions": actions}
+    return PotentialFn(vector), {"phi": vector}
+
+
+@pytest.mark.parametrize("name", ["RewardTable", "TabularMdp", "DiscriminatorParams",
+                                  "TransitionBatch", "TrajectoryScorer", "Rollouts",
+                                  "PotentialFn"])
+def test_records_hold_read_only_c_contiguous_copies(name):
+    record, given = built_record(name)
+    for field, array in given.items():
+        held = getattr(record, field)
+        assert not array.flags.c_contiguous
+        assert held.flags.c_contiguous and not held.flags.writeable
+        kept = held.copy()
+        npt.assert_array_equal(kept, array)
+        array[(0,) * array.ndim] += 1
+        npt.assert_array_equal(held, kept)
+        with pytest.raises(ValueError, match="read-only"):
+            held[(0,) * held.ndim] = 0
 
 
 class TestRandomMdp:
@@ -233,6 +281,29 @@ class TestDecomposability:
             assert report.linked_classes == warshall_linked_classes(mdp)
             checked += 1
         assert checked == 50
+
+    def test_a_state_no_state_reaches_is_its_own_class(self):
+        transition = np.zeros((4, 2, 4))
+        transition[:, 0, 0] = 1.0
+        transition[0, 1, [1, 2]] = 0.5
+        transition[1:, 1, 1] = 1.0
+        mdp = TabularMdp(4, 2, transition, state_reward(4), 0.9, np.full(4, 0.25))
+        report = decomposability_check(mdp)
+        assert report.linked_classes == ((0, 1, 2), (3,)) == warshall_linked_classes(mdp)
+        assert not report.is_decomposable
+
+    def test_many_states_need_no_state_cubed_table(self):
+        # the linked relation is an (S, S) table; an (S, S, S) one would take
+        # 216 MB here
+        mdp = random_mdp(600, 1, state_reward(600), seed=0)
+        tracemalloc.start()
+        try:
+            report = decomposability_check(mdp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.linked_classes == (tuple(range(600)),)
+        assert peak < 30e6
 
     def test_one_step_reach_is_the_union_over_actions(self, tiny_mdp):
         reach = one_step_reach(tiny_mdp)

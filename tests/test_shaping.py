@@ -23,6 +23,7 @@ from irl_lab.shaping import (
 from irl_lab.soft_rl import soft_value_iteration
 
 from conftest import small_random_mdps
+from oracles import dense_shape_reward
 
 
 def random_pair(seed):
@@ -60,6 +61,21 @@ class TestShapeReward:
         shaped = shape_reward(RewardTable("transition", base), phi, 0.7)
         manual = base + 0.7 * phi.phi[None, None, :] - phi.phi[:, None, None]
         npt.assert_allclose(shaped.values, manual, atol=1e-15)
+
+    def test_equals_the_dense_transition_path(self):
+        # the cells broadcast gives the bits of shaping a dense (s, a, s') copy
+        rng = np.random.default_rng(5)
+        for kind, shape in (("state_only", (4,)), ("state_action", (4, 3)),
+                            ("transition", (4, 3, 4))):
+            reward = RewardTable(kind, rng.normal(size=shape))
+            assert reward.cells.shape == shape + (1,) * (3 - len(shape))
+            assert not reward.cells.flags.writeable
+            phi = rng.normal(scale=3.0, size=4)
+            shaped = shape_reward(reward, PotentialFn(phi), 0.9, n_actions=3)
+            assert shaped.values.shape == (4, 3, 4)
+            assert np.array_equal(shaped.values, dense_shape_reward(reward, phi, 0.9, 3))
+            with pytest.raises(ValueError, match="does not match n_states"):
+                shape_reward(reward, PotentialFn(np.zeros(5)), 0.9, n_actions=3)
 
     def test_zero_potential_is_identity(self, tiny_mdp):
         shaped = shape_reward(tiny_mdp.reward, PotentialFn(np.zeros(3)), 0.9,
@@ -214,6 +230,24 @@ class TestDecomposeSum:
         out = decompose_sum(table, np.ones((4, 4), dtype=bool))
         assert not out.feasible
         assert "not a sum" in out.reason
+
+    def test_non_finite_entries_on_the_support_are_infeasible(self):
+        # each returns at once, names its residual and warns nothing: a NaN
+        # entry must not read as "not yet reached" or pass the tolerance test
+        full = np.ones((3, 3), dtype=bool)
+        rng = np.random.default_rng(6)
+        table = rng.normal(size=3)[:, None] + rng.normal(size=3)[None, :]
+        one_nan, one_inf = table.copy(), table.copy()
+        one_nan[2, 1], one_inf[0, 2] = np.nan, np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [decompose_sum(t, full) for t in (np.full((3, 3), np.nan), one_nan, one_inf)]
+            off_support = decompose_sum(one_nan, full & ~np.eye(3, k=-1, dtype=bool))
+        for out in outs:
+            assert not out.feasible and out.f is None and out.g is None
+            assert "not a sum" in out.reason and "(residual nan)" in out.reason
+        # a NaN off the support is never read
+        assert off_support.feasible
 
     def test_tolerance_forgives_tiny_noise(self):
         rng = np.random.default_rng(2)
