@@ -8,8 +8,11 @@ per-step, one-problem and per-dynamics forms of batched functions, kept to pin
 those functions' outputs bit for bit; so are `two_pass_loss`, the earlier
 two-pass form of the discriminator loss, `state_layout_f` and
 `state_layout_fit`, the earlier AIRL arithmetic on a state-only g held as an
-(..., S) table, `chain_cell`, the earlier CSV cell formatter, and
+(..., S) table, `theta_space_cell_fit`, the earlier AIRL fit that stepped theta
+itself, `chain_cell`, the earlier CSV cell formatter, and
 `dense_shape_reward`, the earlier `shape_reward` through a dense (s, a, s') copy.
+The package's AIRL fit steps its logits' tables, so these two fits pin it to
+within rounding; their tied rows agree with each other bit for bit.
 `backward_soft_recursion`,
 `general_soft_backup`, `general_soft_policy`, `loop_return` and
 `enumerate_return` take any entropy weight (temperature) w, which the package
@@ -416,6 +419,37 @@ def state_layout_fit(g, h, discount: float, log_pi, w_e, w_n, steps: int, step_s
     for _ in range(steps):
         dl_dx = np.tanh(state_layout_half_logits(g, h, discount, log_pi)) * half
         grad_g, grad_h = map(np.add, chain(dl_dx), constant)
+        g, h = g - step_size * grad_g, h - step_size * grad_h
+    return g, h
+
+
+def theta_space_cell_fit(tied: int, discount: float, log_pi, w_e, w_n, theta, steps: int,
+                         step_size: float):
+    """(g, h) after `steps` gradient steps of a stack of AIRL cell regressions, each
+    step taken on theta itself: g (B, S, A), its first `tied` rows g(s) tied
+    across actions, and h (B, S).  Every step forms x / 2 = (g - h(s) - log pi)
+    / 2 + (discount / 2) h(s') by one broadcast, takes half * tanh(x / 2), chains
+    it to g by per-(s, a) sums (a tied row's per-state sum copied across its
+    actions) and to h by discount * per-successor sums minus per-state sums,
+    adds the chained constant half - w_e and steps g and h."""
+    n_states, n_actions = log_pi.shape[-2:]
+    by_action, by_successor, by_cell = map(np.ones, (n_actions, n_states, n_states * n_actions))
+
+    def chain(dl_df):
+        cells = dl_df.reshape(*dl_df.shape[:-3], n_states * n_actions, n_states)
+        per_sa = (cells @ by_successor).reshape(dl_df.shape[:-1])
+        per_state = per_sa @ by_action
+        if tied:
+            per_sa[:tied] = per_state[:tied, :, None]
+        return per_sa, discount * (by_cell @ cells) - per_state
+
+    half = 0.5 * (w_e + w_n)
+    constant = chain(half - w_e)
+    g, h = theta
+    for _ in range(steps):
+        half_x = np.add((0.5 * (g - h[..., None] - log_pi))[..., None],
+                        (0.5 * discount) * h[..., None, None, :])
+        grad_g, grad_h = map(np.add, chain(np.tanh(half_x) * half), constant)
         g, h = g - step_size * grad_g, h - step_size * grad_h
     return g, h
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import pickle
 import warnings
+import weakref
 
 import irl_lab.airl
 
@@ -57,7 +59,12 @@ from irl_lab.soft_rl import (
 from irl_lab.transfer import N_EXPERT_TRAJECTORIES, run_recovery
 
 from conftest import record_calls
-from oracles import fd_gradient, state_layout_fit, trajectory_probability, two_pass_loss
+from oracles import (fd_gradient, state_layout_fit, theta_space_cell_fit, trajectory_probability,
+                     two_pass_loss)
+
+# the largest gap between `_Problem.fit` on AIRL cells and `theta_space_cell_fit`
+# over `cell_stack`'s tables (|theta| <= 2) at 5 steps of 0.3; 4.4e-16 measured
+CELL_FIT_ATOL = 2e-15
 
 
 def batch_of(rollouts):
@@ -471,7 +478,8 @@ class TestCellFit:
     @pytest.mark.parametrize("layout", ["state_only", "state_action", "mixed"])
     def test_every_row_equals_its_own_one_row_fit(self, width, layout):
         # the state-only rows come first, each holding g(s) tied across the
-        # actions and keeping the bits of a g held as a state table
+        # actions; every row keeps the bits of its own one-row fit, and the
+        # fit on the logits' tables stays within rounding of the one on theta
         log_pi, w_e, w_n, g_s, g_sa, h = cell_stack(width)
         tied = {"state_only": width, "state_action": 0, "mixed": (width + 1) // 2}[layout]
         g = tied_g(g_s, g_sa, tied)
@@ -482,11 +490,16 @@ class TestCellFit:
                                              w_n[row]).fit((g[row], h[row]), 5, 0.3)
             assert fit_g[row].tobytes() == alone_g.tobytes(), i
             assert fit_h[row].tobytes() == alone_h.tobytes(), i
+        assert np.array_equal(fit_g[:tied], np.broadcast_to(fit_g[:tied, :, :1], g[:tied].shape))
+        want_g, want_h = theta_space_cell_fit(tied, 0.9, log_pi, w_e, w_n, (g, h), 5, 0.3)
+        npt.assert_allclose(fit_g, want_g, rtol=0, atol=CELL_FIT_ATOL)
+        npt.assert_allclose(fit_h, want_h, rtol=0, atol=CELL_FIT_ATOL)
         if tied:
+            # the oracle's tied rows keep the bits of g held as a state table
             state_g, state_h = state_layout_fit(g_s[:tied], h[:tied], 0.9, log_pi[:tied],
                                                 w_e[:tied], w_n[:tied], 5, 0.3)
-            assert fit_g[:tied].tobytes() == np.repeat(state_g[..., None], 4, axis=-1).tobytes()
-            assert fit_h[:tied].tobytes() == state_h.tobytes()
+            assert want_g[:tied].tobytes() == np.repeat(state_g[..., None], 4, axis=-1).tobytes()
+            assert want_h[:tied].tobytes() == state_h.tobytes()
 
     def test_fit_leaves_its_theta_alone(self):
         log_pi, w_e, w_n, g_s, g_sa, h = cell_stack(3)
@@ -500,6 +513,36 @@ class TestCellFit:
             fitted = problem.fit(theta, 4, 0.3)
             assert not any(np.array_equal(t, f) for t, f in zip(theta, fitted))
             assert [t.tobytes() for t in theta] == [t.tobytes() for t in before]
+
+
+    @pytest.mark.parametrize("mode", ["exact_occupancy", "sampled"])
+    def test_no_round_problem_outlives_its_round(self, monkeypatch, mode):
+        # with the cyclic collector off, every problem the training loop
+        # builds, and every one a history read rebuilds, is freed once its
+        # last reference goes: none holds itself through a cycle
+        mdps, demos = stack_problems()
+        if mode == "sampled":
+            demos = [sample_trajectories(m, soft_value_iteration(m).policy, 16, seed=i)
+                     for i, m in enumerate(mdps)]
+        refs, cell_problem = [], irl_lab.airl._cell_problem
+
+        def recording_cell_problem(*args):
+            problem = cell_problem(*args)
+            refs.append(weakref.ref(problem))
+            return problem
+
+        monkeypatch.setattr(irl_lab.airl, "_cell_problem", recording_cell_problem)
+        config = LearnerConfig(mode=mode, iterations=4, n_policy_trajectories=8)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            (results, _) = _airl_train_stack(mdps[:2], demos[:2], BOTH_VARIANTS, config)
+            assert len(refs) == 4 and not any(ref() for ref in refs)
+            results[0].history.column("disc_loss")
+            assert len(refs) == 8 and not any(ref() for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestExtractReward:
@@ -1276,7 +1319,27 @@ class TestReplayCounts:
         batches = [batch_of(sample_trajectories(bench_mdp, policy, 16, seed)) for seed in seeds]
         for k in range(1, len(seeds) + 1):
             want = pool_batches(batches[:k]).to_weights(16, 4)
-            assert np.array_equal(_replay_weights(replay[:k]), want)
+            assert np.array_equal(_replay_weights(sum(replay[:k])), want)
+
+    def test_the_replay_sum_slides_with_the_bits_of_its_window_sum(self, monkeypatch):
+        # each round adds its counts to the window's sum and subtracts the
+        # evicted round's, in training and again when a history read
+        # rebuilds the rounds; every sum equals sum() over its window
+        mdps, _ = stack_problems()
+        demos = [sample_trajectories(m, soft_value_iteration(m).policy, 16, seed=i)
+                 for i, m in enumerate(mdps[:2])]
+        config = LearnerConfig(mode="sampled", iterations=30, replay_window=5,
+                               n_policy_trajectories=8)
+        sums, weights = [], irl_lab.airl._replay_weights
+        monkeypatch.setattr(irl_lab.airl, "_replay_weights",
+                            lambda counts: sums.append(counts.copy()) or weights(counts))
+        results = airl_train(mdps[:2], demos, config)
+        results[0].history.column("disc_loss")
+        encodings = results[0].history._stack.encodings
+        assert len(encodings) == 30 and len(sums) == 60
+        for k, counts in enumerate(sums):
+            window = encodings[max(0, k % 30 - 4):k % 30 + 1]
+            assert counts.tobytes() == sum(window).tobytes(), k
 
     def test_episode_counts_equal_the_loop_rows(self, bench_mdp):
         policy = softmax_policy(4, 16, 4)

@@ -31,7 +31,8 @@ from conftest import assert_same_solution, at_temperature, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, fd_gradient,
                      general_soft_backup, general_soft_policy, loop_occupancy, loop_return,
                      loop_sample_trajectories, loop_soft_value_iteration, chain_cell,
-                     state_layout_f, state_layout_fit, state_layout_half_logits)
+                     state_layout_f, state_layout_fit, state_layout_half_logits,
+                     theta_space_cell_fit)
 
 # enumerate_return walks every (action, next state) branch of every step
 MAX_ENUMERATED_PATHS = 5_000
@@ -335,7 +336,7 @@ def _record_rounds(monkeypatch, run):
         return fits[-1][-1]
 
     monkeypatch.setattr(irl_lab.airl, "_cell_problem",
-                        lambda *args: cells.append(args) or cell_problem(*args))
+                        lambda *args: cells.append(args[:5]) or cell_problem(*args))
     monkeypatch.setattr(irl_lab.airl._Problem, "fit", recording_fit)
     monkeypatch.setattr(irl_lab.airl, "_solve_stack", lambda transition, r_sa, *args, **kwargs:
                         rewards.append(r_sa) or solve(transition, r_sa, *args, **kwargs))
@@ -344,13 +345,20 @@ def _record_rounds(monkeypatch, run):
     return [(args, *fit_, reward) for args, fit_, reward in zip(cells, fits, rewards)], result
 
 
+# the largest gap between a training fit's tied rows and `state_layout_fit`,
+# relative to max(1, |g|, |h|), over `training_stacks`: 4.1e-16 measured
+TIED_FIT_RTOL = 2e-15
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=training_stacks())
 def test_tied_state_only_rows_equal_the_state_layout(case):
     # a state-only row, alone or in a mixed stack, holds g(s) tied across
-    # actions in an (S, A) table; its logits, fit, policy-step reward (the
+    # actions in an (S, A) table; its logits and its policy-step reward (the
     # collapse of a materialized f rather than of one broadcast over actions)
-    # and policy must keep the bits of g held as an (S,) table
+    # keep the bits of g held as an (S,) table, its fit stays exactly tied and
+    # within rounding of the (S,) layout's, and each row keeps the bits of
+    # its one-variant run
     mdps, demos, step_size = case
     n = len(mdps)
     transition = np.stack([mdp.transition for mdp in mdps])
@@ -370,14 +378,116 @@ def test_tied_state_only_rows_equal_the_state_layout(case):
             assert problem.logits(theta)[:n].tobytes() == want_x.tobytes()
             want_g, want_h = state_layout_fit(g_s, h_s, discount, log_pi, w_e, w_n,
                                               config.disc_steps_per_iter, step_size)
-            assert g[:n].tobytes() == np.repeat(want_g[..., None], g.shape[-1], -1).tobytes()
-            assert h[:n].tobytes() == want_h.tobytes()
-            f = np.broadcast_to(state_layout_f(want_g, want_h, discount), transition.shape)
+            assert np.array_equal(g[:n], np.broadcast_to(g[:n, :, :1], g[:n].shape))
+            tol = TIED_FIT_RTOL * max(1.0, np.abs(want_g).max(), np.abs(want_h).max())
+            np.testing.assert_allclose(g[:n, :, 0], want_g, rtol=0, atol=tol)
+            np.testing.assert_allclose(h[:n], want_h, rtol=0, atol=tol)
+            f = np.broadcast_to(state_layout_f(g[:n, :, 0], h[:n], discount), transition.shape)
             want_reward = np.einsum("bsap,bsap->bsa", transition, f)
             assert reward[:n].tobytes() == want_reward.tobytes()
     for row, want in zip(mixed, alone):
         assert row.params.g.values.tobytes() == want.params.g.values.tobytes()
         assert row.policy.tobytes() == want.policy.tobytes()
+
+
+def _cell_case(rng, width, n_states, n_actions, tied):
+    """A stack's log pi, with pi(0|0) = 0 in every row when there are two or more
+    actions, expert and negative weights (no negative mass where pi = 0) and
+    theta, the first `tied` rows' g tied across actions."""
+    policy = rng.dirichlet(np.ones(n_actions), size=(width, n_states))
+    if n_actions > 1:
+        policy[:, 0, 0] = 0.0
+        policy[:, 0] /= policy[:, 0].sum(axis=-1, keepdims=True)
+    shape = (width, n_states, n_actions, n_states)
+    w_e = _distributions(rng, (width, np.prod(shape[1:])), 0.3).reshape(shape)
+    w_n = _distributions(rng, (width, np.prod(shape[1:])), 0.3).reshape(shape)
+    if n_actions > 1:
+        w_n[:, 0, 0] = 0.0
+        w_n[:, 0, 1, 0] += 1.0
+        w_n /= w_n.sum(axis=(1, 2, 3), keepdims=True)
+    g = rng.normal(size=(width, n_states, n_actions))
+    g[:tied] = g[:tied, :, :1]
+    with np.errstate(divide="ignore"):
+        return np.log(policy), w_e, w_n, (g, rng.normal(size=(width, n_states)))
+
+
+class _TanhRecorder:
+    """numpy, except that `tanh` keeps a copy of each input."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def tanh(self, x, *args, **kwargs):
+        self.inputs.append(x.copy())
+        return np.tanh(x, *args, **kwargs)
+
+
+# the largest gap between `_Problem.fit` on AIRL cells and `theta_space_cell_fit`,
+# relative to max(1, |g|, |h|), over the cases below: 1.5e-15 measured
+CELL_FIT_RTOL = 8e-15
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.99])
+@pytest.mark.parametrize("n_states, n_actions", [(1, 3), (4, 1), (5, 3)])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(width=st.sampled_from([1, 2, 60]), layout=st.sampled_from(["state_only", "state_action",
+                                                                  "mixed"]),
+       steps=st.sampled_from([1, 5, 20]), step_size=st.sampled_from([0.1, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_fit_on_the_logit_tables_follows_the_fit_on_theta(
+        discount, n_states, n_actions, width, layout, steps, step_size, seed):
+    # every step's x / 2 = a + c is exact: the first equals the problem's half
+    # logits bit for bit, a zero-probability action's stays +inf and every
+    # other stays finite; theta ends within rounding of the fit on theta,
+    # its tied rows exactly tied
+    tied = {"state_only": width, "state_action": 0, "mixed": (width + 1) // 2}[layout]
+    log_pi, w_e, w_n, theta = _cell_case(np.random.default_rng(seed), width, n_states,
+                                         n_actions, tied)
+    problem = irl_lab.airl._cell_problem(tied, discount, log_pi, w_e, w_n)
+    recorder = _TanhRecorder()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(irl_lab.airl, "np", recorder)
+        g, h = problem.fit(theta, steps, step_size)
+    assert len(recorder.inputs) == steps
+    assert recorder.inputs[0].tobytes() == problem.half_logits(theta).tobytes()
+    impossible = np.broadcast_to(np.isneginf(log_pi)[..., None], w_e.shape)
+    assert impossible.any() == (n_actions > 1)
+    for half_x in recorder.inputs:
+        half_x = half_x.reshape(w_e.shape)
+        assert np.all(half_x[impossible] == np.inf) and np.isfinite(half_x[~impossible]).all()
+    assert np.array_equal(g[:tied], np.broadcast_to(g[:tied, :, :1], g[:tied].shape))
+    want_g, want_h = theta_space_cell_fit(tied, discount, log_pi, w_e, w_n, theta, steps,
+                                          step_size)
+    tol = CELL_FIT_RTOL * max(1.0, np.abs(want_g).max(), np.abs(want_h).max())
+    np.testing.assert_allclose(g, want_g, rtol=0, atol=tol)
+    np.testing.assert_allclose(h, want_h, rtol=0, atol=tol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_states=st.integers(1, 4), n_actions=st.integers(1, 3), discount=st.floats(0.0, 0.999),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_shared_chain_gives_each_row_its_finite_difference_gradient(n_states, n_actions,
+                                                                     discount, seed):
+    # training builds one `_CellChain` for a stack and every round's problem
+    # reuses it; each row's gradient through it matches finite differences of
+    # the row's own loss
+    rng = np.random.default_rng(seed)
+    chain = irl_lab.airl._cell_chain(1, 2, n_states, n_actions, discount)
+    for _ in range(2):
+        log_pi, w_e, w_n, (g, h) = _cell_case(rng, 2, n_states, n_actions, 1)
+        log_pi = np.log(0.5 * np.exp(log_pi) + 0.5 / n_actions)
+        problem = irl_lab.airl._cell_problem(1, discount, log_pi, w_e, w_n, chain)
+        grad_g, grad_h = problem.grad((g, h))
+        for row, kind in enumerate(["state_only", "state_action"]):
+            table = g[row, :, 0] if kind == "state_only" else g[row]
+            params = DiscriminatorParams(RewardTable(kind, table), h[row], discount)
+            fd_g, fd_h = fd_gradient(params, np.exp(log_pi[row]), w_e[row], w_n[row])
+            want_g = fd_g[:, None] if kind == "state_only" else fd_g
+            assert np.max(np.abs(grad_g[row] - want_g)) <= 1e-7
+            assert np.max(np.abs(grad_h[row] - fd_h)) <= 1e-7
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
