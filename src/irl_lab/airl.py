@@ -257,12 +257,13 @@ def _rollout_counts(states, actions, n_states: int, n_actions: int) -> np.ndarra
     return _cell_counts(states[:, :-1], actions, states[:, 1:], n_states, n_actions)
 
 
-def _replay_weights(counts: np.ndarray) -> np.ndarray:
-    """A replay's summed (..., S, A, S) cell counts, each problem's normalized to mass 1.
+def _replay_weights(replay) -> np.ndarray:
+    """The replay's summed (..., S, A, S) cell counts, each problem's normalized to mass 1.
 
     Equal bit for bit to `pool_batches` of the same rollouts followed by
     `to_weights`: the counts are integers, exact in float64.
     """
+    counts = sum(replay)
     return counts / counts.sum(axis=(-3, -2, -1), keepdims=True)
 
 
@@ -322,19 +323,17 @@ class _Problem:
     equals half * tanh(x / 2) + (half - w_e) with half = (w_e + w_n) / 2, so the
     gradient is phi_t(half * tanh(x / 2)) plus phi_t(half - w_e), a constant
     that the first `grad` forms with half: a problem only a loss is taken from
-    forms neither.  `fit` writes every step's x / 2 into one buffer, unless
-    `fit_logits(theta, steps, step_size, half, chained_bias)` takes the steps.
+    forms neither.  `fit` runs its builder's `descend(self, theta, steps, step_size)`.
     """
 
-    def __init__(self, half_logits: Callable, phi_t: Callable, w_e, w_n, row_axes,
-                 fit_logits: Callable | None = None):
-        self.half_logits, self.phi_t, self.fit_logits = half_logits, phi_t, fit_logits
+    def __init__(self, half_logits: Callable, phi_t: Callable, descend, w_e, w_n, row_axes):
+        self.half_logits, self.phi_t, self.descend = half_logits, phi_t, descend
         self.w_e, self.w_n, self.row_axes = w_e, w_n, row_axes
 
     @functools.cached_property
     def _grad_terms(self) -> tuple[np.ndarray, tuple]:
-        """(half, phi_t(half - w_e)), the gradient's terms that do not depend on theta."""
-        half = 0.5 * (self.w_e + self.w_n)
+        """(half, phi_t(half - w_e)), the theta-free gradient terms; half C-contiguous like x."""
+        half = np.multiply(0.5, self.w_e + self.w_n, order="C")
         return half, self.phi_t(half - self.w_e)
 
     def logits(self, theta) -> np.ndarray:
@@ -365,93 +364,82 @@ class _Problem:
         return tuple(map(np.add, self.phi_t(dl_dx), chained_bias))
 
     def fit(self, theta, steps: int, step_size: float) -> tuple:
-        if self.fit_logits:
-            return self.fit_logits(theta, steps, step_size, *self._grad_terms)
-        buffer = np.empty_like(self._grad_terms[0])
-        for _ in range(steps):
-            theta = tuple(t - step_size * g for t, g in zip(theta, self.grad(theta, buffer)))
-        return theta
+        return self.descend(self, theta, steps, step_size)
 
 
-def _cell_chain(tied: int, rows: int, n_states: int, n_actions: int, discount: float) -> tuple:
-    """(G, L, L @ G), the linear maps of a stack of AIRL problems.  G maps z, a per-cell
-    array's sums over successors, u (S * A), then over (s, a), v (S), to its
-    chain onto (g, h): g(s, a) gets u(s, a), a tied row's g(s) the sum over a
-    of u(s, a) on every action, and h gets discount * v minus the sum over a
-    of u.  L maps a move of (g, h) to that of the half logits' tables (c, a):
-    c = (discount / 2) h and a = (g - h(s) - log pi) / 2."""
-    n_cells, width = n_states * n_actions, n_states * (n_actions + 1)
-    by_state = np.repeat(np.eye(n_states), n_actions, axis=1)  # (S, S * A): sums over actions
-    grad, tables = np.zeros((2, rows, width, width))
-    grad[:, :n_cells, :n_cells] = np.eye(n_cells)
-    grad[:tied, :n_cells, :n_cells] = by_state.T @ by_state
-    grad[:, n_cells:] = np.concatenate([-by_state, discount * np.eye(n_states)], axis=1)
-    tables[:, :n_states, n_cells:] = 0.5 * discount * np.eye(n_states)
-    tables[:, n_states:] = 0.5 * np.concatenate([np.eye(n_cells), -by_state.T], axis=1)
-    return grad, tables, tables @ grad
+def _step_theta(problem: _Problem, theta, steps: int, step_size: float) -> tuple:
+    """`steps` GD steps on theta itself, every step's x / 2 written into one buffer."""
+    buffer = np.empty_like(problem._grad_terms[0])
+    for _ in range(steps):
+        theta = tuple(t - step_size * g for t, g in zip(theta, problem.grad(theta, buffer)))
+    return theta
 
 
-def _cell_problem(tied: int, discount: float, log_pi, w_e, w_n, chain=None) -> _Problem:
+def _cell_problem(tied: int, discount: float, log_pi, w_e, w_n) -> _Problem:
     """AIRL rows: the (s, a, s') cells, theta = (g, h), logits f - log pi(a|s).
 
     Every argument has a leading problem axis, and g is a (B, S, A) table.  The
     first `tied` problems of the stack are state-only ones, each holding g(s)
-    tied across actions.  x / 2 is an (s, a) table a = (g - h(s) - log pi) / 2
-    plus an s' table c = (discount / 2) h(s'), added by one broadcast.  The
-    chain applies G of the stack's `_cell_chain`, built here unless given, to
-    the per-(s, a) and per-successor sums, two products with ones.  The fit
-    steps (c, a), not theta: each step forms x / 2 exactly as the rank-2
-    product [1, a] @ [c; 1], writes the sums of half * tanh(x / 2) into its
-    row of z, and moves (c, a) by -step_size * [L G, L bias] [z, 1], bias the
-    chained constant.  theta then ends at the start minus step_size * (G of
-    the summed z + steps * bias), its tied rows tied again to action 0.
+    tied across actions.  The cells are held as (B, A, S, S'); x / 2 = a(s, a)
+    + c(s'), [a; c] = `tables` = [(g - h(s) - log pi) / 2; (discount / 2) h].
+    The chain gives g the sum of the cells sharing its index and h weight -1
+    at the current state and +discount at the successor, by each (s, a)'s sum
+    u and each successor's sum v; a tied row's g gets its state's sum of u.  A
+    GD step moves [a; c] at s by a constant plus one (A + 1)-square map per row
+    of [u; v] at s, `tables` of the chain of unit sums: `descend` steps [a; c].
     """
     rows, n_states, n_actions = log_pi.shape
-    n_cells, width = n_states * n_actions, n_states * (n_actions + 1)
-    grad_map, table_map, step_map = chain or _cell_chain(tied, rows, n_states, n_actions,
-                                                         discount)
-    by_successor, by_cell = np.ones(n_states), np.ones(n_cells)
+    by_action, by_successor, by_cell = map(np.ones, (n_actions, n_states, n_states * n_actions))
+
+    def tables(g, h, offset=0.0):
+        return np.concatenate([(0.5 * (g - h[..., None] - offset)).swapaxes(1, 2),
+                               (0.5 * discount) * h[:, None]], 1)
 
     def half_logits(theta, out=None):
-        g, h = theta
-        return np.add((0.5 * (g - h[..., None] - log_pi))[..., None],
-                      (0.5 * discount) * h[..., None, None, :], out=out)
+        a_c = tables(*theta, log_pi)
+        return np.add(a_c[:, :-1, :, None], a_c[:, None, None, -1], out=out)
+
+    def chain(per_sa, per_successor):
+        per_state = per_sa @ by_action
+        if tied:
+            per_sa[:tied] = per_state[:tied, :, None]
+        return per_sa, discount * per_successor - per_state
 
     def phi_t(dl_df):
-        cells = dl_df.reshape(rows, n_cells, n_states)
-        grad = grad_map @ np.concatenate([cells @ by_successor, by_cell @ cells], 1)[..., None]
-        return grad[:, :n_cells, 0].reshape(log_pi.shape), grad[:, n_cells:, 0]
+        cells = dl_df.reshape(rows, n_states * n_actions, n_states)
+        per_sa = (cells @ by_successor).reshape(rows, n_actions, n_states).swapaxes(1, 2)
+        return chain(per_sa, by_cell @ cells)
 
-    def fit_logits(theta, steps, step_size, half, chained_bias):
-        g, h = theta
-        bias = np.concatenate([chained_bias[0].reshape(rows, n_cells), chained_bias[1]], 1)
-        move = np.concatenate([step_map, table_map @ bias[..., None]], axis=2)
-        move *= -step_size
-        # rows [1 (S * A), c (S)] over [a (S * A), 1 (S)], so (c, a) is one run
-        factors = np.ones((rows, 2, width))
-        factors[:, 0, n_cells:] = (0.5 * discount) * h
-        factors[:, 1, :n_cells] = (0.5 * (g - h[..., None] - log_pi)).reshape(rows, n_cells)
-        ones_a, c_ones = factors[..., :n_cells].swapaxes(1, 2), factors[..., n_cells:]
-        c_a = factors.reshape(rows, -1)[:, n_cells:n_cells + width]
-        z = np.ones((steps, rows, width + 1))
-        x, delta = np.empty((rows, n_cells, n_states)), np.empty((rows, width, 1))
-        half, moved = half.reshape(x.shape), delta[..., 0]
+    def descend(problem, theta, steps, step_size):
+        half, chained_bias = problem._grad_terms
+        units = np.broadcast_to(np.eye(n_actions + 1), (rows, n_actions + 1, n_actions + 1))
+        step_map = -step_size * tables(*chain(units[..., :-1].copy(), units[..., -1]))
+        constant = -step_size * tables(*chained_bias)
+        # rows [1, a] over [c, 1] give x / 2 = [a, 1] @ [1; c] exactly; [a; c] is one run
+        factors = np.ones((rows, 2, (n_actions + 1) * n_states))
+        a_c = factors.reshape(rows, -1)[:, n_states:-n_actions * n_states].reshape(constant.shape)
+        a_c[:] = tables(*theta, log_pi)
+        a_1, ones_c = factors[:, :, n_states:].swapaxes(1, 2), factors[:, :, :n_states]
+        z, summed, delta = np.empty(a_c.shape), np.zeros(a_c.shape), np.empty(a_c.shape)
+        half = half.reshape(rows, -1, n_states)
+        cells = np.empty(half.shape)
         # BLAS may multiply an infinite a by the zeros padding its tiles, unstored
         with np.errstate(invalid="ignore"):
-            for z_k, u, v in zip(z[..., None], z[..., :n_cells], z[..., n_cells:width]):
-                np.matmul(ones_a, c_ones, out=x)
-                np.tanh(x, out=x)
-                x *= half
-                np.matmul(x, by_successor, out=u)
-                np.matmul(by_cell, x, out=v)
-                np.matmul(move, z_k, out=delta)
-                c_a += moved
-        grad = (grad_map @ z[..., :width].sum(axis=0)[..., None])[..., 0] + steps * bias
-        new_g = g - step_size * grad[:, :n_cells].reshape(g.shape)
-        new_g[:tied] = new_g[:tied, :, :1]
-        return new_g, h - step_size * grad[:, n_cells:]
+            for _ in range(steps):
+                np.matmul(a_1, ones_c, out=cells)
+                np.tanh(cells, out=cells)
+                cells *= half
+                np.matmul(cells, by_successor, out=z[:, :-1].reshape(rows, -1))
+                np.matmul(by_cell, cells, out=z[:, -1])
+                summed += z
+                np.matmul(step_map, z, out=delta)
+                a_c += delta
+                a_c += constant
+        grads = chain(summed[:, :-1].swapaxes(1, 2), summed[:, -1])
+        return tuple(t - step_size * (d + steps * b) for t, d, b in zip(theta, grads, chained_bias))
 
-    return _Problem(half_logits, phi_t, w_e, w_n, (-3, -2, -1), fit_logits)
+    return _Problem(half_logits, phi_t, descend, w_e.swapaxes(1, 2), w_n.swapaxes(1, 2),
+                    (-3, -2, -1))
 
 
 def _params_problem(params: DiscriminatorParams, policy, expert, negatives):
@@ -523,13 +511,12 @@ class _StackRounds:
     re-solved policies and the policy step's `iterations_used`; in sampled
     mode `encodings` keeps every round's stacked rollout encodings, for as
     long as a history of the stack lives, and round k's replay is the last
-    `replay_window` of them up to k, or with `sum_replay` their sum.
-    `problem` builds a round's regression for the loop and again for
-    `diagnostics`, so both see the same bits.
+    `replay_window` of them up to k.  `problem` builds a round's regression
+    for the loop and again for `diagnostics`, so both see the same bits.
     """
 
     def __init__(self, mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple,
-                 problem: Callable, sum_replay: bool):
+                 problem: Callable):
         self.transition = np.stack([mdp.transition for mdp in mdps])
         self.initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
         self.discount, self.horizon = mdps[0].discount, mdps[0].horizon
@@ -540,39 +527,22 @@ class _StackRounds:
         self.policies = np.empty(rounds + self.uniform.shape[1:])
         self.vi_steps = np.empty(rounds, dtype=int)
         self.encodings: list[np.ndarray] = []
-        self.sum_replay, self._summed = sum_replay, (None, None)
         self._diagnostics: tuple[np.ndarray, np.ndarray] | None = None
 
     def problem(self, iteration: int, policies: np.ndarray, negatives=None) -> _Problem:
         """Round `iteration`'s regression, given the (B, S, A) policies that entered it.
 
         Exact mode's negatives are their stacked (s, a, s') occupancies, unless
-        given; sampled mode's are the round's `_replay`.
+        given; sampled mode's are the replay window of encodings.
         """
         if self.mode == "exact_occupancy":
             if negatives is None:
                 negatives = _occupancies(self.transition, self.initial_dist, self.discount,
                                          self.horizon, policies)
         else:
-            negatives = self._replay(iteration)
+            negatives = self.encodings[max(0, iteration + 1 - self.replay_window):iteration + 1]
         with np.errstate(**_ROUND_ERRSTATE):
             return self._problem(negatives, np.log(policies))
-
-    def _replay(self, iteration: int):
-        """Round `iteration`'s window of encodings, or with `sum_replay` their sum, slid
-        from round iteration - 1's when that was the last sum: the counts are
-        integers far below 2**53, so every sum has the bits of `sum()`."""
-        start = max(0, iteration + 1 - self.replay_window)
-        window = self.encodings[start:iteration + 1]
-        if not self.sum_replay:
-            return window
-        last, total = self._summed
-        if last == iteration - 1:
-            total += window[-1] - (self.encodings[start - 1] if start else 0)
-        else:
-            total = sum(window)
-        self._summed = iteration, total
-        return total
 
     def record(self, iteration: int, theta: tuple, solves: SoftSolution) -> None:
         for rows, t in zip(self.theta, theta):
@@ -623,7 +593,7 @@ class _StackRounds:
 
 
 def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerConfig,
-           theta: tuple, encode, problem, rewards, sum_replay: bool = False):
+           theta: tuple, encode, problem, rewards):
     """The one training loop over a stack of problems, one per MDP.
 
     `variants` names each problem's variant; the problems of one variant are
@@ -646,10 +616,9 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
     one-problem run draws the same episodes.  `encode` turns one problem's
     rollouts (int arrays, states (n, horizon + 1) and actions (n, horizon))
     into a count array by one bincount; the negatives are the last
-    `replay_window` stacks of those, or with `sum_replay` their running sum
-    (see `_StackRounds._replay`).
+    `replay_window` stacks of those (see `_replay_weights`).
     """
-    stack = _StackRounds(mdps, config, theta, problem, sum_replay)
+    stack = _StackRounds(mdps, config, theta, problem)
     transition, discount, policies = stack.transition, stack.discount, stack.uniform
     v_warm = None
     rng = np.random.default_rng(config.seed)
@@ -732,8 +701,7 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
     rows are the MDPs under the state-only variant, then under the
     state-action one.  Every stack's g is (B, S, A), each state-only row
     holding g(s) tied across its actions, so every row keeps the bits of its
-    own one-variant, one-MDP run.  The `_cell_chain` maps are built once, for
-    every round's problem and every rebuilt one of a history read.
+    own one-variant, one-MDP run.
     """
     airl_variants = ("airl_state_only", "airl_state_action")
     if any(v not in airl_variants for v in variants):
@@ -750,12 +718,11 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
     row_variants = [v for v in order for _ in mdps]
     tied = row_variants.count("airl_state_only")
     expert_w = np.stack(weights * len(order))
-    chain = _cell_chain(tied, len(row_variants), n_states, n_actions, gamma)
 
     def problem(negatives, log_pi):
         if config.mode == "sampled":
             negatives = _replay_weights(negatives)
-        return _cell_problem(tied, gamma, log_pi, expert_w, negatives, chain)
+        return _cell_problem(tied, gamma, log_pi, expert_w, negatives)
 
     def rewards(theta, transition):
         # Maximizing E[sum of (f - log pi)] is the entropy-regularized
@@ -770,7 +737,7 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
         mdps * len(order), row_variants, config,
         (np.zeros((rows, n_states, n_actions)), np.zeros((rows, n_states))),
         lambda states, actions: _rollout_counts(states, actions, n_states, n_actions),
-        problem, rewards, sum_replay=True,
+        problem, rewards,
     )
     results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
                for g, h, policy, history in
@@ -843,7 +810,7 @@ def _episode_problem(counts: np.ndarray, n_expert: int, log_pi) -> _Problem:
     half_offset[counts[:, impossible].any(axis=1)] = np.inf
     return _Problem(
         lambda theta, out=None: np.add(0.5 * (counts @ theta[0].ravel()), half_offset, out=out),
-        lambda dl_dx: ((dl_dx @ counts).reshape(log_pi.shape),),
+        lambda dl_dx: ((dl_dx @ counts).reshape(log_pi.shape),), _step_theta,
         w_e, w_n, -1,
     )
 

@@ -514,7 +514,6 @@ class TestCellFit:
             assert not any(np.array_equal(t, f) for t, f in zip(theta, fitted))
             assert [t.tobytes() for t in theta] == [t.tobytes() for t in before]
 
-
     @pytest.mark.parametrize("mode", ["exact_occupancy", "sampled"])
     def test_no_round_problem_outlives_its_round(self, monkeypatch, mode):
         # with the cyclic collector off, every problem the training loop
@@ -1319,27 +1318,7 @@ class TestReplayCounts:
         batches = [batch_of(sample_trajectories(bench_mdp, policy, 16, seed)) for seed in seeds]
         for k in range(1, len(seeds) + 1):
             want = pool_batches(batches[:k]).to_weights(16, 4)
-            assert np.array_equal(_replay_weights(sum(replay[:k])), want)
-
-    def test_the_replay_sum_slides_with_the_bits_of_its_window_sum(self, monkeypatch):
-        # each round adds its counts to the window's sum and subtracts the
-        # evicted round's, in training and again when a history read
-        # rebuilds the rounds; every sum equals sum() over its window
-        mdps, _ = stack_problems()
-        demos = [sample_trajectories(m, soft_value_iteration(m).policy, 16, seed=i)
-                 for i, m in enumerate(mdps[:2])]
-        config = LearnerConfig(mode="sampled", iterations=30, replay_window=5,
-                               n_policy_trajectories=8)
-        sums, weights = [], irl_lab.airl._replay_weights
-        monkeypatch.setattr(irl_lab.airl, "_replay_weights",
-                            lambda counts: sums.append(counts.copy()) or weights(counts))
-        results = airl_train(mdps[:2], demos, config)
-        results[0].history.column("disc_loss")
-        encodings = results[0].history._stack.encodings
-        assert len(encodings) == 30 and len(sums) == 60
-        for k, counts in enumerate(sums):
-            window = encodings[max(0, k % 30 - 4):k % 30 + 1]
-            assert counts.tobytes() == sum(window).tobytes(), k
+            assert np.array_equal(_replay_weights(replay[:k]), want)
 
     def test_episode_counts_equal_the_loop_rows(self, bench_mdp):
         policy = softmax_policy(4, 16, 4)
