@@ -8,6 +8,7 @@ shaping table h and the combined f stay behind.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple, Sequence
 
@@ -22,7 +23,6 @@ from .soft_rl import (
     SoftSolution,
     _check_solver,
     _rollouts,
-    _soft_backup,
     _soft_policy,
     _solve_stack,
     evaluate_return,
@@ -177,49 +177,65 @@ def _sweep_policies(mdp: TabularMdp, rewards: Sequence[RewardTable],
     reward on `mdp`, as a (sweeps, S, A) stack per row up to the row's first
     sweep within `tolerance`.
 
-    Every row sweeps in one loop; one row is a stack of one.  A sweep's product
-    is one gemv per (row, state): (1, S, A, S) @ (B, 1, S, 1), or, for one
-    row, the same gemvs as (S, A, S) @ (S,), with the whole sweep on 2-D views
-    of the stack, which cost what a one-row loop costs.  Each sweep's q and v
-    go into buffers that double when full.  Convergence is tested once per
-    chunk of 1, 2, 4, ... up to 32 sweeps, by one |v_k - v_{k-1}| maximum per
-    row and sweep.  Every row sweeps until each has a sweep within tolerance,
-    and each row's sweeps past its first one are dropped.  Maximum and
-    subtraction are exact, so each row's kept sweeps and stopping sweep are
-    those of a one-row loop that tests every sweep.  Warns for each row whose
-    `max_iters` sweeps end above tolerance, naming the row when `name_rows`.
-    The arguments are checked as `soft_value_iteration` checks them.
+    Every row sweeps in one loop; one row is a stack of one.  A row's q is held
+    action-major, (A, S): a sweep's product is one gemv per row, (B, 1, S) @
+    (S, A * S) on the transposed view of the (A * S, S) transitions, and its
+    backup takes `_soft_backup`'s steps into buffers made once, adding actions
+    left to right (numpy's order up to 7).  Each sweep's q and v go into
+    buffers that grow when full.  Convergence is tested once per chunk of
+    sweeps, by one |v_k - v_{k-1}| maximum per row and sweep: one sweep, then
+    by the contraction bound the least m with r * discount**m within
+    `tolerance` for the largest residual r of the rows still sweeping (1 at
+    discount 0), or twice the last chunk, up to 32, while r is not finite.
+    Every row sweeps until each has a sweep within tolerance, and each row's
+    sweeps past its first one are dropped.  Maximum and subtraction are exact,
+    so each row's kept sweeps and stopping sweep are those of a one-row loop
+    that tests every sweep.  Warns for each row whose `max_iters` sweeps end
+    above tolerance, naming the row when `name_rows`.  The arguments are
+    checked as `soft_value_iteration` checks them.
     """
     r_sa = np.array([expected_state_action(reward, mdp.transition) for reward in rewards])
     _check_solver(r_sa, mdp.discount, tolerance, max_iters)
-    one, discount, tv = len(r_sa) == 1, mdp.discount, np.empty_like(r_sa)
-    matrices, product, tv, reward = ((mdp.transition, tv[0], tv[0], r_sa[0]) if one else
-                                     (mdp.transition[None], tv[..., None], tv, r_sa))
+    n_rows, n_states, _ = r_sa.shape
+    matrix = mdp.transition.swapaxes(0, 1).reshape(-1, n_states).T
+    # a 0-d array, which numpy multiplies by in less time than a Python float
+    reward, discount = r_sa.swapaxes(1, 2).copy(), np.array(mdp.discount)
+    tv, shifted = np.empty((2,) + reward.shape)
+    product, peak, total = tv.reshape(n_rows, 1, -1), *np.empty((2, n_rows, 1, n_states))
     capacity = min(max_iters, 256)
-    qs = np.empty((capacity,) + r_sa.shape)
-    # vs[k] holds every row's value table after k sweeps; vs[0] is the start
-    vs = np.zeros((capacity + 1,) + r_sa.shape[:-1])
-    stops = [0] * len(r_sa)  # each row's first sweep within tolerance, 0 while it has none
+    qs = np.empty((capacity,) + reward.shape)
+    # vs[k] holds every row's value table after k sweeps as a row; vs[0] is the start
+    vs = np.zeros((capacity + 1, n_rows, 1, n_states))
+    stops = [0] * n_rows  # each row's first sweep within tolerance, 0 while it has none
     done, chunk = 0, 1
     while True:
         end = min(done + chunk, max_iters)
         if end > capacity:
-            capacity = min(2 * capacity, max_iters)
-            qs, vs = _grown(qs, capacity), _grown(vs, capacity + 1)
-        q, v = (qs[:, 0], vs[:, 0]) if one else (qs, vs)
-        vectors = v if one else v[:, :, None, :, None]
+            capacity = min(max(2 * capacity, end), max_iters)
+            qs = np.concatenate([qs, np.empty((capacity - len(qs),) + qs.shape[1:])])
+            vs = np.concatenate([vs, np.empty((capacity + 1 - len(vs),) + vs.shape[1:])])
         for k in range(done, end):
-            np.matmul(matrices, vectors[k], out=product)
+            np.matmul(vs[k], matrix, out=product)
             np.multiply(tv, discount, out=tv)
-            np.add(reward, tv, out=q[k])
-            v[k + 1] = _soft_backup(q[k])
-        residuals = np.abs(vs[done + 1:end + 1] - vs[done:end]).max(axis=-1)
+            q = np.add(reward, tv, out=qs[k])
+            np.maximum.reduce(q, axis=1, out=peak, keepdims=True)
+            np.exp(np.subtract(q, peak, out=shifted), out=shifted)
+            np.log(np.add.reduce(shifted, axis=1, out=total, keepdims=True), out=total)
+            np.add(peak, total, out=vs[k + 1])
+        residuals = np.abs(vs[done + 1:end + 1] - vs[done:end]).max(axis=(-2, -1))
         for j, hits in enumerate((residuals <= tolerance).T.tolist()):
             if not stops[j] and True in hits:
                 stops[j] = done + hits.index(True) + 1
         if all(stops) or end == max_iters:
             break
-        done, chunk = end, min(2 * chunk, 32)
+        worst = residuals[-1, [not stop for stop in stops]].max()
+        if not np.isfinite(worst):
+            chunk = min(2 * chunk, 32)
+        elif mdp.discount == 0:
+            chunk = 1
+        else:
+            chunk = max(1, math.ceil(math.log(tolerance / worst) / math.log(mdp.discount)))
+        done = end
     policies = []
     for j, stop in enumerate(stops):
         if not stop:
@@ -227,15 +243,8 @@ def _sweep_policies(mdp: TabularMdp, rewards: Sequence[RewardTable],
             row = f" of row {j}" if name_rows else ""
             warnings.warn(f"plain value iteration{row} did not converge in {end} sweeps "
                           f"(residual {residuals[-1, j]:.3g})", RuntimeWarning, stacklevel=3)
-        policies.append(_soft_policy(qs[:stop, j], vs[1:stop + 1, j]))
+        policies.append(_soft_policy(qs[:stop, j].swapaxes(1, 2), vs[1:stop + 1, j, 0]))
     return policies
-
-
-def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
-    """A buffer of `rows` rows whose first rows are a copy of `buffer`."""
-    grown = np.empty((rows,) + buffer.shape[1:])
-    grown[:len(buffer)] = buffer
-    return grown
 
 
 def reoptimize_with_curve(

@@ -2,10 +2,15 @@
 
 Everything here is written with plain Python loops and explicit formulas,
 deliberately avoiding the vectorized code paths under test.  `loop_return`,
-`loop_curve`, `loop_sample_trajectories`, `loop_soft_value_iteration` and
-`loop_probe` are the exceptions: they are the earlier per-policy, per-sweep,
-per-step, one-problem and per-dynamics forms of batched functions, kept to pin
-those functions' outputs bit for bit; so are `two_pass_loss`, the earlier
+`loop_sweeps` and `loop_curve`, `loop_sample_trajectories`,
+`loop_soft_value_iteration` and `loop_probe` are the exceptions: they are the
+earlier per-policy, per-sweep, per-step, one-problem and per-dynamics forms of
+batched functions, kept to pin those functions' outputs bit for bit.  The
+sweep and solve loops take the package's products by default,
+`action_major_product` and `flat_product`; with `per_state_product`, the
+(S, A, S) @ (S,) product the solvers took before, they are the second oracle,
+which keeps the bits at 16 x 4 and moves only the last ones elsewhere.  So are
+`two_pass_loss`, the earlier
 two-pass form of the discriminator loss, `state_layout_f` and
 `state_layout_fit`, the earlier AIRL arithmetic on a state-only g held as an
 (..., S) table, `theta_space_cell_fit`, the earlier AIRL fit that stepped theta
@@ -129,37 +134,65 @@ def loop_return(
     return total
 
 
-def loop_curve(
-    mdp: TabularMdp,
-    reward: RewardTable,
-    tolerance: float = 1e-8,
-    max_iters: int = 10_000,
-):
-    """Plain soft value iteration scored once per sweep; returns (policy, curve).
+def per_state_product(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
+    """T @ v as (S, A, S) @ (S,), one gemv per state: the product the solvers took
+    before their flat forms."""
+    return mdp.transition @ v
 
-    Each sweep builds its softmax policy and calls single-policy
-    `evaluate_return` on it, as `reoptimize_with_curve` did before it scored
-    the whole stack in one call.
+
+def flat_product(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
+    """T @ v as one gemv on the flat (S * A, S) view of the transitions, `_solve_stack`'s."""
+    return (mdp.transition.reshape(-1, mdp.n_states) @ v).reshape(mdp.n_states, mdp.n_actions)
+
+
+def action_major_product(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
+    """T @ v as one gemv on the (A * S, S) action-major transitions, `_sweep_policies`'
+    product, as a C-contiguous (S, A) table."""
+    matrix = mdp.transition.swapaxes(0, 1).reshape(-1, mdp.n_states)
+    return (matrix @ v).reshape(mdp.n_actions, mdp.n_states).T.copy()
+
+
+def loop_sweeps(mdp: TabularMdp, reward: RewardTable, tolerance: float = 1e-8,
+                max_iters: int = 10_000, product=action_major_product) -> list[np.ndarray]:
+    """The softmax policy of each sweep of plain soft value iteration, one sweep at a
+    time up to the first within `tolerance`, each sweep's product by `product`.
+
+    `_soft_backup` adds the actions pairwise from 8 of them, where
+    `_sweep_policies` adds them left to right, so the two agree bit for bit up
+    to 7 actions.
     """
     r_sa = expected_state_action(reward, mdp.transition)
     v = np.zeros(mdp.n_states)
-    curve = []
-    for sweep in range(1, max_iters + 1):
-        q = r_sa + mdp.discount * (mdp.transition @ v)
+    policies = []
+    for _ in range(max_iters):
+        q = r_sa + mdp.discount * product(mdp, v)
         v_new = _soft_backup(q)
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
-        policy = _soft_policy(q, v)
-        curve.append((sweep, evaluate_return(mdp, policy, mdp.reward)))
+        policies.append(_soft_policy(q, v))
         if residual <= tolerance:
             break
-    return policy, tuple(curve)
+    return policies
+
+
+def loop_curve(mdp: TabularMdp, reward: RewardTable, tolerance: float = 1e-8,
+               max_iters: int = 10_000, product=action_major_product):
+    """Plain soft value iteration scored once per sweep; returns (policy, curve).
+
+    Each sweep of `loop_sweeps` is scored by a single-policy `evaluate_return`
+    call, as `reoptimize_with_curve` did before it scored the whole stack in
+    one call.
+    """
+    policies = loop_sweeps(mdp, reward, tolerance, max_iters, product)
+    curve = [(sweep, evaluate_return(mdp, policy, mdp.reward))
+             for sweep, policy in enumerate(policies, start=1)]
+    return policies[-1], tuple(curve)
 
 
 def loop_soft_value_iteration(mdp: TabularMdp, reward: RewardTable | None = None,
                               max_iters: int = 10_000, v_init=None,
-                              tolerance: float = 1e-8) -> SoftSolution:
-    """Soft policy iteration on one problem's 2-D tables.
+                              tolerance: float = 1e-8, product=flat_product) -> SoftSolution:
+    """Soft policy iteration on one problem's 2-D tables, each backup's product by `product`.
 
     The loop `soft_value_iteration` ran before it became the stack-of-one
     call of the stacked solver; the arguments are not checked.
@@ -169,7 +202,7 @@ def loop_soft_value_iteration(mdp: TabularMdp, reward: RewardTable | None = None
     v = np.zeros(mdp.n_states) if v_init is None else np.array(v_init, dtype=float)
     identity = np.eye(mdp.n_states)
     for iterations in range(1, max_iters + 1):
-        q = r_sa + gamma * (mdp.transition @ v)
+        q = r_sa + gamma * product(mdp, v)
         v_new = _soft_backup(q)
         residual = float(np.max(np.abs(v_new - v)))
         converged = residual <= tolerance

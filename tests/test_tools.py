@@ -145,10 +145,10 @@ class TestSolvePairs:
         assert solve_pairs.main([str(checkout), str(checkout), "--rounds", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ("1 rounds, times per solve (cold, warm) and per repetition of each "
-                            "perfbench workload and of each history read on instance 3")
+                            "perfbench workload, history read, sweep and probe on instance 3")
         assert [line.split(":")[0] for line in lines[1:]] == [
             "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe",
-            "history-read-exact", "history-read-sampled"]
+            "history-read-exact", "history-read-sampled", "sweep", "probe"]
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10

@@ -1,5 +1,8 @@
+import math
 import warnings
 from dataclasses import replace
+from itertools import accumulate
+from types import SimpleNamespace
 
 import irl_lab.airl
 import irl_lab.transfer
@@ -40,7 +43,7 @@ from irl_lab.transfer import (
 )
 
 from conftest import at_temperature, record_calls, unexpected_call
-from oracles import loop_curve, loop_probe
+from oracles import action_major_product, loop_curve, loop_probe, loop_sweeps
 
 
 def deterministic_bench(seed=0):
@@ -62,8 +65,9 @@ def det_recovery(deterministic_recoveries):
     return mdps[0], recoveries[0]
 
 
-# max_iters on each side of the sweep loop's convergence-test chunks (1, 2, 4, ... 32)
-CHUNK_BOUNDARIES = [1, 2, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65]
+# max_iters after the first sweep all fall inside the sweep loop's second chunk, which
+# the contraction bound sizes past the truth's stop at sweep 180 on bench_mdp
+SWEEP_LIMITS = [1, 2, 3, 64, 65, 179]
 
 
 def unconverged_warnings(caught):
@@ -85,10 +89,41 @@ def sweep_residuals(mdp, reward, sweeps):
     v = np.zeros(mdp.n_states)
     residuals = []
     for _ in range(sweeps):
-        v_new = _soft_backup(r_sa + mdp.discount * (mdp.transition @ v))
+        v_new = _soft_backup(r_sa + mdp.discount * action_major_product(mdp, v))
         residuals.append(float(np.max(np.abs(v_new - v))))
         v = v_new
     return residuals
+
+
+def chunk_ends(residuals, tolerance, discount):
+    """The sweeps after which one row's sweep loop tests convergence, given its
+    residuals: one sweep, then after a residual r the least m with
+    r * discount**m <= tolerance, until a chunk holds the first residual within
+    `tolerance`."""
+    stop = next(k for k, residual in enumerate(residuals, start=1) if residual <= tolerance)
+    ends = [1]
+    while ends[-1] < stop:
+        ratio = tolerance / residuals[ends[-1] - 1]
+        ends.append(ends[-1] + max(1, math.ceil(math.log(ratio) / math.log(discount))))
+    return ends
+
+
+def spy_on_bounds(monkeypatch):
+    """Record, through transfer's own name for the math module, each contraction
+    bound the sweep loop rounds up (a chunk is that, at least 1) and each number
+    it takes the log of; returns the two lists."""
+    bounds, logs = [], []
+
+    def ceil(x):
+        bounds.append(math.ceil(x))
+        return bounds[-1]
+
+    def log(x):
+        logs.append(x)
+        return math.log(x)
+
+    monkeypatch.setattr(irl_lab.transfer, "math", SimpleNamespace(ceil=ceil, log=log))
+    return bounds, logs
 
 
 class TestExpertDemos:
@@ -172,28 +207,84 @@ class TestReoptimizeWithCurve:
             assert all(type(x) is int and type(y) is float for x, y in curve)
             assert np.array_equal(policy, want_policy)
 
-    @pytest.mark.parametrize("max_iters", CHUNK_BOUNDARIES)
-    def test_sweep_limit_at_chunk_boundaries_matches_the_loop(self, bench_mdp, max_iters):
+    @pytest.mark.parametrize("max_iters", SWEEP_LIMITS)
+    def test_sweep_limit_inside_a_chunk_matches_the_loop(self, bench_mdp, max_iters,
+                                                         monkeypatch):
         # the truth takes 180 sweeps on bench_mdp, so every limit here stops the loop
+        residuals = sweep_residuals(bench_mdp, bench_mdp.reward, 180)
+        assert chunk_ends(residuals, 1e-8, bench_mdp.discount) == [1, 185]
+        bounds, _ = spy_on_bounds(monkeypatch)
         with pytest.warns(RuntimeWarning, match=f"did not converge in {max_iters} sweeps"):
             policy, curve = reoptimize_with_curve(bench_mdp, bench_mdp.reward,
                                                   max_iters=max_iters)
+        assert bounds == ([] if max_iters == 1 else [184])
         want_policy, want_curve = loop_curve(bench_mdp, bench_mdp.reward, max_iters=max_iters)
         assert len(curve) == max_iters
         assert curve == want_curve
         assert np.array_equal(policy, want_policy)
 
-    def test_tolerance_stop_at_chunk_boundaries_matches_the_loop(self, bench_mdp):
-        residuals = sweep_residuals(bench_mdp, bench_mdp.reward, max(CHUNK_BOUNDARIES))
-        for sweeps in CHUNK_BOUNDARIES:
-            tolerance = residuals[sweeps - 1]
-            policy, curve = reoptimize_with_curve(bench_mdp, bench_mdp.reward,
-                                                  tolerance=tolerance)
-            want_policy, want_curve = loop_curve(bench_mdp, bench_mdp.reward,
-                                                 tolerance=tolerance)
-            assert len(curve) == sweeps
-            assert curve == want_curve
-            assert np.array_equal(policy, want_policy)
+    def test_tolerance_stop_on_the_first_and_last_sweep_of_a_chunk_matches_the_loop(
+            self, bench_mdp, monkeypatch):
+        # the truth's residuals shrink faster than the discount at first, so its stop
+        # at sweep 2 opens a longer chunk; a constant reward's shrink by the discount
+        # exactly, up to rounding, so its stops close their chunks
+        constant = RewardTable("state_only", np.ones(16))
+        firsts, lasts = [], []
+        for reward in (bench_mdp.reward, constant):
+            residuals = sweep_residuals(bench_mdp, reward, 40)
+            for sweeps in range(2, 41):
+                tolerance = residuals[sweeps - 1]
+                ends = chunk_ends(residuals, tolerance, bench_mdp.discount)
+                if sweeps in ends:
+                    lasts.append(sweeps)
+                elif sweeps - 1 in ends:
+                    firsts.append(sweeps)
+                else:
+                    continue
+                with monkeypatch.context() as patch:
+                    bounds, _ = spy_on_bounds(patch)
+                    policy, curve = reoptimize_with_curve(bench_mdp, reward, tolerance=tolerance)
+                # the loop's chunks end where the model's do
+                assert list(accumulate([1] + [max(1, bound) for bound in bounds])) == ends
+                want_policy, want_curve = loop_curve(bench_mdp, reward, tolerance=tolerance)
+                assert len(curve) == sweeps
+                assert curve == want_curve
+                assert np.array_equal(policy, want_policy)
+        assert firsts == [2] and len(lasts) > 30
+
+    def test_discount_0_takes_no_log_of_0(self, bench_mdp, monkeypatch):
+        # sweep 2 repeats sweep 1, after a chunk of one sweep that takes no bound
+        mdp = replace(bench_mdp, discount=0.0)
+        bounds, logs = spy_on_bounds(monkeypatch)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            policy, curve = reoptimize_with_curve(mdp, mdp.reward)
+        assert bounds == logs == []
+        want_policy, want_curve = loop_curve(mdp, mdp.reward)
+        assert len(curve) == 2
+        assert curve == want_curve
+        assert np.array_equal(policy, want_policy)
+
+    def test_a_non_finite_residual_doubles_the_chunks(self, bench_mdp, monkeypatch):
+        # values that overflow at sweep 2 turn every later residual into NaN, which
+        # gives no bound: chunks of 5 (from the first residual), then 10, 20, 32, 32, ...
+        mdp = replace(bench_mdp, discount=0.5)
+        bounds, _ = spy_on_bounds(monkeypatch)
+        huge = RewardTable("state_only", np.full(16, 1.7e308))
+        kwargs = {"tolerance": 1e307, "max_iters": 100}
+        unconverged = r"did not converge in 100 sweeps \(residual nan\)"
+        with pytest.warns(RuntimeWarning, match=unconverged), np.errstate(all="ignore"):
+            (sweeps,) = irl_lab.transfer._sweep_policies(mdp, [huge], **kwargs, name_rows=False)
+            want = loop_sweeps(mdp, huge, **kwargs)
+            with pytest.raises(ValueError) as error:
+                reoptimize_with_curve(mdp, huge, **kwargs)
+            with pytest.raises(ValueError) as want_error:
+                loop_curve(mdp, huge, **kwargs)
+        # NaN's sign bit depends on which operation made it, so NaNs match as NaNs
+        assert np.array_equal(sweeps, want, equal_nan=True) and len(sweeps) == 100
+        assert np.isnan(sweeps[1:]).all()
+        assert str(error.value) == str(want_error.value)
+        assert bounds == [5, 5]  # the first residual's, in each of the two sweep loops
 
     def test_long_run_grows_the_buffers_and_matches_the_loop(self, bench_mdp):
         mdp = replace(bench_mdp, discount=0.99)

@@ -19,6 +19,11 @@ public API and `cli.main`.  Each round times, on each side:
   0.2) in exact or sampled mode, its history then read by `to_csv_text()`
   and `to_json_dict()`.  No benchmark workload reads a history, so these
   rows are where the cost of a read shows, one row per mode.
+- `sweep`: one `reoptimize_with_curve` of the shaped reward of `reopt-probe`'s
+  instance 3 on its first test MDP, about 180 sweeps of plain soft value
+  iteration and their stacked returns;
+- `probe`: that instance's `disentanglement_probe`, one 24-row stacked
+  soft solve.
 
 A warm-up call of each first checks that both sides' operations (key,
 outputs, error; for a history read, its CSV and JSON texts) are equal
@@ -108,11 +113,26 @@ def timings(lab, workdir: Path) -> dict:
         return [workloads.Op(mode, {"csv": history.to_csv_text(),
                                     "json": json.dumps(history.to_json_dict())})]
 
+    reopt = workloads.ReoptProbe._instance(INSTANCE)
+    shaped = reopt["rewards"]["shaped"]
+
+    transfer = importlib.import_module(f"{lab.__name__}.transfer")
+
+    def sweep():
+        policy, curve = transfer.reoptimize_with_curve(reopt["tests"][0], shaped)
+        return [workloads.Op("sweep", {"curve": curve, "policy": policy.tolist()})]
+
+    def probe():
+        result = lab.disentanglement_probe(reopt["mdp"], shaped, workloads.PROBE_DENSE, INSTANCE,
+                                           extra_dynamics=reopt["deterministic"])
+        return [workloads.Op("probe", result._asdict())]
+
     calls = {"cold": (cold, len(mdps)), "warm": (warm, len(mdps))}
     for name, workload in workloads.WORKLOADS.items():
         calls[name] = (functools.partial(workload.run, workload.setup([INSTANCE], workdir), 0), 1)
     for name, mode in (("exact", "exact_occupancy"), ("sampled", "sampled")):
         calls[f"history-read-{name}"] = (functools.partial(history_read, mode), 1)
+    calls.update(sweep=(sweep, 1), probe=(probe, 1))
     return calls
 
 
@@ -175,7 +195,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="solve-pairs-") as workdir:
         times = run(sides, args.rounds, Path(workdir))
     print(f"{args.rounds} rounds, times per solve (cold, warm) and per repetition of each "
-          f"perfbench workload and of each history read on instance {INSTANCE}")
+          f"perfbench workload, history read, sweep and probe on instance {INSTANCE}")
     print(summary(times), end="")
     return 0
 
