@@ -39,7 +39,7 @@ from .mdp import (REQUIRED, RewardTable, TabularMdp, _freeze, float_array, read_
                   reward_from_dict, reward_to_dict, strict_float, strict_int)
 from .shaping import _shaped, centered_reward_error
 from .soft_rl import (Rollouts, SoftSolution, _occupancies, _rollouts, _solve_stack,
-                      evaluate_return)
+                      _state_visits, evaluate_return)
 
 VARIANTS = ("airl_state_only", "airl_state_action", "gan_gcl_trajectory")
 MODES = ("exact_occupancy", "sampled")
@@ -498,21 +498,17 @@ def _g_rows(g: np.ndarray, variants: Sequence[str]) -> list[np.ndarray]:
 # overflow in a diverging round is caught by the training loop's checks
 _ROUND_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 
-# (round, problem) rows per `_occupancies` call of a history read, at 16x4
-# about 32 KB each
-_OCCUPANCY_ROWS = 128
-
-
 class _StackRounds:
     """What one training stack records each round, and the diagnostics read from it.
 
     Each round records theta after the fit (every theta array as a
     (problem, iteration, ...) array, so `theta[0]` holds the g rows), the
-    re-solved policies and the policy step's `iterations_used`; in sampled
-    mode `encodings` keeps every round's stacked rollout encodings, for as
-    long as a history of the stack lives, and round k's replay is the last
-    `replay_window` of them up to k.  `problem` builds a round's regression
-    for the loop and again for `diagnostics`, so both see the same bits.
+    re-solved policies and the policy step's `iterations_used`, and its data:
+    in exact mode `visits` holds every round's (B, S) discounted state visits
+    as a (problem, iteration, S) array, and in sampled mode `encodings` keeps
+    every round's stacked rollout encodings, for as long as a history of the
+    stack lives.  `problem` rebuilds a round's regression from the record
+    alone, for the loop and again for `diagnostics`, so both see the same bits.
     """
 
     def __init__(self, mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple,
@@ -526,19 +522,20 @@ class _StackRounds:
         self.theta = tuple(np.empty(rounds + t.shape[1:]) for t in theta)
         self.policies = np.empty(rounds + self.uniform.shape[1:])
         self.vi_steps = np.empty(rounds, dtype=int)
+        self.visits = np.empty(rounds + self.initial_dist.shape[1:])
         self.encodings: list[np.ndarray] = []
         self._diagnostics: tuple[np.ndarray, np.ndarray] | None = None
 
-    def problem(self, iteration: int, policies: np.ndarray, negatives=None) -> _Problem:
-        """Round `iteration`'s regression, given the (B, S, A) policies that entered it.
+    def problem(self, iteration: int) -> _Problem:
+        """Round `iteration`'s regression, from the (B, S, A) policies that entered it:
+        uniform at round 0, then the last round's re-solve.
 
-        Exact mode's negatives are their stacked (s, a, s') occupancies, unless
-        given; sampled mode's are the replay window of encodings.
+        Exact mode's negatives are their (s, a, s') occupancies, formed from the
+        round's recorded visits; sampled mode's are the replay window of encodings.
         """
+        policies = self.uniform if iteration == 0 else self.policies[:, iteration - 1]
         if self.mode == "exact_occupancy":
-            if negatives is None:
-                negatives = _occupancies(self.transition, self.initial_dist, self.discount,
-                                         self.horizon, policies)
+            negatives = _occupancies(self.visits[:, iteration], policies, self.transition)
         else:
             negatives = self.encodings[max(0, iteration + 1 - self.replay_window):iteration + 1]
         with np.errstate(**_ROUND_ERRSTATE):
@@ -550,42 +547,20 @@ class _StackRounds:
         self.policies[:, iteration] = solves.policy
         self.vi_steps[:, iteration] = solves.iterations_used
 
-    def _round_occupancies(self, entering: np.ndarray) -> np.ndarray:
-        """The occupancies of (B, K, S, A) policies that entered K rounds, as (K, B, S, A, S),
-        from one `_occupancies` call over the (round, problem) rows."""
-        n_rounds = entering.shape[1]
-        tiled = (n_rounds,) + self.transition.shape
-        return _occupancies(
-            np.broadcast_to(self.transition, tiled).reshape(-1, *tiled[2:]),
-            np.broadcast_to(self.initial_dist, tiled[:3]).reshape(-1, tiled[2]),
-            self.discount, self.horizon,
-            entering.swapaxes(0, 1).reshape(-1, *entering.shape[2:]),
-        ).reshape(tiled)
-
     def diagnostics(self) -> tuple[np.ndarray, np.ndarray]:
         """(disc_loss, g_delta), each a (problem, iteration) array, computed on the first call.
 
-        Round k's loss is that of its rebuilt problem at the theta its fit
-        ended at; its g change is max |g_k - g_(k-1)|, with g_(-1) = 0.  In
-        exact mode the rounds' occupancies come from one `_occupancies` call
-        per chunk of rounds, about `_OCCUPANCY_ROWS` (round, problem) rows, each
-        row with the bits of the loop's own call.
+        Round k's loss is that of its problem, rebuilt from the record, at the
+        theta its fit ended at; its g change is max |g_k - g_(k-1)|, with
+        g_(-1) = 0.
         """
         if self._diagnostics is None:
             n_problems, n_rounds = self.policies.shape[:2]
-            # the policies that entered each round: uniform, then each round's re-solve
-            entering = np.concatenate([self.uniform[:, None], self.policies[:, :-1]], axis=1)
             losses = np.empty((n_problems, n_rounds))
-            chunk = max(1, _OCCUPANCY_ROWS // n_problems)
-            for start in range(0, n_rounds, chunk):
-                rounds = range(start, min(start + chunk, n_rounds))
-                occupancies = (self._round_occupancies(entering[:, start:rounds.stop])
-                               if self.mode == "exact_occupancy" else [None] * len(rounds))
-                for k, negatives in zip(rounds, occupancies):
-                    theta = tuple(rows[:, k] for rows in self.theta)
-                    round_problem = self.problem(k, entering[:, k], negatives)
-                    with np.errstate(**_ROUND_ERRSTATE):
-                        losses[:, k] = round_problem.loss(theta).reshape(n_problems)
+            for k in range(n_rounds):
+                theta = tuple(rows[:, k] for rows in self.theta)
+                with np.errstate(**_ROUND_ERRSTATE):
+                    losses[:, k] = self.problem(k).loss(theta).reshape(n_problems)
             g = self.theta[0]
             g_delta = np.abs(np.diff(g, axis=1, prepend=0.0)).max(axis=tuple(range(2, g.ndim)))
             self._diagnostics = losses, g_delta
@@ -606,11 +581,12 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
     solved step's non-convergence warnings come first.  `problem` maps the
     round's negatives and stacked log pi to a _Problem, and `rewards(theta,
     transition)` gives the policy step's (B, S, A) collapsed rewards, solved
-    as one `_solve_stack`.  Each round records its theta, policies and
-    solver iterations in a `_StackRounds`, which the histories share, and
-    computes no loss: a history computes `disc_loss` and `g_delta` from the
-    record when first read.
-    Exact mode's negatives are the problems' stacked (s, a, s') occupancies.
+    as one `_solve_stack`.  Each round records its data, theta, policies and
+    solver iterations in a `_StackRounds`, which the histories share, builds
+    its problem from that record, and computes no loss: a history computes
+    `disc_loss` and `g_delta` from the record when first read.
+    Exact mode records one `_state_visits` recursion of the stack per round,
+    under the entering policies, and forms the (s, a, s') negatives from it.
     Sampled mode draws one seed per round from `config.seed`'s generator, and
     every problem rolls out under its own policy with that seed, so a
     one-problem run draws the same episodes.  `encode` turns one problem's
@@ -629,7 +605,10 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
             stack.encodings.append(np.stack([
                 encode(*_rollouts(mdp, policy, config.n_policy_trajectories, seed))
                 for mdp, policy in zip(mdps, policies)]))
-        round_problem = stack.problem(iteration, policies)
+        else:
+            stack.visits[:, iteration] = _state_visits(transition, stack.initial_dist, discount,
+                                                       stack.horizon, policies)
+        round_problem = stack.problem(iteration)
         with np.errstate(**_ROUND_ERRSTATE):
             theta = round_problem.fit(theta, config.disc_steps_per_iter, config.disc_step_size)
             if not all(np.all(np.isfinite(t)) for t in theta):

@@ -267,20 +267,22 @@ def occupancy(mdp: TabularMdp, policy) -> np.ndarray:
 
     Forward recursion over state marginals: d_0 is the initial distribution
     and d_{t+1} = d_t P_pi with P_pi[s, s'] = sum_a pi(a|s) T(s, a, s').  The
-    discounted visits sum_t discount**t d_t over the horizon's steps give
-    rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'), normalized to total mass 1,
-    returned as a read-only (S, A, S) array.
+    discounted visits sum_t discount**t d_t over the horizon's steps
+    (`_state_visits`) give rho(s, a, s') = visits(s) pi(a|s) T(s, a, s'),
+    normalized to total mass 1, returned as a read-only (S, A, S) array.
     """
-    rho = _occupancies(mdp.transition[None], mdp.initial_dist[None], mdp.discount,
-                       mdp.horizon, _check_policy(mdp, policy)[None])[0]
+    policies = _check_policy(mdp, policy)[None]
+    visits = _state_visits(mdp.transition[None], mdp.initial_dist[None], mdp.discount,
+                           mdp.horizon, policies)
+    rho = _occupancies(visits, policies, mdp.transition[None])[0]
     rho.setflags(write=False)
     return rho
 
 
-def _occupancies(transition: np.ndarray, initial_dist: np.ndarray, discount: float,
-                 horizon: int, policies: np.ndarray) -> np.ndarray:
-    """`occupancy` of each row of (B, S, A, S) transitions, (B, S) start distributions
-    and (B, S, A) policies, as (B, S, A, S).
+def _state_visits(transition: np.ndarray, initial_dist: np.ndarray, discount: float,
+                  horizon: int, policies: np.ndarray) -> np.ndarray:
+    """The (B, S) discounted state visits of each row of (B, S, A, S) transitions,
+    (B, S) start distributions and (B, S, A) policies over `horizon` steps.
 
     One recursion propagates every row's state distribution as a 1 x S row
     vector, and each row gets the bits of its one-MDP call.
@@ -292,7 +294,13 @@ def _occupancies(transition: np.ndarray, initial_dist: np.ndarray, discount: flo
     d[:, 0] = initial_dist[:, None, :]
     for t in range(1, horizon):
         np.matmul(d[:, t - 1], p_pi, out=d[:, t])
-    visits = np.power(discount, np.arange(horizon)) @ d[:, :, 0]
+    return np.power(discount, np.arange(horizon)) @ d[:, :, 0]
+
+
+def _occupancies(visits: np.ndarray, policies: np.ndarray, transition: np.ndarray) -> np.ndarray:
+    """The (B, S, A, S) occupancy cells visits(s) pi(a|s) T(s, a, s') of each row,
+    normalized to total mass 1, from (B, S) visits, (B, S, A) policies and
+    (B, S, A, S) transitions; each row gets the bits of its one-row call."""
     rho = (visits[..., None] * policies)[..., None] * transition
     rho /= rho.sum(axis=(1, 2, 3), keepdims=True)
     return rho

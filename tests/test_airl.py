@@ -1105,6 +1105,19 @@ def record_fits(monkeypatch) -> list:
     return fits
 
 
+def record_negatives(monkeypatch) -> list:
+    """A copy of each stacked occupancy `irl_lab.airl` forms, recorded by wrapping `_occupancies`."""
+    negatives, occupancies = [], irl_lab.airl._occupancies
+
+    def record(*args):
+        rho = occupancies(*args)
+        negatives.append(rho.copy())
+        return rho
+
+    monkeypatch.setattr(irl_lab.airl, "_occupancies", record)
+    return negatives
+
+
 def assert_losses_of_fits(histories, fits, iterations):
     """Row i's `disc_loss` is row i of each recorded round's two-pass loss, bit for bit."""
     assert len(fits) == iterations
@@ -1216,21 +1229,20 @@ class TestLazyHistory:
         monkeypatch.undo()
         assert_losses_of_fits([r.history for results in per_variant for r in results], fits, 7)
 
-    @pytest.mark.parametrize("rows_per_call", [1, 8, 12, 28])
-    def test_exact_losses_from_chunks_of_rounds(self, monkeypatch, rows_per_call):
-        # a read takes the rounds' occupancies in calls of about rows_per_call
-        # (round, problem) rows: four problems over 7 rounds read 1, 2, 3 or 7
-        # rounds per call, the last call a short one where 7 is no multiple
+    def test_exact_read_rebuilds_rounds_from_recorded_visits(self, monkeypatch):
+        # a read runs no state-visit recursion: each round's negatives are formed
+        # from the visits the loop recorded, with the bits the loop's round saw
         mdps, demos = stack_problems()
         fits = record_fits(monkeypatch)
+        trained = record_negatives(monkeypatch)
         results = airl_train(mdps, demos, LearnerConfig(iterations=7, disc_step_size=0.2))
         monkeypatch.undo()
-        monkeypatch.setattr(irl_lab.airl, "_OCCUPANCY_ROWS", rows_per_call)
-        calls = record_calls(monkeypatch, irl_lab.airl, "_occupancies")
+        visits = record_calls(monkeypatch, irl_lab.airl, "_state_visits")
+        read = record_negatives(monkeypatch)
         assert_losses_of_fits([r.history for r in results], fits, 7)
-        per_call = max(1, rows_per_call // 4)
-        assert [len(args[-1]) for args, _ in calls] == [
-            4 * min(per_call, 7 - start) for start in range(0, 7, per_call)]
+        assert visits == []
+        assert len(trained) == 7 and [rho.shape for rho in trained] == [(4, 16, 4, 16)] * 7
+        assert [rho.tobytes() for rho in read] == [rho.tobytes() for rho in trained]
 
     def test_baseline_losses_equal_the_two_pass_loss(self, bench_mdp, monkeypatch):
         demos = sample_trajectories(bench_mdp, soft_value_iteration(bench_mdp).policy, 16, seed=4)

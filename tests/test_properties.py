@@ -24,8 +24,8 @@ from irl_lab.mdp import (
     save_mdp,
 )
 from irl_lab.shaping import PotentialFn, shape_reward
-from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, evaluate_return,
-                             occupancy, sample_trajectories, soft_value_iteration)
+from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, _state_visits,
+                             evaluate_return, occupancy, sample_trajectories, soft_value_iteration)
 from irl_lab.transfer import _sweep_policies
 
 from conftest import assert_same_solution, at_temperature, solve_rows
@@ -284,9 +284,10 @@ def occupancy_stacks(draw):
 @given(case=occupancy_stacks())
 def test_stacked_occupancies_equal_single_calls(case):
     mdps, policies = case
-    rho = _occupancies(np.stack([mdp.transition for mdp in mdps]),
-                       np.stack([mdp.initial_dist for mdp in mdps]), mdps[0].discount,
-                       mdps[0].horizon, policies)
+    transition = np.stack([mdp.transition for mdp in mdps])
+    visits = _state_visits(transition, np.stack([mdp.initial_dist for mdp in mdps]),
+                           mdps[0].discount, mdps[0].horizon, policies)
+    rho = _occupancies(visits, policies, transition)
     assert rho.shape == (len(mdps),) + mdps[0].transition.shape
     for mdp, policy, row in zip(mdps, policies, rho):
         assert row.tobytes() == occupancy(mdp, policy).tobytes()

@@ -24,6 +24,7 @@ from irl_lab.soft_rl import (
     _rollouts,
     _soft_backup,
     _solve_stack,
+    _state_visits,
     evaluate_return,
     occupancy,
     sample_trajectories,
@@ -338,8 +339,10 @@ class TestOccupancy:
         mdps.append(random_deterministic_mdp(16, 4, mdps[0].reward, 7))
         rng = np.random.default_rng(3)
         policies = rng.dirichlet(np.ones(4), size=(len(mdps), 16))
-        rho = _occupancies(np.stack([mdp.transition for mdp in mdps]),
-                           np.stack([mdp.initial_dist for mdp in mdps]), 0.9, 20, policies)
+        transition = np.stack([mdp.transition for mdp in mdps])
+        visits = _state_visits(transition, np.stack([mdp.initial_dist for mdp in mdps]), 0.9, 20,
+                               policies)
+        rho = _occupancies(visits, policies, transition)
         assert rho.shape == (5, 16, 4, 16)
         for mdp, policy, row in zip(mdps, policies, rho):
             assert row.tobytes() == occupancy(mdp, policy).tobytes()

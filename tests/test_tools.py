@@ -148,7 +148,7 @@ class TestSolvePairs:
                             "perfbench workload, history read, sweep and probe on instance 3")
         assert [line.split(":")[0] for line in lines[1:]] == [
             "cold", "warm", "repro-exact", "sampled-replay", "reopt-probe",
-            "history-read-exact", "history-read-sampled", "sweep", "probe"]
+            "history-read-exact", "history-read-sampled", "read-exact", "sweep", "probe"]
         for line in lines[1:]:
             ratio = float(line.rsplit("median per-round ratio ", 1)[1])
             assert 0 < ratio < 10

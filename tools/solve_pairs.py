@@ -18,7 +18,14 @@ public API and `cli.main`.  Each round times, on each side:
   `run_recovery` on instance 3 (25 iterations, 20 discriminator steps of
   0.2) in exact or sampled mode, its history then read by `to_csv_text()`
   and `to_json_dict()`.  No benchmark workload reads a history, so these
-  rows are where the cost of a read shows, one row per mode.
+  rows are where the cost of a read shows, one row per mode; most of their
+  time is the training.
+- `read-exact`: the read alone.  At setup both AIRL variants train as one
+  exact stack on instance 3 (200 iterations, 20 discriminator steps of 0.2),
+  and the state-only history is kept unread; each call reads a
+  `copy.deepcopy` of it by `to_csv_text()` and `to_json_dict()`, so every
+  call is a first read, which computes the whole stack's losses.  The copy is
+  timed with the read; it is about 0.3 ms of a read's 25-30 ms.
 - `sweep`: one `reoptimize_with_curve` of the shaped reward of `reopt-probe`'s
   instance 3 on its first test MDP, about 180 sweeps of plain soft value
   iteration and their stacked returns;
@@ -43,6 +50,7 @@ rounds of the change's time over the parent's.  Pin the process to one CPU
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import importlib.util
 import json
@@ -57,6 +65,8 @@ REPEATS = 5
 INSTANCE = 3
 HISTORY_ARGS = dict(variant="airl_state_only", iterations=25, disc_steps_per_iter=20,
                     disc_step_size=0.2)
+READ_ARGS = dict(mode="exact_occupancy", iterations=200, disc_steps_per_iter=20,
+                 disc_step_size=0.2)
 WORKLOADS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -107,11 +117,16 @@ def timings(lab, workdir: Path) -> dict:
     workloads = bound_workloads(lab)
     history_mdp = lab.paper_tabular_mdp(INSTANCE)
 
+    def read(key: str, history):
+        return [workloads.Op(key, {"csv": history.to_csv_text(),
+                                   "json": json.dumps(history.to_json_dict())})]
+
     def history_read(mode: str):
         config = lab.LearnerConfig(mode=mode, **HISTORY_ARGS)
-        history = lab.run_recovery(history_mdp, config.variant, config).history
-        return [workloads.Op(mode, {"csv": history.to_csv_text(),
-                                    "json": json.dumps(history.to_json_dict())})]
+        return read(mode, lab.run_recovery(history_mdp, config.variant, config).history)
+
+    unread = lab.run_recovery(history_mdp, ["airl_state_only", "airl_state_action"],
+                              lab.LearnerConfig(**READ_ARGS))[0].history
 
     reopt = workloads.ReoptProbe._instance(INSTANCE)
     shaped = reopt["rewards"]["shaped"]
@@ -132,6 +147,7 @@ def timings(lab, workdir: Path) -> dict:
         calls[name] = (functools.partial(workload.run, workload.setup([INSTANCE], workdir), 0), 1)
     for name, mode in (("exact", "exact_occupancy"), ("sampled", "sampled")):
         calls[f"history-read-{name}"] = (functools.partial(history_read, mode), 1)
+    calls["read-exact"] = (lambda: read("read-exact", copy.deepcopy(unread)), 1)
     calls.update(sweep=(sweep, 1), probe=(probe, 1))
     return calls
 
