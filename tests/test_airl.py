@@ -1229,19 +1229,25 @@ class TestLazyHistory:
         monkeypatch.undo()
         assert_losses_of_fits([r.history for results in per_variant for r in results], fits, 7)
 
-    def test_exact_read_rebuilds_rounds_from_recorded_visits(self, monkeypatch):
+    @pytest.mark.parametrize("variant", ["airl_state_only", "airl_state_action"])
+    @pytest.mark.parametrize("iterations", [1, 7])
+    def test_exact_read_rebuilds_rounds_from_recorded_visits(self, monkeypatch, iterations,
+                                                             variant):
         # a read runs no state-visit recursion: each round's negatives are formed
-        # from the visits the loop recorded, with the bits the loop's round saw
+        # from the visits the loop recorded, with the bits the loop's round saw;
+        # one round reads only the uniform entering policy's round
         mdps, demos = stack_problems()
         fits = record_fits(monkeypatch)
         trained = record_negatives(monkeypatch)
-        results = airl_train(mdps, demos, LearnerConfig(iterations=7, disc_step_size=0.2))
+        results = airl_train(mdps, demos, LearnerConfig(variant=variant, iterations=iterations,
+                                                        disc_step_size=0.2))
         monkeypatch.undo()
         visits = record_calls(monkeypatch, irl_lab.airl, "_state_visits")
         read = record_negatives(monkeypatch)
-        assert_losses_of_fits([r.history for r in results], fits, 7)
+        assert_losses_of_fits([r.history for r in results], fits, iterations)
         assert visits == []
-        assert len(trained) == 7 and [rho.shape for rho in trained] == [(4, 16, 4, 16)] * 7
+        assert len(trained) == iterations
+        assert [rho.shape for rho in trained] == [(4, 16, 4, 16)] * iterations
         assert [rho.tobytes() for rho in read] == [rho.tobytes() for rho in trained]
 
     def test_baseline_losses_equal_the_two_pass_loss(self, bench_mdp, monkeypatch):
