@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._fmt import csv_text
-from .mdp import (REQUIRED, RewardTable, TabularMdp, _freeze, float_array, read_document,
-                  reward_from_dict, reward_to_dict, strict_float, strict_int)
-from .shaping import _shaped, centered_reward_error
+from .mdp import (REQUIRED, RewardTable, TabularMdp, _freeze, expected_state_action, float_array,
+                  read_document, reward_from_dict, reward_to_dict, strict_float, strict_int)
+from .shaping import _shaped, centered_sup_distance
 from .soft_rl import (Rollouts, SoftSolution, _occupancies, _rollouts, _solve_stack,
                       _state_visits, evaluate_return)
 
@@ -137,7 +137,7 @@ class LearnerConfig:
 
 
 class TrainingHistory:
-    """Per-iteration diagnostics of a training run on `mdp`, one column per field:
+    """Per-iteration diagnostics of a training run, one column per field:
 
     - `iteration`, written `iter` in the CSV and JSON;
     - `disc_loss`, the discriminator loss after the round's fit;
@@ -147,51 +147,32 @@ class TrainingHistory:
     - `vi_steps_cumulative` (JSON only), `SoftSolution.iterations_used` summed over
       the policy steps so far: solver iterations (a backup plus a linear solve).
 
-    Training passes the `_StackRounds` its stack recorded, this history's
-    row in it and the row's g tables, one per iteration.  The first read
-    computes every column and keeps them; each read returns copies.
-    `true_return` and `reward_error` come from the row's g and policy
-    tables, the returns by one stacked `evaluate_return` call; `disc_loss`
-    and `g_delta` come from the stack's `diagnostics`, computed for every row
-    of the stack at the first read of any of its histories.  An unread
-    history computes none of them.
+    A history is one row of the `_StackRounds` its training stack recorded.
+    The stack computes every column of all its rows at the first read of any
+    of its histories (see `_StackRounds.columns`), so an unread history
+    computes none; each read returns copies of this row's.
     """
 
-    def __init__(self, mdp: TabularMdp, stack: _StackRounds, row: int, g: np.ndarray):
-        self._mdp, self._stack, self._row, self._g = mdp, stack, row, g
-        self._policy = stack.policies[row]
-        self._read: dict[str, list] | None = None
+    def __init__(self, stack: _StackRounds, row: int):
+        self._stack, self._row = stack, row
 
     def __len__(self) -> int:
-        return len(self._g)
+        return self._stack.vi_steps.shape[1]
 
     def _columns(self) -> dict[str, list]:
-        """Every column by field name, in output order, computed on the first call."""
-        if self._read is None:
-            mdp = self._mdp
-            returns = evaluate_return(mdp, self._policy, mdp.reward).tolist() if len(self) else []
-            disc_loss, g_delta = (rows[self._row].tolist() for rows in self._stack.diagnostics())
-            self._read = {
-                "iteration": list(range(len(self))),
-                "disc_loss": disc_loss,
-                "true_return": returns,
-                "reward_error": [centered_reward_error(_g_table(g), mdp.reward, mdp.transition)
-                                 for g in self._g],
-                "g_delta": g_delta,
-                "vi_steps_cumulative": np.cumsum(self._stack.vi_steps[self._row]).tolist(),
-            }
-        return self._read
+        """Every column by field name, in output order, as new lists."""
+        return {name: rows[self._row].tolist() for name, rows in self._stack.columns().items()}
 
     def column(self, name: str) -> np.ndarray:
-        return np.array(self._columns()[name])
+        return self._stack.columns()[name][self._row].copy()
 
     def to_csv_text(self) -> str:
-        columns = dict(self._columns())
+        columns = self._columns()
         del columns["vi_steps_cumulative"]
         return csv_text(["iter", *list(columns)[1:]], zip(*columns.values()))
 
     def to_json_dict(self) -> dict:
-        columns = {name: list(values) for name, values in self._columns().items()}
+        columns = self._columns()
         columns["iter"] = columns.pop("iteration")
         return columns
 
@@ -483,36 +464,27 @@ def extract_reward(params: DiscriminatorParams, policy) -> RewardTable:
     return RewardTable("transition", f_table(params, n_states, n_actions) - log_pi[:, :, None])
 
 
-def _g_table(values: np.ndarray) -> RewardTable:
-    return RewardTable("state_only" if values.ndim == 1 else "state_action", values)
-
-
-def _g_rows(g: np.ndarray, variants: Sequence[str]) -> list[np.ndarray]:
-    """Each problem's learned table from a stack of (..., S, A) g rows, one row per
-    entry of `variants`; a state-only problem holds g(s) tied across actions,
-    and gives the copy at action 0."""
-    return [row[..., 0] if v == "airl_state_only" else row for row, v in zip(g, variants)]
-
-
 # an underflowed policy entry gives log pi = -inf, an intended infinite offset;
 # overflow in a diverging round is caught by the training loop's checks
 _ROUND_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 
 class _StackRounds:
-    """What one training stack records each round, and the diagnostics read from it.
+    """What one training stack records each round, and the histories read from it.
 
     Each round records theta after the fit (every theta array as a
-    (problem, iteration, ...) array, so `theta[0]` holds the g rows), the
-    re-solved policies and the policy step's `iterations_used`, and its data:
-    in exact mode `visits` holds every round's (B, S) discounted state visits
-    as a (problem, iteration, S) array, and in sampled mode `encodings` keeps
-    every round's stacked rollout encodings, for as long as a history of the
-    stack lives.  `problem` rebuilds a round's regression from the record
-    alone, for the loop and again for `diagnostics`, so both see the same bits.
+    (problem, iteration, ...) array, so `theta[0]` holds the (S, A) g rows),
+    the re-solved policies and the policy step's `iterations_used`, and its
+    data: in exact mode `visits` holds every round's (B, S) discounted state
+    visits as a (problem, iteration, S) array, and in sampled mode
+    `encodings` keeps every round's stacked rollout encodings, for as long as
+    a history of the stack lives.  `problem` rebuilds a round's regression
+    from the record alone, for the loop and again for `columns`, so both see
+    the same bits.
     """
 
     def __init__(self, mdps: Sequence[TabularMdp], config: LearnerConfig, theta: tuple,
                  problem: Callable):
+        self.mdps = mdps
         self.transition = np.stack([mdp.transition for mdp in mdps])
         self.initial_dist = np.stack([mdp.initial_dist for mdp in mdps])
         self.discount, self.horizon = mdps[0].discount, mdps[0].horizon
@@ -524,7 +496,7 @@ class _StackRounds:
         self.vi_steps = np.empty(rounds, dtype=int)
         self.visits = np.empty(rounds + self.initial_dist.shape[1:])
         self.encodings: list[np.ndarray] = []
-        self._diagnostics: tuple[np.ndarray, np.ndarray] | None = None
+        self._columns: dict[str, np.ndarray] | None = None
 
     def problem(self, iteration: int) -> _Problem:
         """Round `iteration`'s regression, from the (B, S, A) policies that entered it:
@@ -547,24 +519,36 @@ class _StackRounds:
         self.policies[:, iteration] = solves.policy
         self.vi_steps[:, iteration] = solves.iterations_used
 
-    def diagnostics(self) -> tuple[np.ndarray, np.ndarray]:
-        """(disc_loss, g_delta), each a (problem, iteration) array, computed on the first call.
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every `TrainingHistory` column as a (problem, iteration) array, in output
+        order, computed on the first call.
 
         Round k's loss is that of its problem, rebuilt from the record, at the
-        theta its fit ended at; its g change is max |g_k - g_(k-1)|, with
-        g_(-1) = 0.
+        theta its fit ended at, and its g change is max |g_k - g_(k-1)|, with
+        g_(-1) = 0.  The returns are one stacked `evaluate_return` per problem,
+        and the reward errors one centered distance over the whole g record
+        against each problem's true reward, collapsed once to (S, A); a
+        state-only row's tied g is the broadcast of its g(s) table.
         """
-        if self._diagnostics is None:
-            n_problems, n_rounds = self.policies.shape[:2]
+        if self._columns is None:
+            n_problems, n_rounds = self.vi_steps.shape
             losses = np.empty((n_problems, n_rounds))
             for k in range(n_rounds):
                 theta = tuple(rows[:, k] for rows in self.theta)
                 with np.errstate(**_ROUND_ERRSTATE):
                     losses[:, k] = self.problem(k).loss(theta).reshape(n_problems)
             g = self.theta[0]
-            g_delta = np.abs(np.diff(g, axis=1, prepend=0.0)).max(axis=tuple(range(2, g.ndim)))
-            self._diagnostics = losses, g_delta
-        return self._diagnostics
+            truth = np.stack([expected_state_action(m.reward, m.transition) for m in self.mdps])
+            self._columns = {
+                "iteration": np.broadcast_to(np.arange(n_rounds), (n_problems, n_rounds)),
+                "disc_loss": losses,
+                "true_return": np.stack([evaluate_return(mdp, policies, mdp.reward)
+                                         for mdp, policies in zip(self.mdps, self.policies)]),
+                "reward_error": centered_sup_distance(g, truth[:, None], axis=(-2, -1)),
+                "g_delta": np.abs(np.diff(g, axis=1, prepend=0.0)).max(axis=(-2, -1)),
+                "vi_steps_cumulative": np.cumsum(self.vi_steps, axis=1),
+            }
+        return self._columns
 
 
 def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerConfig,
@@ -575,16 +559,16 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
     adjacent, and a warning names a problem by its variant and its index among
     them.  Returns the final theta and each problem's policy and history.
     Every theta array has a leading problem axis; theta[0] holds the learned
-    reward tables, which `_g_rows` turns into each problem's g.  It raises
-    DivergenceError at the first iteration where any problem's theta stops
-    being finite, or its policy step's reward, residual or policy does; a
-    solved step's non-convergence warnings come first.  `problem` maps the
+    (S, A) reward tables.  It raises DivergenceError at the first iteration
+    where any problem's theta stops being finite, or its policy step's
+    reward, residual or policy does; a solved step's non-convergence
+    warnings come first.  `problem` maps the
     round's negatives and stacked log pi to a _Problem, and `rewards(theta,
     transition)` gives the policy step's (B, S, A) collapsed rewards, solved
     as one `_solve_stack`.  Each round records its data, theta, policies and
     solver iterations in a `_StackRounds`, which the histories share, builds
-    its problem from that record, and computes no loss: a history computes
-    `disc_loss` and `g_delta` from the record when first read.
+    its problem from that record, and computes no history column: the
+    record computes them all at the first read of a history.
     Exact mode records one `_state_visits` recursion of the stack per round,
     under the entering policies, and forms the (s, a, s') negatives from it.
     Sampled mode draws one seed per round from `config.seed`'s generator, and
@@ -628,8 +612,7 @@ def _train(mdps: Sequence[TabularMdp], variants: Sequence[str], config: LearnerC
             raise DivergenceError(iteration, "policy step")
         policies, v_warm = solves.policy, solves.v
         stack.record(iteration, theta, solves)
-    histories = [TrainingHistory(mdp, stack, row, g)
-                 for row, (mdp, g) in enumerate(zip(mdps, _g_rows(stack.theta[0], variants)))]
+    histories = [TrainingHistory(stack, row) for row in range(len(mdps))]
     return theta, policies, histories
 
 
@@ -718,9 +701,11 @@ def _airl_train_stack(mdps: list[TabularMdp], demos: list, variants: Sequence[st
         lambda states, actions: _rollout_counts(states, actions, n_states, n_actions),
         problem, rewards,
     )
-    results = [AirlResult(DiscriminatorParams(_g_table(g), h, gamma), policy, history)
-               for g, h, policy, history in
-               zip(_g_rows(theta[0], row_variants), theta[1], policies, histories)]
+    # a state-only row holds g(s) tied across actions, and gives the copy at action 0
+    g_tables = [RewardTable("state_only", g[:, 0]) if v == "airl_state_only"
+                else RewardTable("state_action", g) for g, v in zip(theta[0], row_variants)]
+    results = [AirlResult(DiscriminatorParams(g, h, gamma), policy, history)
+               for g, h, policy, history in zip(g_tables, theta[1], policies, histories)]
     by_variant = {v: results[k * len(mdps):(k + 1) * len(mdps)] for k, v in enumerate(order)}
     return [by_variant[v] for v in variants]
 

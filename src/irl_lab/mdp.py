@@ -264,12 +264,11 @@ def random_deterministic_mdp(
     discount: float = 0.9,
     horizon: int = 20,
     initial_dist=None,
-    stay_action: bool = True,
 ) -> TabularMdp:
-    """Deterministic dynamics: one uniformly drawn successor per (s, a).
+    """Deterministic dynamics: one uniformly drawn successor per (s, a), except
+    that action 0 is a self loop at every state, which keeps the dynamics
+    deterministic while making well-connected instances decomposable.
 
-    With `stay_action`, action 0 is a self loop at every state, which keeps the
-    dynamics deterministic while making well-connected instances decomposable.
     The initial distribution defaults to uniform so every state stays visible
     to learners.
     """
@@ -279,8 +278,7 @@ def random_deterministic_mdp(
         raise ValueError("random_deterministic_mdp needs at least 1 action")
     rng = np.random.default_rng(seed)
     successors = rng.integers(0, n_states, size=(n_states, n_actions))
-    if stay_action:
-        successors[:, 0] = np.arange(n_states)
+    successors[:, 0] = np.arange(n_states)
     transition = np.zeros((n_states, n_actions, n_states))
     s_idx = np.arange(n_states)[:, None]
     a_idx = np.arange(n_actions)[None, :]

@@ -66,20 +66,26 @@ def advantage(solution) -> np.ndarray:
     return solution.q - solution.v[:, None]
 
 
-def centered_sup_distance(a, b) -> float:
+def centered_sup_distance(a, b, axis=None):
     """Sup-norm distance between two arrays after removing each one's mean.
 
-    Finite arrays that overflow the plain formula are compared at the exact
-    scale 2**-64 and the distance scaled back, so it is finite wherever it is
-    representable; every other input keeps the plain formula's bits.
+    The means and the sup run over `axis` (all axes by default, giving a
+    float64) and the other axes broadcast, so each slice of a stack gets the
+    bits of its own call.  A slice whose finite entries overflow the plain
+    formula is compared at the exact scale 2**-64 and its distance scaled
+    back, so it is finite wherever it is representable; every other slice
+    keeps the plain formula's bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        distance = float(np.max(np.abs((a - a.mean()) - (b - b.mean()))))
-    if np.isfinite(distance) or not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return distance
-    return centered_sup_distance(a * 2.0**-64, b * 2.0**-64) * 2.0**64
+        distance = np.max(np.abs((a - a.mean(axis, keepdims=True))
+                                 - (b - b.mean(axis, keepdims=True))), axis=axis)
+        rescale = ~np.isfinite(distance) & np.isfinite(a).all(axis) & np.isfinite(b).all(axis)
+        if rescale.any():
+            scaled = centered_sup_distance(a * 2.0**-64, b * 2.0**-64, axis) * 2.0**64
+            distance = np.where(rescale, scaled, distance)[()]
+    return distance
 
 
 def centered_reward_error(learned: RewardTable, truth: RewardTable, transition) -> float:
@@ -92,7 +98,7 @@ def centered_reward_error(learned: RewardTable, truth: RewardTable, transition) 
     transition = np.asarray(transition, dtype=float)
     a = expected_state_action(learned, transition)
     b = expected_state_action(truth, transition)
-    return centered_sup_distance(a, b)
+    return float(centered_sup_distance(a, b))
 
 
 @dataclass(frozen=True)

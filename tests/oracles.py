@@ -15,7 +15,10 @@ two-pass form of the discriminator loss, `state_layout_f` and
 `state_layout_fit`, the earlier AIRL arithmetic on a state-only g held as an
 (..., S) table, `theta_space_cell_fit`, the earlier AIRL fit that stepped theta
 itself, `chain_cell`, the earlier CSV cell formatter, and
-`dense_shape_reward`, the earlier `shape_reward` through a dense (s, a, s') copy.
+`dense_shape_reward`, the earlier `shape_reward` through a dense (s, a, s') copy,
+and `pair_centered_sup_distance`, the earlier one-pair `centered_sup_distance`.
+`deterministic_mdp_without_stay` draws deterministic dynamics as
+`random_deterministic_mdp` does, without its self-loop action.
 The package's AIRL fit steps its logits' tables, so these two fits pin it to
 within rounding; their tied rows agree with each other bit for bit.
 `backward_soft_recursion`,
@@ -357,6 +360,28 @@ def warshall_linked_classes(mdp: TabularMdp, eps: float = 1e-12):
             assigned[t] = True
         classes.append(tuple(sorted(cls)))
     return tuple(sorted(classes))
+
+
+def deterministic_mdp_without_stay(n_states: int, n_actions: int, reward: RewardTable,
+                                   seed: int) -> TabularMdp:
+    """`random_deterministic_mdp`'s draws with action 0 keeping its drawn successors
+    instead of self loops, so that an instance can be non-decomposable."""
+    rng = np.random.default_rng(seed)
+    successors = rng.integers(0, n_states, size=(n_states, n_actions))
+    transition = np.zeros((n_states, n_actions, n_states))
+    transition[np.arange(n_states)[:, None], np.arange(n_actions), successors] = 1.0
+    return TabularMdp(n_states, n_actions, transition, reward, 0.9,
+                      np.full(n_states, 1.0 / n_states))
+
+
+def pair_centered_sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The centered sup-norm distance of two arrays, rescaled by 2**-64 when finite
+    arrays overflow the plain formula."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = float(np.max(np.abs((a - a.mean()) - (b - b.mean()))))
+    if np.isfinite(distance) or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return distance
+    return pair_centered_sup_distance(a * 2.0**-64, b * 2.0**-64) * 2.0**64
 
 
 def dense_shape_reward(reward: RewardTable, phi: np.ndarray, discount: float,

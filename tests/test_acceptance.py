@@ -55,7 +55,8 @@ from irl_lab.soft_rl import (
 from irl_lab.transfer import evaluate_on_new_dynamics, run_recovery
 
 from conftest import small_random_mdps
-from oracles import backward_soft_recursion, fd_gradient, warshall_linked_classes
+from oracles import (backward_soft_recursion, deterministic_mdp_without_stay, fd_gradient,
+                     warshall_linked_classes)
 
 SEEDS = (0, 1, 2, 3, 4)
 TEST_SEED_OFFSET = 1000
@@ -286,8 +287,8 @@ def test_criterion_8_decomposability_and_sum_splitting(report):
         if seed % 2:
             mdp = random_mdp(n, k, state_reward(n), seed=seed)
         else:
-            mdp = random_deterministic_mdp(n, k, state_reward(n), seed=seed,
-                                           stay_action=bool(seed % 4))
+            make = random_deterministic_mdp if seed % 4 else deterministic_mdp_without_stay
+            mdp = make(n, k, state_reward(n), seed=seed)
         if decomposability_check(mdp).linked_classes == warshall_linked_classes(mdp):
             oracle_matches += 1
 

@@ -611,6 +611,8 @@ class TestAirlTrain:
         demos = occupancy(tiny_mdp, soft_value_iteration(tiny_mdp).policy)
         result = airl_train(tiny_mdp, demos, LearnerConfig(iterations=0))
         assert len(result.history) == 0
+        assert result.history.to_csv_text() == "iter,disc_loss,true_return,reward_error,g_delta\n"
+        assert all(column == [] for column in result.history.to_json_dict().values())
         npt.assert_allclose(result.params.g.values, 0.0)
         npt.assert_allclose(result.params.h, 0.0)
         npt.assert_allclose(result.policy, 0.5)
@@ -1085,16 +1087,38 @@ class TestMixedStack:
                 _airl_train_stack(mdps, demos, BOTH_VARIANTS, LearnerConfig(iterations=3))
 
 
-def eager_history(mdp, history):
-    """Each stored (g, policy) scored by single-policy calls, one iteration at a time."""
+def recorded_tables(history, variant):
+    """The (g, policy) tables the history's row of its stack's record holds, one
+    per iteration; a state-only row's g(s) is its tied (S, A) g at action 0."""
+    stack, row = history._stack, history._row
+    g = stack.theta[0][row]
+    if variant == "airl_state_only":
+        assert np.array_equal(g, np.broadcast_to(g[..., :1], g.shape))
+        g = g[..., 0]
+    return g, stack.policies[row]
+
+
+def eager_history(mdp, history, variant):
+    """Each recorded (g, policy) scored by single-policy calls, one iteration at a time."""
     true_return, reward_error = [], []
-    for g, policy in zip(history._g, history._policy):
+    for g, policy in zip(*recorded_tables(history, variant)):
         true_return.append(evaluate_return(mdp, policy, mdp.reward, include_entropy=False))
         kind = "state_only" if g.ndim == 1 else "state_action"
         reward_error.append(
             centered_reward_error(RewardTable(kind, g), mdp.reward, mdp.transition)
         )
     return true_return, reward_error
+
+
+def assert_derived_columns(mdp, history, variant, iterations):
+    """`true_return` and `reward_error` equal `eager_history`'s, in every read."""
+    true_return, reward_error = eager_history(mdp, history, variant)
+    assert len(true_return) == iterations
+    assert history.column("true_return").tolist() == true_return
+    assert history.column("reward_error").tolist() == reward_error
+    doc = history.to_json_dict()
+    assert doc["true_return"] == true_return
+    assert doc["reward_error"] == reward_error
 
 
 def record_fits(monkeypatch) -> list:
@@ -1153,18 +1177,34 @@ class TestLazyHistory:
     def test_derived_columns_equal_single_policy_calls(self, bench_mdp, runs):
         for key, result in runs.items():
             history = result.history
-            true_return, reward_error = eager_history(bench_mdp, history)
-            assert len(true_return) == 6, key
-            assert history.column("true_return").tolist() == true_return, key
-            assert history.column("reward_error").tolist() == reward_error, key
-            doc = history.to_json_dict()
-            assert doc["true_return"] == true_return, key
-            assert doc["reward_error"] == reward_error, key
-            # the stored tables are the training's own
-            assert np.array_equal(history._policy[-1], result.policy), key
+            assert_derived_columns(bench_mdp, history, key[0], 6)
+            # the recorded tables are the training's own
+            g, policies = recorded_tables(history, key[0])
+            assert np.array_equal(policies[-1], result.policy), key
             learned = result.scorer.f_step if key[0] == "gan_gcl_trajectory" \
                 else result.params.g.values
-            assert np.array_equal(history._g[-1], learned), key
+            assert np.array_equal(g[-1], learned), key
+
+    @pytest.mark.parametrize("mode", ["exact_occupancy", "sampled"])
+    def test_derived_columns_of_every_row_of_a_mixed_stack(self, monkeypatch, mode):
+        # rows 0-1 train state-only and rows 2-3 state-action; row 1 is read
+        # first, and the first read makes one stacked distance call, over the
+        # whole (B, K, S, A) g record, and no per-round one
+        mdps, demos = stack_problems()
+        mdps = mdps[:2]
+        if mode == "sampled":
+            demos = [sample_trajectories(m, soft_value_iteration(m).policy, 16, seed=i)
+                     for i, m in enumerate(mdps)]
+        config = LearnerConfig(mode=mode, iterations=6, disc_step_size=0.2,
+                               n_policy_trajectories=16)
+        per_variant = _airl_train_stack(mdps, demos[:2], BOTH_VARIANTS, config)
+        rows = [(variant, mdp, result.history)
+                for variant, results in zip(BOTH_VARIANTS, per_variant)
+                for mdp, result in zip(mdps, results)]
+        distances = record_calls(monkeypatch, irl_lab.airl, "centered_sup_distance")
+        for variant, mdp, history in [rows[1], rows[0], *rows[2:]]:
+            assert_derived_columns(mdp, history, variant, 6)
+        assert [args[0].shape for args, _ in distances] == [(4, 6, 16, 4)]
 
     def test_reads_repeat(self, runs):
         history = runs["airl_state_only", "exact_occupancy"].history
@@ -1203,7 +1243,7 @@ class TestLazyHistory:
         demos = (sample_trajectories(tiny_mdp, expert, 8, seed=1) if mode == "sampled"
                  else occupancy(tiny_mdp, expert))
         monkeypatch.setattr(irl_lab.airl, "evaluate_return", unexpected)
-        monkeypatch.setattr(irl_lab.airl, "centered_reward_error", unexpected)
+        monkeypatch.setattr(irl_lab.airl, "centered_sup_distance", unexpected)
         monkeypatch.setattr(irl_lab.airl._Problem, "loss", unexpected)
         result = train(tiny_mdp, demos, config)
         assert len(result.history) == 4

@@ -589,7 +589,7 @@ class TestReproduceTabular:
             raise AssertionError("history diagnostic computed")
 
         monkeypatch.setattr(irl_lab.airl, "evaluate_return", unexpected)
-        monkeypatch.setattr(irl_lab.airl, "centered_reward_error", unexpected)
+        monkeypatch.setattr(irl_lab.airl, "centered_sup_distance", unexpected)
         monkeypatch.setattr(irl_lab.airl._Problem, "loss", unexpected)
         assert run_cli(capsys, *args, str(patched))[0] == plain_code == EXIT_THRESHOLD
         files = sorted(p.name for p in plain.iterdir())

@@ -31,7 +31,7 @@ from irl_lab.shaping import shape_reward, PotentialFn
 from irl_lab.soft_rl import Rollouts, soft_value_iteration
 
 from conftest import small_random_mdps
-from oracles import warshall_linked_classes
+from oracles import deterministic_mdp_without_stay, warshall_linked_classes
 
 
 def state_reward(n, hot=0):
@@ -275,8 +275,8 @@ class TestDecomposability:
             if seed % 2:
                 mdp = random_mdp(n, k, state_reward(n), seed=seed)
             else:
-                mdp = random_deterministic_mdp(n, k, state_reward(n), seed=seed,
-                                               stay_action=bool(seed % 4))
+                make = random_deterministic_mdp if seed % 4 else deterministic_mdp_without_stay
+                mdp = make(n, k, state_reward(n), seed=seed)
             report = decomposability_check(mdp)
             assert report.linked_classes == warshall_linked_classes(mdp)
             checked += 1

@@ -2,6 +2,7 @@
 over the JSON documents the command line reads."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from irl_lab.mdp import (
     reward_to_dict,
     save_mdp,
 )
-from irl_lab.shaping import PotentialFn, shape_reward
+from irl_lab.shaping import PotentialFn, centered_sup_distance, shape_reward
 from irl_lab.soft_rl import (_occupancies, _soft_backup, _soft_policy, _state_visits,
                              evaluate_return, occupancy, sample_trajectories, soft_value_iteration)
 from irl_lab.transfer import _sweep_policies
@@ -32,7 +33,7 @@ from conftest import assert_same_solution, at_temperature, solve_rows
 from oracles import (backward_soft_recursion, enumerate_return, fd_gradient,
                      general_soft_backup, general_soft_policy, loop_occupancy, loop_return,
                      loop_sample_trajectories, loop_soft_value_iteration, loop_sweeps, chain_cell,
-                     per_state_product,
+                     pair_centered_sup_distance, per_state_product,
                      state_layout_f, state_layout_fit, state_layout_half_logits,
                      theta_space_cell_fit)
 
@@ -366,6 +367,36 @@ def test_one_pass_softplus_pair_is_two_logaddexp_calls(values):
     pos, neg = _softplus_pair(x)
     assert pos.view(np.int64).tolist() == np.logaddexp(0.0, -x).view(np.int64).tolist()
     assert neg.view(np.int64).tolist() == np.logaddexp(0.0, x).view(np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_b=st.integers(1, 3), n_k=st.integers(0, 4),
+       n_s=st.integers(1, 5), n_a=st.integers(1, 4))
+def test_stacked_centered_distances_equal_each_slice_call(seed, n_b, n_k, n_s, n_a):
+    # every (S, A) slice is plain, near the float limit (its plain formula
+    # overflows, so it is rescaled) or holds a NaN or an infinity; the truth
+    # broadcasts as (B, 1, S, A), as the training histories' does
+    rng = np.random.default_rng(seed)
+
+    def mixed_slices(shape):
+        x = rng.normal(size=shape + (n_s * n_a,))
+        kind = rng.integers(0, 3, size=shape)
+        x[kind == 1] = np.copysign(rng.uniform(1.5e308, 1.79e308, x[kind == 1].shape),
+                                   x[kind == 1])
+        bad = x[kind == 2]
+        bad[np.arange(len(bad)), rng.integers(n_s * n_a, size=len(bad))] = rng.choice(
+            [np.nan, np.inf, -np.inf], size=len(bad))
+        x[kind == 2] = bad
+        return x.reshape(shape + (n_s, n_a))
+
+    a, b = mixed_slices((n_b, n_k)), mixed_slices((n_b, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = centered_sup_distance(a, b, axis=(-2, -1))
+        for oracle in (centered_sup_distance, pair_centered_sup_distance):
+            singles = [[oracle(a[i, k], b[i, 0]) for k in range(n_k)] for i in range(n_b)]
+            want = np.array(singles, dtype=float).reshape(n_b, n_k)
+            assert stacked.tobytes() == want.tobytes(), oracle
 
 
 @st.composite

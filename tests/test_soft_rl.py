@@ -470,7 +470,7 @@ class TestEvaluateReturn:
             call(mdp, policy)
 
     @pytest.mark.parametrize("stack", [1, 200])
-    @pytest.mark.parametrize("flaw", ["nan", "negative", "sums_above_1"])
+    @pytest.mark.parametrize("flaw", ["nan", "nan_row", "negative", "sums_above_1"])
     def test_a_flawed_row_of_a_stack_is_rejected(self, stack, flaw):
         # one flawed state row in the last policy of the stack, every other row uniform
         mdp = paper_tabular_mdp(0)
@@ -478,12 +478,19 @@ class TestEvaluateReturn:
         row = policies[-1, 5]
         if flaw == "nan":
             row[2] = np.nan
+        elif flaw == "nan_row":
+            row[:] = np.nan
         elif flaw == "negative":
             row[:] = [0.5, 0.5, 0.25, -0.25]
         else:
             row[0] += 2e-8
         with pytest.raises(ValueError, match="probability distributions"):
             evaluate_return(mdp, policies)
+
+    def test_an_empty_stack_gives_no_returns(self):
+        mdp = paper_tabular_mdp(0)
+        returns = evaluate_return(mdp, np.empty((0, 16, 4)))
+        assert returns.shape == (0,) and returns.dtype == float
 
     def test_agrees_with_occupancy_contraction(self, bench_mdp):
         # undiscounted-normalization detail: evaluate_return discounts by
